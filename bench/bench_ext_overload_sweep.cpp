@@ -54,13 +54,11 @@ int main() {
   scenario.ack_interval = Duration::millis(5);
 
   // The adaptive variant: same schedule and seed, but the window is AIMD
-  // (starts at min_window, grows one frame per clean credit round, halves
+  // (starts at 2 frames, grows one frame per clean credit round, halves
   // on stall, capped by the static window as ceiling) and receive cursors
   // ride on outgoing Data/Session frames instead of standalone CreditAcks.
   harness::OverloadScenario adaptive = scenario;
   adaptive.adaptive = true;
-  adaptive.min_window = 2;
-  adaptive.max_window = 0;  // ceiling = window_size
   adaptive.piggyback = true;
 
   // One sender is the paced baseline; the crowd grows until the region's

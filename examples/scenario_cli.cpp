@@ -8,6 +8,7 @@
 // Streams `--messages` multicasts from member 0 through the simulated
 // cluster and reports delivery, buffer and traffic statistics — the knobs a
 // downstream user would want to sweep without writing code.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -46,14 +47,10 @@ struct Options {
   bool no_shed = false;            // disable sole-copy shed handoffs
   bool flow = false;               // windowed send admission (flow control)
   std::size_t window = 32;         // outstanding-frame window per sender
-  std::size_t target_budget = 0;   // outstanding-byte cap, 0 = frames only
   std::int64_t ack_ms = 10;        // CreditAck feedback period
   bool no_backpressure = false;    // disable occupancy-driven window halving
   bool adaptive = false;           // AIMD window sizing (--window = ceiling)
-  std::size_t min_window = 2;      // AIMD lower bound / starting window
-  std::size_t max_window = 0;      // AIMD ceiling override, 0 = --window
   bool piggyback = false;          // cursors ride on Data/Session frames
-  bool stall_backoff = false;      // exponential stall-remulticast pacing
   bool hierarchy = false;          // multi-level repair over the region tree
   std::size_t fanout = 2;          // children per region when --depth > 0
   std::size_t depth = 0;           // region-tree depth, 0 = flat --regions
@@ -99,22 +96,16 @@ void print_usage() {
       "  --flow                windowed send admission with credit-based\n"
       "                        feedback (CreditAck gossip)\n"
       "  --window=N            outstanding-frame window per sender (32)\n"
-      "  --target-budget=N     cap on outstanding wire bytes per sender\n"
-      "                        (0 = frames-only windowing)\n"
       "  --ack-interval=MS     CreditAck feedback period (10)\n"
       "  --no-backpressure     keep flow control but disable the\n"
       "                        occupancy-driven window halving\n"
-      "  --adaptive-window     AIMD window sizing: grow one frame per clean\n"
-      "                        credit round, halve on stall; --window\n"
-      "                        becomes the ceiling\n"
-      "  --min-window=N        AIMD lower bound and starting window (2)\n"
-      "  --max-window=N        AIMD ceiling override (0 = use --window)\n"
+      "  --adaptive-window     AIMD window sizing: start at 2 frames, grow\n"
+      "                        one per clean credit round, halve on stall;\n"
+      "                        --window becomes the ceiling (without it the\n"
+      "                        window is fixed at --window)\n"
       "  --piggyback           ride receive cursors on outgoing Data/Session\n"
       "                        frames; CreditAck becomes a quiet-receiver\n"
       "                        fallback\n"
-      "  --stall-backoff       double the stall re-multicast interval per\n"
-      "                        consecutive re-multicast of the same wedged\n"
-      "                        frame (reset when the floor advances)\n"
       "  --hierarchy           multi-level repair: per-region representatives\n"
       "                        answer local NAKs and escalate misses up the\n"
       "                        region tree instead of going to the sender\n"
@@ -208,22 +199,14 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.flow = true;
     } else if (eat("--window=", v)) {
       opt.window = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (eat("--target-budget=", v)) {
-      opt.target_budget = std::strtoull(v.c_str(), nullptr, 10);
     } else if (eat("--ack-interval=", v)) {
       opt.ack_ms = std::strtoll(v.c_str(), nullptr, 10);
     } else if (arg == "--no-backpressure") {
       opt.no_backpressure = true;
     } else if (arg == "--adaptive-window") {
       opt.adaptive = true;
-    } else if (eat("--min-window=", v)) {
-      opt.min_window = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (eat("--max-window=", v)) {
-      opt.max_window = std::strtoull(v.c_str(), nullptr, 10);
     } else if (arg == "--piggyback") {
       opt.piggyback = true;
-    } else if (arg == "--stall-backoff") {
-      opt.stall_backoff = true;
     } else if (arg == "--hierarchy") {
       opt.hierarchy = true;
     } else if (eat("--fanout=", v)) {
@@ -300,17 +283,6 @@ bool validate(const Options& opt) {
     return fail("--window must be positive: a zero window can never send");
   }
   if (opt.ack_ms <= 0) return fail("--ack-interval must be positive");
-  if (opt.adaptive) {
-    if (opt.min_window == 0) {
-      return fail("--min-window must be positive: a zero window never sends");
-    }
-    std::size_t ceiling = opt.max_window != 0 ? opt.max_window : opt.window;
-    if (opt.min_window > ceiling) {
-      return fail(
-          "--min-window must not exceed the AIMD ceiling (--max-window, or "
-          "--window when --max-window is 0)");
-    }
-  }
   return true;
 }
 
@@ -385,14 +357,10 @@ int main(int argc, char** argv) {
   cc.protocol.buffer_coordination.shed_sole_copies = !opt.no_shed;
   cc.protocol.flow.enabled = opt.flow;
   cc.protocol.flow.window_size = static_cast<std::uint32_t>(opt.window);
-  cc.protocol.flow.target_budget_bytes = opt.target_budget;
   cc.protocol.flow.ack_interval = Duration::millis(opt.ack_ms);
   cc.protocol.flow.backpressure = !opt.no_backpressure;
   cc.protocol.flow.adaptive = opt.adaptive;
-  cc.protocol.flow.min_window = static_cast<std::uint32_t>(opt.min_window);
-  cc.protocol.flow.max_window = static_cast<std::uint32_t>(opt.max_window);
   cc.protocol.flow.piggyback = opt.piggyback;
-  cc.protocol.flow.stall_backoff = opt.stall_backoff;
   cc.protocol.lambda = opt.lambda;
   cc.protocol.lookup = kind == buffer::PolicyKind::kHashBased
                            ? BuffererLookup::kHashDirect
@@ -414,16 +382,14 @@ int main(int argc, char** argv) {
   std::printf("coordination: %s\n",
               buffer::describe(cc.protocol.buffer_coordination).c_str());
   if (opt.flow) {
-    std::printf("flow: window %zu frames, target budget %zu B (0 = frames "
-                "only), ack every %lld ms, backpressure %s\n",
-                opt.window, opt.target_budget,
-                static_cast<long long>(opt.ack_ms),
+    std::printf("flow: window %zu frames, ack every %lld ms, "
+                "backpressure %s\n",
+                opt.window, static_cast<long long>(opt.ack_ms),
                 opt.no_backpressure ? "off" : "on");
     if (opt.adaptive) {
       std::printf("flow: AIMD window [%zu, %zu], cursor piggyback %s\n",
-                  opt.min_window,
-                  opt.max_window != 0 ? opt.max_window : opt.window,
-                  opt.piggyback ? "on" : "off");
+                  std::min<std::size_t>(kMinAdaptiveWindow, opt.window),
+                  opt.window, opt.piggyback ? "on" : "off");
     } else if (opt.piggyback) {
       std::printf("flow: cursor piggyback on\n");
     }

@@ -468,11 +468,8 @@ OverloadOutcome run_overload_point(std::size_t senders, bool flow_on,
   cc.protocol.buffer_coordination.digest_interval = Duration::millis(10);
   cc.protocol.flow.enabled = flow_on;
   cc.protocol.flow.window_size = scenario.window_size;
-  cc.protocol.flow.target_budget_bytes = scenario.target_budget_bytes;
   cc.protocol.flow.ack_interval = scenario.ack_interval;
   cc.protocol.flow.adaptive = scenario.adaptive;
-  cc.protocol.flow.min_window = scenario.min_window;
-  cc.protocol.flow.max_window = scenario.max_window;
   cc.protocol.flow.piggyback = scenario.piggyback;
   cc.data_loss = scenario.data_loss;
   cc.seed = scenario.seed;

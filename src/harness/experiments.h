@@ -239,15 +239,12 @@ struct OverloadScenario {
   std::uint64_t seed = 1;
   std::size_t budget_bytes = 4096;  // per-member buffer budget
   std::uint32_t window_size = 8;
-  std::size_t target_budget_bytes = 0;  // 0 = frames-only windowing
   Duration ack_interval = Duration::millis(5);
 
   /// AIMD window sizing + cursor piggybacking (the adaptive flow mode).
   /// All off by default: the static-window run is bit-identical to the
   /// pre-adaptive harness.
   bool adaptive = false;
-  std::uint32_t min_window = 2;
-  std::uint32_t max_window = 0;  // 0 = window_size is the ceiling
   bool piggyback = false;
 
   /// Churn axis: crash one non-sender receiver a third of the way through

@@ -77,12 +77,12 @@ struct Config {
   buffer::CoordinationParams buffer_coordination;
 
   /// Windowed send admission with credit-based feedback (see
-  /// FlowControlParams): per-sender slot-ring windows over outstanding Data
-  /// frames, receive cursors in periodic CreditAck feedback, DFI-style
-  /// per-target byte budgets, and region-aware back-pressure fed by the
-  /// BufferDigest gossip. `flow.adaptive` turns the static window into an
-  /// AIMD one (grow one frame per clean credit round, halve on stall,
-  /// bounded by [min_window, max_window or window_size]); `flow.piggyback`
+  /// FlowControlParams): a per-sender window over outstanding Data frames,
+  /// receive cursors in periodic CreditAck feedback, and region-aware
+  /// back-pressure fed by the BufferDigest gossip. The window is AIMD
+  /// (grow one frame per clean credit round, halve on stall) between a
+  /// floor and window_size; `flow.adaptive` lowers the floor from
+  /// window_size (a static window) to kMinAdaptiveWindow. `flow.piggyback`
   /// rides the cursors on outgoing Data/Session frames and demotes the
   /// CreditAck multicast to a quiet-receiver fallback. Disabled by default —
   /// the unpaced protocol is bit-identical to the pre-flow-control

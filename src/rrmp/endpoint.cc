@@ -5,7 +5,6 @@
 
 #include "buffer/hash_based.h"
 #include "common/logging.h"
-#include "proto/codec.h"
 
 namespace rrmp {
 namespace {
@@ -139,8 +138,7 @@ void Endpoint::halt() {
   cancel(anti_entropy_timer_);
   cancel(digest_timer_);
   cancel(credit_timer_);
-  send_queue_.clear();
-  flow_unacked_.clear();
+  window_.clear();
   for (auto& [id, task] : recoveries_) {
     cancel(task.local_timer);
     cancel(task.remote_timer);
@@ -185,81 +183,57 @@ void Endpoint::enable_gossip_fd(GossipConfig config,
 // ----------------------------------------------------------- app API ----
 
 MessageId Endpoint::multicast(std::vector<std::uint8_t> payload) {
-  if (!cfg_.flow.enabled) {
-    MessageId id{self(), ++send_seq_};
-    next_app_seq_ = send_seq_;
-    proto::Data d{id, std::move(payload)};
-    accept(d, /*from_remote_region=*/false);
-    host_.ip_multicast(proto::Message{d});
-    if (session_timer_ == kNoTimer) {
-      session_timer_ =
-          schedule(cfg_.session_interval, [this] { session_tick(); });
-    }
-    return id;
-  }
-  // Flow-controlled path: the id is assigned now (the application's send
-  // order is the wire order), but transmission waits for window credit.
-  MessageId id{self(), ++next_app_seq_};
-  proto::Data d{id, std::move(payload)};
-  if (send_queue_.empty() &&
-      flow_admits(proto::encoded_size(proto::Message{d}))) {
-    transmit_frame(std::move(d));
+  if (!active_) return MessageId{self(), 0};
+  // The id is assigned now (the application's send order is the wire
+  // order), but transmission waits for window credit — which flow control
+  // off grants at once.
+  std::size_t queued = queued_sends();
+  MessageId id{self(), flow_.send_seq() + queued + 1};
+  window_.push_back(proto::Data{id, std::move(payload)});
+  if (queued == 0 && flow_admits()) {
+    transmit_next();
   } else {
-    flow_.note_deferred();
     metrics().on_send_deferred(self(), id, host_.now());
-    send_queue_.push_back(std::move(d));
   }
   return id;
 }
 
-bool Endpoint::flow_admits(std::size_t bytes) const {
+bool Endpoint::flow_admits() const {
   // Alone in the region there is no peer to grant credit — windowing would
   // wedge the stream after window_size frames, so it does not apply.
   if (host_.local_view().size() <= 1) return true;
-  return flow_.may_send(bytes);
+  return flow_.may_send();
 }
 
-void Endpoint::transmit_frame(proto::Data d) {
-  assert(d.id.seq == send_seq_ + 1 && "queue drains in id order");
-  send_seq_ = d.id.seq;
-  // The window accounts the core (cursor-free) frame size: retransmissions
-  // and repairs carry the core form, and the piggyback block is feedback
-  // overhead, not stream backlog.
-  std::size_t bytes = proto::encoded_size(proto::Message{d});
-  accept(d, /*from_remote_region=*/false);
-  flow_unacked_.push_back(d);
-  if (cfg_.flow.piggyback && host_.local_view().size() > 1) {
+void Endpoint::transmit_next() {
+  proto::Data wire = window_[window_.size() - queued_sends()];
+  flow_.on_frame_sent();
+  if (!cfg_.flow.enabled) window_.pop_front();  // no retransmission copy
+  accept(wire, /*from_remote_region=*/false);
+  if (cfg_.flow.enabled && cfg_.flow.piggyback &&
+      host_.local_view().size() > 1) {
     // Attach our receive cursors to the wire copy only — the stored and
     // retransmission copies stay cursor-free (nested/repair encodings and
     // buffer byte accounting use the core layout).
-    proto::Data wire = std::move(d);  // payload is refcounted, copy is cheap
     wire.cursors = cursor_snapshot();
     advertised_cursors_ = wire.cursors;
     advertised_any_ = true;
-    host_.ip_multicast(proto::Message{std::move(wire)});
-  } else {
-    host_.ip_multicast(proto::Message{std::move(d)});
   }
-  flow_.on_frame_sent(send_seq_, bytes);
+  host_.ip_multicast(proto::Message{std::move(wire)});
   if (session_timer_ == kNoTimer) {
     session_timer_ =
         schedule(cfg_.session_interval, [this] { session_tick(); });
   }
 }
 
-void Endpoint::drain_send_queue() {
-  while (!send_queue_.empty() &&
-         flow_admits(proto::encoded_size(proto::Message{send_queue_.front()}))) {
-    proto::Data d = std::move(send_queue_.front());
-    send_queue_.pop_front();
-    transmit_frame(std::move(d));
-  }
+void Endpoint::drain_window() {
+  while (queued_sends() > 0 && flow_admits()) transmit_next();
 }
 
 void Endpoint::session_tick() {
   session_timer_ = kNoTimer;
-  if (send_seq_ == 0) return;
-  proto::Session s{self(), send_seq_};
+  if (flow_.send_seq() == 0) return;
+  proto::Session s{self(), flow_.send_seq()};
   if (cfg_.flow.enabled && cfg_.flow.piggyback &&
       host_.local_view().size() > 1) {
     s.cursors = cursor_snapshot();
@@ -404,7 +378,7 @@ void Endpoint::handle_piggyback(
     if (c.source == self()) cursor = c.cursor;
   }
   flow_.on_cursor(from, cursor);
-  drain_send_queue();
+  drain_window();
 }
 
 void Endpoint::handle_local_request(const proto::LocalRequest& r,
@@ -657,7 +631,7 @@ void Endpoint::handle_buffer_digest(const proto::BufferDigest& d,
     // The digest doubles as an occupancy report: a neighbor nearing its
     // budget sheds credit from our window before eviction pressure hits it.
     flow_.on_peer_occupancy(d.member, d.bytes_in_use, d.window_outstanding);
-    drain_send_queue();
+    drain_window();
   }
 }
 
@@ -685,7 +659,7 @@ void Endpoint::handle_credit_ack(const proto::CreditAck& a, MemberId from) {
   }
   flow_.on_cursor(a.member, cursor);
   flow_.on_peer_budget(a.member, a.bytes_in_use, a.budget_bytes);
-  drain_send_queue();
+  drain_window();
 }
 
 void Endpoint::handle_shed(const proto::Shed& s, MemberId from) {
@@ -1154,7 +1128,7 @@ void Endpoint::on_view_change() {
   flow_.retain_peers(flow_peers());
   sync_flow_peers();
   // Dropping the slowest cursor may have freed credit immediately.
-  drain_send_queue();
+  drain_window();
 }
 
 void Endpoint::on_partition_change(std::vector<MemberId> unreachable,
@@ -1177,7 +1151,7 @@ void Endpoint::on_partition_change(std::vector<MemberId> unreachable,
   // back through the partition-era stream.
   flow_.retain_peers(flow_peers());
   sync_flow_peers();
-  drain_send_queue();
+  drain_window();
 }
 
 void Endpoint::credit_tick() {
@@ -1224,29 +1198,20 @@ void Endpoint::credit_tick() {
       store_->on_request_seen(MessageId{self(), s});
     }
     // Frames the whole region has acknowledged need no retransmission copy.
-    while (!flow_unacked_.empty() &&
-           flow_unacked_.front().id.seq <= flow_.window_floor()) {
-      flow_unacked_.pop_front();
+    while (!window_.empty() && window_.front().id.seq <= flow_.window_floor()) {
+      window_.pop_front();
     }
     // Sender-driven retransmission: when the floor sits still for several
     // ticks with frames outstanding, some receiver is stuck on the frame
     // just past it — usually because its own recovery gave up while copies
     // were scarce (the shared buffer may have evicted every copy, including
-    // ours). The retransmission deque still holds it: re-multicast;
-    // duplicates are ignored and the stuck cursors advance. The wedging
-    // frame is normally at the front, but a floor that moved backward (a
-    // peer's first report arriving after faster peers') leaves newer frames
-    // ahead of it — search the deque instead of trusting front().
-    // Consecutive re-multicasts of the same stall back off exponentially
-    // (stall_streak_): a receiver that cannot be unwedged by duplicates —
-    // e.g. one behind a partition — should not eat a full multicast every
-    // few ticks for as long as the partition lasts.
+    // ours). window_ still holds it: re-multicast; duplicates are ignored
+    // and the stuck cursors advance. The wedging frame is normally at the
+    // front, but a floor that moved backward (a peer's first report
+    // arriving after faster peers') points before it or, once pruned, below
+    // the oldest frame kept — then there is nothing to re-multicast.
     if (flow_.outstanding() > 0 && flow_.window_floor() == stall_floor_) {
-      std::uint32_t backoff_shift =
-          cfg_.flow.stall_backoff
-              ? std::min(stall_streak_, kMaxStallBackoffShift)
-              : 0;
-      if (++stall_ticks_ >= (kStallRetransmitTicks << backoff_shift)) {
+      if (++stall_ticks_ >= kStallRetransmitTicks) {
         stall_ticks_ = 0;
         if (flow_.release_stalled_peers()) {
           // Every floor-holding cursor was a seeded binding ahead of its
@@ -1256,50 +1221,42 @@ void Endpoint::credit_tick() {
           // the frame at the floor could not unwedge it. Not a loss
           // signal — no receiver missed this frame.
           metrics().on_flow_stall_release(self(), host_.now());
-          drain_send_queue();
-        } else {
-          auto wedged = std::find_if(
-              flow_unacked_.begin(), flow_unacked_.end(),
-              [this](const proto::Data& f) {
-                return f.id.seq == stall_floor_ + 1;
-              });
-          if (wedged != flow_unacked_.end()) {
-            metrics().on_flow_stall_remcast(self(), wedged->id, host_.now());
-            host_.ip_multicast(proto::Message{*wedged});
-            // A stall is the AIMD loss signal: some receiver missed a
-            // frame and its recovery did not close the gap in time.
-            flow_.on_loss();
-            aimd_loss_in_round_ = true;
-            ++stall_streak_;
-          }
+          drain_window();
+        } else if (!window_.empty() &&
+                   window_.front().id.seq <= stall_floor_ + 1) {
+          const proto::Data& wedged =
+              window_[stall_floor_ + 1 - window_.front().id.seq];
+          metrics().on_flow_stall_remcast(self(), wedged.id, host_.now());
+          host_.ip_multicast(proto::Message{wedged});
+          // A stall is the AIMD loss signal: some receiver missed a frame
+          // and its recovery did not close the gap in time.
+          flow_.on_loss();
+          aimd_loss_in_round_ = true;
         }
       }
     } else {
       stall_floor_ = flow_.window_floor();
       stall_ticks_ = 0;
-      stall_streak_ = 0;
     }
   }
   // AIMD probe round: one additive step per clean round. The round must
   // outlast the slowest peer's feedback loop, so it is the larger of the
   // ack interval and the measured RTT (the topology estimate until
   // measure_rtt has samples).
-  if (cfg_.flow.adaptive) {
-    Duration rtt = host_.rtt_estimate(self());
-    if (cfg_.measure_rtt) rtt = rtt_.max_srtt(rtt);
-    Duration round = std::max(cfg_.flow.ack_interval, rtt);
-    if (host_.now() - aimd_round_start_ >= round) {
-      if (!aimd_loss_in_round_ && flow_.window_floor() > aimd_round_floor_) {
-        flow_.on_clean_round();
-      }
-      aimd_round_start_ = host_.now();
-      aimd_round_floor_ = flow_.window_floor();
-      aimd_loss_in_round_ = false;
+  Duration rtt = host_.rtt_estimate(self());
+  if (cfg_.measure_rtt) rtt = rtt_.max_srtt(rtt);
+  Duration round = std::max(cfg_.flow.ack_interval, rtt);
+  if (host_.now() - aimd_round_start_ >= round) {
+    if (!aimd_loss_in_round_ && flow_.window_floor() > aimd_round_floor_) {
+      flow_.on_clean_round();
     }
+    aimd_round_start_ = host_.now();
+    aimd_round_floor_ = flow_.window_floor();
+    aimd_loss_in_round_ = false;
   }
   // Pruning departed peers (or the view shrinking to just us) may have
   // freed credit even without new acks.
-  drain_send_queue();
+  drain_window();
   credit_timer_ = schedule(cfg_.flow.ack_interval, [this] { credit_tick(); });
 }
 

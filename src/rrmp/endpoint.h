@@ -80,7 +80,8 @@ class Endpoint {
   /// sender). Returns the assigned id. With flow control enabled
   /// (Config::flow), a frame that exceeds the send window is queued and
   /// transmitted — in id order — as peer credit arrives; the id is
-  /// assigned immediately either way.
+  /// assigned immediately either way. A halted member sends nothing and
+  /// returns sequence 0.
   MessageId multicast(std::vector<std::uint8_t> payload);
 
   /// Called once for each distinct message received (any order).
@@ -131,7 +132,7 @@ class Endpoint {
   std::size_t active_recoveries() const { return recoveries_.size(); }
   std::size_t active_searches() const { return searches_.size(); }
   std::size_t waiter_count() const { return waiters_.size(); }
-  std::uint64_t highest_sent() const { return send_seq_; }
+  std::uint64_t highest_sent() const { return flow_.send_seq(); }
 
   /// Flow-control window state (meaningful when config.flow.enabled).
   const FlowController& flow() const { return flow_; }
@@ -139,7 +140,9 @@ class Endpoint {
   /// fault-free runs).
   std::uint64_t view_generation() const { return view_gen_; }
   /// Frames admitted by multicast() but not yet transmitted (window full).
-  std::size_t queued_sends() const { return send_queue_.size(); }
+  std::size_t queued_sends() const {
+    return window_.empty() ? 0 : window_.back().id.seq - flow_.send_seq();
+  }
 
   /// Missing sequence numbers currently known for `source`.
   std::vector<std::uint64_t> missing_from(MemberId source) const;
@@ -281,13 +284,13 @@ class Endpoint {
 
   // Flow control (Config::flow): periodic CreditAck multicast + queue drain.
   void credit_tick();
-  /// True when the window admits a frame of `bytes` right now (always true
+  /// True when the window admits the next frame right now (always true
   /// when alone in the region: there is no peer to grant credit).
-  bool flow_admits(std::size_t bytes) const;
-  /// Assign the wire sequence, deliver locally, and transmit one frame.
-  void transmit_frame(proto::Data d);
+  bool flow_admits() const;
+  /// Deliver locally and transmit the oldest queued frame of window_.
+  void transmit_next();
   /// Transmit queued frames while credit allows.
-  void drain_send_queue();
+  void drain_window();
   /// This member's per-source receive cursors — the payload of a CreditAck
   /// and of the piggyback block on outgoing Data/Session frames.
   std::vector<proto::ReceiveCursor> cursor_snapshot() const;
@@ -328,21 +331,26 @@ class Endpoint {
   // this endpoint (e.g. the member was replaced after a rejoin) must find a
   // dead token instead of dereferencing a freed `this`.
   std::shared_ptr<bool> alive_token_ = std::make_shared<bool>(true);
-  std::uint64_t send_seq_ = 0;  // last sequence sent (this member as sender)
-  /// Last sequence *assigned* by multicast(). With flow control off this
-  /// always equals send_seq_; with it on, ids in (send_seq_, next_app_seq_]
-  /// sit in send_queue_ awaiting credit. Session messages announce only
-  /// send_seq_ — an unsent frame must not be reported as a loss.
-  std::uint64_t next_app_seq_ = 0;
   TimerHandle session_timer_ = kNoTimer;
   TimerHandle history_timer_ = kNoTimer;
   TimerHandle anti_entropy_timer_ = kNoTimer;
   TimerHandle digest_timer_ = kNoTimer;
   TimerHandle credit_timer_ = kNoTimer;
 
-  // Flow control state (inert when cfg_.flow.enabled is false).
+  // Flow control state (inert when cfg_.flow.enabled is false). flow_
+  // also counts the frames sent (send_seq) with flow control off.
   FlowController flow_;
-  std::deque<proto::Data> send_queue_;  // admitted, not yet transmitted
+  /// This member's send window, in id order. The prefix through
+  /// flow_.send_seq() is on the wire and not yet known to be below the
+  /// window floor (pruned each credit tick); the tail was assigned an id
+  /// by multicast() and waits for credit. The sender is the
+  /// retransmission source of last resort for the prefix: the BufferStore
+  /// may evict those copies under budget pressure (they compete with every
+  /// other sender's frames), but the window cannot move past a frame some
+  /// receiver never got. With flow control off nothing waits and no copy
+  /// is kept, so it stays empty. Session messages announce only
+  /// flow_.send_seq() — an unsent frame must not be reported as a loss.
+  std::deque<proto::Data> window_;
   /// Stall detection for sender-driven retransmission: the window floor as
   /// of the last credit tick, and how many ticks it has sat still with
   /// frames outstanding. Receiver-side recovery can give up (max_attempts)
@@ -351,20 +359,6 @@ class Endpoint {
   std::uint64_t stall_floor_ = 0;
   std::uint32_t stall_ticks_ = 0;
   static constexpr std::uint32_t kStallRetransmitTicks = 3;
-  /// Consecutive stall re-multicasts of the same wedged floor: each one
-  /// doubles the tick threshold before the next (up to
-  /// kStallRetransmitTicks << kMaxStallBackoffShift), so a receiver that is
-  /// genuinely gone stops drawing a region-wide re-multicast every few
-  /// ticks. Reset the moment the floor advances.
-  std::uint32_t stall_streak_ = 0;
-  static constexpr std::uint32_t kMaxStallBackoffShift = 3;
-  /// Transmitted frames not yet below the window floor, oldest first. The
-  /// sender is the retransmission source of last resort for its own window:
-  /// the BufferStore may evict these copies under budget pressure (they
-  /// compete with every other sender's frames), but the window cannot move
-  /// past a frame some receiver never got. Bounded by the window size plus
-  /// any transient floor drop, i.e. a handful of frames.
-  std::deque<proto::Data> flow_unacked_;
   /// Region membership as of the last flow reconciliation; diffed against
   /// the live view to tell genuine joiners (seed their cursor at the floor)
   /// from peers that merely have not acked yet (who must keep their right
@@ -377,9 +371,9 @@ class Endpoint {
   std::uint64_t view_gen_ = 0;
   mutable std::vector<MemberId> flow_peers_scratch_;
 
-  // AIMD probe-round state (cfg_.flow.adaptive). A round is the larger of
-  // ack_interval and the measured RTT of the slowest peer; a round in which
-  // the floor advanced with no stall grows the window by one.
+  // AIMD probe-round state. A round is the larger of ack_interval and the
+  // measured RTT of the slowest peer; a round in which the floor advanced
+  // with no stall grows the window by one (a no-op for a static window).
   TimePoint aimd_round_start_{};
   std::uint64_t aimd_round_floor_ = 0;
   bool aimd_loss_in_round_ = false;

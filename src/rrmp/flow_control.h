@@ -3,19 +3,13 @@
 // The paper's buffer optimizations assume senders are paced; without
 // admission control a flash crowd of senders overruns every per-member and
 // region budget simultaneously and the coordination loop can only shuffle
-// losses around. This module adds the missing pacing, adapting two proven
-// designs:
-//
-//   - Derecho's SST multicast window: a sender may have at most
-//     `window_size` Data frames outstanding (sent but not yet acknowledged
-//     by every region peer). Receivers advertise per-source receive cursors
-//     (the highest contiguously received sequence, the analogue of
-//     Derecho's num_received counters) in periodic CreditAck frames; the
-//     minimum cursor across peers is the window floor, and each cursor
-//     advance releases credits.
-//   - DFI's BufferWriterMulticast target budgets: an optional cap on the
-//     outstanding *bytes* in flight, so a slow receiver throttles only its
-//     sender's stream, never the region.
+// losses around. This module adds the missing pacing, adapting Derecho's SST
+// multicast window: a sender may have at most `window_size` Data frames
+// outstanding (sent but not yet acknowledged by every region peer).
+// Receivers advertise per-source receive cursors (the highest contiguously
+// received sequence, the analogue of Derecho's num_received counters) in
+// periodic CreditAck frames; the minimum cursor across peers is the window
+// floor, and each cursor advance releases credits.
 //
 // Region-aware back-pressure: peers advertise buffer occupancy (bytes in
 // use vs budget) in both CreditAck frames and the BufferDigest gossip. When
@@ -25,13 +19,14 @@
 //
 // FlowController is pure state (no host, no timers, no RNG): the Endpoint
 // feeds it acks/digests and asks may_send() before transmitting; deferred
-// frames wait in the endpoint's FIFO queue. Everything is inert unless
-// FlowControlParams::enabled is set — the disabled protocol is bit-identical
-// to the unpaced one.
+// frames wait in the tail of the endpoint's send window. Everything is inert
+// unless FlowControlParams::enabled is set — the disabled protocol is
+// bit-identical to the unpaced one.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "common/time.h"
@@ -39,38 +34,38 @@
 
 namespace rrmp {
 
+/// The adaptive window's floor and starting point (clamped to window_size).
+inline constexpr std::uint32_t kMinAdaptiveWindow = 2;
+
+/// Peer occupancy (bytes in use / budget) at or past which the region counts
+/// as pressured.
+inline constexpr double kPressureWatermark = 0.75;
+
 struct FlowControlParams {
   /// Master switch; everything below is inert when false.
   bool enabled = false;
 
   /// Maximum outstanding (sent, not yet peer-acknowledged) Data frames per
-  /// sender — the slot-ring size. Sanitized to >= 1.
+  /// sender: the AIMD window's ceiling, and also its floor unless
+  /// `adaptive`. Sanitized to >= 1.
   std::uint32_t window_size = 32;
-
-  /// Cap on outstanding wire bytes per sender (DFI-style target budget);
-  /// 0 = frames-only windowing. A frame is always admitted when nothing is
-  /// outstanding, so one oversized frame can never wedge the stream.
-  std::size_t target_budget_bytes = 0;
 
   /// Period of the receiver-side CreditAck multicast (receive cursors +
   /// buffer occupancy). Keep at or below the RTT for a responsive window.
   Duration ack_interval = Duration::millis(10);
 
   /// Region-aware back-pressure: halve the effective window while any peer
-  /// advertises occupancy at or past `pressure_watermark` of its budget.
+  /// advertises occupancy at or past kPressureWatermark of its budget.
   bool backpressure = true;
-  double pressure_watermark = 0.75;
 
-  /// AIMD window sizing. When on, the live window starts at `min_window`
-  /// and grows by one frame per *clean credit round* (a probe period — the
-  /// larger of ack_interval and the measured RTT — in which the floor
-  /// advanced with no stall), and halves on an observed loss/stall, bounded
-  /// to [min_window, ceiling] where ceiling = max_window, or the static
-  /// `window_size` knob when max_window is 0. Off (the default): the window
-  /// is the static `window_size`, bit-identical to the non-adaptive design.
+  /// AIMD window sizing. When on, the live window starts at
+  /// kMinAdaptiveWindow and grows by one frame per *clean credit round* (a
+  /// probe period — the larger of ack_interval and the measured RTT — in
+  /// which the floor advanced with no stall), and halves on an observed
+  /// loss/stall, bounded to [kMinAdaptiveWindow, window_size]. Off (the
+  /// default): the same AIMD window with its floor raised to its ceiling,
+  /// i.e. the static `window_size`.
   bool adaptive = false;
-  std::uint32_t min_window = 2;
-  std::uint32_t max_window = 0;  // 0 = window_size is the ceiling
 
   /// Piggyback this member's receive cursors on its outgoing Data/Session
   /// frames and suppress the periodic CreditAck multicast while those
@@ -78,27 +73,14 @@ struct FlowControlParams {
   /// receivers (plus a periodic refresh in case frames were lost).
   bool piggyback = false;
 
-  /// Exponential backoff between stall re-multicasts of the same wedged
-  /// frame: the stall tick threshold doubles per re-multicast (capped at
-  /// 8x) and resets when the floor advances, so a frame wedged behind a
-  /// congested window isn't re-injected into it at a fixed cadence. Off
-  /// (the default): the flat retransmit cadence of the previous revision.
-  bool stall_backoff = false;
-
   friend bool operator==(const FlowControlParams&,
                          const FlowControlParams&) = default;
-
-  /// The adaptive window's upper bound (equals window_size when off or when
-  /// max_window is unset).
-  std::uint32_t ceiling() const {
-    return adaptive && max_window != 0 ? max_window : window_size;
-  }
 };
 
-/// Per-sender window state: outstanding frames/bytes against the minimum
-/// peer receive cursor, plus the region occupancy view driving back-pressure.
-/// All containers are ordered maps so every decision is deterministic across
-/// runs and shard counts.
+/// Per-sender window state: outstanding frames against the minimum peer
+/// receive cursor, plus the region occupancy view driving back-pressure.
+/// The peer table is an ordered map so every decision is deterministic
+/// across runs and shard counts.
 class FlowController {
  public:
   FlowController() : FlowController(FlowControlParams{}, 0) {}
@@ -109,16 +91,13 @@ class FlowController {
 
   // --- sender side --------------------------------------------------------
 
-  /// May a frame of `frame_bytes` wire bytes be transmitted now?
-  bool may_send(std::size_t frame_bytes) const;
+  /// May the next frame be transmitted now? Always true when disabled.
+  bool may_send() const {
+    return !params_.enabled || outstanding() < effective_window();
+  }
 
-  /// Record a transmitted frame. `seq` must be exactly send_seq() + 1 —
-  /// frames enter the wire in sequence order, which is what keeps the
-  /// cumulative-bytes ring covering [floor, send_seq].
-  void on_frame_sent(std::uint64_t seq, std::size_t frame_bytes);
-
-  /// Record a deferred admission (frame queued instead of sent).
-  void note_deferred() { ++frames_deferred_; }
+  /// Record the next frame (sequence send_seq() + 1) as transmitted.
+  void on_frame_sent() { ++send_seq_; }
 
   // --- feedback -----------------------------------------------------------
 
@@ -162,16 +141,14 @@ class FlowController {
   /// bindings equal reports by construction.
   bool release_stalled_peers();
 
-  // --- AIMD (adaptive window sizing) --------------------------------------
+  // --- AIMD window sizing -------------------------------------------------
 
   /// A clean probe round elapsed (floor advanced, no stall observed):
-  /// additive increase by one frame, capped at params().ceiling(). No-op
-  /// unless params().adaptive.
+  /// additive increase by one frame, capped at window_size.
   void on_clean_round();
 
   /// Loss/stall observed on our stream (a stall re-multicast fired):
-  /// multiplicative decrease — halve, floored at min_window. No-op unless
-  /// params().adaptive.
+  /// multiplicative decrease — halve, floored at the minimum window.
   void on_loss();
 
   // --- introspection ------------------------------------------------------
@@ -183,17 +160,12 @@ class FlowController {
   /// peer first reports a cursor of 0 (its recovery of the earlier frames
   /// catches the cursor up; until then the window stays closed).
   std::uint64_t outstanding() const { return send_seq_ - window_floor(); }
-  /// Bytes of the unacknowledged tail, clamped to the newest frames the
-  /// cumulative ring covers (max(window_size, ceiling); see outstanding()).
-  std::uint64_t outstanding_bytes() const;
   /// Credits available right now: effective_window() - outstanding(),
   /// clamped at 0. Never exceeds current_window() by construction.
   std::uint64_t credits() const;
-  /// The AIMD-governed base window: cwnd when adaptive, else the static
-  /// window_size knob.
-  std::uint32_t current_window() const {
-    return params_.adaptive ? cwnd_ : params_.window_size;
-  }
+  /// The AIMD-governed base window (the static window_size when not
+  /// adaptive: floor and ceiling coincide).
+  std::uint32_t current_window() const { return cwnd_; }
   /// current_window() while the region is unpressured. Under pressure (any
   /// peer at or past the occupancy watermark): halved, then split evenly
   /// across the senders currently advertising outstanding frames in the
@@ -202,56 +174,38 @@ class FlowController {
   std::uint32_t effective_window() const;
   bool pressured() const;
 
-  // Exact goodput accounting (asserted by the property tests).
-  std::uint64_t frames_sent() const { return frames_sent_; }
-  std::uint64_t bytes_sent() const { return cum_bytes_total_; }
-  std::uint64_t frames_deferred() const { return frames_deferred_; }
-
   const FlowControlParams& params() const { return params_; }
 
  private:
-  std::uint64_t cum_bytes_at(std::uint64_t seq) const;
-  /// How far behind send_seq_ the cumulative ring reaches (= ring size - 1).
-  std::uint64_t ring_span() const { return cum_ring_.size() - 1; }
-
-  FlowControlParams params_;
-  std::size_t self_budget_bytes_ = 0;
-  /// AIMD congestion window; meaningful only when params_.adaptive.
-  std::uint32_t cwnd_ = 1;
-
-  std::uint64_t send_seq_ = 0;
-  std::uint64_t frames_sent_ = 0;
-  std::uint64_t frames_deferred_ = 0;
-  std::uint64_t cum_bytes_total_ = 0;
-
-  /// Ring of cumulative byte counts: ring_[s % (window_size+1)] holds the
-  /// total bytes through sequence s, for every s in [send_seq - window_size,
-  /// send_seq] — the floor can never lag further than the window allows, so
-  /// outstanding_bytes() is always covered.
-  std::vector<std::uint64_t> cum_ring_;
-
-  /// peer -> highest acknowledged contiguous sequence of our stream.
-  std::map<MemberId, std::uint64_t> cursors_;
-
-  /// peer -> highest cursor the peer *itself* ever reported this
-  /// incarnation (monotone; erased with cursors_ on departure). Diverges
-  /// from cursors_ only when on_peer_joined seeded the binding above the
-  /// joiner's truth — the signal release_stalled_peers keys on.
-  std::map<MemberId, std::uint64_t> reported_;
-
-  struct PeerLoad {
+  /// Everything known about one region peer.
+  struct Peer {
+    /// Highest acknowledged contiguous sequence of our stream; absent until
+    /// the peer reports or is seeded as a joiner.
+    std::optional<std::uint64_t> cursor;
+    /// Highest cursor the peer *itself* ever reported this incarnation
+    /// (monotone). Falls behind `cursor` only when on_peer_joined seeded
+    /// the binding above the joiner's truth — the signal
+    /// release_stalled_peers keys on.
+    std::uint64_t reported = 0;
     std::uint64_t bytes_in_use = 0;
     std::uint64_t budget_bytes = 0;  // 0 = not reported / unlimited
     /// The peer's advertised sender-window occupancy (BufferDigest gossip):
     /// nonzero marks it a concurrent sender for the crowd split.
     std::uint64_t window_outstanding = 0;
   };
-  std::map<MemberId, PeerLoad> loads_;
+
+  FlowControlParams params_;
+  std::size_t self_budget_bytes_ = 0;
+  /// AIMD bounds: [min_cwnd_, window_size]; min_cwnd_ == window_size for a
+  /// static window, so the AIMD steps leave it untouched.
+  std::uint32_t min_cwnd_ = 1;
+  std::uint32_t cwnd_ = 1;
+  std::uint64_t send_seq_ = 0;
+  std::map<MemberId, Peer> peers_;
 };
 
-/// Clamp nonsensical knob values (window 0, non-positive ack period,
-/// watermark outside (0, 1], min_window of 0 or above the AIMD ceiling) to
-/// safe ones; mirrors Config sanitizing.
+/// Clamp nonsensical knob values (window 0, non-positive ack period) to safe
+/// ones; mirrors Config sanitizing.
 FlowControlParams sanitized(FlowControlParams p);
 
 }  // namespace rrmp

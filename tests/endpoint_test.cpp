@@ -372,6 +372,31 @@ TEST(EndpointLifecycle, HaltStopsAllActivity) {
   EXPECT_EQ(cluster.network().stats().sends, sends);  // silence after halt
 }
 
+TEST(EndpointLifecycle, HaltedMemberMulticastsNothing) {
+  // The network only detaches a crashed member's receive handler, so a
+  // frame it still multicast would be stored, delivered locally and reach
+  // every live member. A halted endpoint must send nothing, flow control
+  // on or off.
+  for (bool flow : {false, true}) {
+    SCOPED_TRACE(flow ? "flow on" : "flow off");
+    ClusterConfig cc = single_region(6, 27);
+    cc.protocol.flow.enabled = flow;
+    Cluster cluster(cc);
+    cluster.crash(0);
+    std::uint64_t delivered = cluster.metrics().counters().delivered;
+    std::uint64_t sends = cluster.network().stats().sends;
+    MessageId id = cluster.endpoint(0).multicast({1, 2, 3});
+    EXPECT_EQ(id, (MessageId{0, 0}));
+    EXPECT_FALSE(cluster.endpoint(0).has_received(MessageId{0, 1}));
+    EXPECT_EQ(cluster.metrics().counters().delivered, delivered);
+    EXPECT_EQ(cluster.network().stats().sends, sends);
+    cluster.run_for(Duration::millis(100));
+    for (MemberId m = 1; m < 6; ++m) {
+      EXPECT_FALSE(cluster.endpoint(m).has_received(MessageId{0, 1}));
+    }
+  }
+}
+
 TEST(EndpointLifecycle, LeaveTransfersLongTermBuffers) {
   Cluster cluster(single_region(10, 23));
   std::vector<MemberId> all = cluster.region_members(0);

@@ -345,7 +345,6 @@ RunDigest run_adaptive_churn_flow_workload(std::size_t shards) {
   cc.protocol.flow.window_size = 4;
   cc.protocol.flow.ack_interval = Duration::millis(8);
   cc.protocol.flow.adaptive = true;
-  cc.protocol.flow.min_window = 2;
   cc.protocol.flow.piggyback = true;
   Cluster cluster(cc);
 
