@@ -48,9 +48,9 @@ void Cluster::spawn_member(MemberId m) {
                                      master_rng_.fork(m + 1),
                                      config_.data_loss);
   auto policy = buffer::make_policy(config_.policy);
-  RecordingSink* sink = &lane_sinks_[network_->lane_of(m)];
-  endpoints_[m] = arena_.create<Endpoint>(*hosts_[m], config_.protocol,
-                                          std::move(policy), sink);
+  endpoints_[m] = arena_.create<Endpoint>(
+      *hosts_[m], config_.protocol, std::move(policy),
+      lane_sinks_[network_->lane_of(m)]);
   Endpoint* ep = endpoints_[m];
   hosts_[m]->set_receiver(
       [ep](const proto::Message& msg, MemberId from) {
@@ -95,10 +95,6 @@ TimePoint Cluster::now() const {
   return clock_;
 }
 
-TimePoint Cluster::next_script_time() const {
-  return scripts_.empty() ? TimePoint::max() : scripts_.front().at;
-}
-
 void Cluster::schedule_script(TimePoint t, std::function<void()> fn) {
   if (network_->lane_count() == 1) {
     // Single lane: scripts interleave with protocol events on the one queue,
@@ -106,18 +102,7 @@ void Cluster::schedule_script(TimePoint t, std::function<void()> fn) {
     network_->lane_sim(0).schedule_at(t, std::move(fn));
     return;
   }
-  if (t < clock_) t = clock_;
-  scripts_.push_back(Script{t, next_script_seq_++, std::move(fn)});
-  std::push_heap(scripts_.begin(), scripts_.end(), ScriptLater{});
-}
-
-void Cluster::run_due_scripts() {
-  while (!scripts_.empty() && scripts_.front().at <= clock_) {
-    std::pop_heap(scripts_.begin(), scripts_.end(), ScriptLater{});
-    Script s = std::move(scripts_.back());
-    scripts_.pop_back();
-    s.fn();
-  }
+  scripts_.schedule_at(t, std::move(fn));
 }
 
 void Cluster::advance_lanes_to(TimePoint t) {
@@ -143,12 +128,13 @@ void Cluster::run_for(Duration d) {
   }
   const Duration lookahead = network_->lookahead();
   const TimePoint t_end = clock_ + d;
-  while (clock_ < t_end || next_script_time() <= t_end) {
+  while (clock_ < t_end || scripts_.next_event_time() <= t_end) {
     // Cross-lane packets sent outside a window (scripts, top-level
     // injections) sit in lane outboxes without a queue entry; move them
     // into destination queues before computing the next window.
     network_->exchange();
-    TimePoint tn = std::min(network_->next_event_time(), next_script_time());
+    TimePoint tn =
+        std::min(network_->next_event_time(), scripts_.next_event_time());
     TimePoint e;
     if (tn >= t_end) {
       // Nothing fires strictly before t_end: one jump instead of stepping
@@ -157,11 +143,11 @@ void Cluster::run_for(Duration d) {
       e = t_end;
     } else {
       e = std::min(std::max(tn, clock_) + lookahead, t_end);
-      e = std::min(e, next_script_time());
+      e = std::min(e, scripts_.next_event_time());
     }
     advance_lanes_to(e);
-    run_due_scripts();
-    if (clock_ >= t_end && next_script_time() > t_end) break;
+    scripts_.run_until(clock_);
+    if (clock_ >= t_end && scripts_.next_event_time() > t_end) break;
   }
   network_->exchange();  // scripts at t_end must not strand packets
 }
@@ -180,12 +166,13 @@ void Cluster::run_until_quiet(Duration cap) {
     // cluster whose only remaining activity is an un-exchanged cross-region
     // packet is not mistaken for quiescent.
     network_->exchange();
-    TimePoint tn = std::min(network_->next_event_time(), next_script_time());
+    TimePoint tn =
+        std::min(network_->next_event_time(), scripts_.next_event_time());
     if (tn == TimePoint::max() || tn > horizon) break;
     TimePoint e = std::min(std::max(tn, clock_) + lookahead, horizon);
-    e = std::min(e, next_script_time());
+    e = std::min(e, scripts_.next_event_time());
     advance_lanes_to(e);
-    run_due_scripts();
+    scripts_.run_until(clock_);
   }
 }
 

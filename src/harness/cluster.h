@@ -203,18 +203,6 @@ class Cluster {
   std::size_t total_buffered() const;
 
  private:
-  struct Script {
-    TimePoint at;
-    std::uint64_t seq;  // FIFO among same-time scripts
-    std::function<void()> fn;
-  };
-  struct ScriptLater {
-    bool operator()(const Script& a, const Script& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
-
   void spawn_member(MemberId m);
   /// Tell every alive endpoint the view changed (leave/crash/rejoin), so
   /// flow-control credit state reconciles at churn time, not at the next
@@ -226,8 +214,6 @@ class Cluster {
   /// Advance every lane to `t` (worker pool), exchange cross-region traffic,
   /// and settle arrivals landing exactly at `t`.
   void advance_lanes_to(TimePoint t);
-  void run_due_scripts();
-  TimePoint next_script_time() const;
 
   ClusterConfig config_;
   net::Topology topology_;
@@ -249,8 +235,10 @@ class Cluster {
   std::vector<SimHost*> hosts_;
   std::vector<Endpoint*> endpoints_;
   std::vector<bool> removed_;
-  std::vector<Script> scripts_;  // min-heap via ScriptLater
-  std::uint64_t next_script_seq_ = 1;
+  // Multi-lane scripts, fired at barriers in (time, scheduling) order. The
+  // queue's clock is run up to clock_ after every barrier, so a script
+  // scheduled in the past is clamped to the current barrier.
+  sim::Simulator scripts_;
   TimePoint clock_;  // last barrier every lane has reached
   // Fault injection: the master link-loss table (lanes hold clones) and the
   // connectivity generation bumped at every partition()/heal().

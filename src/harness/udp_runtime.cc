@@ -113,7 +113,7 @@ UdpRuntime::UdpRuntime(const net::Topology& topology, UdpRuntimeConfig config)
         std::make_unique<MemberHost>(m, *this, bus, master.fork(m + 1)));
     auto policy = buffer::make_policy(config_.policy);
     endpoints_.push_back(std::make_unique<Endpoint>(
-        *hosts_.back(), config_.protocol, std::move(policy), &sink));
+        *hosts_.back(), config_.protocol, std::move(policy), sink));
   }
   for (auto& bus : buses_) {
     if (config_.emulate_latency) {

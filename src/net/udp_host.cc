@@ -422,41 +422,6 @@ void UdpBus::flush_sends() {
   send_queue_.clear();
 }
 
-std::uint64_t UdpBus::schedule_after(Duration d, std::function<void()> fn) {
-  std::uint64_t id = next_timer_id_++;
-  timer_heap_.push(PendingTimer{now() + d, next_timer_seq_++, id});
-  timer_fns_.emplace(id, std::move(fn));
-  return id;
-}
-
-void UdpBus::cancel(std::uint64_t timer_id) { timer_fns_.erase(timer_id); }
-
-bool UdpBus::fire_due_timers() {
-  bool fired = false;
-  TimePoint t = now();
-  while (!timer_heap_.empty() && timer_heap_.top().when <= t) {
-    PendingTimer e = timer_heap_.top();
-    timer_heap_.pop();
-    auto it = timer_fns_.find(e.id);
-    if (it == timer_fns_.end()) continue;  // cancelled
-    auto fn = std::move(it->second);
-    timer_fns_.erase(it);
-    fn();
-    fired = true;
-  }
-  return fired;
-}
-
-TimePoint UdpBus::next_deadline(TimePoint hard_deadline) const {
-  TimePoint d = hard_deadline;
-  // Skip cancelled heads conservatively: the top entry may be cancelled, in
-  // which case we wake up slightly early and re-evaluate — harmless.
-  if (!timer_heap_.empty() && timer_heap_.top().when < d) {
-    d = timer_heap_.top().when;
-  }
-  return d;
-}
-
 void UdpBus::deliver(std::size_t local, std::uint16_t src_port_be,
                      SharedBytes bytes) {
   ++datagrams_received_;
@@ -605,9 +570,9 @@ std::size_t UdpBus::run_until(TimePoint deadline) {
     pfds[i] = pollfd{fds_[i], POLLIN, 0};
   }
   while (!stopped_ && now() < deadline) {
-    fire_due_timers();
+    timers_.run_until(now());
     flush_sends();
-    TimePoint wake = next_deadline(deadline);
+    TimePoint wake = std::min(deadline, timers_.next_event_time());
     Duration until_wake = wake - now();
     int timeout_ms = 0;
     if (until_wake > Duration::zero()) {
@@ -622,7 +587,7 @@ std::size_t UdpBus::run_until(TimePoint deadline) {
     if (rc > 0) drain_sockets();
     flush_sends();
   }
-  fire_due_timers();
+  timers_.run_until(now());
   flush_sends();
   drain_sockets();
   flush_sends();

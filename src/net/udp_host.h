@@ -40,14 +40,13 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/time.h"
 #include "common/types.h"
+#include "sim/simulator.h"
 
 namespace rrmp::net {
 
@@ -173,9 +172,14 @@ class UdpBus {
   /// instead of N copies. `from` must be owned by this bus.
   void send_shared(MemberId from, MemberId to, SharedBytes bytes);
 
-  /// Timers fire on the loop thread, interleaved with receives.
-  std::uint64_t schedule_after(Duration d, std::function<void()> fn);
-  void cancel(std::uint64_t timer_id);
+  /// Timers fire on the loop thread, interleaved with receives, in (time,
+  /// scheduling) order. cancel() is O(1) and a no-op on a fired id.
+  std::uint64_t schedule_after(Duration d, sim::Callback fn) {
+    return timers_.schedule_at(now() + d, std::move(fn)).value;
+  }
+  void cancel(std::uint64_t timer_id) {
+    timers_.cancel(sim::TimerId{timer_id});
+  }
 
   /// Service sockets and timers until `deadline` (bus time) passes or
   /// stop() is called. Returns the number of datagrams delivered.
@@ -214,16 +218,6 @@ class UdpBus {
   std::uint64_t gro_trains() const { return gro_trains_; }
 
  private:
-  struct PendingTimer {
-    TimePoint when;
-    std::uint64_t seq;
-    std::uint64_t id;
-    friend bool operator>(const PendingTimer& a, const PendingTimer& b) {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-
   struct PendingSend {
     MemberId from;
     MemberId to;
@@ -244,8 +238,6 @@ class UdpBus {
   void drain_socket_scalar(std::size_t local);
   void drain_socket_batched(std::size_t local);
   void deliver(std::size_t local, std::uint16_t src_port, SharedBytes bytes);
-  bool fire_due_timers();
-  TimePoint next_deadline(TimePoint hard_deadline) const;
   int fd_of(MemberId m) const { return fds_[m - first_member_]; }
 
   UdpBusConfig config_;
@@ -264,12 +256,9 @@ class UdpBus {
   SegmentRing ring_;
   std::vector<PendingSend> send_queue_;
 
-  std::uint64_t next_timer_id_ = 1;
-  std::uint64_t next_timer_seq_ = 1;
-  std::priority_queue<PendingTimer, std::vector<PendingTimer>,
-                      std::greater<PendingTimer>>
-      timer_heap_;
-  std::unordered_map<std::uint64_t, std::function<void()>> timer_fns_;
+  // Timer queue on bus time: its clock is run up to now() at each poll
+  // iteration, so it never runs ahead of the wall clock.
+  sim::Simulator timers_;
 
   std::uint64_t datagrams_sent_ = 0;
   std::uint64_t datagrams_received_ = 0;

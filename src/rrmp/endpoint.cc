@@ -61,7 +61,7 @@ buffer::BudgetState Endpoint::Env::budget() const {
 
 Endpoint::Endpoint(IHost& host, Config config,
                    std::unique_ptr<buffer::RetentionPolicy> policy,
-                   MetricsSink* metrics)
+                   RecordingSink& metrics)
     : host_(host),
       cfg_(sanitized(std::move(config))),
       env_(*this),
@@ -70,7 +70,7 @@ Endpoint::Endpoint(IHost& host, Config config,
       store_(std::make_unique<buffer::BufferStore>(std::move(policy),
                                                    cfg_.buffer_budget,
                                                    cfg_.buffer_coordination)),
-      metrics_(metrics != nullptr ? metrics : &null_sink_),
+      metrics_(metrics),
       // Our own budget doubles as the fallback yardstick for peers that
       // advertise occupancy without a budget (BufferDigest gossip).
       flow_(cfg_.flow, cfg_.buffer_budget.max_bytes) {
@@ -79,16 +79,16 @@ Endpoint::Endpoint(IHost& host, Config config,
       [this](const MessageId& id, buffer::BufferEvent ev, bool long_term) {
         switch (ev) {
           case buffer::BufferEvent::kStored:
-            this->metrics().on_buffer_stored(self(), id, host_.now());
+            this->metrics_.on_buffer_stored(self(), id, host_.now());
             break;
           case buffer::BufferEvent::kPromotedLongTerm:
-            this->metrics().on_promoted_long_term(self(), id, host_.now());
+            this->metrics_.on_promoted_long_term(self(), id, host_.now());
             break;
           case buffer::BufferEvent::kDiscarded:
           case buffer::BufferEvent::kHandedOff:
           case buffer::BufferEvent::kEvicted:
           case buffer::BufferEvent::kShedHandoff:
-            this->metrics().on_buffer_discarded(self(), id, host_.now(), long_term);
+            this->metrics_.on_buffer_discarded(self(), id, host_.now(), long_term);
             break;
         }
       });
@@ -111,7 +111,7 @@ Endpoint::Endpoint(IHost& host, Config config,
       // silently lost copy counted as "moved" — fall back to plain eviction
       // (return false) so the accounting stays honest.
       if (!host_.local_view().contains(target)) return false;
-      this->metrics().on_handoff_sent(self(), target, 1, host_.now());
+      this->metrics_.on_handoff_sent(self(), target, 1, host_.now());
       host_.send(target, proto::Message{proto::Shed{self(), d}});
       return true;
     });
@@ -166,7 +166,7 @@ void Endpoint::leave() {
     batches[target].messages.push_back(std::move(d));
   }
   for (auto& [target, handoff] : batches) {
-    metrics().on_handoff_sent(self(), target, handoff.messages.size(),
+    metrics_.on_handoff_sent(self(), target, handoff.messages.size(),
                               host_.now());
     host_.send(target, proto::Message{std::move(handoff)});
   }
@@ -193,7 +193,7 @@ MessageId Endpoint::multicast(std::vector<std::uint8_t> payload) {
   if (queued == 0 && flow_admits()) {
     transmit_next();
   } else {
-    metrics().on_send_deferred(self(), id, host_.now());
+    metrics_.on_send_deferred(self(), id, host_.now());
   }
   return id;
 }
@@ -293,14 +293,14 @@ bool Endpoint::accept(const proto::Data& d, bool from_remote_region) {
   // If we were recovering this message, the recovery just succeeded.
   auto rec = recoveries_.find(d.id);
   if (rec != recoveries_.end()) {
-    metrics().on_recovered(self(), d.id, host_.now(),
+    metrics_.on_recovered(self(), d.id, host_.now(),
                            host_.now() - rec->second.started);
     finish_recovery(d.id);
   }
 
   store_->store(d);
   search_given_up_.erase(d.id);  // we can answer future searches again
-  metrics().on_delivered(self(), d.id, host_.now());
+  metrics_.on_delivered(self(), d.id, host_.now());
   if (delivery_handler_) delivery_handler_(d);
 
   serve_waiters(d);
@@ -313,7 +313,7 @@ void Endpoint::serve_waiters(const proto::Data& d) {
   auto it = waiters_.find(d.id);
   if (it == waiters_.end()) return;
   for (MemberId w : it->second) {
-    metrics().on_repair_sent(self(), d.id, /*remote=*/true, host_.now());
+    metrics_.on_repair_sent(self(), d.id, /*remote=*/true, host_.now());
     host_.send(w, proto::Message{proto::Repair{d.id, d.payload, true}});
   }
   waiters_.erase(it);
@@ -328,7 +328,7 @@ void Endpoint::satisfy_searches(const proto::Data& d) {
     if (!contains(all, m)) all.push_back(m);
   }
   for (MemberId rr : all) {
-    metrics().on_repair_sent(self(), d.id, /*remote=*/true, host_.now());
+    metrics_.on_repair_sent(self(), d.id, /*remote=*/true, host_.now());
     host_.send(rr, proto::Message{proto::Repair{d.id, d.payload, true}});
   }
   cancel(task.timer);
@@ -384,10 +384,9 @@ void Endpoint::handle_piggyback(
 void Endpoint::handle_local_request(const proto::LocalRequest& r,
                                     MemberId from) {
   (void)from;
-  metrics().on_request_received(self(), r.id, /*remote=*/false, host_.now());
   store_->on_request_seen(r.id);  // feedback for short-term buffering (§3.1)
   if (std::optional<proto::Data> d = store_->get(r.id)) {
-    metrics().on_repair_sent(self(), r.id, /*remote=*/false, host_.now());
+    metrics_.on_repair_sent(self(), r.id, /*remote=*/false, host_.now());
     host_.send(r.requester,
                proto::Message{proto::Repair{r.id, std::move(d->payload), false}});
     return;
@@ -414,11 +413,10 @@ void Endpoint::handle_local_request(const proto::LocalRequest& r,
 void Endpoint::handle_remote_request(const proto::RemoteRequest& r,
                                      MemberId from) {
   (void)from;
-  metrics().on_request_received(self(), r.id, /*remote=*/true, host_.now());
   store_->on_request_seen(r.id);
   // Case 1 (§3.3): still buffered — answer immediately.
   if (std::optional<proto::Data> d = store_->get(r.id)) {
-    metrics().on_repair_sent(self(), r.id, /*remote=*/true, host_.now());
+    metrics_.on_repair_sent(self(), r.id, /*remote=*/true, host_.now());
     host_.send(r.requester,
                proto::Message{proto::Repair{r.id, std::move(d->payload), true}});
     return;
@@ -442,7 +440,7 @@ void Endpoint::handle_remote_request(const proto::RemoteRequest& r,
   if (cfg_.search_strategy == Config::SearchStrategy::kMulticastQuery) {
     // Rejected alternative (§3.3): multicast the request; bufferers answer
     // after a randomized back-off.
-    metrics().on_search_started(self(), r.id, host_.now());
+    metrics_.on_search_started(self(), r.id, host_.now());
     host_.multicast_region(
         proto::Message{proto::SearchRequest{r.id, r.requester}});
     return;
@@ -466,12 +464,11 @@ void Endpoint::handle_escalate(const proto::Escalate& e, MemberId from) {
   (void)from;
   if (!cfg_.hierarchy.enabled) return;  // config mismatch: drop the frame
   if (e.hop >= cfg_.hierarchy.max_hops) return;  // runaway-forwarding guard
-  metrics().on_request_received(self(), e.id, /*remote=*/true, host_.now());
   store_->on_request_seen(e.id);
   // Still buffered: repair the child representative; its regional relay
   // then covers its whole sub-region with one multicast.
   if (std::optional<proto::Data> d = store_->get(e.id)) {
-    metrics().on_repair_sent(self(), e.id, /*remote=*/true, host_.now());
+    metrics_.on_repair_sent(self(), e.id, /*remote=*/true, host_.now());
     host_.send(e.requester,
                proto::Message{proto::Repair{e.id, std::move(d->payload), true}});
     return;
@@ -527,7 +524,7 @@ void Endpoint::handle_regional_repair(const proto::RegionalRepair& r,
   if (pr != pending_relays_.end()) {
     cancel(pr->second.timer);
     pending_relays_.erase(pr);
-    metrics().on_relay_suppressed(self(), r.id, host_.now());
+    metrics_.on_relay_suppressed(self(), r.id, host_.now());
   }
   if (tracker(r.id.source).has(r.id.seq)) return;
   accept(proto::Data{r.id, r.payload}, /*from_remote_region=*/false);
@@ -544,7 +541,7 @@ void Endpoint::handle_search_request(const proto::SearchRequest& r,
   }
   // Bufferer found: repair the remote requester and stop the search (§3.3).
   if (std::optional<proto::Data> d = store_->get(r.id)) {
-    metrics().on_repair_sent(self(), r.id, /*remote=*/true, host_.now());
+    metrics_.on_repair_sent(self(), r.id, /*remote=*/true, host_.now());
     host_.send(r.remote_requester,
                proto::Message{proto::Repair{r.id, std::move(d->payload), true}});
     announce_found(r.id);
@@ -582,7 +579,7 @@ void Endpoint::handle_search_request(const proto::SearchRequest& r,
   task.started = host_.now();
   task.carry.push_back(r.remote_requester);
   searches_.emplace(r.id, std::move(task));
-  metrics().on_search_started(self(), r.id, host_.now());
+  metrics_.on_search_started(self(), r.id, host_.now());
   search_attempt(r.id);
 }
 
@@ -595,7 +592,7 @@ void Endpoint::handle_search_found(const proto::SearchFound& f,
   if (pr != pending_replies_.end()) {
     cancel(pr->second.timer);
     pending_replies_.erase(pr);
-    metrics().on_relay_suppressed(self(), f.id, host_.now());
+    metrics_.on_relay_suppressed(self(), f.id, host_.now());
   }
   end_search(f.id, f.holder);
 }
@@ -692,7 +689,7 @@ void Endpoint::start_recovery(const MessageId& id) {
   RecoveryTask task;
   task.started = host_.now();
   recoveries_.emplace(id, task);
-  metrics().on_loss_detected(self(), id, host_.now());
+  metrics_.on_loss_detected(self(), id, host_.now());
   // The two phases run concurrently (§2.2).
   local_attempt(id);
   remote_attempt(id);
@@ -757,7 +754,7 @@ void Endpoint::local_attempt(const MessageId& id) {
     return;
   }
   ++task.local_attempts;
-  metrics().on_request_sent(self(), id, /*remote=*/false, host_.now());
+  metrics_.on_request_sent(self(), id, /*remote=*/false, host_.now());
   if (cfg_.measure_rtt) probes_[id].try_emplace(q, host_.now());
   host_.send(q, proto::Message{proto::LocalRequest{id, self()}});
   task.local_timer =
@@ -782,13 +779,13 @@ void Endpoint::remote_attempt(const MessageId& id) {
     ++task.remote_attempts;
     MemberId up = parent_representative();
     if (up != kInvalidMember) {
-      metrics().on_request_sent(self(), id, /*remote=*/true, host_.now());
+      metrics_.on_request_sent(self(), id, /*remote=*/true, host_.now());
       host_.send(up,
                  proto::Message{proto::Escalate{id, self(), task.escalate_hop}});
     } else if (id.source != self()) {
       // Root of the repair tree: last resort is the original sender.
       up = id.source;
-      metrics().on_request_sent(self(), id, /*remote=*/true, host_.now());
+      metrics_.on_request_sent(self(), id, /*remote=*/true, host_.now());
       host_.send(up, proto::Message{proto::RemoteRequest{id, self()}});
     } else {
       return;  // we are the sender and the root — nobody above us
@@ -816,7 +813,7 @@ void Endpoint::remote_attempt(const MessageId& id) {
           selector_.select(id, parent.members(), cfg_.hash_k);
       if (!set.empty()) r = set[task.remote_attempts % set.size()];
     }
-    metrics().on_request_sent(self(), id, /*remote=*/true, host_.now());
+    metrics_.on_request_sent(self(), id, /*remote=*/true, host_.now());
     host_.send(r, proto::Message{proto::RemoteRequest{id, self()}});
   }
   task.remote_timer =
@@ -903,7 +900,7 @@ void Endpoint::start_search(const MessageId& id, MemberId requester) {
   task.carry.push_back(requester);
   task.own.push_back(requester);
   searches_.emplace(id, std::move(task));
-  metrics().on_search_started(self(), id, host_.now());
+  metrics_.on_search_started(self(), id, host_.now());
   search_attempt(id);
 }
 
@@ -923,7 +920,7 @@ void Endpoint::search_attempt(const MessageId& id) {
     return;
   }
   ++task.attempts;
-  metrics().on_search_hop(self(), q, id, host_.now());
+  metrics_.on_search_hop(self(), q, id, host_.now());
   host_.send(q, proto::Message{proto::SearchRequest{id, task.carry.front()}});
   task.timer = schedule(request_timeout(q), [this, id] { search_attempt(id); });
 }
@@ -961,12 +958,12 @@ void Endpoint::fire_query_reply(const MessageId& id) {
   pending_replies_.erase(it);
   std::optional<proto::Data> d = store_->get(id);
   if (!d) return;  // discarded while backing off
-  metrics().on_repair_sent(self(), id, /*remote=*/true, host_.now());
+  metrics_.on_repair_sent(self(), id, /*remote=*/true, host_.now());
   host_.send(requester,
              proto::Message{proto::Repair{id, std::move(d->payload), true}});
   // Count every fired back-off reply as a completed-search announcement;
   // duplicates that the window failed to suppress are the "implosion".
-  metrics().on_search_completed(self(), id, host_.now());
+  metrics_.on_search_completed(self(), id, host_.now());
   host_.multicast_region(proto::Message{proto::SearchFound{id, self()}});
 }
 
@@ -979,7 +976,7 @@ void Endpoint::announce_found(const MessageId& id) {
   }
   last_announce_[id] = now;
   remember_holder(id, self());
-  metrics().on_search_completed(self(), id, now);
+  metrics_.on_search_completed(self(), id, now);
   host_.multicast_region(proto::Message{proto::SearchFound{id, self()}});
 }
 
@@ -1004,7 +1001,7 @@ void Endpoint::schedule_regional_relay(const proto::Data& d) {
   if (host_.local_view().size() <= 1) return;
   if (pending_relays_.count(d.id)) return;
   if (cfg_.regional_backoff <= Duration::zero()) {
-    metrics().on_regional_multicast(self(), d.id, host_.now());
+    metrics_.on_regional_multicast(self(), d.id, host_.now());
     host_.multicast_region(
         proto::Message{proto::RegionalRepair{d.id, d.payload, self()}});
     return;
@@ -1025,7 +1022,7 @@ void Endpoint::fire_regional_relay(const MessageId& id) {
   if (it == pending_relays_.end()) return;
   proto::Data d = std::move(it->second.data);
   pending_relays_.erase(it);
-  metrics().on_regional_multicast(self(), id, host_.now());
+  metrics_.on_regional_multicast(self(), id, host_.now());
   host_.multicast_region(
       proto::Message{proto::RegionalRepair{d.id, std::move(d.payload), self()}});
 }
@@ -1179,12 +1176,12 @@ void Endpoint::credit_tick() {
                     quiet_ticks_ + 1 < kQuietAckRefreshTicks;
     if (suppress) {
       ++quiet_ticks_;
-      metrics().on_credit_ack_suppressed(self(), host_.now());
+      metrics_.on_credit_ack_suppressed(self(), host_.now());
     } else {
       advertised_cursors_ = ack.cursors;
       advertised_any_ = true;
       quiet_ticks_ = 0;
-      metrics().on_credit_ack_sent(self(), host_.now());
+      metrics_.on_credit_ack_sent(self(), host_.now());
       host_.multicast_region(proto::Message{std::move(ack)});
     }
     // A flow-controlled sender keeps its own unacknowledged frames alive:
@@ -1220,13 +1217,13 @@ void Endpoint::credit_tick() {
           // evicted region-wide may never finish), so re-multicasting
           // the frame at the floor could not unwedge it. Not a loss
           // signal — no receiver missed this frame.
-          metrics().on_flow_stall_release(self(), host_.now());
+          metrics_.on_flow_stall_release(self(), host_.now());
           drain_window();
         } else if (!window_.empty() &&
                    window_.front().id.seq <= stall_floor_ + 1) {
           const proto::Data& wedged =
               window_[stall_floor_ + 1 - window_.front().id.seq];
-          metrics().on_flow_stall_remcast(self(), wedged.id, host_.now());
+          metrics_.on_flow_stall_remcast(self(), wedged.id, host_.now());
           host_.ip_multicast(proto::Message{wedged});
           // A stall is the AIMD loss signal: some receiver missed a frame
           // and its recovery did not close the gap in time.
@@ -1293,7 +1290,7 @@ void Endpoint::pull_from_digest(const proto::History& digest, MemberId from) {
       (void)tr.observe_hint(seq);
       ++pulls;
       MessageId id{sh.source, seq};
-      metrics().on_request_sent(self(), id, /*remote=*/false, host_.now());
+      metrics_.on_request_sent(self(), id, /*remote=*/false, host_.now());
       host_.send(from, proto::Message{proto::LocalRequest{id, self()}});
     }
   }

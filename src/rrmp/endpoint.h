@@ -63,12 +63,13 @@ namespace rrmp {
 
 class Endpoint {
  public:
-  /// `metrics` may be nullptr. The policy must be unbound; the endpoint
-  /// builds a BufferStore around it (budgeted by config.buffer_budget) and
-  /// binds the pair to its own PolicyEnv.
+  /// The policy must be unbound; the endpoint builds a BufferStore around
+  /// it (budgeted by config.buffer_budget) and binds the pair to its own
+  /// PolicyEnv. Every protocol event is recorded into `metrics`, which must
+  /// outlive the endpoint.
   Endpoint(IHost& host, Config config,
            std::unique_ptr<buffer::RetentionPolicy> policy,
-           MetricsSink* metrics = nullptr);
+           RecordingSink& metrics);
   ~Endpoint();
 
   Endpoint(const Endpoint&) = delete;
@@ -314,15 +315,13 @@ class Endpoint {
   TimerHandle schedule(Duration d, std::function<void()> fn);
   void cancel(TimerHandle& t);
   Duration request_timeout(MemberId peer) const;
-  MetricsSink& metrics() { return *metrics_; }
   SequenceTracker& tracker(MemberId source) { return trackers_[source]; }
 
   IHost& host_;
   Config cfg_;
   Env env_;
   std::unique_ptr<buffer::BufferStore> store_;
-  NullSink null_sink_;
-  MetricsSink* metrics_;
+  RecordingSink& metrics_;
   std::function<void(const proto::Data&)> delivery_handler_;
 
   bool active_ = true;

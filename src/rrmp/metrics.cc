@@ -12,24 +12,19 @@ std::uint64_t RecordingSink::remote_requests_for(const MessageId& id) const {
   return it == remote_requests_by_id_.end() ? 0 : it->second;
 }
 
-std::uint64_t RecordingSink::remote_repairs_for(const MessageId& id) const {
-  auto it = remote_repairs_by_id_.find(id);
-  return it == remote_repairs_by_id_.end() ? 0 : it->second;
-}
-
 void RecordingSink::clear() { *this = RecordingSink(); }
+
+// A field added to Counters without a line here would silently vanish from
+// every merged (multi-lane or multi-worker) view.
+static_assert(sizeof(RecordingSink::Counters) == 18 * sizeof(std::uint64_t));
 
 RecordingSink::Counters& RecordingSink::Counters::operator+=(
     const Counters& o) {
   delivered += o.delivered;
   losses_detected += o.losses_detected;
   recoveries += o.recoveries;
-  stores += o.stores;
-  discards += o.discards;
-  long_term_promotions += o.long_term_promotions;
   local_requests_sent += o.local_requests_sent;
   remote_requests_sent += o.remote_requests_sent;
-  requests_received += o.requests_received;
   repairs_sent += o.repairs_sent;
   remote_repairs_sent += o.remote_repairs_sent;
   searches_started += o.searches_started;
@@ -48,28 +43,30 @@ RecordingSink::Counters& RecordingSink::Counters::operator+=(
 
 namespace {
 
+using Stream = const std::vector<RecordingSink::TimedEvent>& (
+    RecordingSink::*)() const;
+
 // Stable k-way merge of per-input time-ordered event streams: output is
 // ordered by (at, input index, position), so it is globally time-sorted and
 // independent of how inputs were produced (thread count, scheduling).
-template <typename Event, typename GetStream, typename GetTime>
-std::vector<Event> merge_streams(std::span<const RecordingSink* const> sinks,
-                                 GetStream stream, GetTime time_of) {
-  std::vector<Event> out;
+std::vector<RecordingSink::TimedEvent> merge_streams(
+    std::span<const RecordingSink* const> sinks, Stream stream) {
+  std::vector<RecordingSink::TimedEvent> out;
   std::size_t total = 0;
-  for (const RecordingSink* s : sinks) total += stream(*s).size();
+  for (const RecordingSink* s : sinks) total += (s->*stream)().size();
   out.reserve(total);
   std::vector<std::size_t> pos(sinks.size(), 0);
   while (out.size() < total) {
     std::size_t best = sinks.size();
     for (std::size_t i = 0; i < sinks.size(); ++i) {
-      const auto& v = stream(*sinks[i]);
+      const auto& v = (sinks[i]->*stream)();
       if (pos[i] >= v.size()) continue;
       if (best == sinks.size() ||
-          time_of(v[pos[i]]) < time_of(stream(*sinks[best])[pos[best]])) {
+          v[pos[i]].at < (sinks[best]->*stream)()[pos[best]].at) {
         best = i;
       }
     }
-    out.push_back(stream(*sinks[best])[pos[best]]);
+    out.push_back((sinks[best]->*stream)()[pos[best]]);
     ++pos[best];
   }
   return out;
@@ -80,23 +77,10 @@ std::vector<Event> merge_streams(std::span<const RecordingSink* const> sinks,
 RecordingSink RecordingSink::merge(
     std::span<const RecordingSink* const> sinks) {
   RecordingSink out;
-  auto at = [](const TimedEvent& e) { return e.at; };
-  out.deliveries_ = merge_streams<TimedEvent>(
-      sinks, [](const RecordingSink& s) -> const auto& { return s.deliveries_; },
-      at);
-  out.stores_ = merge_streams<TimedEvent>(
-      sinks, [](const RecordingSink& s) -> const auto& { return s.stores_; },
-      at);
-  out.discards_ = merge_streams<TimedEvent>(
-      sinks, [](const RecordingSink& s) -> const auto& { return s.discards_; },
-      at);
-  out.promotions_ = merge_streams<TimedEvent>(
-      sinks,
-      [](const RecordingSink& s) -> const auto& { return s.promotions_; }, at);
-  out.buffer_intervals_ = merge_streams<BufferInterval>(
-      sinks,
-      [](const RecordingSink& s) -> const auto& { return s.buffer_intervals_; },
-      [](const BufferInterval& b) { return b.discarded_at; });
+  out.deliveries_ = merge_streams(sinks, &RecordingSink::deliveries);
+  out.stores_ = merge_streams(sinks, &RecordingSink::stores);
+  out.discards_ = merge_streams(sinks, &RecordingSink::discards);
+  out.promotions_ = merge_streams(sinks, &RecordingSink::promotions);
   for (const RecordingSink* s : sinks) {
     out.counters_ += s->counters_;
     // Latencies concatenate in input order (only aggregates are consumed,
@@ -111,11 +95,6 @@ RecordingSink RecordingSink::merge(
     for (const auto& [id, n] : s->remote_requests_by_id_) {
       out.remote_requests_by_id_[id] += n;
     }
-    for (const auto& [id, n] : s->remote_repairs_by_id_) {
-      out.remote_repairs_by_id_[id] += n;
-    }
-    // Member sets are disjoint across region sinks, so plain insertion.
-    out.open_stores_.insert(s->open_stores_.begin(), s->open_stores_.end());
   }
   return out;
 }
@@ -141,28 +120,18 @@ void RecordingSink::on_recovered(MemberId, const MessageId&, TimePoint,
 void RecordingSink::on_buffer_stored(MemberId m, const MessageId& id,
                                      TimePoint t) {
   ++revision_;
-  ++counters_.stores;
   stores_.push_back(TimedEvent{t, m, id});
-  open_stores_[{m, id}] = t;
 }
 
 void RecordingSink::on_buffer_discarded(MemberId m, const MessageId& id,
-                                        TimePoint t, bool was_long_term) {
+                                        TimePoint t, bool) {
   ++revision_;
-  ++counters_.discards;
   discards_.push_back(TimedEvent{t, m, id});
-  auto it = open_stores_.find({m, id});
-  if (it != open_stores_.end()) {
-    buffer_intervals_.push_back(
-        BufferInterval{m, id, it->second, t, was_long_term});
-    open_stores_.erase(it);
-  }
 }
 
 void RecordingSink::on_promoted_long_term(MemberId m, const MessageId& id,
                                           TimePoint t) {
   ++revision_;
-  ++counters_.long_term_promotions;
   promotions_.push_back(TimedEvent{t, m, id});
 }
 
@@ -177,19 +146,12 @@ void RecordingSink::on_request_sent(MemberId, const MessageId& id, bool remote,
   }
 }
 
-void RecordingSink::on_request_received(MemberId, const MessageId&, bool,
-                                        TimePoint) {
-  ++revision_;
-  ++counters_.requests_received;
-}
-
 void RecordingSink::on_repair_sent(MemberId, const MessageId& id, bool remote,
                                    TimePoint t) {
   ++revision_;
   ++counters_.repairs_sent;
   if (remote) {
     ++counters_.remote_repairs_sent;
-    ++remote_repairs_by_id_[id];
     auto [it, inserted] = first_remote_repair_.try_emplace(id, t);
     if (!inserted && t < it->second) it->second = t;
   }

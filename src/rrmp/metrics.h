@@ -1,13 +1,12 @@
 // Protocol observability.
 //
-// Endpoints report protocol events to a MetricsSink; the benches and tests
-// use RecordingSink, which accumulates counters, per-message timelines
-// (store→discard intervals, search start→completion) and raw event streams
-// for time-series plots (Figure 7).
+// Endpoints report protocol events to a RecordingSink, which accumulates
+// counters, recovery latencies, per-message remote-request counts and
+// first remote-repair times, and raw event streams for time-series plots
+// (Figures 6/7).
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -17,73 +16,14 @@
 
 namespace rrmp {
 
-class MetricsSink {
- public:
-  virtual ~MetricsSink() = default;
-
-  virtual void on_delivered(MemberId, const MessageId&, TimePoint) {}
-  virtual void on_loss_detected(MemberId, const MessageId&, TimePoint) {}
-  virtual void on_recovered(MemberId, const MessageId&, TimePoint,
-                            Duration /*latency*/) {}
-
-  virtual void on_buffer_stored(MemberId, const MessageId&, TimePoint) {}
-  virtual void on_buffer_discarded(MemberId, const MessageId&, TimePoint,
-                                   bool /*was_long_term*/) {}
-  virtual void on_promoted_long_term(MemberId, const MessageId&, TimePoint) {}
-
-  virtual void on_request_sent(MemberId, const MessageId&, bool /*remote*/,
-                               TimePoint) {}
-  virtual void on_request_received(MemberId, const MessageId&,
-                                   bool /*remote*/, TimePoint) {}
-  virtual void on_repair_sent(MemberId, const MessageId&, bool /*remote*/,
-                              TimePoint) {}
-
-  virtual void on_search_started(MemberId, const MessageId&, TimePoint) {}
-  virtual void on_search_hop(MemberId /*from*/, MemberId /*to*/,
-                             const MessageId&, TimePoint) {}
-  virtual void on_search_completed(MemberId /*holder*/, const MessageId&,
-                                   TimePoint) {}
-
-  virtual void on_regional_multicast(MemberId, const MessageId&, TimePoint) {}
-  virtual void on_relay_suppressed(MemberId, const MessageId&, TimePoint) {}
-  virtual void on_handoff_sent(MemberId /*from*/, MemberId /*to*/,
-                               std::size_t /*messages*/, TimePoint) {}
-
-  /// Flow control: multicast() admitted a frame but the send window was
-  /// full, so it was queued instead of transmitted.
-  virtual void on_send_deferred(MemberId, const MessageId&, TimePoint) {}
-  /// Flow control: one periodic CreditAck multicast (receive cursors +
-  /// occupancy) left this member.
-  virtual void on_credit_ack_sent(MemberId, TimePoint) {}
-  /// Flow control: a periodic CreditAck was withheld because the member's
-  /// cursors were already fresh on its piggybacked Data/Session traffic.
-  virtual void on_credit_ack_suppressed(MemberId, TimePoint) {}
-  /// Flow control: the sender re-multicast the frame wedging its window
-  /// floor after the stall threshold (the retransmission of last resort).
-  virtual void on_flow_stall_remcast(MemberId, const MessageId&, TimePoint) {}
-  /// Flow control: re-multicast rounds could not move the floor, so the
-  /// sender released the stalled peer's cursor binding (a rejoined member
-  /// whose history is gone region-wide cannot close the gap; the window
-  /// must not deadlock on it).
-  virtual void on_flow_stall_release(MemberId, TimePoint) {}
-};
-
-/// No-op sink used when the caller does not care.
-class NullSink final : public MetricsSink {};
-
-/// Accumulating sink for experiments.
-class RecordingSink final : public MetricsSink {
+class RecordingSink {
  public:
   struct Counters {
     std::uint64_t delivered = 0;
     std::uint64_t losses_detected = 0;
     std::uint64_t recoveries = 0;
-    std::uint64_t stores = 0;
-    std::uint64_t discards = 0;
-    std::uint64_t long_term_promotions = 0;
     std::uint64_t local_requests_sent = 0;
     std::uint64_t remote_requests_sent = 0;
-    std::uint64_t requests_received = 0;
     std::uint64_t repairs_sent = 0;
     std::uint64_t remote_repairs_sent = 0;
     std::uint64_t searches_started = 0;
@@ -113,25 +53,12 @@ class RecordingSink final : public MetricsSink {
     friend bool operator==(const TimedEvent&, const TimedEvent&) = default;
   };
 
-  /// Completed residency of one message in one member's buffer.
-  struct BufferInterval {
-    MemberId member;
-    MessageId id;
-    TimePoint stored_at;
-    TimePoint discarded_at;
-    bool was_long_term;
-    Duration held() const { return discarded_at - stored_at; }
-  };
-
   const Counters& counters() const { return counters_; }
 
   const std::vector<TimedEvent>& deliveries() const { return deliveries_; }
   const std::vector<TimedEvent>& stores() const { return stores_; }
   const std::vector<TimedEvent>& discards() const { return discards_; }
   const std::vector<TimedEvent>& promotions() const { return promotions_; }
-  const std::vector<BufferInterval>& buffer_intervals() const {
-    return buffer_intervals_;
-  }
   const std::vector<Duration>& recovery_latencies() const {
     return recovery_latencies_;
   }
@@ -141,9 +68,6 @@ class RecordingSink final : public MetricsSink {
 
   /// Remote requests sent for `id` (Figure-A3 lambda validation).
   std::uint64_t remote_requests_for(const MessageId& id) const;
-
-  /// Remote repairs sent for `id` (duplicate-reply counting, ablation A2).
-  std::uint64_t remote_repairs_for(const MessageId& id) const;
 
   void clear();
 
@@ -158,39 +82,48 @@ class RecordingSink final : public MetricsSink {
   /// count. Inputs must cover disjoint member sets.
   static RecordingSink merge(std::span<const RecordingSink* const> sinks);
 
-  // MetricsSink overrides.
-  void on_delivered(MemberId m, const MessageId& id, TimePoint t) override;
-  void on_loss_detected(MemberId m, const MessageId& id, TimePoint t) override;
+  // ---- recording -------------------------------------------------------
+  // One method per protocol event. Each takes the member, message and time
+  // even where it keeps only a count.
+
+  void on_delivered(MemberId m, const MessageId& id, TimePoint t);
+  void on_loss_detected(MemberId m, const MessageId& id, TimePoint t);
   void on_recovered(MemberId m, const MessageId& id, TimePoint t,
-                    Duration latency) override;
-  void on_buffer_stored(MemberId m, const MessageId& id, TimePoint t) override;
+                    Duration latency);
+  void on_buffer_stored(MemberId m, const MessageId& id, TimePoint t);
   void on_buffer_discarded(MemberId m, const MessageId& id, TimePoint t,
-                           bool was_long_term) override;
-  void on_promoted_long_term(MemberId m, const MessageId& id,
-                             TimePoint t) override;
+                           bool was_long_term);
+  void on_promoted_long_term(MemberId m, const MessageId& id, TimePoint t);
   void on_request_sent(MemberId m, const MessageId& id, bool remote,
-                       TimePoint t) override;
-  void on_request_received(MemberId m, const MessageId& id, bool remote,
-                           TimePoint t) override;
+                       TimePoint t);
   void on_repair_sent(MemberId m, const MessageId& id, bool remote,
-                      TimePoint t) override;
-  void on_search_started(MemberId m, const MessageId& id, TimePoint t) override;
+                      TimePoint t);
+  void on_search_started(MemberId m, const MessageId& id, TimePoint t);
   void on_search_hop(MemberId from, MemberId to, const MessageId& id,
-                     TimePoint t) override;
-  void on_search_completed(MemberId holder, const MessageId& id,
-                           TimePoint t) override;
-  void on_regional_multicast(MemberId m, const MessageId& id,
-                             TimePoint t) override;
-  void on_relay_suppressed(MemberId m, const MessageId& id,
-                           TimePoint t) override;
+                     TimePoint t);
+  void on_search_completed(MemberId holder, const MessageId& id, TimePoint t);
+  void on_regional_multicast(MemberId m, const MessageId& id, TimePoint t);
+  void on_relay_suppressed(MemberId m, const MessageId& id, TimePoint t);
   void on_handoff_sent(MemberId from, MemberId to, std::size_t messages,
-                       TimePoint t) override;
-  void on_send_deferred(MemberId m, const MessageId& id, TimePoint t) override;
-  void on_credit_ack_sent(MemberId m, TimePoint t) override;
-  void on_credit_ack_suppressed(MemberId m, TimePoint t) override;
-  void on_flow_stall_remcast(MemberId m, const MessageId& id,
-                             TimePoint t) override;
-  void on_flow_stall_release(MemberId m, TimePoint t) override;
+                       TimePoint t);
+
+  /// Flow control: multicast() admitted a frame but the send window was
+  /// full, so it was queued instead of transmitted.
+  void on_send_deferred(MemberId m, const MessageId& id, TimePoint t);
+  /// Flow control: one periodic CreditAck multicast (receive cursors +
+  /// occupancy) left this member.
+  void on_credit_ack_sent(MemberId m, TimePoint t);
+  /// Flow control: a periodic CreditAck was withheld because the member's
+  /// cursors were already fresh on its piggybacked Data/Session traffic.
+  void on_credit_ack_suppressed(MemberId m, TimePoint t);
+  /// Flow control: the sender re-multicast the frame wedging its window
+  /// floor after the stall threshold (the retransmission of last resort).
+  void on_flow_stall_remcast(MemberId m, const MessageId& id, TimePoint t);
+  /// Flow control: re-multicast rounds could not move the floor, so the
+  /// sender released the stalled peer's cursor binding (a rejoined member
+  /// whose history is gone region-wide cannot close the gap; the window
+  /// must not deadlock on it).
+  void on_flow_stall_release(MemberId m, TimePoint t);
 
  private:
   std::uint64_t revision_ = 0;
@@ -199,13 +132,9 @@ class RecordingSink final : public MetricsSink {
   std::vector<TimedEvent> stores_;
   std::vector<TimedEvent> discards_;
   std::vector<TimedEvent> promotions_;
-  std::vector<BufferInterval> buffer_intervals_;
   std::vector<Duration> recovery_latencies_;
   std::unordered_map<MessageId, TimePoint> first_remote_repair_;
   std::unordered_map<MessageId, std::uint64_t> remote_requests_by_id_;
-  std::unordered_map<MessageId, std::uint64_t> remote_repairs_by_id_;
-  // (member, id) -> store time, for closing BufferIntervals.
-  std::map<std::pair<MemberId, MessageId>, TimePoint> open_stores_;
 };
 
 }  // namespace rrmp

@@ -33,7 +33,7 @@ TEST(SearchCache, StragglerRedirectedWithoutNewSearch) {
   cluster.inject_remote_request(7, id, requester);
   cluster.run_until_quiet(Duration::seconds(1));
   EXPECT_EQ(cluster.metrics().counters().searches_started, searches_first);
-  EXPECT_GE(cluster.metrics().remote_repairs_for(id), 2u);
+  EXPECT_GE(cluster.metrics().counters().remote_repairs_sent, 2u);
 }
 
 TEST(SearchCache, ExpiresAfterTtl) {

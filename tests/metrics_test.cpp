@@ -1,6 +1,10 @@
-// Unit tests for the RecordingSink: interval bookkeeping, first-repair
-// tracking, per-id counters.
+// Unit tests for the RecordingSink: first-repair tracking, per-id
+// counters, event streams, and the deterministic merge of lane sinks.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <iterator>
+#include <vector>
 
 #include "rrmp/metrics.h"
 
@@ -12,35 +16,6 @@ TimePoint at(std::int64_t ms) {
   return TimePoint::zero() + Duration::millis(ms);
 }
 
-TEST(RecordingSinkTest, BufferIntervalsCloseOnDiscard) {
-  RecordingSink sink;
-  sink.on_buffer_stored(3, id(1), at(10));
-  sink.on_buffer_discarded(3, id(1), at(60), /*was_long_term=*/false);
-  ASSERT_EQ(sink.buffer_intervals().size(), 1u);
-  const auto& iv = sink.buffer_intervals()[0];
-  EXPECT_EQ(iv.member, 3u);
-  EXPECT_EQ(iv.held(), Duration::millis(50));
-  EXPECT_FALSE(iv.was_long_term);
-}
-
-TEST(RecordingSinkTest, IntervalsArePerMemberPerMessage) {
-  RecordingSink sink;
-  sink.on_buffer_stored(1, id(1), at(0));
-  sink.on_buffer_stored(2, id(1), at(5));
-  sink.on_buffer_discarded(2, id(1), at(25), false);
-  // Member 1's copy is still open: only one closed interval.
-  ASSERT_EQ(sink.buffer_intervals().size(), 1u);
-  EXPECT_EQ(sink.buffer_intervals()[0].member, 2u);
-  EXPECT_EQ(sink.buffer_intervals()[0].held(), Duration::millis(20));
-}
-
-TEST(RecordingSinkTest, DiscardWithoutStoreIsTolerated) {
-  RecordingSink sink;
-  sink.on_buffer_discarded(1, id(9), at(10), true);
-  EXPECT_TRUE(sink.buffer_intervals().empty());
-  EXPECT_EQ(sink.counters().discards, 1u);
-}
-
 TEST(RecordingSinkTest, FirstRemoteRepairKeepsEarliest) {
   RecordingSink sink;
   EXPECT_EQ(sink.first_remote_repair(id(1)), TimePoint::max());
@@ -48,11 +23,9 @@ TEST(RecordingSinkTest, FirstRemoteRepairKeepsEarliest) {
   sink.on_repair_sent(2, id(1), /*remote=*/true, at(20));
   sink.on_repair_sent(3, id(1), /*remote=*/true, at(40));
   EXPECT_EQ(sink.first_remote_repair(id(1)), at(20));
-  EXPECT_EQ(sink.remote_repairs_for(id(1)), 3u);
   // Local repairs do not count toward remote tracking.
   sink.on_repair_sent(4, id(2), /*remote=*/false, at(5));
   EXPECT_EQ(sink.first_remote_repair(id(2)), TimePoint::max());
-  EXPECT_EQ(sink.remote_repairs_for(id(2)), 0u);
   EXPECT_EQ(sink.counters().repairs_sent, 4u);
   EXPECT_EQ(sink.counters().remote_repairs_sent, 3u);
 }
@@ -87,7 +60,6 @@ TEST(RecordingSinkTest, EventStreamsKeepOrderAndPayload) {
   EXPECT_EQ(sink.deliveries()[0].at, at(7));
   ASSERT_EQ(sink.promotions().size(), 1u);
   EXPECT_EQ(sink.promotions()[0].at, at(50));
-  EXPECT_EQ(sink.counters().long_term_promotions, 1u);
 }
 
 TEST(RecordingSinkTest, ClearResetsEverything) {
@@ -102,13 +74,113 @@ TEST(RecordingSinkTest, ClearResetsEverything) {
   EXPECT_EQ(sink.first_remote_repair(id(1)), TimePoint::max());
 }
 
-TEST(NullSinkTest, AcceptsEverythingSilently) {
-  NullSink sink;
-  MetricsSink& base = sink;
-  base.on_delivered(1, id(1), at(1));
-  base.on_search_hop(1, 2, id(1), at(2));
-  base.on_handoff_sent(1, 2, 3, at(3));
-  SUCCEED();
+// ---- merge ---------------------------------------------------------------
+
+/// One call of recording method `method` (an index into record()'s switch).
+struct Scripted {
+  TimePoint at;
+  int method;
+  MemberId member;
+  MessageId id;
+};
+
+constexpr int kMethods = 21;
+
+// The two repair kinds come last, so repairs_sent (their sum) ends at a
+// total no other counter shares in MergeEqualsRecordingIntoOneSink.
+void record(RecordingSink& s, const Scripted& e) {
+  const MemberId m = e.member;
+  const MessageId& i = e.id;
+  const TimePoint t = e.at;
+  switch (e.method) {
+    case 0: return s.on_delivered(m, i, t);
+    case 1: return s.on_loss_detected(m, i, t);
+    case 2: return s.on_recovered(m, i, t, Duration::micros(t.us() + m));
+    case 3: return s.on_buffer_stored(m, i, t);
+    case 4: return s.on_buffer_discarded(m, i, t, /*was_long_term=*/false);
+    case 5: return s.on_promoted_long_term(m, i, t);
+    case 6: return s.on_request_sent(m, i, /*remote=*/false, t);
+    case 7: return s.on_request_sent(m, i, /*remote=*/true, t);
+    case 8: return s.on_search_started(m, i, t);
+    case 9: return s.on_search_hop(m, m + 10, i, t);
+    case 10: return s.on_search_completed(m, i, t);
+    case 11: return s.on_regional_multicast(m, i, t);
+    case 12: return s.on_relay_suppressed(m, i, t);
+    case 13: return s.on_handoff_sent(m, m + 10, 2, t);
+    case 14: return s.on_send_deferred(m, i, t);
+    case 15: return s.on_credit_ack_sent(m, t);
+    case 16: return s.on_credit_ack_suppressed(m, t);
+    case 17: return s.on_flow_stall_remcast(m, i, t);
+    case 18: return s.on_flow_stall_release(m, t);
+    case 19: return s.on_repair_sent(m, i, /*remote=*/false, t);
+    case 20: return s.on_repair_sent(m, i, /*remote=*/true, t);
+  }
+}
+
+// One lane's script: four rounds `period_ms` apart. Each round calls method
+// k `scale * (k + 1)` times, alternating between `first_member` and
+// `first_member + 2`, all for message seq (round + seq_offset) % 3.
+std::vector<Scripted> lane_script(std::int64_t period_ms,
+                                  MemberId first_member,
+                                  std::uint64_t seq_offset, int scale) {
+  std::vector<Scripted> out;
+  for (std::int64_t r = 0; r < 4; ++r) {
+    const MessageId msg{7, (static_cast<std::uint64_t>(r) + seq_offset) % 3};
+    for (int k = 0; k < kMethods; ++k) {
+      for (int n = 0; n < scale * (k + 1); ++n) {
+        out.push_back(Scripted{at(period_ms * r), k,
+                               first_member + 2 * static_cast<MemberId>(n % 2),
+                               msg});
+      }
+    }
+  }
+  return out;
+}
+
+TEST(RecordingSinkTest, MergeEqualsRecordingIntoOneSink) {
+  // Two lanes with disjoint members (odd in a, even in b) ticking every 2
+  // and every 3 ms: they share timestamps 0 and 6, where the merged streams
+  // must put lane a first. b sends twice as many of every event, so each
+  // counter's total is distinct and a field summed from the wrong input
+  // shows.
+  const std::vector<Scripted> script_a = lane_script(2, 1, 0, 1);
+  const std::vector<Scripted> script_b = lane_script(3, 2, 1, 2);
+  RecordingSink a;
+  RecordingSink b;
+  for (const Scripted& e : script_a) record(a, e);
+  for (const Scripted& e : script_b) record(b, e);
+
+  // One sink that recorded both scripts in time order, ties to lane a.
+  std::vector<Scripted> both_scripts;
+  std::merge(script_a.begin(), script_a.end(), script_b.begin(),
+             script_b.end(), std::back_inserter(both_scripts),
+             [](const Scripted& x, const Scripted& y) { return x.at < y.at; });
+  RecordingSink both;
+  for (const Scripted& e : both_scripts) record(both, e);
+
+  const RecordingSink* lanes[] = {&a, &b};
+  const RecordingSink merged = RecordingSink::merge(lanes);
+  EXPECT_EQ(merged.counters(), both.counters());
+  EXPECT_EQ(merged.deliveries(), both.deliveries());
+  EXPECT_EQ(merged.stores(), both.stores());
+  EXPECT_EQ(merged.discards(), both.discards());
+  EXPECT_EQ(merged.promotions(), both.promotions());
+  // Latencies concatenate in input order rather than by time.
+  std::vector<Duration> latencies = a.recovery_latencies();
+  latencies.insert(latencies.end(), b.recovery_latencies().begin(),
+                   b.recovery_latencies().end());
+  EXPECT_EQ(merged.recovery_latencies(), latencies);
+  for (std::uint64_t seq = 0; seq < 3; ++seq) {
+    const MessageId msg{7, seq};
+    EXPECT_EQ(merged.first_remote_repair(msg), both.first_remote_repair(msg));
+    EXPECT_EQ(merged.remote_requests_for(msg), both.remote_requests_for(msg));
+    EXPECT_GT(merged.remote_requests_for(msg), 0u);
+  }
+  // The earliest remote repair of seq 0 is lane a's, of seq 1 lane b's.
+  EXPECT_LT(a.first_remote_repair(MessageId{7, 0}),
+            b.first_remote_repair(MessageId{7, 0}));
+  EXPECT_LT(b.first_remote_repair(MessageId{7, 1}),
+            a.first_remote_repair(MessageId{7, 1}));
 }
 
 }  // namespace

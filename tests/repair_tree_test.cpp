@@ -1,15 +1,12 @@
 // Unit + harness tests for the hierarchical repair subsystem (src/repair):
-// rendezvous election, RepairTree construction/rebuild determinism, and
-// end-to-end multi-level recovery through representatives.
+// rendezvous election and end-to-end multi-level recovery through
+// representatives.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "harness/cluster.h"
-#include "membership/directory.h"
-#include "net/topology.h"
 #include "repair/hierarchy.h"
-#include "repair/repair_tree.h"
 
 namespace rrmp {
 namespace {
@@ -58,79 +55,6 @@ TEST(HierarchyElectionTest, GenerationReshufflesDeterministically) {
   std::sort(winners.begin(), winners.end());
   winners.erase(std::unique(winners.begin(), winners.end()), winners.end());
   EXPECT_GE(winners.size(), 2u);
-}
-
-// ---- RepairTree ------------------------------------------------------------
-
-net::Topology chain_topology(std::size_t levels, std::size_t region_size) {
-  std::vector<std::size_t> sizes(levels, region_size);
-  std::vector<RegionId> parents(levels);
-  for (std::size_t r = 0; r < levels; ++r) {
-    parents[r] = r == 0 ? 0 : static_cast<RegionId>(r - 1);
-  }
-  return net::make_hierarchy(sizes, Duration::millis(10), Duration::millis(50),
-                             &parents);
-}
-
-TEST(RepairTreeTest, ConstructionIsDeterministic) {
-  net::Topology topo = chain_topology(3, 8);
-  membership::Directory dir(topo);
-  repair::HierarchyParams params;
-  params.enabled = true;
-  params.salt = 0xABCD;
-  repair::RepairTree t1(dir, params);
-  repair::RepairTree t2(dir, params);
-  EXPECT_EQ(t1.current(), t2.current());
-  for (RegionId r = 0; r < 3; ++r) {
-    const std::vector<MemberId>& members = topo.members_of(r);
-    EXPECT_NE(std::find(members.begin(), members.end(), t1.representative(r)),
-              members.end());
-  }
-  EXPECT_EQ(t1.parent_representative(0), kInvalidMember);  // root
-  EXPECT_EQ(t1.parent_representative(1), t1.representative(0));
-  EXPECT_EQ(t1.parent_representative(2), t1.representative(1));
-}
-
-TEST(RepairTreeTest, ViewChangeRebuild) {
-  net::Topology topo = chain_topology(2, 6);
-  membership::Directory dir(topo);
-  repair::RepairTree tree(dir, {});
-  MemberId old_rep = tree.representative(0);
-  dir.mark_failed(old_rep);
-  tree.rebuild();
-  MemberId new_rep = tree.representative(0);
-  EXPECT_NE(new_rep, old_rep);
-  EXPECT_TRUE(dir.alive(new_rep));
-  // Rejoin restores the exact original assignment: the election is a pure
-  // function of (members, salt, generation).
-  dir.mark_joined(old_rep);
-  tree.rebuild();
-  EXPECT_EQ(tree.representative(0), old_rep);
-}
-
-TEST(RepairTreeTest, GenerationBumpRebuilds) {
-  net::Topology topo = chain_topology(1, 16);
-  membership::Directory dir(topo);
-  repair::RepairTree tree(dir, {});
-  EXPECT_EQ(tree.generation(), 0u);
-  std::vector<MemberId> winners;
-  for (std::uint64_t gen = 0; gen < 8; ++gen) {
-    tree.set_generation(gen);
-    EXPECT_EQ(tree.generation(), gen);
-    winners.push_back(tree.representative(0));
-  }
-  std::sort(winners.begin(), winners.end());
-  winners.erase(std::unique(winners.begin(), winners.end()), winners.end());
-  EXPECT_GE(winners.size(), 2u);  // the bump genuinely re-runs the election
-}
-
-TEST(RepairTreeTest, EmptyRegionHasNoRepresentative) {
-  net::Topology topo = chain_topology(2, 2);
-  membership::Directory dir(topo);
-  for (MemberId m : topo.members_of(1)) dir.mark_failed(m);
-  repair::RepairTree tree(dir, {});
-  EXPECT_EQ(tree.representative(1), kInvalidMember);
-  EXPECT_NE(tree.representative(0), kInvalidMember);
 }
 
 // ---- end-to-end hierarchical recovery --------------------------------------
@@ -213,8 +137,8 @@ TEST(HierarchicalRecoveryTest, RepresentativeCrashFailsOver) {
   // members re-elect deterministically and recovery still completes.
   harness::ClusterConfig cc = hierarchy_chain_config(1, 8, 0x44);
   harness::Cluster cluster(cc);
-  repair::RepairTree tree(cluster.directory(), cc.protocol.hierarchy);
-  MemberId rep = tree.representative(1);
+  MemberId rep = repair::elect_representative(
+      cluster.region_members(1), cc.protocol.hierarchy.salt, 0);
   ASSERT_NE(rep, kInvalidMember);
 
   std::vector<MemberId> root = cluster.region_members(0);
