@@ -66,11 +66,12 @@ int main() {
                      "peak B/member"});
   std::vector<double> success;
   std::vector<double> delivered;
-  harness::CapacityOutcome unlimited{};
+  harness::PolicyOutcome unlimited{};
   std::uint64_t total_evictions = 0;
   for (std::size_t budget : budgets) {
-    harness::CapacityOutcome o = harness::run_capacity_point(
-        budget, buffer::PolicyKind::kTwoPhase, scenario);
+    scenario.budget.max_bytes = budget;
+    harness::PolicyOutcome o =
+        harness::run_stream_scenario(buffer::PolicyKind::kTwoPhase, scenario);
     if (budget == 0) unlimited = o;
     success.push_back(o.recovery_success);
     delivered.push_back(o.delivered_fraction);

@@ -80,10 +80,12 @@ int main() {
   // both sit at 1.0 — there is nothing left to win.)
   std::size_t degraded_points = 0, strictly_better = 0;
   for (std::size_t budget : budgets) {
-    harness::CoordinationOutcome pair[2];
+    harness::PolicyOutcome pair[2];
     for (bool coordinate : {false, true}) {
-      harness::CoordinationOutcome o = harness::run_coordination_point(
-          budget, coordinate, buffer::PolicyKind::kTwoPhase, scenario);
+      scenario.budget.max_bytes = budget;
+      scenario.coordination.enabled = coordinate;
+      harness::PolicyOutcome o = harness::run_stream_scenario(
+          buffer::PolicyKind::kTwoPhase, scenario);
       pair[coordinate ? 1 : 0] = o;
       t.add_row({budget == 0 ? "unlimited"
                              : analysis::Table::num(

@@ -43,7 +43,6 @@ struct Options {
   std::size_t buffer_count = 0;    // per-member entry budget, 0 = unlimited
   bool coordinate = false;         // cooperative region-wide budgets
   std::int64_t digest_ms = 20;     // BufferDigest gossip period
-  std::size_t redundancy = 2;      // replicas before an entry is expendable
   bool no_shed = false;            // disable sole-copy shed handoffs
   bool flow = false;               // windowed send admission (flow control)
   std::size_t window = 32;         // outstanding-frame window per sender
@@ -89,8 +88,6 @@ void print_usage() {
       "  --coordinate          cooperative region-wide budgets: digest\n"
       "                        gossip, replica-aware eviction, shed handoffs\n"
       "  --digest-interval=MS  BufferDigest gossip period (20)\n"
-      "  --redundancy=N        known replicas before an entry is an\n"
-      "                        eviction-preferred victim (2)\n"
       "  --no-shed             keep coordination but disable sole-copy\n"
       "                        shed handoffs\n"
       "  --flow                windowed send admission with credit-based\n"
@@ -191,8 +188,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
         std::fprintf(stderr, "--digest-interval must be positive\n");
         return false;
       }
-    } else if (eat("--redundancy=", v)) {
-      opt.redundancy = std::strtoull(v.c_str(), nullptr, 10);
     } else if (arg == "--no-shed") {
       opt.no_shed = true;
     } else if (arg == "--flow") {
@@ -353,7 +348,6 @@ int main(int argc, char** argv) {
   cc.protocol.buffer_coordination.enabled = opt.coordinate;
   cc.protocol.buffer_coordination.digest_interval =
       Duration::millis(opt.digest_ms);
-  cc.protocol.buffer_coordination.redundancy_threshold = opt.redundancy;
   cc.protocol.buffer_coordination.shed_sole_copies = !opt.no_shed;
   cc.protocol.flow.enabled = opt.flow;
   cc.protocol.flow.window_size = static_cast<std::uint32_t>(opt.window);
@@ -362,13 +356,6 @@ int main(int argc, char** argv) {
   cc.protocol.flow.adaptive = opt.adaptive;
   cc.protocol.flow.piggyback = opt.piggyback;
   cc.protocol.lambda = opt.lambda;
-  cc.protocol.lookup = kind == buffer::PolicyKind::kHashBased
-                           ? BuffererLookup::kHashDirect
-                           : BuffererLookup::kRandomized;
-  if (kind == buffer::PolicyKind::kHashBased) {
-    cc.protocol.hash_k =
-        static_cast<std::uint32_t>(std::get<buffer::HashBasedParams>(cc.policy).k);
-  }
 
   // Run header: the chosen spec and budget, so every run is self-describing.
   std::printf("policy: %s\n", buffer::describe(cc.policy).c_str());

@@ -28,11 +28,10 @@ void DigestTable::retain(const std::vector<MemberId>& alive) {
   }
 }
 
-std::size_t DigestTable::age(std::size_t max_missed) {
-  if (max_missed == 0) return 0;  // aging disabled
+std::size_t DigestTable::age() {
   std::size_t dropped = 0;
   for (auto it = peers_.begin(); it != peers_.end();) {
-    if (++it->second.missed > max_missed) {
+    if (++it->second.missed > kMaxMissedDigests) {
       it = peers_.erase(it);
       ++dropped;
     } else {

@@ -11,7 +11,7 @@
 //      giving it an approximate replica count per buffered entry and a view
 //      of where free buffer capacity lives.
 //   2. Cost-aware eviction — RetentionPolicy::pick_victims prefers victims
-//      with >= redundancy_threshold known regional replicas (self included)
+//      with >= kRedundancyThreshold known regional replicas (self included)
 //      and protects sole-copy entries, falling back to the PR 4 order
 //      (short-term first, LRU, MessageId tie-break) among equals.
 //   3. Shed handoff — when pressure forces a sole-copy entry out anyway, the
@@ -40,27 +40,29 @@ struct CoordinationParams {
   /// below the policies' retention timescales (idle threshold T, TTLs) or
   /// the replica counts are stale by the time eviction consults them.
   Duration digest_interval = Duration::millis(20);
-  /// Entries with at least this many known regional replicas (self plus
-  /// digest-advertised neighbors) are preferred eviction victims — unless
-  /// this member is the entry's elected keeper. Among those victims, higher
-  /// replica counts evict first; below the threshold (and for keepers and
-  /// sole copies) the uncoordinated order applies.
-  std::size_t redundancy_threshold = 2;
   /// Push sole-copy victims to the least-loaded digest-advertised neighbor
   /// (proto::Shed) before discarding them.
   bool shed_sole_copies = true;
-  /// Age out a neighbor's advertisement after this many digest intervals
-  /// without a refresh (0 disables aging). A peer that is alive-but-severed
-  /// across a network partition stays in the view, so retain() never prunes
-  /// it — without aging its last digest would keep inflating replica counts
-  /// and pinning keeper elections for the whole partition. Digests normally
-  /// refresh every interval, so entries never age past 1 in a connected
-  /// region and the default changes nothing in fault-free runs.
-  std::size_t max_missed_digests = 3;
 
   friend bool operator==(const CoordinationParams&,
                          const CoordinationParams&) = default;
 };
+
+/// Entries with at least this many known regional replicas (self plus
+/// digest-advertised neighbors) are preferred eviction victims — unless this
+/// member is the entry's elected keeper. Among those victims, higher replica
+/// counts evict first; below the threshold (and for keepers and sole copies)
+/// the uncoordinated order applies.
+inline constexpr std::size_t kRedundancyThreshold = 2;
+
+/// A neighbor's advertisement ages out after this many digest intervals
+/// without a refresh. A peer that is alive-but-severed across a network
+/// partition stays in the view, so retain() never prunes it — without aging
+/// its last digest would keep inflating replica counts and pinning keeper
+/// elections for the whole partition. Digests normally refresh every
+/// interval, so entries never age past 1 in a connected region and aging
+/// changes nothing in fault-free runs.
+inline constexpr std::size_t kMaxMissedDigests = 3;
 
 /// One store's view of its region neighbors' advertised buffer contents.
 /// Keyed by member id in an ordered map so every derived decision (replica
@@ -87,11 +89,11 @@ class DigestTable {
   void retain(const std::vector<MemberId>& alive);
 
   /// Advance every advertisement's missed-refresh counter by one period and
-  /// drop entries not refreshed for more than `max_missed` periods (update()
-  /// resets the counter). Catches peers retain() cannot: alive-but-severed
-  /// members across a partition stay in the view while no digest of theirs
-  /// can arrive. Returns the number of entries dropped.
-  std::size_t age(std::size_t max_missed);
+  /// drop entries not refreshed for more than kMaxMissedDigests periods
+  /// (update() resets the counter). Catches peers retain() cannot:
+  /// alive-but-severed members across a partition stay in the view while no
+  /// digest of theirs can arrive. Returns the number of entries dropped.
+  std::size_t age();
 
   void clear() { peers_.clear(); }
 

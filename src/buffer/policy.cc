@@ -60,7 +60,7 @@ EvictionPlan RetentionPolicy::pick_victims(const EvictionDemand& need) {
   // Replica counts are consulted only under coordination; uncoordinated
   // stores keep every rank at 0 and reproduce the PR 4 plan bit-for-bit.
   // Coordinated, an entry is expendable (rank = its replica count, most
-  // replicated first) only when it is redundant (>= redundancy_threshold
+  // replicated first) only when it is redundant (>= kRedundancyThreshold
   // known replicas) AND this member is not its designated keeper — the
   // keeper election stops all holders of a redundant entry from evicting
   // it simultaneously. Sole copies and keeper copies rank 0 (protected).
@@ -71,13 +71,12 @@ EvictionPlan RetentionPolicy::pick_victims(const EvictionDemand& need) {
   // the demand needs more, the full sort. The uncoordinated path keeps
   // the PR 3 allocation-free steady-state scan.
   const bool coordinated = store().coordination_enabled();
-  const std::size_t threshold = store().coordination().redundancy_threshold;
   auto rank_of = [&](const MessageId& id) -> std::size_t {
     // Called only for currently-stored entries, so our copy always counts.
     DigestTable::HolderInfo info =
         store().digests().holder_info(id, env().self());
     std::size_t replicas = 1 + info.holders;
-    if (replicas < threshold || info.keeper) return 0;
+    if (replicas < kRedundancyThreshold || info.keeper) return 0;
     return replicas;
   };
   if (coordinated) {

@@ -129,10 +129,6 @@ class RetentionPolicy {
 
   virtual const char* name() const = 0;
 
-  /// True if this policy needs the endpoint to run the history-exchange
-  /// protocol (stability baseline only).
-  virtual bool needs_history_exchange() const { return false; }
-
   /// True if drain_for_handoff() should transfer short-term entries too
   /// (repair servers hand over their whole archive).
   virtual bool handoff_includes_short_term() const { return false; }
@@ -154,7 +150,7 @@ class RetentionPolicy {
   /// uses: short-term entries before long-term ones, least-recently-active
   /// first, ties broken by ascending MessageId. When the owning store runs
   /// with coordination enabled and neighbor digests are known, a replica
-  /// cost model ranks first: entries with >= redundancy_threshold known
+  /// cost model ranks first: entries with >= kRedundancyThreshold known
   /// regional replicas whose keeper is another member are preferred
   /// victims (most replicated first), while keeper copies and sole-copy
   /// entries are protected (evicted only when nothing redundant remains);

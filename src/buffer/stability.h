@@ -28,7 +28,6 @@ class StabilityPolicy final : public RetentionPolicy {
   explicit StabilityPolicy(StabilityParams) {}
 
   const char* name() const override { return "stability"; }
-  bool needs_history_exchange() const override { return true; }
 
   /// Discard every buffered message from `source` with seq < `stable_below`.
   void mark_stable_below(MemberId source, std::uint64_t stable_below);

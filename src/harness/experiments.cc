@@ -313,10 +313,6 @@ PolicyOutcome run_stream_scenario(buffer::PolicyKind kind,
   cc.policy = spec_for(kind, defaults);
   cc.protocol.buffer_budget = scenario.budget;
   cc.protocol.buffer_coordination = scenario.coordination;
-  cc.protocol.lookup = kind == buffer::PolicyKind::kHashBased
-                           ? BuffererLookup::kHashDirect
-                           : BuffererLookup::kRandomized;
-  cc.protocol.history_interval = Duration::millis(20);
   cc.data_loss = scenario.data_loss;
   cc.seed = scenario.seed;
   Cluster cluster(cc);
@@ -406,53 +402,6 @@ PolicyOutcome run_stream_scenario(buffer::PolicyKind kind,
   }
   out.repair_msgs = by_type(MT::kRepair) + by_type(MT::kRegionalRepair);
   out.digest_msgs = by_type(MT::kBufferDigest);
-  return out;
-}
-
-// --------------------------------------------- Extension: capacity sweep ----
-
-CapacityOutcome run_capacity_point(std::size_t budget_bytes,
-                                   buffer::PolicyKind kind,
-                                   const StreamScenario& scenario,
-                                   const ExperimentDefaults& defaults) {
-  StreamScenario s = scenario;
-  s.budget.max_bytes = budget_bytes;
-  PolicyOutcome o = run_stream_scenario(kind, s, defaults);
-  CapacityOutcome out;
-  out.budget_bytes = budget_bytes;
-  out.delivered_fraction = o.delivered_fraction;
-  out.recovery_success = o.recovery_success;
-  out.mean_recovery_ms = o.mean_recovery_ms;
-  out.evictions = o.evictions;
-  out.rejected = o.rejected;
-  out.unrecovered = o.unrecovered;
-  out.peak_bytes_per_member = o.peak_bytes_per_member;
-  return out;
-}
-
-// ------------------------------------- Extension: budget coordination ----
-
-CoordinationOutcome run_coordination_point(std::size_t budget_bytes,
-                                           bool coordinate,
-                                           buffer::PolicyKind kind,
-                                           const StreamScenario& scenario,
-                                           const ExperimentDefaults& defaults) {
-  StreamScenario s = scenario;
-  s.budget.max_bytes = budget_bytes;
-  s.coordination.enabled = coordinate;
-  PolicyOutcome o = run_stream_scenario(kind, s, defaults);
-  CoordinationOutcome out;
-  out.budget_bytes = budget_bytes;
-  out.coordinated = coordinate;
-  out.delivered_fraction = o.delivered_fraction;
-  out.recovery_success = o.recovery_success;
-  out.mean_recovery_ms = o.mean_recovery_ms;
-  out.evictions = o.evictions;
-  out.sheds = o.sheds;
-  out.rejected = o.rejected;
-  out.unrecovered = o.unrecovered;
-  out.digest_msgs = o.digest_msgs;
-  out.peak_bytes_per_member = o.peak_bytes_per_member;
   return out;
 }
 

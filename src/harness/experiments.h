@@ -135,7 +135,8 @@ struct StreamScenario {
   std::size_t payload_bytes = 256;
   Duration drain = Duration::millis(600);
   std::uint64_t seed = 1;
-  /// Per-member buffer budget (zero fields = unlimited, the paper's runs).
+  /// Per-member buffer budget (zero fields = unlimited, the paper's runs;
+  /// the capacity and coordination sweeps vary max_bytes).
   buffer::BufferBudget budget;
   /// Cooperative region-wide budget coordination (disabled = PR 4
   /// uncoordinated behaviour, bit for bit).
@@ -170,55 +171,6 @@ struct PolicyOutcome {
 PolicyOutcome run_stream_scenario(buffer::PolicyKind kind,
                                   const StreamScenario& scenario,
                                   const ExperimentDefaults& defaults = {});
-
-// ---- Extension: capacity sweep (Buffer API v2) -----------------------------
-
-/// One point of the capacity sweep: the lossy stream scenario under a
-/// per-member byte budget. As the budget shrinks below the working set the
-/// paper's expected-C long-term copies imply, buffered copies are evicted
-/// before requests arrive and recovery success degrades — the experiment
-/// the budgeted BufferStore exists to ask.
-struct CapacityOutcome {
-  std::size_t budget_bytes = 0;  // 0 = unlimited
-  double delivered_fraction = 0.0;
-  double recovery_success = 1.0;
-  double mean_recovery_ms = 0.0;
-  std::uint64_t evictions = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t unrecovered = 0;
-  double peak_bytes_per_member = 0.0;
-};
-
-CapacityOutcome run_capacity_point(std::size_t budget_bytes,
-                                   buffer::PolicyKind kind,
-                                   const StreamScenario& scenario,
-                                   const ExperimentDefaults& defaults = {});
-
-// ---- Extension: cooperative budget coordination -----------------------------
-
-/// One point of the coordination sweep: the capacity-sweep scenario under a
-/// per-member byte budget, with or without cooperative region-wide budgets
-/// (digest gossip + replica-aware eviction + shed handoffs). The paired
-/// runs ask the tentpole question directly: at the same budget, does
-/// coordinating *where* the region keeps its copies recover more losses
-/// than members evicting blindly?
-struct CoordinationOutcome {
-  std::size_t budget_bytes = 0;  // 0 = unlimited
-  bool coordinated = false;
-  double delivered_fraction = 0.0;
-  double recovery_success = 1.0;
-  double mean_recovery_ms = 0.0;
-  std::uint64_t evictions = 0;   // copies lost to budget pressure
-  std::uint64_t sheds = 0;       // copies relocated instead of lost
-  std::uint64_t rejected = 0;
-  std::uint64_t unrecovered = 0;
-  std::uint64_t digest_msgs = 0;  // coordination control overhead
-  double peak_bytes_per_member = 0.0;
-};
-
-CoordinationOutcome run_coordination_point(
-    std::size_t budget_bytes, bool coordinate, buffer::PolicyKind kind,
-    const StreamScenario& scenario, const ExperimentDefaults& defaults = {});
 
 // ---- Extension: flash-crowd overload (flow control) -------------------------
 

@@ -5,7 +5,33 @@
 namespace rrmp::proto {
 namespace {
 
-void put_message_id(ByteWriter& w, const MessageId& id) {
+// Every frame layout is written once, by the put_* helpers and encode_body
+// below, templated on the writer: encode() runs them against a ByteWriter,
+// encoded_size() against a SizeCounter that only counts the bytes, so the
+// two can never disagree.
+class SizeCounter {
+ public:
+  void put_u8(std::uint8_t) { n_ += 1; }
+  void put_u32(std::uint32_t) { n_ += 4; }
+  void put_u64(std::uint64_t) { n_ += 8; }
+  void put_varint(std::uint64_t v) {
+    do {
+      ++n_;
+      v >>= 7;
+    } while (v != 0);
+  }
+  void put_bytes(std::span<const std::uint8_t> data) {
+    put_varint(data.size());
+    n_ += data.size();
+  }
+  std::size_t size() const { return n_; }
+
+ private:
+  std::size_t n_ = 0;
+};
+
+template <typename W>
+void put_message_id(W& w, const MessageId& id) {
   w.put_u32(id.source);
   w.put_u64(id.seq);
 }
@@ -23,7 +49,8 @@ MessageId get_message_id(ByteReader& r) {
 // and old golden vectors still decode. The decoder reads the block only
 // when bytes remain after the core fields. An explicit empty block (count
 // 0) is never emitted and is rejected on decode.
-void put_cursor_block(ByteWriter& w, const std::vector<ReceiveCursor>& cs) {
+template <typename W>
+void put_cursor_block(W& w, const std::vector<ReceiveCursor>& cs) {
   if (cs.empty()) return;
   w.put_varint(cs.size());
   for (const ReceiveCursor& c : cs) {
@@ -50,7 +77,8 @@ bool get_cursor_block(ByteReader& r, std::vector<ReceiveCursor>& cs) {
 // layout and old golden vectors still decode. The decoder reads it only
 // when bytes remain after the core fields; an explicit 0 is never emitted
 // and is rejected on decode.
-void put_view_gen(ByteWriter& w, std::uint64_t gen) {
+template <typename W>
+void put_view_gen(W& w, std::uint64_t gen) {
   if (gen != 0) w.put_varint(gen);
 }
 
@@ -63,50 +91,61 @@ bool get_view_gen(ByteReader& r, std::uint64_t& gen) {
 // Core (cursor-free) Data layout, shared with the nested encodings inside
 // Handoff and Shed: nested Data has no length prefix, so the optional
 // trailing cursor block exists only at the top level.
-void encode_data_core(ByteWriter& w, const Data& m) {
+template <typename W>
+void encode_data_core(W& w, const Data& m) {
   put_message_id(w, m.id);
   w.put_bytes(m.payload);
 }
-void encode_body(ByteWriter& w, const Data& m) {
+template <typename W>
+void encode_body(W& w, const Data& m) {
   encode_data_core(w, m);
   put_cursor_block(w, m.cursors);
 }
-void encode_body(ByteWriter& w, const Session& m) {
+template <typename W>
+void encode_body(W& w, const Session& m) {
   w.put_u32(m.source);
   w.put_u64(m.highest_seq);
   put_cursor_block(w, m.cursors);
 }
-void encode_body(ByteWriter& w, const LocalRequest& m) {
+template <typename W>
+void encode_body(W& w, const LocalRequest& m) {
   put_message_id(w, m.id);
   w.put_u32(m.requester);
 }
-void encode_body(ByteWriter& w, const RemoteRequest& m) {
+template <typename W>
+void encode_body(W& w, const RemoteRequest& m) {
   put_message_id(w, m.id);
   w.put_u32(m.requester);
 }
-void encode_body(ByteWriter& w, const Repair& m) {
+template <typename W>
+void encode_body(W& w, const Repair& m) {
   put_message_id(w, m.id);
   w.put_bytes(m.payload);
   w.put_u8(m.remote ? 1 : 0);
 }
-void encode_body(ByteWriter& w, const RegionalRepair& m) {
+template <typename W>
+void encode_body(W& w, const RegionalRepair& m) {
   put_message_id(w, m.id);
   w.put_bytes(m.payload);
   w.put_u32(m.relayer);
 }
-void encode_body(ByteWriter& w, const SearchRequest& m) {
+template <typename W>
+void encode_body(W& w, const SearchRequest& m) {
   put_message_id(w, m.id);
   w.put_u32(m.remote_requester);
 }
-void encode_body(ByteWriter& w, const SearchFound& m) {
+template <typename W>
+void encode_body(W& w, const SearchFound& m) {
   put_message_id(w, m.id);
   w.put_u32(m.holder);
 }
-void encode_body(ByteWriter& w, const Handoff& m) {
+template <typename W>
+void encode_body(W& w, const Handoff& m) {
   w.put_varint(m.messages.size());
   for (const Data& d : m.messages) encode_data_core(w, d);
 }
-void encode_body(ByteWriter& w, const Gossip& m) {
+template <typename W>
+void encode_body(W& w, const Gossip& m) {
   w.put_u32(m.from);
   w.put_varint(m.beats.size());
   for (const Heartbeat& h : m.beats) {
@@ -114,7 +153,8 @@ void encode_body(ByteWriter& w, const Gossip& m) {
     w.put_u64(h.counter);
   }
 }
-void encode_body(ByteWriter& w, const History& m) {
+template <typename W>
+void encode_body(W& w, const History& m) {
   w.put_u32(m.member);
   w.put_varint(m.sources.size());
   for (const SourceHistory& s : m.sources) {
@@ -124,7 +164,8 @@ void encode_body(ByteWriter& w, const History& m) {
     for (std::uint64_t word : s.bitmap) w.put_u64(word);
   }
 }
-void encode_body(ByteWriter& w, const BufferDigest& m) {
+template <typename W>
+void encode_body(W& w, const BufferDigest& m) {
   w.put_u32(m.member);
   w.put_u64(m.bytes_in_use);
   w.put_varint(m.window_outstanding);
@@ -136,16 +177,19 @@ void encode_body(ByteWriter& w, const BufferDigest& m) {
   }
   put_view_gen(w, m.view_gen);
 }
-void encode_body(ByteWriter& w, const Shed& m) {
+template <typename W>
+void encode_body(W& w, const Shed& m) {
   w.put_u32(m.from);
   encode_data_core(w, m.message);
 }
-void encode_body(ByteWriter& w, const Escalate& m) {
+template <typename W>
+void encode_body(W& w, const Escalate& m) {
   put_message_id(w, m.id);
   w.put_u32(m.requester);
   w.put_varint(m.hop);
 }
-void encode_body(ByteWriter& w, const CreditAck& m) {
+template <typename W>
+void encode_body(W& w, const CreditAck& m) {
   w.put_u32(m.member);
   w.put_u64(m.bytes_in_use);
   w.put_u64(m.budget_bytes);
@@ -309,85 +353,6 @@ std::optional<Message> decode_from(ByteReader& r) {
   return std::nullopt;
 }
 
-// ------------------------------------------------------------ sizes ----
-//
-// Mirrors encode_body exactly; proto_test pins encoded_size == encode().size()
-// for every message type.
-
-constexpr std::size_t varint_size(std::uint64_t v) {
-  std::size_t n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
-}
-
-constexpr std::size_t kMessageIdSize = 4 + 8;
-
-std::size_t blob_size(const SharedBytes& b) {
-  return varint_size(b.size()) + b.size();
-}
-
-std::size_t cursor_block_size(const std::vector<ReceiveCursor>& cs) {
-  if (cs.empty()) return 0;
-  std::size_t n = varint_size(cs.size());
-  for (const ReceiveCursor& c : cs) n += 4 + varint_size(c.cursor);
-  return n;
-}
-
-std::size_t size_data_core(const Data& m) {
-  return kMessageIdSize + blob_size(m.payload);
-}
-std::size_t size_body(const Data& m) {
-  return size_data_core(m) + cursor_block_size(m.cursors);
-}
-std::size_t size_body(const Session& m) {
-  return 4 + 8 + cursor_block_size(m.cursors);
-}
-std::size_t size_body(const LocalRequest&) { return kMessageIdSize + 4; }
-std::size_t size_body(const RemoteRequest&) { return kMessageIdSize + 4; }
-std::size_t size_body(const Repair& m) {
-  return kMessageIdSize + blob_size(m.payload) + 1;
-}
-std::size_t size_body(const RegionalRepair& m) {
-  return kMessageIdSize + blob_size(m.payload) + 4;
-}
-std::size_t size_body(const SearchRequest&) { return kMessageIdSize + 4; }
-std::size_t size_body(const SearchFound&) { return kMessageIdSize + 4; }
-std::size_t size_body(const Handoff& m) {
-  std::size_t n = varint_size(m.messages.size());
-  for (const Data& d : m.messages) n += size_data_core(d);
-  return n;
-}
-std::size_t size_body(const Gossip& m) {
-  return 4 + varint_size(m.beats.size()) + m.beats.size() * (4 + 8);
-}
-std::size_t size_body(const History& m) {
-  std::size_t n = 4 + varint_size(m.sources.size());
-  for (const SourceHistory& s : m.sources) {
-    n += 4 + 8 + varint_size(s.bitmap.size()) + s.bitmap.size() * 8;
-  }
-  return n;
-}
-std::size_t size_body(const BufferDigest& m) {
-  std::size_t n = 4 + 8 + varint_size(m.window_outstanding) +
-                  varint_size(m.ranges.size());
-  for (const DigestRange& r : m.ranges) n += 4 + 8 + varint_size(r.count);
-  if (m.view_gen != 0) n += varint_size(m.view_gen);
-  return n;
-}
-std::size_t size_body(const Shed& m) { return 4 + size_data_core(m.message); }
-std::size_t size_body(const Escalate& m) {
-  return kMessageIdSize + 4 + varint_size(m.hop);
-}
-std::size_t size_body(const CreditAck& m) {
-  std::size_t n = 4 + 8 + 8 + varint_size(m.cursors.size());
-  for (const ReceiveCursor& c : m.cursors) n += 4 + varint_size(c.cursor);
-  if (m.view_gen != 0) n += varint_size(m.view_gen);
-  return n;
-}
-
 }  // namespace
 
 MessageType type_of(const Message& m) {
@@ -462,9 +427,15 @@ std::optional<Message> decode_shared(const SharedBytes& wire) {
 }
 
 std::size_t encoded_size(const Message& m) {
-  return 1 + std::visit([](const auto& v) { return size_body(v); }, m);
+  SizeCounter c;
+  std::visit([&c](const auto& v) { encode_body(c, v); }, m);
+  return 1 + c.size();  // + the type tag
 }
 
-std::size_t encoded_size(const Data& d) { return 1 + size_body(d); }
+std::size_t encoded_size(const Data& d) {
+  SizeCounter c;
+  encode_body(c, d);
+  return 1 + c.size();
+}
 
 }  // namespace rrmp::proto

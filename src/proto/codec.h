@@ -33,7 +33,7 @@ SharedBytes encode_shared(const Message& m);
 std::optional<Message> decode_shared(const SharedBytes& wire);
 
 /// Encoded size without materializing the buffer (used by traffic metrics).
-/// Exactly encode(m).size(), computed arithmetically.
+/// Exactly encode(m).size(): the same encoder runs against a byte counter.
 std::size_t encoded_size(const Message& m);
 
 /// Encoded size of a Data frame without constructing a Message variant —

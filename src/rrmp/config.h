@@ -11,15 +11,23 @@
 
 namespace rrmp {
 
-/// How a member that needs a retransmission locates someone who buffers the
-/// message.
-enum class BuffererLookup {
-  /// The paper's randomized scheme: random neighbors + random search (§3.3).
-  kRandomized,
-  /// The deterministic scheme of [11] (§3.4): requests go straight to the
-  /// hash-selected bufferer set; requires the hash-based buffer policy.
-  kHashDirect,
-};
+/// Period of the stability policy's History multicast.
+inline constexpr Duration kHistoryInterval = Duration::millis(20);
+
+/// kMulticastQuery: a bufferer replies after U(0, kQueryBackoffUnit *
+/// Config::query_backoff_c). The paper's point is that C underestimates the
+/// bufferer count when a message went idle prematurely, so the window is
+/// too short to suppress duplicates.
+inline constexpr Duration kQueryBackoffUnit = Duration::millis(2);
+
+/// After a search completes, members remember (id -> holder) for this long,
+/// so straggler search requests are redirected to the holder instead of
+/// restarting a search that can never terminate.
+inline constexpr Duration kSearchCacheTtl = Duration::millis(500);
+
+/// Cap on anti-entropy pull requests triggered by one digest (bounds burst
+/// size).
+inline constexpr std::uint32_t kAntiEntropyMaxPulls = 64;
 
 struct Config {
   /// Expected number of remote requests sent by a region per recovery round
@@ -38,14 +46,10 @@ struct Config {
   /// decision before the first request can possibly arrive.
   Duration session_interval = Duration::millis(20);
 
-  /// Multiplier applied to the RTT estimate when arming request-retry
-  /// timers. The paper uses the plain RTT (factor 1).
-  double timeout_factor = 1.0;
-
   /// Measure per-peer RTTs from request->repair samples and derive retry
   /// timeouts with Jacobson/Karels smoothing instead of trusting the
   /// host's static estimate. Off by default so the figure reproductions
-  /// use the paper's exact-RTT timers.
+  /// use the paper's exact-RTT timers (retries wait one RTT).
   bool measure_rtt = false;
 
   /// Upper bound on local/remote/search retry attempts per message; 0 means
@@ -57,9 +61,6 @@ struct Config {
   /// if another member relays the same message first. zero() relays
   /// immediately (no suppression).
   Duration regional_backoff = Duration::millis(5);
-
-  /// Bufferer location scheme (see BuffererLookup).
-  BuffererLookup lookup = BuffererLookup::kRandomized;
 
   /// Per-member buffer budget (bytes/entries in wire-encoded Data-frame
   /// units; zero fields = unlimited). The endpoint builds its BufferStore
@@ -105,27 +106,9 @@ struct Config {
   /// back-off proportional to C) kept for the implosion ablation.
   enum class SearchStrategy { kRandomSearch, kMulticastQuery };
   SearchStrategy search_strategy = SearchStrategy::kRandomSearch;
-
-  /// kMulticastQuery: a bufferer replies after U(0, query_backoff_unit * C
-  /// estimate). The paper's point is that C underestimates the bufferer
-  /// count when a message went idle prematurely, so the window is too short
-  /// to suppress duplicates.
-  Duration query_backoff_unit = Duration::millis(2);
+  /// kMulticastQuery: the C estimate scaling the reply back-off window
+  /// (see kQueryBackoffUnit).
   double query_backoff_c = 6.0;
-
-  /// After a search completes, members remember (id -> holder) for this
-  /// long, so straggler search requests are redirected to the holder
-  /// instead of restarting a search that can never terminate.
-  Duration search_cache_ttl = Duration::millis(500);
-
-  /// Number of hash-selected bufferers per message; must match the
-  /// hash-based policy's k when lookup == kHashDirect.
-  std::uint32_t hash_k = 6;
-
-  /// Enable the stability baseline's periodic history multicast; set
-  /// automatically when the buffer policy requires it.
-  bool history_exchange = false;
-  Duration history_interval = Duration::millis(20);
 
   /// The paper's recovery engine: react to detected sequence gaps with
   /// immediate randomized requests (§2.2). Disable only to isolate the
@@ -138,8 +121,6 @@ struct Config {
   /// the digest's sender. Coexists with gap-driven recovery if both are on.
   bool anti_entropy = false;
   Duration anti_entropy_interval = Duration::millis(50);
-  /// Cap on pull requests triggered by one digest (bounds burst size).
-  std::uint32_t anti_entropy_max_pulls = 64;
 };
 
 }  // namespace rrmp

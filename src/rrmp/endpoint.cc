@@ -92,11 +92,11 @@ Endpoint::Endpoint(IHost& host, Config config,
             break;
         }
       });
-  if (store_->policy().needs_history_exchange()) cfg_.history_exchange = true;
-  if (cfg_.history_exchange) {
-    history_enabled_ = true;
-    history_timer_ =
-        schedule(cfg_.history_interval, [this] { history_tick(); });
+  buffer::RetentionPolicy& retention = store_->policy();
+  stability_policy_ = dynamic_cast<buffer::StabilityPolicy*>(&retention);
+  hash_policy_ = dynamic_cast<const buffer::HashBasedPolicy*>(&retention);
+  if (stability_policy_ != nullptr) {
+    history_timer_ = schedule(kHistoryInterval, [this] { history_tick(); });
   }
   if (cfg_.anti_entropy) {
     anti_entropy_timer_ =
@@ -445,10 +445,10 @@ void Endpoint::handle_remote_request(const proto::RemoteRequest& r,
         proto::Message{proto::SearchRequest{r.id, r.requester}});
     return;
   }
-  if (cfg_.lookup == BuffererLookup::kHashDirect) {
+  if (hash_policy_ != nullptr) {
     // Deterministic scheme [11]: recompute the bufferer set and forward.
-    const std::vector<MemberId>& set =
-        selector_.select(r.id, host_.local_view().members(), cfg_.hash_k);
+    const std::vector<MemberId>& set = selector_.select(
+        r.id, host_.local_view().members(), hash_policy_->params().k);
     for (MemberId b : set) {
       if (b != self()) {
         host_.send(b, proto::Message{proto::RemoteRequest{r.id, r.requester}});
@@ -463,7 +463,7 @@ void Endpoint::handle_remote_request(const proto::RemoteRequest& r,
 void Endpoint::handle_escalate(const proto::Escalate& e, MemberId from) {
   (void)from;
   if (!cfg_.hierarchy.enabled) return;  // config mismatch: drop the frame
-  if (e.hop >= cfg_.hierarchy.max_hops) return;  // runaway-forwarding guard
+  if (e.hop >= repair::kMaxEscalateHops) return;  // runaway-forwarding guard
   store_->on_request_seen(e.id);
   // Still buffered: repair the child representative; its regional relay
   // then covers its whole sub-region with one multicast.
@@ -480,7 +480,7 @@ void Endpoint::handle_escalate(const proto::Escalate& e, MemberId from) {
     std::vector<MemberId>& w = waiters_[e.id];
     if (!contains(w, e.requester)) w.push_back(e.requester);
     for (std::uint64_t gap : tr.observe_hint(e.id.seq)) {
-      start_recovery(MessageId{e.id.source, gap});
+      start_recovery(MessageId{e.id.source, gap}, e.hop + 1);
     }
     if (auto it = recoveries_.find(e.id); it != recoveries_.end()) {
       it->second.escalate_hop = std::max(it->second.escalate_hop, e.hop + 1);
@@ -673,7 +673,7 @@ void Endpoint::handle_shed(const proto::Shed& s, MemberId from) {
 
 void Endpoint::handle_history(const proto::History& h, MemberId from) {
   if (cfg_.anti_entropy) pull_from_digest(h, from);
-  if (!history_enabled_) return;
+  if (stability_policy_ == nullptr) return;
   for (const proto::SourceHistory& sh : h.sources) {
     stability_.update(h.member, sh);
   }
@@ -682,12 +682,13 @@ void Endpoint::handle_history(const proto::History& h, MemberId from) {
 
 // ------------------------------------------------------------- recovery ----
 
-void Endpoint::start_recovery(const MessageId& id) {
+void Endpoint::start_recovery(const MessageId& id, std::uint32_t escalate_hop) {
   if (!active_ || !cfg_.gap_driven_recovery) return;
   if (tracker(id.source).has(id.seq)) return;
   if (recoveries_.count(id)) return;
   RecoveryTask task;
   task.started = host_.now();
+  task.escalate_hop = escalate_hop;
   recoveries_.emplace(id, task);
   metrics_.on_loss_detected(self(), id, host_.now());
   // The two phases run concurrently (§2.2).
@@ -715,11 +716,11 @@ MemberId Endpoint::pick_request_target(const MessageId& id) {
       return rep;
     }
   }
-  if (cfg_.lookup == BuffererLookup::kHashDirect) {
+  if (hash_policy_ != nullptr) {
     // Deterministic scheme [11]: ask the hash-selected bufferers directly,
     // round-robin over the set across attempts.
-    const std::vector<MemberId>& set =
-        selector_.select(id, host_.local_view().members(), cfg_.hash_k);
+    const std::vector<MemberId>& set = selector_.select(
+        id, host_.local_view().members(), hash_policy_->params().k);
     bufferer_scratch_.assign(set.begin(), set.end());
     std::erase(bufferer_scratch_, self());
     if (!bufferer_scratch_.empty()) {
@@ -808,9 +809,9 @@ void Endpoint::remote_attempt(const MessageId& id) {
   // is armed whether or not a request was actually sent.
   std::size_t n = std::max<std::size_t>(host_.local_view().size(), 1);
   if (host_.rng().bernoulli(cfg_.lambda / static_cast<double>(n))) {
-    if (cfg_.lookup == BuffererLookup::kHashDirect) {
+    if (hash_policy_ != nullptr) {
       const std::vector<MemberId>& set =
-          selector_.select(id, parent.members(), cfg_.hash_k);
+          selector_.select(id, parent.members(), hash_policy_->params().k);
       if (!set.empty()) r = set[task.remote_attempts % set.size()];
     }
     metrics_.on_request_sent(self(), id, /*remote=*/true, host_.now());
@@ -833,8 +834,7 @@ void Endpoint::refresh_representatives() {
   // deterministically on every partition/heal.
   const std::vector<MemberId>& members = host_.local_view().members();
   if (flow_unreachable_.empty()) {
-    local_rep_ =
-        repair::elect_representative(members, cfg_.hierarchy.salt, view_gen_);
+    local_rep_ = repair::elect_representative(members, view_gen_);
   } else {
     rep_scratch_.clear();
     for (MemberId m : members) {
@@ -843,11 +843,10 @@ void Endpoint::refresh_representatives() {
         rep_scratch_.push_back(m);
       }
     }
-    local_rep_ = repair::elect_representative(rep_scratch_,
-                                              cfg_.hierarchy.salt, view_gen_);
+    local_rep_ = repair::elect_representative(rep_scratch_, view_gen_);
   }
-  parent_rep_ = repair::elect_representative(host_.parent_view().members(),
-                                             cfg_.hierarchy.salt, view_gen_);
+  parent_rep_ =
+      repair::elect_representative(host_.parent_view().members(), view_gen_);
   rep_cache_valid_ = true;
   rep_epoch_ = epoch;
   rep_generation_ = view_gen_;
@@ -864,10 +863,8 @@ MemberId Endpoint::parent_representative() {
 }
 
 Duration Endpoint::retry_backoff(Duration base, std::uint32_t attempts) const {
-  if (!cfg_.hierarchy.enabled || cfg_.hierarchy.max_backoff_shift == 0) {
-    return base;
-  }
-  std::uint32_t shift = std::min(attempts, cfg_.hierarchy.max_backoff_shift);
+  if (!cfg_.hierarchy.enabled) return base;
+  std::uint32_t shift = std::min(attempts, repair::kMaxBackoffShift);
   return base * static_cast<std::int64_t>(std::uint64_t{1} << shift);
 }
 
@@ -876,7 +873,7 @@ Duration Endpoint::retry_backoff(Duration base, std::uint32_t attempts) const {
 bool Endpoint::search_abandoned(const MessageId& id) {
   auto it = search_given_up_.find(id);
   if (it == search_given_up_.end()) return false;
-  if (host_.now() - it->second > cfg_.search_cache_ttl) {
+  if (host_.now() - it->second > kSearchCacheTtl) {
     search_given_up_.erase(it);
     return false;
   }
@@ -942,7 +939,7 @@ void Endpoint::end_search(const MessageId& id, MemberId holder) {
 void Endpoint::schedule_query_reply(const MessageId& id, MemberId requester) {
   if (pending_replies_.count(id)) return;  // one reply per query round
   double window_us =
-      static_cast<double>(cfg_.query_backoff_unit.us()) * cfg_.query_backoff_c;
+      static_cast<double>(kQueryBackoffUnit.us()) * cfg_.query_backoff_c;
   Duration delay = Duration::micros(
       static_cast<std::int64_t>(host_.rng().uniform_real(0.0, window_us)));
   PendingReply reply;
@@ -983,7 +980,7 @@ void Endpoint::announce_found(const MessageId& id) {
 MemberId Endpoint::cached_holder(const MessageId& id) {
   auto it = found_cache_.find(id);
   if (it == found_cache_.end()) return kInvalidMember;
-  if (host_.now() - it->second.second > cfg_.search_cache_ttl) {
+  if (host_.now() - it->second.second > kSearchCacheTtl) {
     found_cache_.erase(it);
     return kInvalidMember;
   }
@@ -1049,7 +1046,7 @@ void Endpoint::history_tick() {
     recompute_stability();
     host_.multicast_region(proto::Message{std::move(h)});
   }
-  history_timer_ = schedule(cfg_.history_interval, [this] { history_tick(); });
+  history_timer_ = schedule(kHistoryInterval, [this] { history_tick(); });
 }
 
 void Endpoint::digest_tick() {
@@ -1062,7 +1059,7 @@ void Endpoint::digest_tick() {
   // advertisements age out instead once no refresh arrives for a few
   // periods. A connected peer refreshes every period, so its counter
   // oscillates between 0 and 1 and aging never fires in fault-free runs.
-  store_->digests().age(cfg_.buffer_coordination.max_missed_digests);
+  store_->digests().age();
   // Advertise even when empty: a zero bytes_in_use digest is exactly what
   // makes this member the least-loaded shed target.
   proto::BufferDigest d = store_->build_digest();
@@ -1283,7 +1280,7 @@ void Endpoint::pull_from_digest(const proto::History& digest, MemberId from) {
     std::uint64_t sender_max =
         sh.next_expected - 1 + 64 * static_cast<std::uint64_t>(sh.bitmap.size());
     for (std::uint64_t seq = std::max<std::uint64_t>(1, tr.next_expected());
-         seq <= sender_max && pulls < cfg_.anti_entropy_max_pulls; ++seq) {
+         seq <= sender_max && pulls < kAntiEntropyMaxPulls; ++seq) {
       if (tr.has(seq) || !sender_has(seq)) continue;
       // Record that the sequence exists (no gap-driven task is spawned when
       // that engine is off) and pull it straight from the digest's sender.
@@ -1297,12 +1294,10 @@ void Endpoint::pull_from_digest(const proto::History& digest, MemberId from) {
 }
 
 void Endpoint::recompute_stability() {
-  auto* stab = dynamic_cast<buffer::StabilityPolicy*>(&store_->policy());
-  if (stab == nullptr) return;
   const std::vector<MemberId>& expected = host_.local_view().members();
   for (const auto& [source, tr] : trackers_) {
     std::uint64_t stable = stability_.stable_below(source, expected);
-    if (stable > 0) stab->mark_stable_below(source, stable);
+    if (stable > 0) stability_policy_->mark_stable_below(source, stable);
   }
 }
 
@@ -1342,8 +1337,7 @@ void Endpoint::cancel(TimerHandle& t) {
 
 Duration Endpoint::request_timeout(MemberId peer) const {
   Duration base = host_.rtt_estimate(peer);
-  if (cfg_.measure_rtt) base = rtt_.rto(peer, base);
-  return base.scaled(cfg_.timeout_factor);
+  return cfg_.measure_rtt ? rtt_.rto(peer, base) : base;
 }
 
 }  // namespace rrmp

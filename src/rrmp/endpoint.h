@@ -22,9 +22,11 @@
 //    advertising the held id set + bytes in use, replica-aware eviction, and
 //    shed handoffs pushing sole-copy entries to the least-loaded neighbor
 //    under budget pressure (Config::buffer_coordination),
-//  - optional deterministic hash-direct lookup instead of randomized
-//    search, reproducing the authors' earlier scheme [11] (§3.4),
-//  - optional history exchange driving the stability-detection baseline,
+//  - deterministic hash-direct lookup instead of randomized search when the
+//    buffer policy is the hash-based one, reproducing the authors' earlier
+//    scheme [11] (§3.4),
+//  - the history exchange when the buffer policy is the stability-detection
+//    baseline,
 //  - optional hierarchical repair trees (Config::hierarchy): each region's
 //    rendezvous-elected representative aggregates the region's NAKs —
 //    members direct their first local request at it, non-representatives
@@ -183,7 +185,7 @@ class Endpoint {
     /// Hierarchy mode: escalation levels already climbed to reach us. 0 for
     /// a gap we detected ourselves; an escalation-triggered recovery carries
     /// the incoming hop + 1, so a cyclic (misconfigured) topology trips the
-    /// max_hops guard instead of forwarding forever.
+    /// repair::kMaxEscalateHops guard instead of forwarding forever.
     std::uint32_t escalate_hop = 0;
   };
 
@@ -232,7 +234,9 @@ class Endpoint {
   bool accept(const proto::Data& d, bool from_remote_region);
 
   // Recovery.
-  void start_recovery(const MessageId& id);
+  /// `escalate_hop` seeds RecoveryTask::escalate_hop before the first
+  /// attempt goes out.
+  void start_recovery(const MessageId& id, std::uint32_t escalate_hop = 0);
   void finish_recovery(const MessageId& id);
   void local_attempt(const MessageId& id);
   void remote_attempt(const MessageId& id);
@@ -247,7 +251,7 @@ class Endpoint {
   MemberId parent_representative();
   bool is_representative() { return region_representative() == self(); }
   /// Hierarchy-mode retry pacing: `base` doubled per prior attempt, capped
-  /// at base << hierarchy.max_backoff_shift. Identity outside hierarchy mode.
+  /// at base << repair::kMaxBackoffShift. Identity outside hierarchy mode.
   Duration retry_backoff(Duration base, std::uint32_t attempts) const;
 
   // Search (§3.3).
@@ -411,22 +415,25 @@ class Endpoint {
   std::unordered_map<MessageId, SearchTask> searches_;
   std::unordered_map<MessageId, PendingRelay> pending_relays_;
   std::unordered_map<MessageId, PendingReply> pending_replies_;
-  // id -> (holder, recorded_at); entries expire after search_cache_ttl.
+  // id -> (holder, recorded_at); entries expire after kSearchCacheTtl.
   std::unordered_map<MessageId, std::pair<MemberId, TimePoint>> found_cache_;
   // id -> when we last multicast SearchFound for it ourselves.
   std::unordered_map<MessageId, TimePoint> last_announce_;
   // Negative cache: searches we abandoned after max_attempts. Without it,
   // probes from other (still-active) searchers would resurrect our task and
   // a futile search would sustain itself forever. Expires with
-  // search_cache_ttl; cleared if the message or a holder turns up.
+  // kSearchCacheTtl; cleared if the message or a holder turns up.
   std::unordered_map<MessageId, TimePoint> search_given_up_;
   bool search_abandoned(const MessageId& id);
 
-  // Stability baseline state.
+  // Stability baseline state. stability_policy_ is the store's policy when
+  // it is the stability policy (the History exchange runs exactly then).
+  buffer::StabilityPolicy* stability_policy_ = nullptr;
   buffer::StabilityTracker stability_;
-  bool history_enabled_ = false;
 
-  // Scratch for hash-direct bufferer lookups (reused, no per-call allocs).
+  // Hash-direct lookup [11] runs exactly when the store's policy is the
+  // hash-based one, over that policy's k. Scratch reused, no per-call allocs.
+  const buffer::HashBasedPolicy* hash_policy_ = nullptr;
   buffer::BuffererSelector selector_;
   std::vector<MemberId> bufferer_scratch_;
 

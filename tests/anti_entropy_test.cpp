@@ -29,20 +29,24 @@ TEST(AntiEntropy, DigestExchangeSpreadsAMessage) {
 }
 
 TEST(AntiEntropy, PullsAreBoundedPerDigest) {
-  ClusterConfig cc = ae_config(6, 2);
-  cc.protocol.anti_entropy_max_pulls = 4;
-  Cluster cluster(cc);
-  // Member 0 holds 20 messages; each digest round lets a peer pull at most 4.
+  Cluster cluster(ae_config(6, 2));
+  // Member 0 holds 5 x kAntiEntropyMaxPulls messages; each digest round lets
+  // a peer pull at most kAntiEntropyMaxPulls.
+  const std::uint64_t total = 5 * kAntiEntropyMaxPulls;
   std::vector<MemberId> holder = {0};
-  for (std::uint64_t s = 1; s <= 20; ++s) cluster.inject_data_to(0, s, holder);
-  // After one digest from 0 lands somewhere, that member has <= 4 messages.
+  for (std::uint64_t s = 1; s <= total; ++s) {
+    cluster.inject_data_to(0, s, holder);
+  }
+  // After one digest from 0 lands somewhere, that member has at most
+  // kAntiEntropyMaxPulls messages.
   cluster.run_for(Duration::millis(45));  // ~1-2 rounds
   for (MemberId m = 1; m < 6; ++m) {
-    EXPECT_LE(cluster.endpoint(m).received_count(), 8u) << "member " << m;
+    EXPECT_LE(cluster.endpoint(m).received_count(), 2 * kAntiEntropyMaxPulls)
+        << "member " << m;
   }
   // But everything converges eventually.
   cluster.run_for(Duration::seconds(4));
-  for (std::uint64_t s = 1; s <= 20; ++s) {
+  for (std::uint64_t s = 1; s <= total; ++s) {
     EXPECT_TRUE(cluster.all_received(MessageId{0, s})) << "seq " << s;
   }
 }

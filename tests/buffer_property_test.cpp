@@ -388,42 +388,36 @@ TEST(BufferPropertyTest, DigestAgingDropsSeveredAdvertisersButNotFreshOnes) {
   // Regression for the partition half of stale-advertiser pruning: a
   // severed-but-alive peer stays in the membership view, so retain() keeps
   // its last digest forever — only the missed-refresh aging can drop it.
-  // An entry must survive exactly max_missed quiet periods, die on the
-  // next, and any update() in between must reset the clock; age(0) is the
-  // disabled configuration and touches nothing.
+  // An entry must survive exactly kMaxMissedDigests quiet periods, die on
+  // the next, and any update() in between must reset the clock.
   DigestTable table;
   MessageId id{1, 5};
   table.update(1, 10, {{1, 5, 1}});
   table.update(2, 20, {{1, 5, 1}});
   ASSERT_EQ(table.holders_of(id), 2u);
 
-  constexpr std::size_t kMaxMissed = 3;
   // Peer 2 refreshes every period; peer 1 goes quiet (severed).
-  for (std::size_t period = 0; period < kMaxMissed; ++period) {
-    EXPECT_EQ(table.age(kMaxMissed), 0u) << "period " << period;
+  for (std::size_t period = 0; period < kMaxMissedDigests; ++period) {
+    EXPECT_EQ(table.age(), 0u) << "period " << period;
     table.update(2, 20, {{1, 5, 1}});
   }
-  // Through max_missed quiet periods the entry still counts: a slow digest
-  // is not a partition.
+  // Through kMaxMissedDigests quiet periods the entry still counts: a slow
+  // digest is not a partition.
   EXPECT_TRUE(table.has_peer(1));
   EXPECT_EQ(table.holders_of(id), 2u);
   // One more quiet period crosses the threshold: only the quiet peer dies.
-  EXPECT_EQ(table.age(kMaxMissed), 1u);
+  EXPECT_EQ(table.age(), 1u);
   EXPECT_FALSE(table.has_peer(1));
   EXPECT_TRUE(table.has_peer(2));
   EXPECT_EQ(table.holders_of(id), 1u);
 
   // A refresh anywhere along the way resets the clock to zero.
   table.update(1, 10, {{1, 5, 1}});
-  for (std::size_t period = 0; period < kMaxMissed; ++period) {
-    EXPECT_EQ(table.age(kMaxMissed), 0u);
+  for (std::size_t period = 0; period < kMaxMissedDigests; ++period) {
+    EXPECT_EQ(table.age(), 0u);
     table.update(1, 10, {{1, 5, 1}});
     table.update(2, 20, {{1, 5, 1}});
   }
-  EXPECT_EQ(table.peer_count(), 2u);
-
-  // max_missed == 0 disables aging outright: entries live forever.
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(table.age(0), 0u);
   EXPECT_EQ(table.peer_count(), 2u);
 }
 

@@ -737,7 +737,6 @@ TEST(StabilityPolicyTest, DiscardsOnlyBelowStableFrontier) {
   for (std::uint64_t q = 1; q <= 5; ++q) EXPECT_FALSE(s.has(MessageId{1, q}));
   for (std::uint64_t q = 6; q <= 10; ++q) EXPECT_TRUE(s.has(MessageId{1, q}));
   EXPECT_TRUE(s.has(MessageId{2, 1}));
-  EXPECT_TRUE(sp->needs_history_exchange());
 }
 
 TEST(StabilityTrackerTest, FrontierIsMinimumOverMembers) {

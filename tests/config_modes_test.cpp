@@ -1,6 +1,5 @@
-// Configuration-mode interaction tests: hash-direct fallbacks, timeout
-// scaling, logging levels, and mode combinations that cross subsystem
-// boundaries.
+// Configuration-mode interaction tests: hash-direct fallbacks, logging
+// levels, and mode combinations that cross subsystem boundaries.
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
@@ -10,14 +9,13 @@ namespace rrmp::harness {
 namespace {
 
 TEST(HashDirectFallback, FallsBackToSearchWhenSelfIsTheOnlyHashTarget) {
-  // hash_k = 1 and the single hash-selected bufferer discarded its copy:
-  // the deterministic lookup dead-ends and the random search must take
-  // over for the remote requester.
+  // k = 1 and the single hash-selected bufferer discarded its copy: the
+  // deterministic lookup dead-ends and the random search must take over
+  // for the remote requester.
   ClusterConfig cc;
   cc.region_sizes = {10, 1};
   cc.seed = 401;
-  cc.protocol.lookup = BuffererLookup::kHashDirect;
-  cc.protocol.hash_k = 1;
+  cc.policy = buffer::HashBasedParams{1};
   Cluster cluster(cc);
   std::vector<MemberId> region0 = cluster.region_members(0);
   MessageId id = cluster.inject_data_to(region0[0], 1, region0);
@@ -42,24 +40,6 @@ TEST(HashDirectFallback, FallsBackToSearchWhenSelfIsTheOnlyHashTarget) {
   EXPECT_TRUE(cluster.endpoint(requester).has_received(id));
 }
 
-TEST(TimeoutFactor, ScalesRetryCadence) {
-  auto requests_after = [](double factor, std::uint64_t seed) {
-    ClusterConfig cc;
-    cc.region_sizes = {10};
-    cc.seed = seed;
-    cc.protocol.timeout_factor = factor;
-    Cluster cluster(cc);
-    // Nobody has the message: member 1 probes forever; count its requests
-    // in a fixed window. Timer = RTT * factor.
-    cluster.inject_session_to(0, 1, std::vector<MemberId>{1});
-    cluster.run_for(Duration::millis(100));
-    return cluster.metrics().counters().local_requests_sent;
-  };
-  std::uint64_t fast = requests_after(1.0, 42);   // retry every 10 ms
-  std::uint64_t slow = requests_after(4.0, 42);   // retry every 40 ms
-  EXPECT_GT(fast, slow * 2);
-}
-
 TEST(StabilityPlusAntiEntropy, HistoryMessagesServeBothRoles) {
   // The stability policy's multicast histories AND the anti-entropy pulls
   // share the History message; enabling both must work: digests spread the
@@ -68,7 +48,6 @@ TEST(StabilityPlusAntiEntropy, HistoryMessagesServeBothRoles) {
   cc.region_sizes = {8};
   cc.seed = 402;
   cc.policy = buffer::StabilityParams{};
-  cc.protocol.history_interval = Duration::millis(10);
   cc.protocol.anti_entropy = true;
   cc.protocol.anti_entropy_interval = Duration::millis(15);
   cc.protocol.gap_driven_recovery = false;  // digests do all the work

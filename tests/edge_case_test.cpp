@@ -40,7 +40,6 @@ TEST(SearchCache, ExpiresAfterTtl) {
   ClusterConfig cc;
   cc.region_sizes = {10, 1};
   cc.seed = 102;
-  cc.protocol.search_cache_ttl = Duration::millis(50);
   Cluster cluster(cc);
   std::vector<MemberId> region0 = cluster.region_members(0);
   MessageId id = cluster.inject_data_to(region0[0], 1, region0);
@@ -57,7 +56,7 @@ TEST(SearchCache, ExpiresAfterTtl) {
   std::uint64_t searches_first = cluster.metrics().counters().searches_started;
 
   // Long after the cache TTL, the same entry point must search again.
-  cluster.run_for(Duration::millis(200));
+  cluster.run_for(kSearchCacheTtl + Duration::millis(150));
   cluster.inject_remote_request(5, id, requester);
   cluster.run_until_quiet(Duration::seconds(1));
   EXPECT_GT(cluster.metrics().counters().searches_started, searches_first);
@@ -95,8 +94,7 @@ TEST(QueryBackoff, RepliesSuppressedByEarlierAnnouncement) {
   cc.region_sizes = {30, 1};
   cc.seed = 103;
   cc.protocol.search_strategy = Config::SearchStrategy::kMulticastQuery;
-  cc.protocol.query_backoff_unit = Duration::millis(10);  // wide window
-  cc.protocol.query_backoff_c = 6.0;                      // U(0, 60ms)
+  cc.protocol.query_backoff_c = 30.0;  // wide window: U(0, 60ms)
   Cluster cluster(cc);
   std::vector<MemberId> region0 = cluster.region_members(0);
   MessageId id = cluster.inject_data_to(region0[0], 1, region0);

@@ -259,8 +259,6 @@ TEST(EndpointSearch, RemoteRequestForUnknownMessageStartsRecovery) {
 TEST(EndpointHashDirect, RecoveryTargetsHashBufferers) {
   ClusterConfig cc = single_region(20, 15);
   cc.policy = buffer::HashBasedParams{4, Duration::millis(40)};
-  cc.protocol.lookup = BuffererLookup::kHashDirect;
-  cc.protocol.hash_k = 4;
   Cluster cluster(cc);
   std::vector<MemberId> all = cluster.region_members(0);
   MessageId id = cluster.inject_data_to(0, 1, all);
@@ -283,8 +281,6 @@ TEST(EndpointHashDirect, RecoveryTargetsHashBufferers) {
 TEST(EndpointHashDirect, MissingMemberRecoversViaHashedSetWithoutSearch) {
   ClusterConfig cc = single_region(20, 16);
   cc.policy = buffer::HashBasedParams{4};
-  cc.protocol.lookup = BuffererLookup::kHashDirect;
-  cc.protocol.hash_k = 4;
   Cluster cluster(cc);
   std::vector<MemberId> holders;
   for (MemberId m = 0; m < 19; ++m) holders.push_back(m);  // member 19 misses
@@ -299,7 +295,6 @@ TEST(EndpointHashDirect, MissingMemberRecoversViaHashedSetWithoutSearch) {
 TEST(EndpointStability, HistoryExchangeDiscardsStableMessages) {
   ClusterConfig cc = single_region(8, 17);
   cc.policy = buffer::StabilityParams{};
-  cc.protocol.history_interval = Duration::millis(10);
   Cluster cluster(cc);
   std::vector<MemberId> all = cluster.region_members(0);
   MessageId id = cluster.inject_data_to(0, 1, all);  // everyone has it
@@ -316,7 +311,6 @@ TEST(EndpointStability, HistoryExchangeDiscardsStableMessages) {
 TEST(EndpointStability, UnstableMessageIsKept) {
   ClusterConfig cc = single_region(8, 18);
   cc.policy = buffer::StabilityParams{};
-  cc.protocol.history_interval = Duration::millis(10);
   cc.protocol.max_attempts = 1;  // keep the missing member from recovering
   cc.control_loss = 1.0;         // all requests/repairs lost
   Cluster cluster(cc);

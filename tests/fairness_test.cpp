@@ -47,7 +47,6 @@ TEST(Fairness, HashBasedLoadAlsoBalanced) {
   cc.region_sizes = {30};
   cc.seed = 302;
   cc.policy = buffer::HashBasedParams{6, Duration::millis(20)};
-  cc.protocol.lookup = BuffererLookup::kHashDirect;
   Cluster cluster(cc);
   std::vector<MemberId> all = cluster.region_members(0);
   const int kMessages = 300;
@@ -140,7 +139,6 @@ TEST(StabilityWithChurn, LeaverNoLongerGatesStability) {
   cc.region_sizes = {8};
   cc.seed = 306;
   cc.policy = buffer::StabilityParams{};
-  cc.protocol.history_interval = Duration::millis(10);
   Cluster cluster(cc);
   // Member 7 never receives the message and then leaves; stability must
   // then be computed over the surviving view and release the buffers.

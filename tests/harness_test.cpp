@@ -169,62 +169,25 @@ TEST(ExperimentsTest, StreamScenarioProducesTraffic) {
   EXPECT_GT(o.repair_msgs, 0u);    // 20% loss needed repairs
 }
 
-TEST(ExperimentsTest, CapacityPointUnlimitedMatchesUnbudgetedRun) {
-  StreamScenario sc;
-  sc.region_size = 20;
-  sc.messages = 10;
-  sc.data_loss = 0.2;
-  sc.seed = 15;
-  PolicyOutcome plain = run_stream_scenario(buffer::PolicyKind::kTwoPhase, sc);
-  CapacityOutcome cap =
-      run_capacity_point(0, buffer::PolicyKind::kTwoPhase, sc);
-  // budget = unlimited is the identity: same seed, same RNG draws, same
-  // outcome as the unbudgeted scenario.
-  EXPECT_EQ(cap.delivered_fraction, plain.delivered_fraction);
-  EXPECT_EQ(cap.recovery_success, plain.recovery_success);
-  EXPECT_EQ(cap.mean_recovery_ms, plain.mean_recovery_ms);
-  EXPECT_EQ(cap.evictions, 0u);
-  EXPECT_EQ(cap.rejected, 0u);
-}
-
 TEST(ExperimentsTest, StarvedBudgetForcesEvictionsAndHurtsRecovery) {
   StreamScenario sc;
   sc.region_size = 20;
   sc.messages = 20;
   sc.data_loss = 0.2;
   sc.seed = 15;
-  CapacityOutcome unlimited =
-      run_capacity_point(0, buffer::PolicyKind::kTwoPhase, sc);
+  PolicyOutcome unlimited =
+      run_stream_scenario(buffer::PolicyKind::kTwoPhase, sc);
+  EXPECT_EQ(unlimited.evictions, 0u);
+  EXPECT_EQ(unlimited.rejected, 0u);
   // Budget of ~1 wire frame (a 256 B payload encodes to 271 B): nearly
   // every admission evicts the previous message, so repair requests mostly
   // find nothing.
-  CapacityOutcome starved =
-      run_capacity_point(300, buffer::PolicyKind::kTwoPhase, sc);
+  sc.budget.max_bytes = 300;
+  PolicyOutcome starved =
+      run_stream_scenario(buffer::PolicyKind::kTwoPhase, sc);
   EXPECT_GT(starved.evictions, 0u);
   EXPECT_LT(starved.recovery_success, unlimited.recovery_success);
   EXPECT_LT(starved.delivered_fraction, unlimited.delivered_fraction);
-}
-
-TEST(ExperimentsTest, CoordinationPointDisabledMatchesCapacityPoint) {
-  // run_coordination_point(coordinate=false) IS the PR 4 capacity
-  // experiment: same seed, same RNG draws, same outcome — the uncoordinated
-  // column of the coordination sweep and the capacity sweep are one
-  // experiment, not two that happen to agree.
-  StreamScenario sc;
-  sc.region_size = 20;
-  sc.messages = 20;
-  sc.data_loss = 0.2;
-  sc.seed = 15;
-  CapacityOutcome cap =
-      run_capacity_point(600, buffer::PolicyKind::kTwoPhase, sc);
-  CoordinationOutcome unc = run_coordination_point(
-      600, /*coordinate=*/false, buffer::PolicyKind::kTwoPhase, sc);
-  EXPECT_EQ(unc.delivered_fraction, cap.delivered_fraction);
-  EXPECT_EQ(unc.recovery_success, cap.recovery_success);
-  EXPECT_EQ(unc.mean_recovery_ms, cap.mean_recovery_ms);
-  EXPECT_EQ(unc.evictions, cap.evictions);
-  EXPECT_EQ(unc.sheds, 0u);
-  EXPECT_EQ(unc.digest_msgs, 0u);
 }
 
 TEST(ExperimentsTest, CoordinationImprovesStarvedRecovery) {
@@ -236,11 +199,13 @@ TEST(ExperimentsTest, CoordinationImprovesStarvedRecovery) {
   sc.messages = 20;
   sc.data_loss = 0.2;
   sc.seed = 15;
-  CoordinationOutcome unc = run_coordination_point(
-      600, /*coordinate=*/false, buffer::PolicyKind::kTwoPhase, sc);
-  CoordinationOutcome coord = run_coordination_point(
-      600, /*coordinate=*/true, buffer::PolicyKind::kTwoPhase, sc);
+  sc.budget.max_bytes = 600;
+  PolicyOutcome unc = run_stream_scenario(buffer::PolicyKind::kTwoPhase, sc);
+  sc.coordination.enabled = true;
+  PolicyOutcome coord = run_stream_scenario(buffer::PolicyKind::kTwoPhase, sc);
   ASSERT_LT(unc.recovery_success, 1.0);  // pressure is real
+  EXPECT_EQ(unc.sheds, 0u);
+  EXPECT_EQ(unc.digest_msgs, 0u);
   EXPECT_GT(coord.recovery_success, unc.recovery_success);
   EXPECT_GT(coord.sheds, 0u);
   EXPECT_GT(coord.digest_msgs, 0u);
