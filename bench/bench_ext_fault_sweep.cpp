@@ -35,9 +35,9 @@
 // reason. The liveness witnesses are the continuous members' drained
 // recovery queues and the completed sender schedules, not that ratio.
 //
-// RRMP_FAULT_POINTS=N (env) truncates the sweep to the FIRST N cells — the
-// CI release leg smoke-runs 2 (clean + partition), which covers the
-// partition/heal/credit-release machinery on every PR.
+// RRMP_FAULT_POINTS=N (env) truncates the sweep to the FIRST N cells for a
+// quicker run; 2 keeps clean + partition, which covers the
+// partition/heal/credit-release machinery.
 #include <cstdlib>
 #include <iostream>
 #include <vector>

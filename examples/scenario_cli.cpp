@@ -91,7 +91,7 @@ void print_usage() {
       "  --no-shed             keep coordination but disable sole-copy\n"
       "                        shed handoffs\n"
       "  --flow                windowed send admission with credit-based\n"
-      "                        feedback (CreditAck gossip)\n"
+      "                        feedback (CreditAcks to each sender)\n"
       "  --window=N            outstanding-frame window per sender (32)\n"
       "  --ack-interval=MS     CreditAck feedback period (10)\n"
       "  --no-backpressure     keep flow control but disable the\n"

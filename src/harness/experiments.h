@@ -214,7 +214,7 @@ struct OverloadOutcome {
   /// perfectly even, 1/senders = one sender got everything through).
   double fairness = 1.0;
   std::uint64_t deferred = 0;     // multicasts queued awaiting credit
-  std::uint64_t credit_msgs = 0;  // CreditAck multicasts on the wire
+  std::uint64_t credit_msgs = 0;  // CreditAck frames on the wire
   std::uint64_t evictions = 0;
   std::uint64_t sheds = 0;
   std::uint64_t rejected = 0;

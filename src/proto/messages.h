@@ -32,7 +32,7 @@ struct ReceiveCursor {
 ///
 /// `cursors` is the piggybacked flow-control block (the sender's own
 /// per-source receive cursors, riding along so receivers need fewer
-/// standalone CreditAck multicasts). It is an *optional trailing* wire
+/// standalone CreditAcks). It is an *optional trailing* wire
 /// field: an empty vector encodes to exactly the pre-piggyback byte layout,
 /// and Data nested inside Handoff/Shed is always encoded cursor-free (the
 /// nested form has no length prefix, so the trailing block is top-level
@@ -204,14 +204,16 @@ struct Shed {
   friend bool operator==(const Shed&, const Shed&) = default;
 };
 
-/// Periodic receiver-side flow-control feedback, multicast within the
-/// region every ack_interval: per-source receive cursors (the credit
-/// release signal, Derecho-style num_received counters) plus the member's
-/// buffer occupancy and budget so senders can judge back-pressure
-/// (DFI-style target accounting). Only sent when flow control is enabled.
-/// With cursor piggybacking on, CreditAck is demoted to a fallback for
-/// quiet receivers: it is suppressed while the member's cursors are already
-/// fresh on its own recent Data/Session traffic, with a periodic refresh.
+/// Periodic receiver-side flow-control feedback, unicast every ack_interval
+/// to each region member the receiver has received frames from as a source:
+/// that sender's receive cursor alone (the credit release signal,
+/// Derecho-style num_received counters) plus the member's buffer occupancy
+/// and budget so the sender can judge back-pressure (DFI-style target
+/// accounting). Only sent when flow control is enabled. The wire format
+/// still carries a cursor list. With cursor piggybacking on, CreditAck is
+/// demoted to a fallback for quiet receivers: it is suppressed while the
+/// member's cursors are already fresh on its own recent Data/Session
+/// traffic, with a periodic refresh.
 struct CreditAck {
   MemberId member = kInvalidMember;
   std::uint64_t bytes_in_use = 0;

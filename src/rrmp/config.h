@@ -85,7 +85,7 @@ struct Config {
   /// floor and window_size; `flow.adaptive` lowers the floor from
   /// window_size (a static window) to kMinAdaptiveWindow. `flow.piggyback`
   /// rides the cursors on outgoing Data/Session frames and demotes the
-  /// CreditAck multicast to a quiet-receiver fallback. Disabled by default —
+  /// periodic CreditAcks to a quiet-receiver fallback. Disabled by default —
   /// the unpaced protocol is bit-identical to the pre-flow-control
   /// behaviour, and adaptive/piggyback off is bit-identical to the static
   /// credit design.

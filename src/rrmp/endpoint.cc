@@ -119,7 +119,6 @@ Endpoint::Endpoint(IHost& host, Config config,
                              [this] { digest_tick(); });
   }
   if (cfg_.flow.enabled) {
-    flow_view_ = host_.local_view().members();
     aimd_round_start_ = host_.now();
     credit_timer_ = schedule(cfg_.flow.ack_interval, [this] { credit_tick(); });
   }
@@ -208,6 +207,11 @@ bool Endpoint::flow_admits() const {
 void Endpoint::transmit_next() {
   proto::Data wire = window_[window_.size() - queued_sends()];
   flow_.on_frame_sent();
+  // Our first frame: from here every reachable peer bounds the window,
+  // including any that never hears a frame of ours and so never acks.
+  if (cfg_.flow.enabled && flow_.send_seq() == 1) {
+    flow_.sync_peers(flow_peers());
+  }
   if (!cfg_.flow.enabled) window_.pop_front();  // no retransmission copy
   accept(wire, /*from_remote_region=*/false);
   if (cfg_.flow.enabled && cfg_.flow.piggyback &&
@@ -635,10 +639,10 @@ void Endpoint::handle_buffer_digest(const proto::BufferDigest& d,
 void Endpoint::handle_credit_ack(const proto::CreditAck& a, MemberId from) {
   (void)from;
   if (!cfg_.flow.enabled) return;
-  if (a.member == self()) return;  // the regional multicast loops back
+  if (a.member == self()) return;  // a row for ourselves would pin the floor
   // An ack can race its sender's departure (in flight when the view
   // dropped the member). Installing its cursor would re-wedge the window
-  // floor that retain_peers just released, until the next retain pass —
+  // floor that sync_peers just released, until the next sync —
   // departed members get no credit voice.
   if (!host_.local_view().contains(a.member)) return;
   // A stale-generation ack (sent pre-partition, delivered post-heal) must
@@ -648,8 +652,8 @@ void Endpoint::handle_credit_ack(const proto::CreditAck& a, MemberId from) {
   if (a.view_gen != view_gen_) return;
   // During the partition itself, severed peers get no credit voice at all.
   if (flow_unreachable(a.member)) return;
-  // Every acking region peer bounds our window, whether or not it has
-  // received anything of our stream yet (absent cursor = nothing, 0).
+  // The ack carries our cursor alone; an ack without it says nothing
+  // received yet (0).
   std::uint64_t cursor = 0;
   for (const proto::ReceiveCursor& c : a.cursors) {
     if (c.source == self()) cursor = c.cursor;
@@ -1080,11 +1084,9 @@ std::vector<proto::ReceiveCursor> Endpoint::cursor_snapshot() const {
 }
 
 const std::vector<MemberId>& Endpoint::flow_peers() const {
-  const std::vector<MemberId>& view = host_.local_view().members();
-  if (flow_unreachable_.empty()) return view;
   flow_peers_scratch_.clear();
-  for (MemberId m : view) {
-    if (!flow_unreachable(m)) flow_peers_scratch_.push_back(m);
+  for (MemberId m : host_.local_view().members()) {
+    if (m != self() && !flow_unreachable(m)) flow_peers_scratch_.push_back(m);
   }
   return flow_peers_scratch_;
 }
@@ -1095,32 +1097,14 @@ bool Endpoint::flow_unreachable(MemberId m) const {
                             m);
 }
 
-void Endpoint::sync_flow_peers() {
-  const std::vector<MemberId>& now = flow_peers();
-  if (now == flow_view_) return;
-  // Members in the reachable set but not the last snapshot genuinely joined
-  // (or just became reachable again at a partition heal): seed their cursor
-  // at the current floor so their first (necessarily stale) acks cannot
-  // drag the floor back through frames the crowd already acknowledged.
-  // Members that were merely quiet stay unseeded — their first real ack is
-  // allowed to lower the floor.
-  for (MemberId m : now) {
-    if (m == self()) continue;
-    if (!std::binary_search(flow_view_.begin(), flow_view_.end(), m)) {
-      flow_.on_peer_joined(m);
-    }
-  }
-  flow_view_ = now;
-}
-
 void Endpoint::on_view_change() {
   if (!active_ || !cfg_.flow.enabled) return;
   // Reconcile credit state NOW, not at the next credit tick: a departed
   // slowest peer otherwise wedges every sender's floor for up to one ack
   // interval (and handle_credit_ack's membership check keeps an in-flight
-  // stale ack from re-installing it).
-  flow_.retain_peers(flow_peers());
-  sync_flow_peers();
+  // stale ack from re-installing it), and a joiner's first ack could drag
+  // it back.
+  flow_.sync_peers(flow_peers());
   // Dropping the slowest cursor may have freed credit immediately.
   drain_window();
 }
@@ -1133,18 +1117,17 @@ void Endpoint::on_partition_change(std::vector<MemberId> unreachable,
   view_gen_ = generation;
   if (!cfg_.flow.enabled) return;
   // Piggyback suppression keys on the advertised cursor set, which a
-  // generation bump does not change — force the next credit tick to
-  // multicast a fresh, correctly-stamped ack anyway.
+  // generation bump does not change — force the next credit tick to send
+  // fresh, correctly-stamped acks anyway.
   advertised_any_ = false;
   quiet_ticks_ = 0;
   // Partition: release credit bindings to peers we can no longer reach —
   // their frozen cursors must not wedge the window at floor + window for
   // the partition's lifetime. Heal: the other side re-enters flow_peers()
-  // and sync_flow_peers seeds it at the current floor, so its first
-  // post-heal acks (stamped with the new generation) cannot drag the floor
-  // back through the partition-era stream.
-  flow_.retain_peers(flow_peers());
-  sync_flow_peers();
+  // and is seeded at the current floor, so its first post-heal acks
+  // (stamped with the new generation) cannot drag the floor back through
+  // the partition-era stream.
+  flow_.sync_peers(flow_peers());
   drain_window();
 }
 
@@ -1155,31 +1138,39 @@ void Endpoint::credit_tick() {
   // occupancy must not pin phantom back-pressure. (on_view_change does this
   // eagerly on hosts that report view changes; the tick remains the
   // transport-independent fallback.)
-  flow_.retain_peers(flow_peers());
-  sync_flow_peers();
+  flow_.sync_peers(flow_peers());
   if (view.size() > 1) {
-    proto::CreditAck ack;
-    ack.member = self();
-    ack.bytes_in_use = store_->bytes();
-    ack.budget_bytes = cfg_.buffer_budget.max_bytes;
-    ack.cursors = cursor_snapshot();
-    ack.view_gen = view_gen_;
-    // With piggybacking, the periodic ack is a fallback for quiet
-    // receivers: suppress it while our piggybacked frames already carry
-    // exactly these cursors, but refresh every few ticks anyway — the
-    // frames carrying the last advertisement may have been lost.
-    bool suppress = cfg_.flow.piggyback && advertised_any_ &&
-                    ack.cursors == advertised_cursors_ &&
-                    quiet_ticks_ + 1 < kQuietAckRefreshTicks;
-    if (suppress) {
-      ++quiet_ticks_;
-      metrics_.on_credit_ack_suppressed(self(), host_.now());
-    } else {
-      advertised_cursors_ = ack.cursors;
-      advertised_any_ = true;
-      quiet_ticks_ = 0;
-      metrics_.on_credit_ack_sent(self(), host_.now());
-      host_.multicast_region(proto::Message{std::move(ack)});
+    // Only senders read cursors: each region peer we have received frames
+    // from gets its own cursor, unicast, and a member that knows no sender
+    // in its region has nothing to send.
+    std::vector<proto::ReceiveCursor> cursors = cursor_snapshot();
+    auto is_credit_peer = [this, &view](const proto::ReceiveCursor& c) {
+      return view.contains(c.source) && !flow_unreachable(c.source);
+    };
+    if (std::any_of(cursors.begin(), cursors.end(), is_credit_peer)) {
+      // With piggybacking, the periodic acks are a fallback for quiet
+      // receivers: suppress them while our piggybacked frames already carry
+      // exactly these cursors, but refresh every few ticks anyway — the
+      // frames carrying the last advertisement may have been lost.
+      bool suppress = cfg_.flow.piggyback && advertised_any_ &&
+                      cursors == advertised_cursors_ &&
+                      quiet_ticks_ + 1 < kQuietAckRefreshTicks;
+      if (suppress) {
+        ++quiet_ticks_;
+        metrics_.on_credit_ack_suppressed(self(), host_.now());
+      } else {
+        advertised_any_ = true;
+        quiet_ticks_ = 0;
+        metrics_.on_credit_ack_sent(self(), host_.now());
+        for (const proto::ReceiveCursor& c : cursors) {
+          if (!is_credit_peer(c)) continue;
+          host_.send(c.source,
+                     proto::Message{proto::CreditAck{
+                         self(), store_->bytes(), cfg_.buffer_budget.max_bytes,
+                         {c}, view_gen_}});
+        }
+        advertised_cursors_ = std::move(cursors);
+      }
     }
     // A flow-controlled sender keeps its own unacknowledged frames alive:
     // touching them each tick holds them active (never idle-discarded,
@@ -1200,10 +1191,10 @@ void Endpoint::credit_tick() {
     // just past it — usually because its own recovery gave up while copies
     // were scarce (the shared buffer may have evicted every copy, including
     // ours). window_ still holds it: re-multicast; duplicates are ignored
-    // and the stuck cursors advance. The wedging frame is normally at the
-    // front, but a floor that moved backward (a peer's first report
-    // arriving after faster peers') points before it or, once pruned, below
-    // the oldest frame kept — then there is nothing to re-multicast.
+    // and the stuck cursors advance. The wedging frame is the front one:
+    // every peer is bound from our first frame and every joiner at the
+    // floor, so the floor never falls below the oldest frame kept. The
+    // range check stays for a peer that reports before we learn it joined.
     if (flow_.outstanding() > 0 && flow_.window_floor() == stall_floor_) {
       if (++stall_ticks_ >= kStallRetransmitTicks) {
         stall_ticks_ = 0;

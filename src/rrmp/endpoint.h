@@ -106,9 +106,10 @@ class Endpoint {
 
   /// The region view changed (join/leave/crash). Flow-control credit state
   /// is reconciled *now* rather than at the next credit tick: departed
-  /// peers' cursors stop wedging the window floor immediately, and a
-  /// joiner's cursor is seeded at the current floor so its first (empty)
-  /// acks cannot drag the floor back to 0. No-op when flow is off.
+  /// peers' cursors stop wedging the window floor immediately, and once
+  /// this member has sent, a joiner's cursor is seeded at the current floor
+  /// so its first (empty) acks cannot drag the floor back to 0. No-op when
+  /// flow is off.
   void on_view_change();
 
   /// Connectivity changed (fault injection: a partition formed or healed).
@@ -287,7 +288,8 @@ class Endpoint {
   // Cooperative budget coordination: periodic regional digest multicast.
   void digest_tick();
 
-  // Flow control (Config::flow): periodic CreditAck multicast + queue drain.
+  // Flow control (Config::flow): periodic CreditAcks to the region's
+  // senders + queue drain.
   void credit_tick();
   /// True when the window admits the next frame right now (always true
   /// when alone in the region: there is no peer to grant credit).
@@ -296,19 +298,16 @@ class Endpoint {
   void transmit_next();
   /// Transmit queued frames while credit allows.
   void drain_window();
-  /// This member's per-source receive cursors — the payload of a CreditAck
-  /// and of the piggyback block on outgoing Data/Session frames.
+  /// This member's per-source receive cursors — the piggyback block on
+  /// outgoing Data/Session frames; each region source's own entry is the
+  /// payload of the CreditAck it is sent.
   std::vector<proto::ReceiveCursor> cursor_snapshot() const;
   /// Apply a piggybacked cursor block from a region peer's Data/Session
   /// frame (same credit semantics as a CreditAck's cursor list).
   void handle_piggyback(const std::vector<proto::ReceiveCursor>& cursors,
                         MemberId from);
-  /// Diff the current reachable peer set against flow_view_ and seed
-  /// cursors for members that genuinely joined — or just became reachable
-  /// again at a partition heal (churn-safe credit state).
-  void sync_flow_peers();
-  /// The live view minus currently-unreachable peers (flow control's peer
-  /// universe). Returns the view itself when no partition is active.
+  /// The live view minus self and currently-unreachable peers (flow
+  /// control's peer universe), sorted.
   const std::vector<MemberId>& flow_peers() const;
   /// True when an active partition severs us from `m`.
   bool flow_unreachable(MemberId m) const;
@@ -362,11 +361,6 @@ class Endpoint {
   std::uint64_t stall_floor_ = 0;
   std::uint32_t stall_ticks_ = 0;
   static constexpr std::uint32_t kStallRetransmitTicks = 3;
-  /// Region membership as of the last flow reconciliation; diffed against
-  /// the live view to tell genuine joiners (seed their cursor at the floor)
-  /// from peers that merely have not acked yet (who must keep their right
-  /// to drag the floor back when their first real ack arrives).
-  std::vector<MemberId> flow_view_;
   /// Fault injection: region peers severed from us by an active partition
   /// (sorted; empty in fault-free runs) and the cluster's connectivity
   /// generation, stamped on outgoing credit state and matched on receipt.
@@ -382,8 +376,8 @@ class Endpoint {
   bool aimd_loss_in_round_ = false;
 
   // Cursor piggybacking (cfg_.flow.piggyback): the cursor set most recently
-  // advertised on any channel (piggybacked frame or CreditAck). The credit
-  // tick suppresses its CreditAck while the live snapshot still equals this
+  // advertised on any channel (piggybacked frame or CreditAcks). The credit
+  // tick suppresses its CreditAcks while the live snapshot still equals this
   // — but refreshes at least every kQuietAckRefreshTicks ticks, because a
   // lost piggybacked frame would otherwise leave peers stale indefinitely.
   std::vector<proto::ReceiveCursor> advertised_cursors_;

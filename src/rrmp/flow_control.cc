@@ -87,15 +87,20 @@ void FlowController::on_peer_occupancy(MemberId peer,
   p.window_outstanding = window_outstanding;
 }
 
-void FlowController::on_peer_joined(MemberId peer) {
-  // Seed at the current floor (never above send_seq_ — cursors are clamped
-  // on entry, so the min over them can't exceed it either). If the peer
-  // somehow reported before the view change delivered, keep the real
-  // cursor. on_cursor's monotone update then ignores the joiner's genuine
-  // "I have nothing" acks until it catches up past the seed.
+void FlowController::sync_peers(const std::vector<MemberId>& reachable) {
+  std::erase_if(peers_, [&reachable](const auto& entry) {
+    return !std::binary_search(reachable.begin(), reachable.end(),
+                               entry.first);
+  });
+  if (send_seq_ == 0) return;  // no frame to bound yet
+  // Seed at the floor (never above send_seq_ — cursors are clamped on
+  // entry, so the min over them can't exceed it either); a peer that
+  // already reported keeps its real cursor.
   std::uint64_t floor = window_floor();
-  Peer& p = peers_[peer];
-  if (!p.cursor) p.cursor = floor;
+  for (MemberId m : reachable) {
+    Peer& p = peers_[m];
+    if (!p.cursor) p.cursor = floor;
+  }
 }
 
 bool FlowController::release_stalled_peers() {
@@ -122,11 +127,5 @@ void FlowController::on_clean_round() {
 }
 
 void FlowController::on_loss() { cwnd_ = std::max(min_cwnd_, cwnd_ / 2); }
-
-void FlowController::retain_peers(const std::vector<MemberId>& alive) {
-  std::erase_if(peers_, [&alive](const auto& entry) {
-    return !std::binary_search(alive.begin(), alive.end(), entry.first);
-  });
-}
 
 }  // namespace rrmp

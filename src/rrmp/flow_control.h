@@ -6,10 +6,14 @@
 // losses around. This module adds the missing pacing, adapting Derecho's SST
 // multicast window: a sender may have at most `window_size` Data frames
 // outstanding (sent but not yet acknowledged by every region peer).
-// Receivers advertise per-source receive cursors (the highest contiguously
-// received sequence, the analogue of Derecho's num_received counters) in
-// periodic CreditAck frames; the minimum cursor across peers is the window
-// floor, and each cursor advance releases credits.
+// Each receiver returns its receive cursor for a region sender's stream
+// (the highest contiguously received sequence, the analogue of Derecho's
+// num_received counters) to that sender alone, in a periodic CreditAck
+// unicast, as a DFI writer alone gets its acks back; the minimum cursor
+// across peers is the window floor, and each cursor advance releases
+// credits. Like every SST row, every reachable region peer holds a cursor
+// from the sender's first frame on (seeded at the floor), so a peer that
+// has heard nothing bounds the window just as one that reported 0 does.
 //
 // Region-aware back-pressure: peers advertise buffer occupancy (bytes in
 // use vs budget) in both CreditAck frames and the BufferDigest gossip. When
@@ -50,8 +54,9 @@ struct FlowControlParams {
   /// `adaptive`. Sanitized to >= 1.
   std::uint32_t window_size = 32;
 
-  /// Period of the receiver-side CreditAck multicast (receive cursors +
-  /// buffer occupancy). Keep at or below the RTT for a responsive window.
+  /// Period of the receiver-side CreditAcks (receive cursors + buffer
+  /// occupancy, one to each region sender). Keep at or below the RTT for a
+  /// responsive window.
   Duration ack_interval = Duration::millis(10);
 
   /// Region-aware back-pressure: halve the effective window while any peer
@@ -68,9 +73,9 @@ struct FlowControlParams {
   bool adaptive = false;
 
   /// Piggyback this member's receive cursors on its outgoing Data/Session
-  /// frames and suppress the periodic CreditAck multicast while those
-  /// piggybacked cursors are fresh — CreditAck becomes a fallback for quiet
-  /// receivers (plus a periodic refresh in case frames were lost).
+  /// frames and suppress the periodic CreditAcks while those piggybacked
+  /// cursors are fresh — CreditAck becomes a fallback for quiet receivers
+  /// (plus a periodic refresh in case frames were lost).
   bool piggyback = false;
 
   friend bool operator==(const FlowControlParams&,
@@ -116,17 +121,18 @@ class FlowController {
   void on_peer_occupancy(MemberId peer, std::uint64_t bytes_in_use,
                          std::uint64_t window_outstanding);
 
-  /// Drop state for peers no longer in `alive` (departed members must not
-  /// wedge the window floor or pin phantom pressure). Sorted view expected.
-  void retain_peers(const std::vector<MemberId>& alive);
-
-  /// A member joined the region mid-stream: seed its cursor at the current
-  /// window floor instead of letting its first ack (necessarily 0 — it has
-  /// received nothing contiguously) drag the floor back to 0 and inflate
-  /// outstanding() past the window. on_cursor's monotonicity then holds the
-  /// seed until the joiner genuinely catches up; the joiner backfills the
-  /// older frames through the recovery path, not the flow window.
-  void on_peer_joined(MemberId peer);
+  /// Reconcile the peer table with `reachable`, the region peers this
+  /// member can reach (sorted, self excluded). Peers outside it are dropped:
+  /// departed or severed members must not wedge the window floor or pin
+  /// phantom pressure. Once anything was sent, every reachable peer without
+  /// a cursor (never reported, a joiner, healed from a partition, or known
+  /// only from its BufferDigest) is bound at the floor over the peers that
+  /// remain: a peer that hears nothing still bounds the window, and a
+  /// joiner's first ack (necessarily 0 — it has received nothing
+  /// contiguously) cannot drag the floor back. on_cursor's monotonicity
+  /// holds the seed until the peer genuinely catches up; a joiner backfills
+  /// the older frames through the recovery path, not the flow window.
+  void sync_peers(const std::vector<MemberId>& reachable);
 
   /// Liveness escape hatch for a window wedged on *seeded* cursors: a peer
   /// whose binding sits at the floor but who never genuinely reported that
@@ -137,8 +143,8 @@ class FlowController {
   /// and return true; reliability for the skipped history stays with the
   /// recovery layer. If any floor holder honestly reported the floor this
   /// returns false and changes nothing — that stall belongs to the
-  /// re-multicast path. Never fires in churn-free runs: without seeding,
-  /// bindings equal reports by construction.
+  /// re-multicast path. Never fires in churn-free runs: there every seed is
+  /// the first frame's floor of 0, which no report falls below.
   bool release_stalled_peers();
 
   // --- AIMD window sizing -------------------------------------------------
@@ -156,9 +162,11 @@ class FlowController {
   std::uint64_t send_seq() const { return send_seq_; }
   /// Minimum receive cursor over reporting peers (0 until anyone reports).
   std::uint64_t window_floor() const;
-  /// True backlog: may exceed window_size transiently when a late-joining
-  /// peer first reports a cursor of 0 (its recovery of the earlier frames
-  /// catches the cursor up; until then the window stays closed).
+  /// Frames sent and not yet acknowledged by every peer. Seeds start at the
+  /// floor and cursors only rise, so once sync_peers has bound every
+  /// reporting peer this grows only by admitted sends; a peer that reports
+  /// before it is bound (a view change the endpoint was not told of) can
+  /// still drag the floor back until the next sync.
   std::uint64_t outstanding() const { return send_seq_ - window_floor(); }
   /// Credits available right now: effective_window() - outstanding(),
   /// clamped at 0. Never exceeds current_window() by construction.
@@ -180,12 +188,12 @@ class FlowController {
   /// Everything known about one region peer.
   struct Peer {
     /// Highest acknowledged contiguous sequence of our stream; absent until
-    /// the peer reports or is seeded as a joiner.
+    /// the peer reports or sync_peers seeds it.
     std::optional<std::uint64_t> cursor;
     /// Highest cursor the peer *itself* ever reported this incarnation
-    /// (monotone). Falls behind `cursor` only when on_peer_joined seeded
-    /// the binding above the joiner's truth — the signal
-    /// release_stalled_peers keys on.
+    /// (monotone). Falls behind `cursor` only when sync_peers seeded the
+    /// binding above the peer's truth — the signal release_stalled_peers
+    /// keys on.
     std::uint64_t reported = 0;
     std::uint64_t bytes_in_use = 0;
     std::uint64_t budget_bytes = 0;  // 0 = not reported / unlimited

@@ -110,8 +110,9 @@ class RecordingSink {
   /// Flow control: multicast() admitted a frame but the send window was
   /// full, so it was queued instead of transmitted.
   void on_send_deferred(MemberId m, const MessageId& id, TimePoint t);
-  /// Flow control: one periodic CreditAck multicast (receive cursors +
-  /// occupancy) left this member.
+  /// Flow control: a credit tick sent CreditAcks (receive cursor +
+  /// occupancy) to the region senders this member knows. A tick that knows
+  /// none records neither this nor on_credit_ack_suppressed.
   void on_credit_ack_sent(MemberId m, TimePoint t);
   /// Flow control: a periodic CreditAck was withheld because the member's
   /// cursors were already fresh on its piggybacked Data/Session traffic.

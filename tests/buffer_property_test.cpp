@@ -463,7 +463,7 @@ TEST(BufferPropertyTest, CoordinatedShedsRequireAdvertisedSoleCopy) {
 TEST(FlowControlPropertyTest, RandomizedFeedbackPreservesWindowInvariants) {
   // The flow-control axis of the fuzz layer: a FlowController driven by a
   // randomized interleaving of admitted sends, peer cursor acks (including
-  // stale and absurd ones), occupancy reports and peer departures must
+  // stale and absurd ones), occupancy reports and peer syncs must
   // always satisfy:
   //   - credits() never exceeds window_size (the hard pacing bound);
   //   - send_seq, the window floor, outstanding and the AIMD window match a
@@ -526,29 +526,26 @@ TEST(FlowControlPropertyTest, RandomizedFeedbackPreservesWindowInvariants) {
           fc.on_peer_occupancy(
               peer, use, static_cast<std::uint64_t>(rng.uniform_int(0, 8)));
         }
-      } else if (dice < 83) {
-        std::vector<MemberId> alive;
-        for (MemberId m = 1; m <= 4; ++m) {
-          if (rng.uniform_int(0, 4) != 0) alive.push_back(m);
-        }
-        fc.retain_peers(alive);
-        for (auto it = cursors.begin(); it != cursors.end();) {
-          bool keep = std::find(alive.begin(), alive.end(), it->first) !=
-                      alive.end();
-          it = keep ? std::next(it) : cursors.erase(it);
-        }
-        for (auto it = reported.begin(); it != reported.end();) {
-          bool keep = std::find(alive.begin(), alive.end(), it->first) !=
-                      alive.end();
-          it = keep ? std::next(it) : reported.erase(it);
-        }
       } else if (dice < 88) {
-        // A mid-stream join: the controller seeds the cursor at the current
-        // floor; try_emplace keeps a real cursor if the peer already spoke.
-        MemberId peer = static_cast<MemberId>(rng.uniform_int(1, 5));
-        std::uint64_t floor = shadow_floor();
-        fc.on_peer_joined(peer);
-        cursors.try_emplace(peer, floor);
+        // A view or partition change: peers outside the reachable set are
+        // dropped; once anything was sent, every reachable peer without a
+        // cursor (try_emplace keeps a real one) is seeded at the floor over
+        // the peers that remain.
+        std::vector<MemberId> reachable;
+        for (MemberId m = 1; m <= 5; ++m) {
+          if (rng.uniform_int(0, 4) != 0) reachable.push_back(m);
+        }
+        fc.sync_peers(reachable);
+        auto gone = [&reachable](const auto& entry) {
+          return std::find(reachable.begin(), reachable.end(), entry.first) ==
+                 reachable.end();
+        };
+        std::erase_if(cursors, gone);
+        std::erase_if(reported, gone);
+        if (send_seq > 0) {
+          std::uint64_t floor = shadow_floor();
+          for (MemberId m : reachable) cursors.try_emplace(m, floor);
+        }
       } else if (dice < 95) {
         // AIMD signals: a clean round grows by one up to window_size, a
         // loss halves down to the minimum window.

@@ -155,7 +155,7 @@ TEST(FlowControllerTest, DigestOccupancyJudgedAgainstSelfBudgetFallback) {
   EXPECT_FALSE(budgeted.pressured());
 }
 
-TEST(FlowControllerTest, RetainPeersUnwedgesDepartedFloorAndPressure) {
+TEST(FlowControllerTest, SyncPeersUnwedgesDepartedFloorAndPressure) {
   FlowController fc(windowed(4), 0);
   for (int i = 0; i < 4; ++i) fc.on_frame_sent();
   fc.on_cursor(1, 4);
@@ -164,7 +164,7 @@ TEST(FlowControllerTest, RetainPeersUnwedgesDepartedFloorAndPressure) {
   EXPECT_EQ(fc.window_floor(), 0u);
   EXPECT_FALSE(fc.may_send());
   EXPECT_TRUE(fc.pressured());
-  fc.retain_peers({1, 3});  // peer 2 departed
+  fc.sync_peers({1, 3});  // peer 2 departed
   EXPECT_EQ(fc.window_floor(), 4u);
   EXPECT_TRUE(fc.may_send());
   EXPECT_FALSE(fc.pressured());
@@ -248,16 +248,16 @@ TEST(FlowControllerTest, JoinedPeerSeededAtFloorNotZero) {
   EXPECT_EQ(fc.window_floor(), 5u);
   // A genuine joiner is seeded at the current floor: the crowd's window does
   // not reopen frames 1..5 that everyone else already acknowledged.
-  fc.on_peer_joined(2);
+  fc.sync_peers({1, 2});
   EXPECT_EQ(fc.window_floor(), 5u);
   EXPECT_EQ(fc.outstanding(), 1u);
   // The joiner's first real ack necessarily says 0 (it received nothing
   // contiguously); monotonicity holds the seed against it.
   fc.on_cursor(2, 0);
   EXPECT_EQ(fc.window_floor(), 5u);
-  // An established peer is never re-seeded upward by a spurious join event.
+  // An established peer is never re-seeded upward by a later sync.
   fc.on_cursor(3, 1);
-  fc.on_peer_joined(3);
+  fc.sync_peers({1, 2, 3});
   EXPECT_EQ(fc.window_floor(), 1u);
 }
 
@@ -269,7 +269,7 @@ TEST(FlowControllerTest, ReleaseStalledPeersWalksFloorPastSeededBinding) {
   // Peer 2 joins mid-stream: binding seeded at the floor (2). Its genuine
   // acks say 0 — it is backfilling history *below* the floor, so the frame
   // at the floor is not what blocks it.
-  fc.on_peer_joined(2);
+  fc.sync_peers({1, 2});
   fc.on_cursor(2, 0);
   fc.on_cursor(1, 4);
   EXPECT_EQ(fc.window_floor(), 2u);
@@ -295,9 +295,33 @@ TEST(FlowControllerTest, ReleaseNeverSkipsAnHonestFloorHolder) {
   // A seeded peer alongside it does not change that — the floor cannot
   // move while any honest holder sits on it.
   fc.on_cursor(3, 3);
-  fc.on_peer_joined(4);  // seeded at 1 (the floor)
+  fc.sync_peers({1, 2, 3, 4});  // 4 seeded at 1 (the floor)
   EXPECT_FALSE(fc.release_stalled_peers());
   EXPECT_EQ(fc.window_floor(), 1u);
+}
+
+TEST(FlowControllerTest, SyncPeersBindsPeersWithoutACursorOnceSending) {
+  FlowController fc(windowed(8), 0);
+  // Before the first frame there is nothing to bound: peer 2 stays unbound.
+  fc.sync_peers({1, 2});
+  for (int i = 0; i < 4; ++i) fc.on_frame_sent();
+  fc.on_cursor(1, 4);
+  EXPECT_EQ(fc.window_floor(), 4u);
+  fc.on_cursor(2, 1);
+  fc.on_cursor(5, 2);
+  EXPECT_EQ(fc.window_floor(), 1u);
+  fc.on_peer_occupancy(4, 10, 0);  // a BufferDigest row: no cursor
+  // Peer 2 departs and 3 joins. The floor is taken after the erase (2, not
+  // 1); the joiner and the cursorless row are bound there.
+  fc.sync_peers({1, 3, 4, 5});
+  EXPECT_EQ(fc.window_floor(), 2u);
+  fc.on_cursor(3, 4);
+  fc.on_cursor(5, 4);
+  EXPECT_EQ(fc.window_floor(), 2u);  // peer 4's seed holds it
+  fc.on_cursor(4, 4);
+  // Peer 1's cursor was left at 4, not pulled down to the seed.
+  EXPECT_EQ(fc.window_floor(), 4u);
+  EXPECT_EQ(fc.outstanding(), 0u);
 }
 
 TEST(FlowControllerTest, SanitizedClampsNonsenseKnobs) {
@@ -395,6 +419,51 @@ TEST(FlowEndpointTest, HaltDropsQueuedFrames) {
   cluster.run_for(Duration::millis(100));
 }
 
+TEST(FlowEndpointTest, CreditAcksReachOnlyRegionSenders) {
+  // Only senders read cursors: a member acks just the region peers it has
+  // received frames from, each ack carrying the target's cursor alone.
+  // Members 0 and 2 stream in region 0; region 1 hears both streams but has
+  // no sender of its own, so none of its members sends a CreditAck.
+  std::vector<std::vector<proto::CreditAck>> acks_at(12);  // outlives the taps
+  harness::ClusterConfig cc = flow_cluster(6, 151, /*window=*/4);
+  cc.region_sizes = {6, 6};
+  harness::Cluster cluster(cc);
+  for (MemberId m = 0; m < cluster.size(); ++m) {
+    Endpoint* ep = &cluster.endpoint(m);
+    std::vector<proto::CreditAck>* acks = &acks_at[m];
+    cluster.host(m).set_receiver(
+        [ep, acks](const proto::Message& msg, MemberId from) {
+          if (const auto* a = std::get_if<proto::CreditAck>(&msg)) {
+            acks->push_back(*a);
+          }
+          ep->handle_message(msg, from);
+        });
+  }
+  constexpr std::size_t kBurst = 10;
+  cluster.schedule_script_after(Duration::millis(1), [&] {
+    for (std::size_t i = 0; i < kBurst; ++i) {
+      cluster.endpoint(0).multicast(std::vector<std::uint8_t>(32, 0xA0));
+      cluster.endpoint(2).multicast(std::vector<std::uint8_t>(32, 0xA2));
+    }
+  });
+  cluster.run_for(Duration::seconds(2));
+  for (MemberId m = 0; m < cluster.size(); ++m) {
+    if (m != 0 && m != 2) {
+      EXPECT_TRUE(acks_at[m].empty()) << "member " << m;
+      continue;
+    }
+    EXPECT_FALSE(acks_at[m].empty()) << "member " << m;
+    for (const proto::CreditAck& a : acks_at[m]) {
+      ASSERT_EQ(a.cursors.size(), 1u) << "member " << m;
+      EXPECT_EQ(a.cursors[0].source, m);
+    }
+  }
+  for (std::uint64_t s = 1; s <= kBurst; ++s) {
+    EXPECT_TRUE(cluster.all_received(MessageId{0, s})) << "seq " << s;
+    EXPECT_TRUE(cluster.all_received(MessageId{2, s})) << "seq " << s;
+  }
+}
+
 // ------------------------------------------------- churn-safe credit state ----
 
 TEST(FlowEndpointTest, MidBurstJoinerDoesNotDragFloorToZero) {
@@ -445,7 +514,7 @@ TEST(FlowEndpointTest, MidBurstJoinerDoesNotDragFloorToZero) {
 TEST(FlowEndpointTest, StaleAckFromDepartedPeerIgnored) {
   // Departure-vs-ack race: a CreditAck from a member that just left the
   // view must not re-install its cursor — a zero cursor from a departed
-  // peer would wedge the window until the next tick's retain_peers pass.
+  // peer would wedge the window until the next tick's peer sync.
   harness::Cluster cluster(flow_cluster(4, 61, /*window=*/2));
   cluster.schedule_script_after(Duration::millis(1), [&] {
     cluster.endpoint(0).multicast(std::vector<std::uint8_t>(32, 0x33));
@@ -470,14 +539,15 @@ TEST(FlowEndpointTest, StaleAckFromDepartedPeerIgnored) {
 
 TEST(FlowEndpointTest, PartitionReleasesSeveredBindingAndHealReseeds) {
   // The fault-injection hardening end to end: member 3 sits behind a dead
-  // inbound edge (every link into it drops), so its honest cursor-0 acks
-  // wedge the sender at floor 0 — release_stalled_peers never fires for an
-  // honest holder, and the stall re-multicasts into 3 keep vanishing. A
+  // inbound edge (every link into it drops), so it never hears the sender
+  // and its binding from the first frame wedges the sender at floor 0 —
+  // release_stalled_peers never fires for a binding no report fell below,
+  // and the stall re-multicasts into 3 keep vanishing. A
   // partition severing 3 must release its binding immediately (the stream
   // un-wedges for the reachable majority), stale acks from either era must
   // be rejected by the connectivity generation, and the heal must re-seed 3
-  // at the current floor instead of letting its next genuine cursor-0 ack
-  // reopen the whole partition-era stream.
+  // at the current floor instead of letting a cursor-0 ack reopen the whole
+  // partition-era stream.
   harness::Cluster cluster(flow_cluster(4, 131, /*window=*/2));
   cluster.set_lossy_members({3}, 1.0);
   constexpr std::size_t kBurst = 8;
@@ -489,7 +559,7 @@ TEST(FlowEndpointTest, PartitionReleasesSeveredBindingAndHealReseeds) {
     EXPECT_EQ(cluster.endpoint(0).queued_sends(), kBurst - 2);
   });
   cluster.schedule_script_after(Duration::millis(60), [&] {
-    // The wedge: member 3 honestly reported 0 and can never advance.
+    // The wedge: member 3 is bound at 0 and can never advance.
     const Endpoint& e = cluster.endpoint(0);
     ASSERT_EQ(e.flow().window_floor(), 0u);
     ASSERT_EQ(e.flow().send_seq(), 2u);
@@ -551,9 +621,8 @@ TEST(FlowEndpointTest, PartitionReleasesSeveredBindingAndHealReseeds) {
     EXPECT_TRUE(e.flow().may_send());
   });
   cluster.schedule_script_after(Duration::millis(160), [&] {
-    // Member 3's genuine post-heal acks (current generation, cursor 0 — its
-    // inbound edge is still dead) have arrived; the heal-time seed holds
-    // the floor against them.
+    // Member 3's inbound edge is still dead: the heal-time seed, not a
+    // report, holds its binding at the floor.
     EXPECT_EQ(cluster.endpoint(0).flow().window_floor(), kBurst);
     EXPECT_TRUE(cluster.endpoint(0).flow().may_send());
   });
@@ -596,44 +665,26 @@ TEST(FlowEndpointTest, StallRemulticastsWedgingFrameAndRecovers) {
   }
 }
 
-TEST(FlowEndpointTest, FloorBelowOldestKeptFrameRemulticastsNothing) {
-  // The stall re-multicast reads the sender's window by index. Member 3's
-  // acks never reach the sender, so members 1-2 alone lift the floor and
-  // the window prunes the acknowledged prefix. A late cursor-0 ack from 3
-  // then drops the floor below the oldest frame kept: the stalls it causes
-  // have nothing to re-multicast (and must read nothing out of range) until
-  // the link heals and 3's real cursor reopens the window.
+TEST(FlowEndpointTest, SilentReturnLinkBoundsWindowUntilItHeals) {
+  // Member 3 hears the sender, but its acks never get back: link 3 -> 0 is
+  // dead. Bound from the sender's first frame, it holds the floor at 0, so
+  // the window never runs ahead of a peer the sender cannot hear from, and
+  // the stall path keeps re-multicasting the frame past the floor. Once the
+  // link heals, 3's acks reopen the window and the burst drains.
   harness::Cluster cluster(flow_cluster(4, 141, /*window=*/2));
   cluster.set_link_loss(3, 0, 1.0);
   constexpr std::size_t kBurst = 8;
-  auto send = [&cluster](std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
+  cluster.schedule_script_after(Duration::millis(1), [&] {
+    for (std::size_t i = 0; i < kBurst; ++i) {
       cluster.endpoint(0).multicast(std::vector<std::uint8_t>(32, 0x99));
     }
-  };
-  std::uint64_t remcasts = 0;
-  cluster.schedule_script_after(Duration::millis(1), [&] { send(kBurst / 2); });
+  });
   cluster.schedule_script_after(Duration::millis(60), [&] {
     const Endpoint& e = cluster.endpoint(0);
-    ASSERT_EQ(e.flow().send_seq(), kBurst / 2);
-    // Acknowledged by 1-2 ticks ago: frames 1-4 are pruned from the window.
-    ASSERT_EQ(e.flow().window_floor(), kBurst / 2);
-    remcasts = cluster.metrics().counters().flow_stall_remcasts;
-    proto::CreditAck late;
-    late.member = 3;
-    late.cursors = {{/*source=*/0, /*cursor=*/0}};
-    cluster.endpoint(0).handle_message(proto::Message{late}, 3);
     EXPECT_EQ(e.flow().window_floor(), 0u);
-    send(kBurst / 2);
-    EXPECT_EQ(e.queued_sends(), kBurst / 2);
-  });
-  cluster.schedule_script_after(Duration::millis(120), [&] {
-    // Twelve wedged credit ticks: the stall path ran, found the wedging
-    // frame already pruned, and sent nothing.
-    const Endpoint& e = cluster.endpoint(0);
-    EXPECT_EQ(e.flow().window_floor(), 0u);
-    EXPECT_EQ(e.flow().send_seq(), kBurst / 2);
-    EXPECT_EQ(cluster.metrics().counters().flow_stall_remcasts, remcasts);
+    EXPECT_EQ(e.flow().send_seq(), 2u);
+    EXPECT_EQ(e.queued_sends(), kBurst - 2);
+    EXPECT_GT(cluster.metrics().counters().flow_stall_remcasts, 0u);
     cluster.set_link_loss(3, 0, 0.0);
   });
   cluster.run_for(Duration::millis(400));
@@ -696,7 +747,7 @@ harness::ClusterConfig adaptive_cluster(std::size_t n, std::uint64_t seed) {
 TEST(FlowEndpointTest, PiggybackSuppressesCreditAcksWithoutLosingGoodput) {
   // Same schedule and seed, piggyback off vs on: the piggybacked cursors
   // (and the unchanged-cursor suppression for quiet receivers) must remove
-  // a substantial share of standalone CreditAck multicasts while every
+  // a substantial share of standalone CreditAcks while every
   // message still reaches every member.
   auto run = [](bool piggyback, std::uint64_t* acks_sent,
                 std::uint64_t* suppressed) {
