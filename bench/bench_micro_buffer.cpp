@@ -22,7 +22,7 @@ using namespace rrmp;
 class BenchEnv final : public buffer::PolicyEnv {
  public:
   TimePoint now() const override { return sim_.now(); }
-  std::uint64_t schedule(Duration d, std::function<void()> fn) override {
+  std::uint64_t schedule(Duration d, sim::Callback fn) override {
     return sim_.schedule_after(d, std::move(fn)).value;
   }
   void cancel(std::uint64_t timer) override {

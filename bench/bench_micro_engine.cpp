@@ -85,7 +85,7 @@ class BenchEnv final : public buffer::PolicyEnv {
     }
   }
   TimePoint now() const override { return sim_.now(); }
-  std::uint64_t schedule(Duration d, std::function<void()> fn) override {
+  std::uint64_t schedule(Duration d, sim::Callback fn) override {
     return sim_.schedule_after(d, std::move(fn)).value;
   }
   void cancel(std::uint64_t t) override { sim_.cancel(sim::TimerId{t}); }

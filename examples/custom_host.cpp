@@ -41,8 +41,10 @@ class TinyHost final : public IHost {
   TimePoint now() const override { return loop_.now(); }
 
   // 2. One-shot cancellable timers. Handles must stay valid to cancel
-  //    after firing (cancel of a fired timer is a no-op).
-  TimerHandle schedule(Duration d, std::function<void()> fn) override {
+  //    after firing (cancel of a fired timer is a no-op). The callback is
+  //    a move-only sim::Callback; store it as is, or wrap it in a
+  //    shared_ptr if your reactor needs copyable callables.
+  TimerHandle schedule(Duration d, sim::Callback fn) override {
     return loop_.schedule_after(d, std::move(fn)).value;
   }
   void cancel(TimerHandle t) override { loop_.cancel(sim::TimerId{t}); }

@@ -3,8 +3,7 @@
 namespace rrmp::buffer {
 
 void FixedTimePolicy::on_stored(const MessageId& id) {
-  store().set_entry_timer(
-      id, env().schedule(params_.ttl, [this, id] { store().discard(id); }));
+  store().arm(id, params_.ttl, [this, id] { store().discard(id); });
 }
 
 }  // namespace rrmp::buffer

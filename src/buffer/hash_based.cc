@@ -69,43 +69,32 @@ std::vector<MemberId> hash_bufferers(const MessageId& id,
 void HashBasedPolicy::on_stored(const MessageId& id) {
   const std::vector<MemberId>& members = env().region_members();
   hash_evaluations_ += members.size();
-  bool mine = selector_.selects(id, members, params_.k, env().self());
-  if (mine) {
+  if (selector_.selects(id, members, params_.k, env().self())) {
     store().promote_long_term(id);
-    if (!params_.bufferer_ttl.is_infinite()) {
-      store().set_entry_timer(id, env().schedule(params_.bufferer_ttl, [this, id] {
-        store().discard(id);
-      }));
-    }
+    arm_bufferer_ttl(id);
   } else {
-    store().set_entry_timer(id, env().schedule(
-                                    params_.grace,
-                                    [this, id] { grace_expired(id); }));
+    store().arm(id, params_.grace, [this, id] { grace_expired(id); });
   }
 }
 
 void HashBasedPolicy::on_handoff(const MessageId& id) {
   store().promote_long_term(id);
-  if (!params_.bufferer_ttl.is_infinite()) {
-    store().set_entry_timer(id, env().schedule(params_.bufferer_ttl, [this, id] {
-      store().discard(id);
-    }));
-  }
+  arm_bufferer_ttl(id);
+}
+
+void HashBasedPolicy::arm_bufferer_ttl(const MessageId& id) {
+  if (params_.bufferer_ttl.is_infinite()) return;
+  store().arm(id, params_.bufferer_ttl, [this, id] { store().discard(id); });
 }
 
 void HashBasedPolicy::grace_expired(const MessageId& id) {
   auto v = store().view(id);
   if (!v) return;
-  store().set_entry_timer(id, 0);  // this timer's handle is spent
   // A handoff upgraded the entry to long-term while the grace countdown
   // was pending: the transfer's copy must survive the grace it was armed
   // with as a mere non-bufferer, and owes the bufferer lifecycle instead.
   if (v->long_term) {
-    if (!params_.bufferer_ttl.is_infinite()) {
-      store().set_entry_timer(id, env().schedule(params_.bufferer_ttl, [this, id] {
-        store().discard(id);
-      }));
-    }
+    arm_bufferer_ttl(id);
     return;
   }
   store().discard(id);

@@ -86,6 +86,8 @@ class HashBasedPolicy final : public RetentionPolicy {
   void on_handoff(const MessageId& id) override;
 
  private:
+  /// Arm a bufferer's eventual discard, unless bufferer_ttl is infinite.
+  void arm_bufferer_ttl(const MessageId& id);
   void grace_expired(const MessageId& id);
 
   HashBasedParams params_;

@@ -12,8 +12,8 @@
 //                                 to store events (on_stored / on_handoff /
 //                                 on_request_seen), drives retention through
 //                                 the store's mutators (touch / promote /
-//                                 discard / per-entry timers), and chooses
-//                                 eviction victims when the budget is hit.
+//                                 discard / arm), and chooses eviction
+//                                 victims when the budget is hit.
 //
 // Concrete strategies:
 //
@@ -30,35 +30,29 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
-#include "buffer/budget.h"
 #include "common/random.h"
 #include "common/time.h"
 #include "common/types.h"
 #include "proto/messages.h"
+#include "sim/callback.h"
 
 namespace rrmp::buffer {
 
 class BufferStore;
 
-/// Snapshot of a store's budget situation, exposed to policies through
-/// PolicyEnv::budget() so retention decisions can react to memory pressure.
-struct BudgetState {
-  std::size_t bytes = 0;  // accounted bytes currently buffered
-  std::size_t count = 0;  // entries currently buffered
-  BufferBudget limit;     // configured caps (zero fields = unlimited)
-};
-
-/// Host services a policy may use; implemented by the protocol endpoint.
+/// Host services a store and its policy use; implemented by the protocol
+/// endpoint. Timers are the store's: policies arm them through
+/// BufferStore::arm, which owns each entry's handle.
 class PolicyEnv {
  public:
   virtual ~PolicyEnv() = default;
   virtual TimePoint now() const = 0;
   /// One-shot timer; returns a handle for cancel(). Handle 0 is invalid.
-  virtual std::uint64_t schedule(Duration d, std::function<void()> fn) = 0;
+  virtual std::uint64_t schedule(Duration d, sim::Callback fn) = 0;
+  /// Cancelling handle 0, or one that already fired, is a no-op.
   virtual void cancel(std::uint64_t timer) = 0;
   virtual RandomEngine& rng() = 0;
   /// Current size of the member's region (alive members, including self).
@@ -66,9 +60,6 @@ class PolicyEnv {
   /// Alive members of the region, including self (for hash-based selection).
   virtual const std::vector<MemberId>& region_members() const = 0;
   virtual MemberId self() const = 0;
-  /// Budget state of the buffer this policy governs. The default (empty,
-  /// unlimited) suits environments without a store attached.
-  virtual BudgetState budget() const { return {}; }
 };
 
 enum class BufferEvent {
@@ -133,8 +124,8 @@ class RetentionPolicy {
   /// (repair servers hand over their whole archive).
   virtual bool handoff_includes_short_term() const { return false; }
 
-  /// A new entry for `id` was admitted (not a duplicate); arm whatever
-  /// timers apply.
+  /// A new entry for `id` was admitted (not a duplicate); arm its timer
+  /// (BufferStore::arm), if it needs one.
   virtual void on_stored(const MessageId& id) = 0;
 
   /// Entry for `id` arrived via handoff from a leaving member (default:

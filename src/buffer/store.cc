@@ -242,10 +242,7 @@ void BufferStore::discard(const MessageId& id, BufferEvent reason) {
   auto it = std::lower_bound(entries_.begin(), entries_.end(), id, IdLess{});
   if (it == entries_.end() || it->data.id != id) return;
   Entry& e = *it;
-  if (e.timer != 0) {
-    env_->cancel(e.timer);
-    e.timer = 0;
-  }
+  env_->cancel(e.timer);
   bytes_ -= e.bytes;
   stats_.total_buffer_time += env_->now() - e.stored_at;
   bool was_long_term = e.long_term;
@@ -259,14 +256,15 @@ void BufferStore::discard(const MessageId& id, BufferEvent reason) {
   notify(id, reason, was_long_term);
 }
 
-void BufferStore::set_entry_timer(const MessageId& id, std::uint64_t timer) {
+void BufferStore::arm(const MessageId& id, Duration delay, sim::Callback fn) {
   Entry* e = find(id);
-  if (e != nullptr) e->timer = timer;
+  if (e == nullptr) return;
+  env_->cancel(e->timer);
+  e->timer = env_->schedule(delay, std::move(fn));
 }
 
-std::uint64_t BufferStore::entry_timer(const MessageId& id) const {
-  const Entry* e = find(id);
-  return e == nullptr ? 0 : e->timer;
+void BufferStore::cancel_timers() {
+  for (const Entry& e : entries_) env_->cancel(e.timer);
 }
 
 BufferStore::Entry* BufferStore::find(const MessageId& id) {

@@ -19,9 +19,15 @@
 // policy's on_stored/on_handoff hooks after accounting and observer
 // notification, and on_request_seen() refreshes the entry's activity clock
 // before forwarding the feedback. Policies mutate retention state only
-// through the store's mutators (touch / promote_long_term / discard /
-// set_entry_timer), never by holding entry references: entries move when
-// the flat storage grows.
+// through the store's mutators (touch / promote_long_term / discard / arm),
+// never by holding entry references: entries move when the flat storage
+// grows.
+//
+// The store owns every entry timer. An entry holds at most one: arm()
+// cancels the previous handle before scheduling the next, departure
+// cancels it, and cancel_timers() cancels the rest when the owning member
+// halts. A handle that already fired is never cleared, because cancelling
+// it is a no-op (PolicyEnv::cancel).
 #pragma once
 
 #include <cstdint>
@@ -99,7 +105,6 @@ class BufferStore {
   std::size_t bytes() const { return bytes_; }
   const BufferStats& stats() const { return stats_; }
   const BufferBudget& budget() const { return budget_; }
-  BudgetState budget_state() const { return {bytes_, entries_.size(), budget_}; }
 
   // --- region coordination (cooperative budgets) -------------------------
 
@@ -135,7 +140,7 @@ class BufferStore {
     TimePoint stored_at;
     TimePoint last_activity;
     bool long_term = false;
-    std::uint64_t timer = 0;  // pending policy timer, 0 if none
+    std::uint64_t timer = 0;  // last armed timer (may have fired); 0 if none
   };
   std::optional<EntryView> view(const MessageId& id) const;
 
@@ -156,12 +161,14 @@ class BufferStore {
   void discard(const MessageId& id,
                BufferEvent reason = BufferEvent::kDiscarded);
 
-  /// Install `timer` as the entry's pending policy timer. The store cancels
-  /// it automatically when the entry departs (discard/evict/handoff), so a
-  /// policy never leaks a slab handle. Overwrites without cancelling — the
-  /// policy owns the old handle's lifecycle until it hands it over.
-  void set_entry_timer(const MessageId& id, std::uint64_t timer);
-  std::uint64_t entry_timer(const MessageId& id) const;
+  /// Replace `id`'s timer: cancel the previous one, then run `fn` after
+  /// `delay`. The store cancels it when the entry departs
+  /// (discard/evict/handoff). No-op if absent.
+  void arm(const MessageId& id, Duration delay, sim::Callback fn);
+
+  /// Cancel every entry's timer (the owning member halted). The entries
+  /// stay; nothing fires for them afterwards unless re-armed.
+  void cancel_timers();
 
   /// Test/harness hook: drop `id` immediately (as if idle-discarded).
   void force_discard(const MessageId& id) { discard(id); }
@@ -178,7 +185,7 @@ class BufferStore {
     /// path refuses to bounce it onward until it has aged one digest
     /// period (anti-ping-pong damping, see remove_victim).
     bool via_handoff = false;
-    std::uint64_t timer = 0;  // pending policy timer for this entry, if any
+    std::uint64_t timer = 0;  // last armed timer for this entry, if any
   };
 
   Admission insert(const proto::Data& msg, bool via_handoff);

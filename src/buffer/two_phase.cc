@@ -17,25 +17,18 @@ void TwoPhasePolicy::on_request_seen(const MessageId& id) {
   // The store refreshed last_activity already.
   // Short-term: the pending idle check re-arms itself off last_activity.
   // Long-term: refresh the eventual-discard clock.
-  if (store().is_long_term(id) && !params_.long_term_ttl.is_infinite()) {
-    std::uint64_t timer = store().entry_timer(id);
-    if (timer != 0) env().cancel(timer);
-    store().set_entry_timer(id, 0);
-    arm_long_term_ttl(id);
-  }
+  if (store().is_long_term(id)) arm_long_term_ttl(id);
 }
 
 void TwoPhasePolicy::arm_idle_check(const MessageId& id) {
   auto v = store().view(id);
   TimePoint due = v->last_activity + params_.idle_threshold;
-  store().set_entry_timer(
-      id, env().schedule(due - env().now(), [this, id] { idle_check(id); }));
+  store().arm(id, due - env().now(), [this, id] { idle_check(id); });
 }
 
 void TwoPhasePolicy::idle_check(const MessageId& id) {
   auto v = store().view(id);
   if (!v) return;
-  store().set_entry_timer(id, 0);  // this check's handle is spent either way
   if (v->long_term) {
     // Upgraded (handoff) while the idle check was pending: the entry owes
     // the long-term lifecycle now, not another idle decision.
@@ -62,21 +55,16 @@ void TwoPhasePolicy::idle_check(const MessageId& id) {
 
 void TwoPhasePolicy::arm_long_term_ttl(const MessageId& id) {
   if (params_.long_term_ttl.is_infinite()) return;
-  store().set_entry_timer(id, env().schedule(params_.long_term_ttl, [this, id] {
-    long_term_check(id);
-  }));
+  store().arm(id, params_.long_term_ttl, [this, id] { long_term_check(id); });
 }
 
 void TwoPhasePolicy::long_term_check(const MessageId& id) {
   auto v = store().view(id);
   if (!v) return;
-  store().set_entry_timer(id, 0);
   TimePoint due = v->last_activity + params_.long_term_ttl;
   if (env().now() < due) {
     // Used since the timer was armed; keep it around for another period.
-    store().set_entry_timer(id, env().schedule(due - env().now(), [this, id] {
-      long_term_check(id);
-    }));
+    store().arm(id, due - env().now(), [this, id] { long_term_check(id); });
     return;
   }
   store().discard(id);

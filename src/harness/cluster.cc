@@ -95,7 +95,7 @@ TimePoint Cluster::now() const {
   return clock_;
 }
 
-void Cluster::schedule_script(TimePoint t, std::function<void()> fn) {
+void Cluster::schedule_script(TimePoint t, sim::Callback fn) {
   if (network_->lane_count() == 1) {
     // Single lane: scripts interleave with protocol events on the one queue,
     // exactly like the pre-sharding harness.

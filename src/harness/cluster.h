@@ -20,7 +20,6 @@
 // pre-sharding harness.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -112,8 +111,8 @@ class Cluster {
   /// `t` and cross-region traffic due by `t` has been exchanged. Scripts may
   /// touch any member, region or the cluster itself (leave/crash/rejoin,
   /// injections, sampling) — the barrier guarantees no lane is running.
-  void schedule_script(TimePoint t, std::function<void()> fn);
-  void schedule_script_after(Duration d, std::function<void()> fn) {
+  void schedule_script(TimePoint t, sim::Callback fn);
+  void schedule_script_after(Duration d, sim::Callback fn) {
     schedule_script(now() + d, std::move(fn));
   }
 

@@ -15,7 +15,7 @@ SimHost::SimHost(MemberId self, net::SimNetwork& network,
 
 TimePoint SimHost::now() const { return sim_.now(); }
 
-TimerHandle SimHost::schedule(Duration d, std::function<void()> fn) {
+TimerHandle SimHost::schedule(Duration d, sim::Callback fn) {
   return sim_.schedule_after(d, std::move(fn)).value;
 }
 

@@ -32,7 +32,7 @@ class SimHost final : public IHost, public net::MessageHandler {
   MemberId self() const override { return self_; }
   RegionId region() const override { return region_; }
   TimePoint now() const override;
-  TimerHandle schedule(Duration d, std::function<void()> fn) override;
+  TimerHandle schedule(Duration d, sim::Callback fn) override;
   void cancel(TimerHandle timer) override;
   void send(MemberId to, proto::Message msg) override;
   void multicast_region(proto::Message msg) override;

@@ -23,7 +23,7 @@ class UdpRuntime::MemberHost final : public IHost {
   RegionId region() const override { return region_; }
   TimePoint now() const override { return bus_.now(); }
 
-  TimerHandle schedule(Duration d, std::function<void()> fn) override {
+  TimerHandle schedule(Duration d, sim::Callback fn) override {
     return bus_.schedule_after(d, std::move(fn));
   }
   void cancel(TimerHandle timer) override { bus_.cancel(timer); }

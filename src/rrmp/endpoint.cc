@@ -35,8 +35,8 @@ Config sanitized(Config c) {
 
 TimePoint Endpoint::Env::now() const { return ep_.host_.now(); }
 
-std::uint64_t Endpoint::Env::schedule(Duration d, std::function<void()> fn) {
-  return ep_.schedule(d, std::move(fn));
+std::uint64_t Endpoint::Env::schedule(Duration d, sim::Callback fn) {
+  return ep_.host_.schedule(d, std::move(fn));
 }
 
 void Endpoint::Env::cancel(std::uint64_t timer) { ep_.host_.cancel(timer); }
@@ -52,10 +52,6 @@ const std::vector<MemberId>& Endpoint::Env::region_members() const {
 }
 
 MemberId Endpoint::Env::self() const { return ep_.host_.self(); }
-
-buffer::BudgetState Endpoint::Env::budget() const {
-  return ep_.store_->budget_state();
-}
 
 // ----------------------------------------------------------- lifecycle ----
 
@@ -96,11 +92,12 @@ Endpoint::Endpoint(IHost& host, Config config,
   stability_policy_ = dynamic_cast<buffer::StabilityPolicy*>(&retention);
   hash_policy_ = dynamic_cast<const buffer::HashBasedPolicy*>(&retention);
   if (stability_policy_ != nullptr) {
-    history_timer_ = schedule(kHistoryInterval, [this] { history_tick(); });
+    history_timer_ =
+        host_.schedule(kHistoryInterval, [this] { history_tick(); });
   }
   if (cfg_.anti_entropy) {
-    anti_entropy_timer_ =
-        schedule(cfg_.anti_entropy_interval, [this] { anti_entropy_tick(); });
+    anti_entropy_timer_ = host_.schedule(cfg_.anti_entropy_interval,
+                                         [this] { anti_entropy_tick(); });
   }
   if (cfg_.buffer_coordination.enabled) {
     store_->set_shed_handler([this](const proto::Data& d, MemberId target) {
@@ -115,19 +112,17 @@ Endpoint::Endpoint(IHost& host, Config config,
       host_.send(target, proto::Message{proto::Shed{self(), d}});
       return true;
     });
-    digest_timer_ = schedule(cfg_.buffer_coordination.digest_interval,
-                             [this] { digest_tick(); });
+    digest_timer_ = host_.schedule(cfg_.buffer_coordination.digest_interval,
+                                   [this] { digest_tick(); });
   }
   if (cfg_.flow.enabled) {
     aimd_round_start_ = host_.now();
-    credit_timer_ = schedule(cfg_.flow.ack_interval, [this] { credit_tick(); });
+    credit_timer_ =
+        host_.schedule(cfg_.flow.ack_interval, [this] { credit_tick(); });
   }
 }
 
-Endpoint::~Endpoint() {
-  halt();
-  *alive_token_ = false;  // defuse any timer guard still in a queue
-}
+Endpoint::~Endpoint() { halt(); }
 
 void Endpoint::halt() {
   if (!active_) return;
@@ -149,6 +144,7 @@ void Endpoint::halt() {
   pending_relays_.clear();
   for (auto& [id, reply] : pending_replies_) cancel(reply.timer);
   pending_replies_.clear();
+  store_->cancel_timers();
   waiters_.clear();
   if (gossip_fd_) gossip_fd_->stop();
 }
@@ -226,7 +222,7 @@ void Endpoint::transmit_next() {
   host_.ip_multicast(proto::Message{std::move(wire)});
   if (session_timer_ == kNoTimer) {
     session_timer_ =
-        schedule(cfg_.session_interval, [this] { session_tick(); });
+        host_.schedule(cfg_.session_interval, [this] { session_tick(); });
   }
 }
 
@@ -245,7 +241,8 @@ void Endpoint::session_tick() {
     advertised_any_ = true;
   }
   host_.ip_multicast(proto::Message{std::move(s)});
-  session_timer_ = schedule(cfg_.session_interval, [this] { session_tick(); });
+  session_timer_ =
+      host_.schedule(cfg_.session_interval, [this] { session_tick(); });
 }
 
 // ------------------------------------------------------------ dispatch ----
@@ -754,17 +751,17 @@ void Endpoint::local_attempt(const MessageId& id) {
   MemberId q = pick_request_target(id);
   if (q == kInvalidMember) {
     // Alone in the region: retry later in case the view grows.
-    task.local_timer = schedule(host_.rtt_estimate(self()),
-                                [this, id] { local_attempt(id); });
+    task.local_timer = host_.schedule(host_.rtt_estimate(self()),
+                                      [this, id] { local_attempt(id); });
     return;
   }
   ++task.local_attempts;
   metrics_.on_request_sent(self(), id, /*remote=*/false, host_.now());
   if (cfg_.measure_rtt) probes_[id].try_emplace(q, host_.now());
   host_.send(q, proto::Message{proto::LocalRequest{id, self()}});
-  task.local_timer =
-      schedule(retry_backoff(request_timeout(q), task.local_attempts - 1),
-               [this, id] { local_attempt(id); });
+  task.local_timer = host_.schedule(
+      retry_backoff(request_timeout(q), task.local_attempts - 1),
+      [this, id] { local_attempt(id); });
 }
 
 void Endpoint::remote_attempt(const MessageId& id) {
@@ -795,9 +792,9 @@ void Endpoint::remote_attempt(const MessageId& id) {
     } else {
       return;  // we are the sender and the root — nobody above us
     }
-    task.remote_timer =
-        schedule(retry_backoff(request_timeout(up), task.remote_attempts - 1),
-                 [this, id] { remote_attempt(id); });
+    task.remote_timer = host_.schedule(
+        retry_backoff(request_timeout(up), task.remote_attempts - 1),
+        [this, id] { remote_attempt(id); });
     return;
   }
   const membership::RegionView& parent = host_.parent_view();
@@ -822,7 +819,7 @@ void Endpoint::remote_attempt(const MessageId& id) {
     host_.send(r, proto::Message{proto::RemoteRequest{id, self()}});
   }
   task.remote_timer =
-      schedule(request_timeout(r), [this, id] { remote_attempt(id); });
+      host_.schedule(request_timeout(r), [this, id] { remote_attempt(id); });
 }
 
 // ---------------------------------------------------------- repair tree ----
@@ -923,7 +920,8 @@ void Endpoint::search_attempt(const MessageId& id) {
   ++task.attempts;
   metrics_.on_search_hop(self(), q, id, host_.now());
   host_.send(q, proto::Message{proto::SearchRequest{id, task.carry.front()}});
-  task.timer = schedule(request_timeout(q), [this, id] { search_attempt(id); });
+  task.timer =
+      host_.schedule(request_timeout(q), [this, id] { search_attempt(id); });
 }
 
 void Endpoint::end_search(const MessageId& id, MemberId holder) {
@@ -948,7 +946,7 @@ void Endpoint::schedule_query_reply(const MessageId& id, MemberId requester) {
       static_cast<std::int64_t>(host_.rng().uniform_real(0.0, window_us)));
   PendingReply reply;
   reply.requester = requester;
-  reply.timer = schedule(delay, [this, id] { fire_query_reply(id); });
+  reply.timer = host_.schedule(delay, [this, id] { fire_query_reply(id); });
   pending_replies_.emplace(id, std::move(reply));
 }
 
@@ -1014,7 +1012,8 @@ void Endpoint::schedule_regional_relay(const proto::Data& d) {
                                static_cast<double>(cfg_.regional_backoff.us()))));
   PendingRelay relay;
   relay.data = d;
-  relay.timer = schedule(delay, [this, id = d.id] { fire_regional_relay(id); });
+  relay.timer =
+      host_.schedule(delay, [this, id = d.id] { fire_regional_relay(id); });
   pending_relays_.emplace(d.id, std::move(relay));
 }
 
@@ -1050,7 +1049,7 @@ void Endpoint::history_tick() {
     recompute_stability();
     host_.multicast_region(proto::Message{std::move(h)});
   }
-  history_timer_ = schedule(kHistoryInterval, [this] { history_tick(); });
+  history_timer_ = host_.schedule(kHistoryInterval, [this] { history_tick(); });
 }
 
 void Endpoint::digest_tick() {
@@ -1070,8 +1069,8 @@ void Endpoint::digest_tick() {
   d.view_gen = view_gen_;
   if (cfg_.flow.enabled) d.window_outstanding = flow_.outstanding();
   host_.multicast_region(proto::Message{std::move(d)});
-  digest_timer_ = schedule(cfg_.buffer_coordination.digest_interval,
-                           [this] { digest_tick(); });
+  digest_timer_ = host_.schedule(cfg_.buffer_coordination.digest_interval,
+                                 [this] { digest_tick(); });
 }
 
 std::vector<proto::ReceiveCursor> Endpoint::cursor_snapshot() const {
@@ -1242,7 +1241,8 @@ void Endpoint::credit_tick() {
   // Pruning departed peers (or the view shrinking to just us) may have
   // freed credit even without new acks.
   drain_window();
-  credit_timer_ = schedule(cfg_.flow.ack_interval, [this] { credit_tick(); });
+  credit_timer_ =
+      host_.schedule(cfg_.flow.ack_interval, [this] { credit_tick(); });
 }
 
 void Endpoint::anti_entropy_tick() {
@@ -1253,8 +1253,8 @@ void Endpoint::anti_entropy_tick() {
     proto::History h = build_history();
     if (!h.sources.empty()) host_.send(q, proto::Message{std::move(h)});
   }
-  anti_entropy_timer_ =
-      schedule(cfg_.anti_entropy_interval, [this] { anti_entropy_tick(); });
+  anti_entropy_timer_ = host_.schedule(cfg_.anti_entropy_interval,
+                                       [this] { anti_entropy_tick(); });
 }
 
 void Endpoint::pull_from_digest(const proto::History& digest, MemberId from) {
@@ -1309,14 +1309,6 @@ std::vector<std::uint64_t> Endpoint::missing_from(MemberId source) const {
   auto it = trackers_.find(source);
   if (it == trackers_.end()) return {};
   return it->second.missing();
-}
-
-TimerHandle Endpoint::schedule(Duration d, std::function<void()> fn) {
-  return host_.schedule(d, [this, token = alive_token_, f = std::move(fn)] {
-    // Check the token before touching any member: the endpoint may have
-    // been destroyed while this callback sat in the timer queue.
-    if (*token && active_) f();
-  });
 }
 
 void Endpoint::cancel(TimerHandle& t) {

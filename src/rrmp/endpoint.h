@@ -96,7 +96,11 @@ class Endpoint {
   /// selected region members (§3.2) and stop all activity.
   void leave();
 
-  /// Stop without handoff (crash in tests; also used on shutdown).
+  /// Stop without handoff (crash in tests; also used on shutdown). Cancels
+  /// every timer the endpoint armed, the buffer store's included, so the
+  /// endpoint may be destroyed while its host keeps running. Call it from
+  /// outside the endpoint's callbacks: a delivery handler that halts its
+  /// own endpoint leaves the rest of that delivery running.
   void halt();
 
   // --- transport interface --------------------------------------------
@@ -165,13 +169,12 @@ class Endpoint {
    public:
     explicit Env(Endpoint& ep) : ep_(ep) {}
     TimePoint now() const override;
-    std::uint64_t schedule(Duration d, std::function<void()> fn) override;
+    std::uint64_t schedule(Duration d, sim::Callback fn) override;
     void cancel(std::uint64_t timer) override;
     RandomEngine& rng() override;
     std::size_t region_size() const override;
     const std::vector<MemberId>& region_members() const override;
     MemberId self() const override;
-    buffer::BudgetState budget() const override;
 
    private:
     Endpoint& ep_;
@@ -315,7 +318,6 @@ class Endpoint {
   // Helpers.
   void serve_waiters(const proto::Data& d);
   void satisfy_searches(const proto::Data& d);
-  TimerHandle schedule(Duration d, std::function<void()> fn);
   void cancel(TimerHandle& t);
   Duration request_timeout(MemberId peer) const;
   SequenceTracker& tracker(MemberId source) { return trackers_[source]; }
@@ -328,11 +330,9 @@ class Endpoint {
   std::function<void(const proto::Data&)> delivery_handler_;
 
   bool active_ = true;
-  // Liveness token captured by every timer guard: halt() cancels the timers
-  // it tracks, but buffer-policy timers it does not — a timer that outlives
-  // this endpoint (e.g. the member was replaced after a rejoin) must find a
-  // dead token instead of dereferencing a freed `this`.
-  std::shared_ptr<bool> alive_token_ = std::make_shared<bool>(true);
+  // Every timer this endpoint arms is tracked by a handle below, in a task
+  // map, or by the buffer store, so halt() can cancel all of them: no
+  // callback outlives the endpoint.
   TimerHandle session_timer_ = kNoTimer;
   TimerHandle history_timer_ = kNoTimer;
   TimerHandle anti_entropy_timer_ = kNoTimer;

@@ -7,13 +7,13 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "common/random.h"
 #include "common/time.h"
 #include "common/types.h"
 #include "membership/view.h"
 #include "proto/messages.h"
+#include "sim/callback.h"
 
 namespace rrmp {
 
@@ -29,7 +29,14 @@ class IHost {
   virtual RegionId region() const = 0;
 
   virtual TimePoint now() const = 0;
-  virtual TimerHandle schedule(Duration d, std::function<void()> fn) = 0;
+  /// One-shot timer: run `fn` after `d`. Returns a handle for cancel(),
+  /// never kNoTimer. `fn` is the simulator's small-buffer callable, so
+  /// an implementation that stores it as is arms without allocating.
+  virtual TimerHandle schedule(Duration d, sim::Callback fn) = 0;
+  /// Cancel a pending timer. Cancelling kNoTimer, or a handle that already
+  /// fired or was cancelled, must be a no-op: the buffer store cancels an
+  /// entry's previous handle on every re-arm without tracking whether it
+  /// fired.
   virtual void cancel(TimerHandle timer) = 0;
 
   /// Unicast to any member of the group.

@@ -11,8 +11,8 @@
 //     everything stored is still present or departed exactly once);
 //   - flat storage stays strictly id-sorted;
 //   - timer bookkeeping is exact: the simulator's pending count equals the
-//     number of entries with an armed policy timer, so no timer can ever
-//     fire for a departed entry and no handle leaks;
+//     number of live entries whose timer handle is still pending, so no
+//     timer can ever fire for a departed entry and no handle leaks;
 //   - digest-derived replica counts never go negative (they are counts, not
 //     deltas) and never exceed the advertising peer set;
 //   - shed handoffs happen only under coordination, only for sole copies,
@@ -70,7 +70,6 @@ class StoreFuzzer {
         op_rng_(cfg.seed ^ 0xF022ED5ULL) {
     store_ = make_store(spec_for(cfg.kind), cfg.budget, cfg.coordination);
     store_->bind(&env_);
-    env_.attach_store(store_.get());
     store_->set_observer([this](const MessageId& id, BufferEvent ev, bool lt) {
       log_.push_back({id, ev, lt});
     });
@@ -215,7 +214,7 @@ class StoreFuzzer {
     bool first = true;
     store_->for_each_entry([&](const BufferStore::EntryView& e) {
       sum_bytes += e.bytes;
-      if (e.timer != 0) ++timers;
+      if (env_.sim().pending(sim::TimerId{e.timer})) ++timers;
       ++entries;
       if (!first) {
         ASSERT_LT(prev, e.id);
@@ -232,7 +231,9 @@ class StoreFuzzer {
                   st.handed_off);
 
     // Timer bookkeeping is exact: every pending simulator event belongs to
-    // a live entry, so no timer can fire for a departed one.
+    // a live entry, one per entry, so no timer can fire for a departed one.
+    // A fired handle stays on its entry until re-armed, so count the
+    // handles the simulator still holds rather than the nonzero ones.
     ASSERT_EQ(env_.sim().pending_count(), timers);
 
     // Digest-derived counts are counts, not deltas: bounded and never
@@ -431,7 +432,6 @@ TEST(BufferPropertyTest, CoordinatedShedsRequireAdvertisedSoleCopy) {
   coord.digest_interval = Duration::millis(1);  // below the test's advances
   auto store = make_store(BufferEverythingParams{}, BufferBudget{0, 2}, coord);
   store->bind(&env);
-  env.attach_store(store.get());
   std::vector<ShedRecord> sheds;
   store->set_shed_handler([&](const proto::Data& d, MemberId target) {
     sheds.push_back({d.id, target});

@@ -22,7 +22,6 @@ std::unique_ptr<BufferStore> make_store_of(FakePolicyEnv& env,
   auto store = std::make_unique<BufferStore>(
       std::make_unique<Policy>(std::forward<Args>(args)...), budget);
   store->bind(&env);
-  env.attach_store(store.get());
   return store;
 }
 
@@ -276,7 +275,6 @@ TEST(BufferBudgetTest, ShedHandoffsCountedSeparatelyFromEvictions) {
   auto store = std::make_unique<BufferStore>(
       std::make_unique<BufferEverythingPolicy>(), BufferBudget{0, 2}, coord);
   store->bind(&env);
-  env.attach_store(store.get());
   std::size_t shed_sends = 0;
   store->set_shed_handler([&](const proto::Data&, MemberId) {
     ++shed_sends;
@@ -329,7 +327,6 @@ TEST(BufferBudgetTest, ShedFallsBackToEvictionWithoutTargetOrHandler) {
   auto store = std::make_unique<BufferStore>(
       std::make_unique<BufferEverythingPolicy>(), BufferBudget{0, 1}, coord);
   store->bind(&env);
-  env.attach_store(store.get());
   store->store(make_data(1, 1));
   env.advance(Duration::millis(2));
   store->store(make_data(1, 2));  // no handler, empty digest table
@@ -385,7 +382,6 @@ TEST(BufferBudgetTest, ShedTargetDepartedCountsEvictedNotShed) {
   auto store = std::make_unique<BufferStore>(
       std::make_unique<BufferEverythingPolicy>(), BufferBudget{0, 1}, coord);
   store->bind(&env);
-  env.attach_store(store.get());
   std::size_t offered = 0;
   store->set_shed_handler([&](const proto::Data&, MemberId) {
     ++offered;
@@ -408,17 +404,6 @@ TEST(BufferBudgetTest, ShedTargetDepartedCountsEvictedNotShed) {
   EXPECT_EQ(offered, 1u);
   EXPECT_EQ(store->stats().shed, 1u);
   EXPECT_EQ(store->stats().evicted, 1u);
-}
-
-TEST(BufferBudgetTest, BudgetStateVisibleThroughEnv) {
-  FakePolicyEnv env;
-  auto s = make_store_of<BufferEverythingPolicy>(env, bytes_budget(4096));
-  s->store(make_data(1, 1, 100));
-  BudgetState bs = env.budget();
-  EXPECT_EQ(bs.bytes, s->bytes());
-  EXPECT_EQ(bs.count, 1u);
-  EXPECT_EQ(bs.limit.max_bytes, 4096u);
-  EXPECT_FALSE(bs.limit.unlimited());
 }
 
 TEST(BufferBudgetTest, UnlimitedByDefault) {

@@ -424,6 +424,24 @@ TEST(EndpointLifecycle, GossipMessageWithoutFdIsIgnored) {
   SUCCEED();
 }
 
+TEST(EndpointLifecycle, CrashLeavesNoTimerPending) {
+  // Two-phase buffering arms one timer per stored entry: an idle check,
+  // then a long-term TTL check. A crash must cancel those along with the
+  // endpoint's own timers, so nothing can fire for the halted member.
+  ClusterConfig cc = single_region(8, 28);
+  cc.policy = buffer::TwoPhaseParams{Duration::millis(40), 6.0,
+                                     Duration::millis(100)};
+  Cluster cluster(cc);
+  cluster.endpoint(0).multicast({1});
+  cluster.run_for(Duration::millis(44));  // idle checks ran; TTL checks armed
+  cluster.endpoint(0).multicast({2});
+  cluster.run_for(Duration::millis(8));  // delivered; idle checks pending
+  sim::Simulator& lane = cluster.network().lane_sim(0);
+  EXPECT_GT(lane.pending_count(), 0u);
+  for (MemberId m = 0; m < 8; ++m) cluster.crash(m);
+  EXPECT_EQ(lane.pending_count(), 0u);
+}
+
 TEST(EndpointLifecycle, RejoinedMemberGetsFreshEndpoint) {
   Cluster cluster(single_region(6, 26));
   MessageId id = cluster.inject_data_to(0, 1, cluster.region_members(0));

@@ -580,7 +580,6 @@ TEST(ShardDeterminism, SoleCopyProtectedWhenRedundantVictimAvailable) {
   auto store = buffer::make_store(buffer::BufferEverythingParams{},
                                   buffer::BufferBudget{0, 2}, coord);
   store->bind(&env);
-  env.attach_store(store.get());
 
   store->store(make_data(1, 1));  // sole copy, least recently active
   env.advance(Duration::millis(1));
@@ -599,7 +598,6 @@ TEST(ShardDeterminism, SoleCopyProtectedWhenRedundantVictimAvailable) {
   auto plain = buffer::make_store(buffer::BufferEverythingParams{},
                                   buffer::BufferBudget{0, 2});
   plain->bind(&env2);
-  env2.attach_store(plain.get());
   plain->store(make_data(1, 1));
   env2.advance(Duration::millis(1));
   plain->store(make_data(1, 2));

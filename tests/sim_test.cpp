@@ -1,7 +1,8 @@
 // Unit tests: discrete-event simulator ordering, timers, determinism, the
 // slab timer store's generation-tagged handles, and sim::Callback's
-// small-buffer optimization (including an allocation-count assertion that
-// schedule/fire is heap-free for inline captures).
+// small-buffer optimization (including allocation-count assertions that
+// schedule/fire is heap-free for inline captures, and that a two-phase
+// buffer store's entry timers stay off the heap end to end).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,7 +11,10 @@
 #include <new>
 #include <vector>
 
+#include "buffer/store.h"
+#include "buffer/two_phase.h"
 #include "sim/simulator.h"
+#include "test_env.h"
 
 // Global allocation counter: counts every operator-new in this test binary
 // so AllocationFree* tests can assert the schedule/fire path stays off the
@@ -388,6 +392,33 @@ TEST(AllocationFreeTest, ScheduleFireCancelOfInlineCapturesIsHeapFree) {
   EXPECT_EQ(fired, 100u);
   EXPECT_EQ(allocs, 0u) << "schedule/fire/cancel must not allocate for "
                            "captures <= Callback::kInlineCapacity bytes";
+}
+
+TEST(AllocationFreeTest, TwoPhaseEntryTimersAreHeapFree) {
+  // Every stored entry arms an idle check and every promoted one a TTL
+  // check: the protocol's most common timers. They travel as a Callback
+  // from the policy through the store and PolicyEnv into the slab.
+  rrmp::testing::FakePolicyEnv env;
+  buffer::BufferStore store(std::make_unique<buffer::TwoPhasePolicy>(
+      buffer::TwoPhaseParams{Duration::millis(40), 6.0, Duration::millis(30)}));
+  store.bind(&env);
+  proto::Data msg = rrmp::testing::make_data(1, 0);
+  auto round = [&] {
+    for (int i = 0; i < 16; ++i) {
+      ++msg.id.seq;
+      store.store(msg);
+    }
+    env.advance(Duration::millis(50));
+  };
+  for (int i = 0; i < 4; ++i) round();  // warm-up: size entries, slab, heap
+
+  std::uint64_t before = g_alloc_count.load();
+  for (int i = 0; i < 100; ++i) round();
+  std::uint64_t allocs = g_alloc_count.load() - before;
+  EXPECT_EQ(store.stats().stored, 104u * 16u);
+  EXPECT_GT(store.stats().promoted_long_term, 0u);
+  EXPECT_EQ(allocs, 0u) << "arming, firing and cancelling entry timers "
+                           "must not allocate";
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 #pragma once
 
 #include "buffer/policy.h"
-#include "buffer/store.h"
 #include "sim/simulator.h"
 
 namespace rrmp::testing {
@@ -21,7 +20,7 @@ class FakePolicyEnv final : public buffer::PolicyEnv {
   }
 
   TimePoint now() const override { return sim_.now(); }
-  std::uint64_t schedule(Duration d, std::function<void()> fn) override {
+  std::uint64_t schedule(Duration d, sim::Callback fn) override {
     return sim_.schedule_after(d, std::move(fn)).value;
   }
   void cancel(std::uint64_t timer) override { sim_.cancel(sim::TimerId{timer}); }
@@ -31,17 +30,10 @@ class FakePolicyEnv final : public buffer::PolicyEnv {
     return members_;
   }
   MemberId self() const override { return self_; }
-  buffer::BudgetState budget() const override {
-    return store_ != nullptr ? store_->budget_state()
-                             : buffer::PolicyEnv::budget();
-  }
 
   void set_members(std::vector<MemberId> members) {
     members_ = std::move(members);
   }
-
-  /// Make budget() report `store`'s state (as the endpoint's env does).
-  void attach_store(const buffer::BufferStore* store) { store_ = store; }
 
   sim::Simulator& sim() { return sim_; }
   void advance(Duration d) { sim_.run_until(sim_.now() + d); }
@@ -51,7 +43,6 @@ class FakePolicyEnv final : public buffer::PolicyEnv {
   RandomEngine rng_;
   MemberId self_;
   std::vector<MemberId> members_;
-  const buffer::BufferStore* store_ = nullptr;
 };
 
 inline proto::Data make_data(std::uint32_t source, std::uint64_t seq,
