@@ -37,6 +37,17 @@ EngineOutcome run_engine(bool gap_driven, bool anti_entropy,
   cc.protocol.anti_entropy_interval = Duration::millis(50);
   cc.protocol.session_interval = Duration::millis(50);
   harness::Cluster cluster(cc);
+  // Delivery latency relative to the send time of each message, for
+  // loss-affected deliveries only (a direct delivery takes under 1 ms).
+  std::vector<double> latencies;
+  for (MemberId m = 0; m < cluster.size(); ++m) {
+    cluster.endpoint(m).set_delivery_handler(
+        [&cluster, &latencies, m](const proto::Data& d) {
+          double sent_ms = static_cast<double>((d.id.seq - 1) * 10);
+          double lat = cluster.host(m).now().ms() - sent_ms;
+          if (lat > 1.0) latencies.push_back(lat);
+        });
+  }
 
   constexpr int kMessages = 40;
   for (int i = 0; i < kMessages; ++i) {
@@ -49,13 +60,6 @@ EngineOutcome run_engine(bool gap_driven, bool anti_entropy,
   cluster.run_for(Duration::seconds(6));
 
   EngineOutcome out;
-  // Delivery latency relative to the send time of each message.
-  std::vector<double> latencies;
-  for (const auto& ev : cluster.metrics().deliveries()) {
-    double sent_ms = static_cast<double>((ev.id.seq - 1) * 10);
-    double lat = ev.at.ms() - sent_ms;
-    if (lat > 1.0) latencies.push_back(lat);  // skip direct deliveries
-  }
   for (int seq = 1; seq <= kMessages; ++seq) {
     if (!cluster.all_received(MessageId{0, static_cast<std::uint64_t>(seq)})) {
       out.all_delivered = false;

@@ -53,11 +53,7 @@ int main() {
       relays.push_back(static_cast<double>(
           cluster.metrics().counters().regional_multicasts));
       suppressed += cluster.metrics().counters().relays_suppressed;
-      TimePoint done = TimePoint::zero();
-      for (const auto& ev : cluster.metrics().deliveries()) {
-        if (ev.id == id && ev.at > done) done = ev.at;
-      }
-      repaired_ms.push_back(done.ms());
+      repaired_ms.push_back(cluster.metrics().last_delivery(id).ms());
     }
     double mean_relays = analysis::mean(relays);
     if (backoff == Duration::zero()) {

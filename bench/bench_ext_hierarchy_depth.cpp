@@ -62,13 +62,10 @@ int main(int argc, char** argv) {
       }
       cluster.run_until_quiet(Duration::seconds(10));
       if (!cluster.all_received(id)) continue;  // rare unlucky draw
-      TimePoint done = TimePoint::zero();
-      for (const auto& ev : cluster.metrics().deliveries()) {
-        if (ev.id == id && ev.at > done) done = ev.at;
-      }
-      completion.push_back(done.ms());
-      remote_requests += static_cast<double>(
-          cluster.metrics().counters().remote_requests_sent);
+      const RecordingSink& metrics = cluster.metrics();
+      completion.push_back(metrics.last_delivery(id).ms());
+      remote_requests +=
+          static_cast<double>(metrics.counters().remote_requests_sent);
     }
     double mean = analysis::mean(completion);
     means.push_back(mean);

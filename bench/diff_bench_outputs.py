@@ -7,18 +7,30 @@ header contains "wall" hold wall-clock times, so their cells are masked
 before comparing. RRMP_HIERARCHY_POINTS=2 keeps the hierarchy bench to its
 10^4 and 10^5 member points.
 
-A change that means to alter bench output lists each such bench, one name a
-line, in bench/expected_output_changes.txt. The check fails when a bench
-differs and is not listed, and when a listed bench did not change, so the
-list cannot go stale.
+With --e2e-parent and --e2e-change it also runs the two simulator workloads
+of the end-to-end benchmark (sim_region_stream, sim_tree_1e4) on seeds 1-5
+from both bench_e2e binaries. The simulator is deterministic per seed, so
+the latency, makespan, buffer-occupancy and wire-message metrics and the
+correct/attempted/failed counts must be equal. The runs default to
+--seconds 2 --scale 0.25, about 2 s each; --seconds 10 --scale 1 is the
+benchmark's full size. Either half runs alone when only its pair of
+arguments is given.
+
+A change that means to alter bench output lists each such bench or
+workload, one name a line, in bench/expected_output_changes.txt. The check
+fails when a bench or workload differs and is not listed, and when a listed
+one did not change, so the list cannot go stale.
 
 Usage:
   bench/diff_bench_outputs.py --parent PARENT/build-release/bench \\
-      --change build-release/bench
+      --change build-release/bench \\
+      [--e2e-parent PARENT/build-e2e/bench_e2e \\
+       --e2e-change build-e2e/bench_e2e [--seconds S] [--scale X]]
 """
 
 import argparse
 import difflib
+import json
 import os
 import subprocess
 import sys
@@ -43,6 +55,18 @@ BENCHES = [
     "bench_ext_hierarchy_depth",
     "bench_ext_overload_sweep",
 ]
+
+E2E_WORKLOADS = ["sim_region_stream", "sim_tree_1e4"]
+E2E_SEEDS = range(1, 6)
+# The deterministic end-to-end metrics; the rest measure the machine.
+E2E_METRICS = [
+    "delivery_latency_p50_ms",
+    "makespan_p50_ms",
+    "buffer_bytes_mean",
+    "buffer_bytes_peak",
+    "wire_msgs_per_delivery",
+]
+E2E_COUNTS = ["correct", "attempted", "failed"]
 
 EXPECTED_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                              "expected_output_changes.txt")
@@ -78,34 +102,93 @@ def run(bench_dir, name):
     return proc.returncode, normalize(proc.stdout)
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--parent", required=True, help="parent's bench build dir")
-    ap.add_argument("--change", required=True, help="change's bench build dir")
-    args = ap.parse_args()
+def run_e2e(binary, workload, seed, seconds, scale):
+    """The deterministic values of one bench_e2e run, or its exit code."""
+    cmd = [binary, f"--workload={workload}", f"--seed={seed}",
+           f"--seconds={seconds}", f"--scale={scale}"]
+    proc = subprocess.run(cmd, stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL, text=True, timeout=600)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode not in (0, 1) or not lines:  # 1: a check failed
+        return {"exit code": proc.returncode}
+    result = json.loads(lines[-1])
+    values = {key: result[key] for key in E2E_COUNTS}
+    values.update({m: result["metrics"][m]["value"] for m in E2E_METRICS})
+    return values
 
-    with open(EXPECTED_FILE) as f:
-        expected = {l.strip() for l in f if l.strip() and not l.startswith("#")}
-    failures = [f"{name}: listed in {EXPECTED_FILE} but not a checked bench"
-                for name in sorted(expected - set(BENCHES))]
+
+def report(name, changed, listed, details, failures):
+    """Print one bench's or workload's verdict and record a failure."""
+    print(f"{name}: {'differs' if changed else 'identical'}"
+          f"{' (expected)' if changed and listed else ''}", flush=True)
+    if changed and not listed:
+        failures.append(f"{name}: output differs from the parent")
+        for line in details:
+            print(f"  {line}")
+    elif listed and not changed:
+        failures.append(f"{name}: listed as changed but identical")
+
+
+def check_benches(args, expected, failures):
     for name in BENCHES:
         parent, change = run(args.parent, name), run(args.change, name)
         if change[0] == "missing":  # a parent without it is a new bench
             failures.append(f"{name}: not built in {args.change}")
             continue
-        changed, listed = parent != change, name in expected
-        print(f"{name}: {'differs' if changed else 'identical'}"
-              f"{' (expected)' if changed and listed else ''}", flush=True)
-        if changed and not listed:
-            failures.append(f"{name}: output differs from the parent")
-            if parent[0] != change[0]:
-                print(f"  exit code {parent[0]} -> {change[0]}")
-            diff = difflib.unified_diff(parent[1], change[1], "parent",
-                                        "change", lineterm="")
-            for line in list(diff)[:40]:
-                print(f"  {line}")
-        elif listed and not changed:
-            failures.append(f"{name}: listed as changed but identical")
+        details = []
+        if parent[0] != change[0]:
+            details.append(f"exit code {parent[0]} -> {change[0]}")
+        diff = difflib.unified_diff(parent[1], change[1], "parent", "change",
+                                    lineterm="")
+        details += list(diff)[:40]
+        report(name, parent != change, name in expected, details, failures)
+
+
+def check_e2e(args, expected, failures):
+    for workload in E2E_WORKLOADS:
+        details = []
+        for seed in E2E_SEEDS:
+            parent = run_e2e(args.e2e_parent, workload, seed, args.seconds,
+                             args.scale)
+            change = run_e2e(args.e2e_change, workload, seed, args.seconds,
+                             args.scale)
+            for key in sorted(parent.keys() | change.keys()):
+                if parent.get(key) != change.get(key):
+                    details.append(f"seed {seed} {key}: {parent.get(key)} -> "
+                                   f"{change.get(key)}")
+        report(f"{workload} (seeds {E2E_SEEDS[0]}-{E2E_SEEDS[-1]})",
+               bool(details), workload in expected, details, failures)
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", help="parent's bench build dir")
+    ap.add_argument("--change", help="change's bench build dir")
+    ap.add_argument("--e2e-parent", help="parent's bench_e2e binary")
+    ap.add_argument("--e2e-change", help="change's bench_e2e binary")
+    ap.add_argument("--seconds", type=float, default=2.0,
+                    help="bench_e2e --seconds (default 2; full size 10)")
+    ap.add_argument("--scale", type=float, default=0.25,
+                    help="bench_e2e --scale (default 0.25; full size 1)")
+    args = ap.parse_args()
+    benches = args.parent is not None or args.change is not None
+    e2e = args.e2e_parent is not None or args.e2e_change is not None
+    if benches and (args.parent is None or args.change is None):
+        ap.error("--parent and --change go together")
+    if e2e and (args.e2e_parent is None or args.e2e_change is None):
+        ap.error("--e2e-parent and --e2e-change go together")
+    if not benches and not e2e:
+        ap.error("give --parent/--change, --e2e-parent/--e2e-change or both")
+
+    with open(EXPECTED_FILE) as f:
+        expected = {l.strip() for l in f if l.strip() and not l.startswith("#")}
+    failures = [f"{name}: listed in {EXPECTED_FILE} but not a checked bench "
+                f"or workload"
+                for name in sorted(expected - set(BENCHES) - set(E2E_WORKLOADS))]
+    if benches:
+        check_benches(args, expected, failures)
+    if e2e:
+        check_e2e(args, expected, failures)
     for failure in failures:
         print(f"FAIL {failure}")
     return 1 if failures else 0

@@ -54,6 +54,22 @@ bool more_expendable(const Candidate& a, const Candidate& b) {
   return a.id < b.id;
 }
 
+/// Sort `candidates` into expendability order and take victims until the
+/// demand is met.
+EvictionPlan take_victims(std::vector<Candidate>& candidates,
+                          const EvictionDemand& need) {
+  std::sort(candidates.begin(), candidates.end(), more_expendable);
+  EvictionPlan plan;
+  std::size_t freed_bytes = 0, freed_entries = 0;
+  for (const Candidate& c : candidates) {
+    if (freed_bytes >= need.bytes && freed_entries >= need.entries) break;
+    plan.victims.push_back(c.id);
+    freed_bytes += c.bytes;
+    ++freed_entries;
+  }
+  return plan;
+}
+
 }  // namespace
 
 EvictionPlan RetentionPolicy::pick_victims(const EvictionDemand& need) {
@@ -95,16 +111,7 @@ EvictionPlan RetentionPolicy::pick_victims(const EvictionDemand& need) {
     if (best.bytes >= need.bytes && need.entries <= 1) {
       return {{best.id}};
     }
-    std::sort(candidates.begin(), candidates.end(), more_expendable);
-    EvictionPlan plan;
-    std::size_t freed_bytes = 0, freed_entries = 0;
-    for (const Candidate& c : candidates) {
-      if (freed_bytes >= need.bytes && freed_entries >= need.entries) break;
-      plan.victims.push_back(c.id);
-      freed_bytes += c.bytes;
-      ++freed_entries;
-    }
-    return plan;
+    return take_victims(candidates, need);
   }
   // Fast path for the steady state (incoming message ~= evicted message):
   // one allocation-free linear pass finds the single most expendable entry;
@@ -125,16 +132,7 @@ EvictionPlan RetentionPolicy::pick_victims(const EvictionDemand& need) {
   store().for_each_entry([&](const BufferStore::EntryView& e) {
     candidates.push_back({e.id, e.bytes, e.last_activity, e.long_term, 0});
   });
-  std::sort(candidates.begin(), candidates.end(), more_expendable);
-  EvictionPlan plan;
-  std::size_t freed_bytes = 0, freed_entries = 0;
-  for (const Candidate& c : candidates) {
-    if (freed_bytes >= need.bytes && freed_entries >= need.entries) break;
-    plan.victims.push_back(c.id);
-    freed_bytes += c.bytes;
-    ++freed_entries;
-  }
-  return plan;
+  return take_victims(candidates, need);
 }
 
 }  // namespace rrmp::buffer

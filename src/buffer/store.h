@@ -8,7 +8,8 @@
 //   - bytes/count accounting in wire-encoded Data-frame bytes (the same
 //     definition the traffic stats use; see proto::encoded_size overloads);
 //   - duplicate suppression and the handoff-upgrade rule;
-//   - observer notification for the metrics pipeline;
+//   - observer notification for callers that watch buffer events (the
+//     Figure 6 runner, determinism tests);
 //   - handoff drains on graceful leave;
 //   - a per-member BufferBudget with an explicit admission + eviction
 //     protocol: when an insert would exceed the budget the bound
@@ -66,8 +67,9 @@ class BufferStore {
   /// Must be called exactly once before any other method; binds the policy.
   void bind(PolicyEnv* env);
 
-  /// Observer for store/discard/promotion/eviction events (wired to
-  /// metrics). `long_term` reflects the entry's phase at event time.
+  /// Observer for store/discard/promotion/eviction events; none is
+  /// installed by default. `long_term` reflects the entry's phase at event
+  /// time.
   using Observer =
       std::function<void(const MessageId&, BufferEvent, bool long_term)>;
   void set_observer(Observer obs) { observer_ = std::move(obs); }

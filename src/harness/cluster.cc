@@ -75,16 +75,10 @@ void Cluster::spawn_member(MemberId m) {
 
 const RecordingSink& Cluster::metrics() {
   if (lane_sinks_.size() == 1) return lane_sinks_[0];
-  std::vector<std::uint64_t> revisions;
-  revisions.reserve(lane_sinks_.size());
-  for (const RecordingSink& s : lane_sinks_) revisions.push_back(s.revision());
-  if (revisions != merged_revisions_) {
-    std::vector<const RecordingSink*> sinks;
-    sinks.reserve(lane_sinks_.size());
-    for (const RecordingSink& s : lane_sinks_) sinks.push_back(&s);
-    merged_metrics_ = RecordingSink::merge(sinks);
-    merged_revisions_ = std::move(revisions);
-  }
+  std::vector<const RecordingSink*> sinks;
+  sinks.reserve(lane_sinks_.size());
+  for (const RecordingSink& s : lane_sinks_) sinks.push_back(&s);
+  merged_metrics_ = RecordingSink::merge(sinks);
   return merged_metrics_;
 }
 

@@ -88,13 +88,12 @@ class Cluster {
   std::size_t size() const { return endpoints_.size(); }
   const ClusterConfig& config() const { return config_; }
 
-  /// Merged metrics across all region sinks (see RecordingSink::merge),
-  /// cached by sink revision. On multi-lane clusters the result is a
-  /// *snapshot* that refreshes only when metrics() is called again — re-call
-  /// it after each run rather than holding the reference across runs.
-  /// (Single-lane clusters return the sole live region sink directly.)
+  /// Metrics folded across all lane sinks (see RecordingSink::merge). On
+  /// multi-lane clusters every call merges afresh into a *snapshot* —
+  /// re-call it after each run rather than holding the reference across
+  /// runs. Single-lane clusters return the sole live lane sink directly.
   /// Const: mutating the merged snapshot (e.g. clear()) could never reach
-  /// the underlying per-region sinks and would silently un-do on refresh.
+  /// the underlying lane sinks.
   const RecordingSink& metrics();
 
   // ---- time control ----------------------------------------------------
@@ -224,7 +223,6 @@ class Cluster {
   // plus the merged view handed out by metrics().
   std::vector<RecordingSink> lane_sinks_;
   RecordingSink merged_metrics_;
-  std::vector<std::uint64_t> merged_revisions_;  // cache key for merged_metrics_
   // Hosts and endpoints live in the arena: at 10^6 members, two million
   // individual heap allocations dominate construction/teardown, and arena
   // locality keeps a region's endpoint state on neighbouring pages. Rejoin

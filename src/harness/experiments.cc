@@ -47,6 +47,57 @@ std::vector<MemberId> pick_members(const std::vector<MemberId>& pool,
   return out;
 }
 
+/// Flash crowd: members 0..senders-1 each multicast `messages` frames of
+/// `bytes` bytes, all at the *same* instants, `interval` apart.
+void schedule_flash_crowd(Cluster& cluster, std::size_t senders,
+                          std::size_t messages, Duration interval,
+                          std::size_t bytes) {
+  for (std::size_t i = 0; i < messages; ++i) {
+    TimePoint at = TimePoint::zero() + interval * static_cast<std::int64_t>(i);
+    for (MemberId s = 0; s < static_cast<MemberId>(senders); ++s) {
+      cluster.schedule_script(at, [&cluster, s, bytes] {
+        cluster.endpoint(s).multicast(std::vector<std::uint8_t>(bytes, 0x5A));
+      });
+    }
+  }
+}
+
+struct FlashCrowdTally {
+  std::size_t fully_delivered = 0;  // streamed messages every member got
+  double goodput = 1.0;
+  double fairness = 1.0;
+  std::size_t senders_completed = 0;
+};
+
+FlashCrowdTally tally_flash_crowd(const Cluster& cluster, std::size_t senders,
+                                  std::size_t messages) {
+  FlashCrowdTally out;
+  double sum = 0.0, sumsq = 0.0;  // of per-sender fully-delivered counts
+  for (MemberId s = 0; s < static_cast<MemberId>(senders); ++s) {
+    std::size_t got = 0;
+    for (std::uint64_t seq = 1; seq <= messages; ++seq) {
+      if (cluster.all_received(MessageId{s, seq})) ++got;
+    }
+    out.fully_delivered += got;
+    const double x = static_cast<double>(got);
+    sum += x;
+    sumsq += x * x;
+    if (cluster.endpoint(s).highest_sent() >= messages) {
+      ++out.senders_completed;
+    }
+  }
+  std::size_t streamed = senders * messages;
+  out.goodput = streamed == 0 ? 1.0
+                              : static_cast<double>(out.fully_delivered) /
+                                    static_cast<double>(streamed);
+  // Jain's index: (sum x)^2 / (n * sum x^2); 1.0 for the degenerate
+  // nothing-delivered case (no sender was favoured over another).
+  out.fairness = sumsq == 0.0 ? 1.0
+                              : (sum * sum) /
+                                    (static_cast<double>(senders) * sumsq);
+  return out;
+}
+
 }  // namespace
 
 // ------------------------------------------------------------- Figure 6 ----
@@ -64,22 +115,23 @@ Fig6Result run_fig6_point(std::size_t initial_holders, std::size_t region_size,
     RandomEngine pick_rng(seed ^ (trial * 0x9E3779B97F4A7C15ULL));
     std::vector<MemberId> holders =
         pick_members(cluster.region_members(0), initial_holders, pick_rng);
-    MessageId id = cluster.inject(holders[0], 1, holders);
-    cluster.run_until_quiet(Duration::seconds(2));
-
     // A holder's buffering time ends at its idle decision: either the
     // discard or the promotion to long-term (both happen at
-    // last_activity + T).
+    // last_activity + T), whichever buffer event first follows its store.
+    const MessageId id{holders[0], 1};
     std::map<MemberId, TimePoint> closed;
-    for (const auto& ev : cluster.metrics().discards()) {
-      if (ev.id == id) closed.try_emplace(ev.member, ev.at);
+    for (MemberId h : holders) {
+      cluster.endpoint(h).buffer().set_observer(
+          [&cluster, &closed, h, id](const MessageId& ev_id,
+                                     buffer::BufferEvent ev, bool) {
+            if (ev_id == id && ev != buffer::BufferEvent::kStored) {
+              closed.try_emplace(h, cluster.host(h).now());
+            }
+          });
     }
-    for (const auto& ev : cluster.metrics().promotions()) {
-      if (ev.id == id) {
-        auto [it, inserted] = closed.try_emplace(ev.member, ev.at);
-        if (!inserted && ev.at < it->second) it->second = ev.at;
-      }
-    }
+    cluster.inject(holders[0], 1, holders);
+    cluster.run_until_quiet(Duration::seconds(2));
+
     for (MemberId h : holders) {
       auto it = closed.find(h);
       if (it != closed.end()) samples.push_back(it->second.ms());
@@ -104,25 +156,14 @@ Fig7Series run_fig7(std::size_t region_size, std::uint64_t seed,
 
   std::vector<MemberId> holders = {cluster.region_members(0)[0]};
   MessageId id = cluster.inject(holders[0], 1, holders);
-  cluster.run_for(horizon);
 
   Fig7Series s;
-  const auto& m = cluster.metrics();
   for (TimePoint t = TimePoint::zero(); t <= TimePoint::zero() + horizon;
        t = t + sample_every) {
-    std::size_t received = 0, stored = 0, discarded = 0;
-    for (const auto& ev : m.deliveries()) {
-      if (ev.id == id && ev.at <= t) ++received;
-    }
-    for (const auto& ev : m.stores()) {
-      if (ev.id == id && ev.at <= t) ++stored;
-    }
-    for (const auto& ev : m.discards()) {
-      if (ev.id == id && ev.at <= t) ++discarded;
-    }
+    cluster.run_for(t - cluster.now());
     s.t_ms.push_back(t.ms());
-    s.received.push_back(received);
-    s.buffered.push_back(stored - discarded);
+    s.received.push_back(cluster.count_received(id));
+    s.buffered.push_back(cluster.count_buffered(id));
   }
   return s;
 }
@@ -237,11 +278,9 @@ LambdaResult run_lambda_experiment(double lambda, std::size_t region_size,
         static_cast<double>(cluster.metrics().remote_requests_for(id)));
 
     cluster.run_until_quiet(Duration::seconds(3));
-    TimePoint done = TimePoint::zero();
-    for (const auto& ev : cluster.metrics().deliveries()) {
-      if (ev.id == id && ev.at > done) done = ev.at;
+    if (cluster.all_received(id)) {
+      completion_ms.push_back(cluster.metrics().last_delivery(id).ms());
     }
-    if (cluster.all_received(id)) completion_ms.push_back(done.ms());
   }
   LambdaResult r;
   r.mean_first_round = analysis::mean(first_round);
@@ -424,18 +463,9 @@ OverloadOutcome run_overload_point(std::size_t senders, bool flow_on,
   cc.seed = scenario.seed;
   Cluster cluster(cc);
 
-  // Flash crowd: every sender fires at the *same* instants.
   std::size_t n = std::min(senders, scenario.region_size);
-  for (std::size_t i = 0; i < scenario.messages_per_sender; ++i) {
-    TimePoint at =
-        TimePoint::zero() + scenario.send_interval * static_cast<std::int64_t>(i);
-    for (MemberId s = 0; s < static_cast<MemberId>(n); ++s) {
-      cluster.schedule_script(at, [&cluster, s,
-                                   bytes = scenario.payload_bytes] {
-        cluster.endpoint(s).multicast(std::vector<std::uint8_t>(bytes, 0x5A));
-      });
-    }
-  }
+  schedule_flash_crowd(cluster, n, scenario.messages_per_sender,
+                       scenario.send_interval, scenario.payload_bytes);
   Duration burst = scenario.send_interval *
                    static_cast<std::int64_t>(scenario.messages_per_sender);
   if (scenario.churn && n < scenario.region_size) {
@@ -455,29 +485,11 @@ OverloadOutcome run_overload_point(std::size_t senders, bool flow_on,
   OverloadOutcome out;
   out.senders = n;
   out.flow_on = flow_on;
-  std::vector<double> per_sender;
-  std::size_t fully = 0;
-  for (MemberId s = 0; s < static_cast<MemberId>(n); ++s) {
-    std::size_t got = 0;
-    for (std::uint64_t seq = 1; seq <= scenario.messages_per_sender; ++seq) {
-      if (cluster.all_received(MessageId{s, seq})) ++got;
-    }
-    per_sender.push_back(static_cast<double>(got));
-    fully += got;
-  }
-  std::size_t streamed = n * scenario.messages_per_sender;
-  out.goodput = streamed == 0 ? 1.0
-                              : static_cast<double>(fully) /
-                                    static_cast<double>(streamed);
-  // Jain's index: (sum x)^2 / (n * sum x^2); 1.0 for the degenerate
-  // nothing-delivered case (no sender was favoured over another).
-  double sum = 0.0, sumsq = 0.0;
-  for (double x : per_sender) {
-    sum += x;
-    sumsq += x * x;
-  }
-  out.fairness = sumsq == 0.0 ? 1.0
-                              : (sum * sum) / (static_cast<double>(n) * sumsq);
+  const FlashCrowdTally tally =
+      tally_flash_crowd(cluster, n, scenario.messages_per_sender);
+  out.goodput = tally.goodput;
+  out.fairness = tally.fairness;
+  out.senders_completed = tally.senders_completed;
   for (MemberId m = 0; m < cluster.size(); ++m) {
     const buffer::BufferStats& bs = cluster.endpoint(m).buffer().stats();
     out.evictions += bs.evicted;
@@ -493,13 +505,9 @@ OverloadOutcome run_overload_point(std::size_t senders, bool flow_on,
   out.acks_suppressed = cluster.metrics().counters().credit_acks_suppressed;
   out.stall_remcasts = cluster.metrics().counters().flow_stall_remcasts;
   out.stall_releases = cluster.metrics().counters().flow_stall_releases;
-  for (MemberId s = 0; s < static_cast<MemberId>(n); ++s) {
-    if (cluster.endpoint(s).highest_sent() >= scenario.messages_per_sender) {
-      ++out.senders_completed;
-    }
-  }
   out.delivered_payload_bytes =
-      static_cast<std::uint64_t>(fully) * scenario.payload_bytes;
+      static_cast<std::uint64_t>(tally.fully_delivered) *
+      scenario.payload_bytes;
   out.control_overhead =
       out.delivered_payload_bytes == 0
           ? 0.0
@@ -538,16 +546,8 @@ FaultOutcome run_fault_cell(FaultCell cell, const FaultScenario& scenario,
   // The flash-crowd workload every cell shares: `senders` members stream at
   // the same instants into tight budgets.
   std::size_t n = std::min(scenario.senders, scenario.region_size);
-  for (std::size_t i = 0; i < scenario.messages_per_sender; ++i) {
-    TimePoint at =
-        TimePoint::zero() + scenario.send_interval * static_cast<std::int64_t>(i);
-    for (MemberId s = 0; s < static_cast<MemberId>(n); ++s) {
-      cluster.schedule_script(at, [&cluster, s,
-                                   bytes = scenario.payload_bytes] {
-        cluster.endpoint(s).multicast(std::vector<std::uint8_t>(bytes, 0x5A));
-      });
-    }
-  }
+  schedule_flash_crowd(cluster, n, scenario.messages_per_sender,
+                       scenario.send_interval, scenario.payload_bytes);
   Duration burst = scenario.send_interval *
                    static_cast<std::int64_t>(scenario.messages_per_sender);
 
@@ -609,27 +609,11 @@ FaultOutcome run_fault_cell(FaultCell cell, const FaultScenario& scenario,
   FaultOutcome out;
   out.cell = cell;
   out.senders = n;
-  std::vector<double> per_sender;
-  std::size_t fully = 0;
-  for (MemberId s = 0; s < static_cast<MemberId>(n); ++s) {
-    std::size_t got = 0;
-    for (std::uint64_t seq = 1; seq <= scenario.messages_per_sender; ++seq) {
-      if (cluster.all_received(MessageId{s, seq})) ++got;
-    }
-    per_sender.push_back(static_cast<double>(got));
-    fully += got;
-  }
-  std::size_t streamed = n * scenario.messages_per_sender;
-  out.goodput = streamed == 0 ? 1.0
-                              : static_cast<double>(fully) /
-                                    static_cast<double>(streamed);
-  double sum = 0.0, sumsq = 0.0;
-  for (double x : per_sender) {
-    sum += x;
-    sumsq += x * x;
-  }
-  out.fairness = sumsq == 0.0 ? 1.0
-                              : (sum * sum) / (static_cast<double>(n) * sumsq);
+  const FlashCrowdTally tally =
+      tally_flash_crowd(cluster, n, scenario.messages_per_sender);
+  out.goodput = tally.goodput;
+  out.fairness = tally.fairness;
+  out.senders_completed = tally.senders_completed;
   for (MemberId m = 0; m < cluster.size(); ++m) {
     if (!cluster.directory().alive(m)) continue;
     const buffer::BufferStats& bs = cluster.endpoint(m).buffer().stats();
@@ -657,11 +641,6 @@ FaultOutcome run_fault_cell(FaultCell cell, const FaultScenario& scenario,
   out.deferred = counters.sends_deferred;
   out.stall_releases = counters.flow_stall_releases;
   out.severed = cluster.network().stats().severed;
-  for (MemberId s = 0; s < static_cast<MemberId>(n); ++s) {
-    if (cluster.endpoint(s).highest_sent() >= scenario.messages_per_sender) {
-      ++out.senders_completed;
-    }
-  }
   return out;
 }
 
@@ -767,13 +746,10 @@ MakespanOutcome run_makespan_point(const MakespanScenario& scenario,
   out.members = cluster.size();
   out.regions = regions;
   out.all_recovered = cluster.all_received(id);
-  TimePoint done = TimePoint::zero();
-  for (const auto& ev : cluster.metrics().deliveries()) {
-    if (ev.id == id && ev.at > done) done = ev.at;
-  }
-  out.makespan_ms = done.ms();
-  out.local_requests = cluster.metrics().counters().local_requests_sent;
-  out.remote_requests = cluster.metrics().counters().remote_requests_sent;
+  const RecordingSink& metrics = cluster.metrics();
+  out.makespan_ms = metrics.last_delivery(id).ms();
+  out.local_requests = metrics.counters().local_requests_sent;
+  out.remote_requests = metrics.counters().remote_requests_sent;
   out.events = cluster.events_fired();
   return out;
 }

@@ -70,8 +70,9 @@ class UdpRuntime {
   UdpRuntime& operator=(const UdpRuntime&) = delete;
 
   Endpoint& endpoint(MemberId m) { return *endpoints_.at(m); }
-  /// Merged metrics across workers (recomputed on demand; cheap at the
-  /// single-worker default, a deterministic k-way merge otherwise).
+  /// Metrics folded across workers (recomputed on demand; the live sink at
+  /// the single-worker default, a deterministic RecordingSink::merge
+  /// otherwise).
   RecordingSink& metrics();
   net::UdpBus& bus(std::size_t worker = 0) { return *buses_.at(worker); }
   std::size_t size() const { return endpoints_.size(); }

@@ -20,7 +20,6 @@ SimNetwork::SimNetwork(sim::Simulator& simulator, const Topology& topology,
     : topology_(topology) {
   lanes_.emplace_back(std::move(rng));
   lanes_[0].sim = &simulator;
-  region_lane_.assign(topology_.region_count(), 0);
   member_lane_.assign(topology_.member_count(), 0);
 }
 
@@ -32,12 +31,10 @@ SimNetwork::SimNetwork(const Topology& topology, RandomEngine rng,
   // traffic at that region's one-way delay.
   Duration la = topology_.min_cross_region_latency();
   std::size_t total_lanes = 0;
-  region_lane_.resize(topology_.region_count());
   member_lane_.resize(topology_.member_count());
   for (RegionId r = 0; r < static_cast<RegionId>(topology_.region_count());
        ++r) {
     const std::vector<MemberId>& members = topology_.members_of(r);
-    region_lane_[r] = total_lanes;
     std::size_t chunks = 1;
     if (sub_shard_members > 0 && members.size() > sub_shard_members) {
       chunks = (members.size() + sub_shard_members - 1) / sub_shard_members;
@@ -57,7 +54,6 @@ SimNetwork::SimNetwork(const Topology& topology, RandomEngine rng,
     lanes_.emplace_back(std::move(rng));
     lanes_[0].owned_sim = std::make_unique<sim::Simulator>();
     lanes_[0].sim = lanes_[0].owned_sim.get();
-    region_lane_.assign(topology_.region_count(), 0);
     member_lane_.assign(topology_.member_count(), 0);
     return;
   }
@@ -282,14 +278,6 @@ TrafficStats SimNetwork::stats() const {
     }
   }
   return total;
-}
-
-const TrafficStats& SimNetwork::lane_stats(std::size_t lane) const {
-  return lanes_.at(lane).stats;
-}
-
-void SimNetwork::reset_stats() {
-  for (Lane& lane : lanes_) lane.stats = TrafficStats{};
 }
 
 std::size_t SimNetwork::exchange() {

@@ -164,16 +164,11 @@ class SimNetwork {
 
   /// Aggregate traffic stats across all lanes.
   TrafficStats stats() const;
-  /// Stats for a single lane (sharded diagnostics).
-  const TrafficStats& lane_stats(std::size_t lane) const;
-  void reset_stats();
 
   // ---- lane surface (used by the sharded cluster harness) -----------------
 
   std::size_t lane_count() const { return lanes_.size(); }
   std::size_t lane_of(MemberId m) const { return member_lane_[m]; }
-  /// First lane of `r` (its only lane unless the region is sub-sharded).
-  std::size_t lane_of_region(RegionId r) const { return region_lane_[r]; }
   sim::Simulator& lane_sim(std::size_t lane) { return *lanes_[lane].sim; }
   sim::Simulator& simulator_for(MemberId m) { return *lanes_[lane_of(m)].sim; }
 
@@ -240,7 +235,6 @@ class SimNetwork {
 
   const Topology& topology_;
   std::vector<Lane> lanes_;
-  std::vector<std::size_t> region_lane_;  // RegionId -> its first lane index
   std::vector<std::size_t> member_lane_;  // MemberId -> lane index
   Duration lookahead_ = Duration::infinite();
   std::unordered_map<MemberId, MessageHandler*> handlers_;

@@ -71,23 +71,6 @@ Endpoint::Endpoint(IHost& host, Config config,
       // advertise occupancy without a budget (BufferDigest gossip).
       flow_(cfg_.flow, cfg_.buffer_budget.max_bytes) {
   store_->bind(&env_);
-  store_->set_observer(
-      [this](const MessageId& id, buffer::BufferEvent ev, bool long_term) {
-        switch (ev) {
-          case buffer::BufferEvent::kStored:
-            this->metrics_.on_buffer_stored(self(), id, host_.now());
-            break;
-          case buffer::BufferEvent::kPromotedLongTerm:
-            this->metrics_.on_promoted_long_term(self(), id, host_.now());
-            break;
-          case buffer::BufferEvent::kDiscarded:
-          case buffer::BufferEvent::kHandedOff:
-          case buffer::BufferEvent::kEvicted:
-          case buffer::BufferEvent::kShedHandoff:
-            this->metrics_.on_buffer_discarded(self(), id, host_.now(), long_term);
-            break;
-        }
-      });
   buffer::RetentionPolicy& retention = store_->policy();
   stability_policy_ = dynamic_cast<buffer::StabilityPolicy*>(&retention);
   hash_policy_ = dynamic_cast<const buffer::HashBasedPolicy*>(&retention);
@@ -209,7 +192,7 @@ void Endpoint::transmit_next() {
     flow_.sync_peers(flow_peers());
   }
   if (!cfg_.flow.enabled) window_.pop_front();  // no retransmission copy
-  accept(wire, /*from_remote_region=*/false);
+  accept(wire);
   if (cfg_.flow.enabled && cfg_.flow.piggyback &&
       host_.local_view().size() > 1) {
     // Attach our receive cursors to the wire copy only — the stored and
@@ -281,9 +264,9 @@ void Endpoint::handle_message(const proto::Message& msg, MemberId from) {
 
 // ------------------------------------------------------------ reception ----
 
-bool Endpoint::accept(const proto::Data& d, bool from_remote_region) {
+void Endpoint::accept(const proto::Data& d) {
   SequenceTracker& tr = tracker(d.id.source);
-  if (tr.has(d.id.seq)) return false;
+  if (tr.has(d.id.seq)) return;
 
   SequenceTracker::Observation obs = tr.observe_data(d.id.seq);
   assert(obs.is_new);
@@ -306,8 +289,6 @@ bool Endpoint::accept(const proto::Data& d, bool from_remote_region) {
 
   serve_waiters(d);
   satisfy_searches(d);
-  (void)from_remote_region;  // relaying decisions are made by handle_repair
-  return true;
 }
 
 void Endpoint::serve_waiters(const proto::Data& d) {
@@ -346,10 +327,10 @@ void Endpoint::handle_data(const proto::Data& d, MemberId from) {
     // Strip the piggyback block before storing: buffered, handoff, and
     // repair copies are always the core frame (payload is shared, so this
     // copy is cheap).
-    accept(proto::Data{d.id, d.payload}, /*from_remote_region=*/false);
+    accept(proto::Data{d.id, d.payload});
     return;
   }
-  accept(d, /*from_remote_region=*/false);
+  accept(d);
 }
 
 void Endpoint::handle_session(const proto::Session& s, MemberId from) {
@@ -512,7 +493,7 @@ void Endpoint::handle_repair(const proto::Repair& r, MemberId from) {
   // relay.
   if (tracker(r.id.source).has(r.id.seq)) return;
   proto::Data d{r.id, r.payload};
-  accept(d, r.remote);
+  accept(d);
   if (r.remote) schedule_regional_relay(d);
 }
 
@@ -528,7 +509,7 @@ void Endpoint::handle_regional_repair(const proto::RegionalRepair& r,
     metrics_.on_relay_suppressed(self(), r.id, host_.now());
   }
   if (tracker(r.id.source).has(r.id.seq)) return;
-  accept(proto::Data{r.id, r.payload}, /*from_remote_region=*/false);
+  accept(proto::Data{r.id, r.payload});
 }
 
 void Endpoint::handle_search_request(const proto::SearchRequest& r,
@@ -603,7 +584,7 @@ void Endpoint::handle_handoff(const proto::Handoff& h, MemberId from) {
   for (const proto::Data& d : h.messages) {
     if (!tracker(d.id.source).has(d.id.seq)) {
       // We never had this message: deliver it, then upgrade to long-term.
-      accept(d, /*from_remote_region=*/false);
+      accept(d);
     }
     store_->accept_handoff(d);
   }
@@ -667,7 +648,7 @@ void Endpoint::handle_shed(const proto::Shed& s, MemberId from) {
   // inherit the bufferer responsibility, exactly like a leave-time handoff:
   // deliver if never received, then keep the copy long-term.
   if (!tracker(s.message.id.source).has(s.message.id.seq)) {
-    accept(s.message, /*from_remote_region=*/false);
+    accept(s.message);
   }
   store_->accept_handoff(s.message);
 }

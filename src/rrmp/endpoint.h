@@ -233,9 +233,9 @@ class Endpoint {
   void handle_credit_ack(const proto::CreditAck& a, MemberId from);
   void handle_escalate(const proto::Escalate& e, MemberId from);
 
-  // Reception path shared by data/repair/regional-repair/handoff.
-  // Returns true if the message was new.
-  bool accept(const proto::Data& d, bool from_remote_region);
+  // Reception path shared by data/repair/regional-repair/handoff; a
+  // message already received is ignored.
+  void accept(const proto::Data& d);
 
   // Recovery.
   /// `escalate_hop` seeds RecoveryTask::escalate_hop before the first

@@ -1,9 +1,13 @@
 // Protocol observability.
 //
 // Endpoints report protocol events to a RecordingSink, which accumulates
-// counters, recovery latencies, per-message remote-request counts and
-// first remote-repair times, and raw event streams for time-series plots
-// (Figures 6/7).
+// counters, recovery latencies and three per-message facts: remote-request
+// counts, the first remote repair and the last delivery. It keeps no event
+// streams, so its memory grows with messages and recoveries, not with
+// deliveries. A reader that needs individual events (the Figure 6 runner,
+// narrated examples, determinism tests) installs
+// Endpoint::set_delivery_handler or BufferStore::set_observer on the
+// members it watches.
 #pragma once
 
 #include <cstdint>
@@ -45,20 +49,8 @@ class RecordingSink {
     friend bool operator==(const Counters&, const Counters&) = default;
   };
 
-  struct TimedEvent {
-    TimePoint at;
-    MemberId member;
-    MessageId id;
-
-    friend bool operator==(const TimedEvent&, const TimedEvent&) = default;
-  };
-
   const Counters& counters() const { return counters_; }
 
-  const std::vector<TimedEvent>& deliveries() const { return deliveries_; }
-  const std::vector<TimedEvent>& stores() const { return stores_; }
-  const std::vector<TimedEvent>& discards() const { return discards_; }
-  const std::vector<TimedEvent>& promotions() const { return promotions_; }
   const std::vector<Duration>& recovery_latencies() const {
     return recovery_latencies_;
   }
@@ -69,17 +61,16 @@ class RecordingSink {
   /// Remote requests sent for `id` (Figure-A3 lambda validation).
   std::uint64_t remote_requests_for(const MessageId& id) const;
 
+  /// Time of the latest delivery of `id` at any member (a dissemination's
+  /// makespan), or TimePoint::zero() if no member delivered it.
+  TimePoint last_delivery(const MessageId& id) const;
+
   void clear();
 
-  /// Bumped by every recorded event; lets callers cache derived views (the
-  /// sharded cluster's merged metrics) and rebuild only on change.
-  std::uint64_t revision() const { return revision_; }
-
-  /// Deterministic merge of per-region sinks (sharded cluster harness).
-  /// Counters and per-message tallies are summed; timed-event streams are
-  /// k-way merged by timestamp with input index as the tie-breaker, so the
-  /// merged streams are globally time-ordered and identical for any shard
-  /// count. Inputs must cover disjoint member sets.
+  /// Deterministic merge of per-lane or per-worker sinks: counters and
+  /// remote-request tallies are summed, latencies concatenated in input
+  /// order, and per-message times folded by min (first remote repair) or
+  /// max (last delivery). Inputs must cover disjoint member sets.
   static RecordingSink merge(std::span<const RecordingSink* const> sinks);
 
   // ---- recording -------------------------------------------------------
@@ -90,10 +81,6 @@ class RecordingSink {
   void on_loss_detected(MemberId m, const MessageId& id, TimePoint t);
   void on_recovered(MemberId m, const MessageId& id, TimePoint t,
                     Duration latency);
-  void on_buffer_stored(MemberId m, const MessageId& id, TimePoint t);
-  void on_buffer_discarded(MemberId m, const MessageId& id, TimePoint t,
-                           bool was_long_term);
-  void on_promoted_long_term(MemberId m, const MessageId& id, TimePoint t);
   void on_request_sent(MemberId m, const MessageId& id, bool remote,
                        TimePoint t);
   void on_repair_sent(MemberId m, const MessageId& id, bool remote,
@@ -127,14 +114,10 @@ class RecordingSink {
   void on_flow_stall_release(MemberId m, TimePoint t);
 
  private:
-  std::uint64_t revision_ = 0;
   Counters counters_;
-  std::vector<TimedEvent> deliveries_;
-  std::vector<TimedEvent> stores_;
-  std::vector<TimedEvent> discards_;
-  std::vector<TimedEvent> promotions_;
   std::vector<Duration> recovery_latencies_;
   std::unordered_map<MessageId, TimePoint> first_remote_repair_;
+  std::unordered_map<MessageId, TimePoint> last_delivery_;
   std::unordered_map<MessageId, std::uint64_t> remote_requests_by_id_;
 };
 

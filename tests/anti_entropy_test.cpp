@@ -62,12 +62,8 @@ TEST(AntiEntropy, GapDrivenIsFasterThanAntiEntropy) {
     Cluster cluster(cc);
     MessageId id = cluster.inject(0, 1, std::vector<MemberId>{0});
     cluster.run_for(Duration::seconds(5));
-    TimePoint done = TimePoint::zero();
-    for (const auto& ev : cluster.metrics().deliveries()) {
-      if (ev.id == id && ev.at > done) done = ev.at;
-    }
     EXPECT_TRUE(cluster.all_received(id));
-    return done.ms();
+    return cluster.metrics().last_delivery(id).ms();
   };
   double gap_ms = spread_time(true, false, 3);
   double ae_ms = spread_time(false, true, 3);

@@ -1,5 +1,5 @@
-// Unit tests for the RecordingSink: first-repair tracking, per-id
-// counters, event streams, and the deterministic merge of lane sinks.
+// Unit tests for the RecordingSink: first-repair and last-delivery
+// tracking, per-id counters, and the deterministic merge of lane sinks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -50,27 +50,30 @@ TEST(RecordingSinkTest, RecoveryLatenciesAccumulate) {
   EXPECT_EQ(sink.counters().recoveries, 2u);
 }
 
-TEST(RecordingSinkTest, EventStreamsKeepOrderAndPayload) {
+TEST(RecordingSinkTest, LastDeliveryKeepsLatest) {
   RecordingSink sink;
+  EXPECT_EQ(sink.last_delivery(id(1)), TimePoint::zero());
+  sink.on_delivered(1, id(1), at(30));
+  sink.on_delivered(2, id(1), at(40));
+  sink.on_delivered(3, id(1), at(20));
   sink.on_delivered(5, id(2), at(7));
-  sink.on_buffer_stored(5, id(2), at(7));
-  sink.on_promoted_long_term(5, id(2), at(50));
-  ASSERT_EQ(sink.deliveries().size(), 1u);
-  EXPECT_EQ(sink.deliveries()[0].member, 5u);
-  EXPECT_EQ(sink.deliveries()[0].at, at(7));
-  ASSERT_EQ(sink.promotions().size(), 1u);
-  EXPECT_EQ(sink.promotions()[0].at, at(50));
+  EXPECT_EQ(sink.last_delivery(id(1)), at(40));
+  EXPECT_EQ(sink.last_delivery(id(2)), at(7));
+  EXPECT_EQ(sink.last_delivery(id(3)), TimePoint::zero());
+  EXPECT_EQ(sink.counters().delivered, 4u);
 }
 
 TEST(RecordingSinkTest, ClearResetsEverything) {
   RecordingSink sink;
   sink.on_delivered(1, id(1), at(1));
-  sink.on_buffer_stored(1, id(1), at(1));
+  sink.on_recovered(1, id(1), at(1), Duration::millis(1));
+  sink.on_request_sent(1, id(1), /*remote=*/true, at(1));
   sink.on_repair_sent(1, id(1), true, at(2));
   sink.clear();
   EXPECT_EQ(sink.counters().delivered, 0u);
-  EXPECT_TRUE(sink.deliveries().empty());
-  EXPECT_TRUE(sink.stores().empty());
+  EXPECT_TRUE(sink.recovery_latencies().empty());
+  EXPECT_EQ(sink.remote_requests_for(id(1)), 0u);
+  EXPECT_EQ(sink.last_delivery(id(1)), TimePoint::zero());
   EXPECT_EQ(sink.first_remote_repair(id(1)), TimePoint::max());
 }
 
@@ -84,7 +87,7 @@ struct Scripted {
   MessageId id;
 };
 
-constexpr int kMethods = 21;
+constexpr int kMethods = 18;
 
 // The two repair kinds come last, so repairs_sent (their sum) ends at a
 // total no other counter shares in MergeEqualsRecordingIntoOneSink.
@@ -96,24 +99,21 @@ void record(RecordingSink& s, const Scripted& e) {
     case 0: return s.on_delivered(m, i, t);
     case 1: return s.on_loss_detected(m, i, t);
     case 2: return s.on_recovered(m, i, t, Duration::micros(t.us() + m));
-    case 3: return s.on_buffer_stored(m, i, t);
-    case 4: return s.on_buffer_discarded(m, i, t, /*was_long_term=*/false);
-    case 5: return s.on_promoted_long_term(m, i, t);
-    case 6: return s.on_request_sent(m, i, /*remote=*/false, t);
-    case 7: return s.on_request_sent(m, i, /*remote=*/true, t);
-    case 8: return s.on_search_started(m, i, t);
-    case 9: return s.on_search_hop(m, m + 10, i, t);
-    case 10: return s.on_search_completed(m, i, t);
-    case 11: return s.on_regional_multicast(m, i, t);
-    case 12: return s.on_relay_suppressed(m, i, t);
-    case 13: return s.on_handoff_sent(m, m + 10, 2, t);
-    case 14: return s.on_send_deferred(m, i, t);
-    case 15: return s.on_credit_ack_sent(m, t);
-    case 16: return s.on_credit_ack_suppressed(m, t);
-    case 17: return s.on_flow_stall_remcast(m, i, t);
-    case 18: return s.on_flow_stall_release(m, t);
-    case 19: return s.on_repair_sent(m, i, /*remote=*/false, t);
-    case 20: return s.on_repair_sent(m, i, /*remote=*/true, t);
+    case 3: return s.on_request_sent(m, i, /*remote=*/false, t);
+    case 4: return s.on_request_sent(m, i, /*remote=*/true, t);
+    case 5: return s.on_search_started(m, i, t);
+    case 6: return s.on_search_hop(m, m + 10, i, t);
+    case 7: return s.on_search_completed(m, i, t);
+    case 8: return s.on_regional_multicast(m, i, t);
+    case 9: return s.on_relay_suppressed(m, i, t);
+    case 10: return s.on_handoff_sent(m, m + 10, 2, t);
+    case 11: return s.on_send_deferred(m, i, t);
+    case 12: return s.on_credit_ack_sent(m, t);
+    case 13: return s.on_credit_ack_suppressed(m, t);
+    case 14: return s.on_flow_stall_remcast(m, i, t);
+    case 15: return s.on_flow_stall_release(m, t);
+    case 16: return s.on_repair_sent(m, i, /*remote=*/false, t);
+    case 17: return s.on_repair_sent(m, i, /*remote=*/true, t);
   }
 }
 
@@ -139,10 +139,9 @@ std::vector<Scripted> lane_script(std::int64_t period_ms,
 
 TEST(RecordingSinkTest, MergeEqualsRecordingIntoOneSink) {
   // Two lanes with disjoint members (odd in a, even in b) ticking every 2
-  // and every 3 ms: they share timestamps 0 and 6, where the merged streams
-  // must put lane a first. b sends twice as many of every event, so each
-  // counter's total is distinct and a field summed from the wrong input
-  // shows.
+  // and every 3 ms, so they share timestamps 0 and 6. b sends twice as many
+  // of every event, so each counter's total is distinct and a field summed
+  // from the wrong input shows.
   const std::vector<Scripted> script_a = lane_script(2, 1, 0, 1);
   const std::vector<Scripted> script_b = lane_script(3, 2, 1, 2);
   RecordingSink a;
@@ -161,10 +160,6 @@ TEST(RecordingSinkTest, MergeEqualsRecordingIntoOneSink) {
   const RecordingSink* lanes[] = {&a, &b};
   const RecordingSink merged = RecordingSink::merge(lanes);
   EXPECT_EQ(merged.counters(), both.counters());
-  EXPECT_EQ(merged.deliveries(), both.deliveries());
-  EXPECT_EQ(merged.stores(), both.stores());
-  EXPECT_EQ(merged.discards(), both.discards());
-  EXPECT_EQ(merged.promotions(), both.promotions());
   // Latencies concatenate in input order rather than by time.
   std::vector<Duration> latencies = a.recovery_latencies();
   latencies.insert(latencies.end(), b.recovery_latencies().begin(),
@@ -175,12 +170,16 @@ TEST(RecordingSinkTest, MergeEqualsRecordingIntoOneSink) {
     EXPECT_EQ(merged.first_remote_repair(msg), both.first_remote_repair(msg));
     EXPECT_EQ(merged.remote_requests_for(msg), both.remote_requests_for(msg));
     EXPECT_GT(merged.remote_requests_for(msg), 0u);
+    EXPECT_EQ(merged.last_delivery(msg), both.last_delivery(msg));
   }
   // The earliest remote repair of seq 0 is lane a's, of seq 1 lane b's.
   EXPECT_LT(a.first_remote_repair(MessageId{7, 0}),
             b.first_remote_repair(MessageId{7, 0}));
   EXPECT_LT(b.first_remote_repair(MessageId{7, 1}),
             a.first_remote_repair(MessageId{7, 1}));
+  // The latest delivery of seq 2 is lane a's, of seq 1 lane b's.
+  EXPECT_GT(a.last_delivery(MessageId{7, 2}), b.last_delivery(MessageId{7, 2}));
+  EXPECT_GT(b.last_delivery(MessageId{7, 1}), a.last_delivery(MessageId{7, 1}));
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
-// The sharding determinism contract (ISSUE 2): Cluster::run with shards=k
-// must produce byte-identical results for every k. A 4-region experiment
-// with data loss, control loss, jitter, codec round-trips and mid-run churn
-// is run at shards=1, 2 and 4 with the same seed; the merged metrics
-// streams, counters, traffic stats, per-lane event counts and final clocks
-// must all be exactly equal.
+// The sharding determinism contract: Cluster::run with shards=k must
+// produce byte-identical results for every k. A 4-region experiment with
+// data loss, control loss, jitter, codec round-trips and mid-run churn is
+// run at shards=1, 2 and 4 with the same seed; every lane's log of
+// deliveries and buffer events, the metrics counters, traffic stats,
+// per-lane event counts and final clocks must all be exactly equal.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "harness/cluster.h"
@@ -14,12 +15,65 @@
 namespace rrmp::harness {
 namespace {
 
+// Every member's deliveries and buffer events, each appended to the log of
+// the member's lane. A lane runs on one worker at a time, so the logs need
+// no lock. Each entry keeps the buffer event's kind, so the comparison also
+// tells eviction, shed and handoff apart.
+class EventLog {
+ public:
+  static constexpr int kDelivered = -1;  // otherwise a buffer::BufferEvent
+  struct Event {
+    TimePoint at;
+    MemberId member;
+    MessageId id;
+    int kind;
+
+    friend bool operator==(const Event&, const Event&) = default;
+  };
+
+  explicit EventLog(Cluster& cluster)
+      : cluster_(cluster), lanes_(cluster.lane_count()) {
+    for (MemberId m = 0; m < cluster.size(); ++m) attach(m);
+  }
+
+  /// Install the hooks on `m`'s endpoint; a rejoin builds a fresh one.
+  void attach(MemberId m) {
+    Endpoint& ep = cluster_.endpoint(m);
+    ep.set_delivery_handler(
+        [this, m](const proto::Data& d) { record(m, d.id, kDelivered); });
+    ep.buffer().set_observer(
+        [this, m](const MessageId& id, buffer::BufferEvent ev, bool) {
+          record(m, id, static_cast<int>(ev));
+        });
+  }
+
+  const std::vector<std::vector<Event>>& lanes() const { return lanes_; }
+
+  std::size_t count(int kind) const {
+    std::size_t n = 0;
+    for (const auto& lane : lanes_) {
+      n += static_cast<std::size_t>(std::count_if(
+          lane.begin(), lane.end(),
+          [kind](const Event& e) { return e.kind == kind; }));
+    }
+    return n;
+  }
+
+ private:
+  void record(MemberId m, const MessageId& id, int kind) {
+    lanes_[cluster_.network().lane_of(m)].push_back(
+        {cluster_.host(m).now(), m, id, kind});
+  }
+
+  Cluster& cluster_;
+  std::vector<std::vector<Event>> lanes_;
+};
+
 struct RunDigest {
   RecordingSink::Counters counters;
-  std::vector<RecordingSink::TimedEvent> deliveries;
-  std::vector<RecordingSink::TimedEvent> stores;
-  std::vector<RecordingSink::TimedEvent> discards;
-  std::vector<RecordingSink::TimedEvent> promotions;
+  std::vector<std::vector<EventLog::Event>> events;  // per lane
+  std::size_t delivered_events = 0;
+  std::size_t stored_events = 0;
   std::vector<Duration> recovery_latencies;
   net::TrafficStats traffic;
   std::vector<std::uint64_t> per_lane_events;  // per-lane fired counts
@@ -27,9 +81,36 @@ struct RunDigest {
   TimePoint final_now;
   std::size_t total_buffered = 0;
   std::size_t lanes = 0;
-  std::uint64_t evictions = 0;  // summed store stats (budgeted runs only)
-  std::uint64_t sheds = 0;      // summed shed handoffs (coordinated runs)
+  std::uint64_t evictions = 0;  // summed over every member's store
+  std::uint64_t sheds = 0;
 };
+
+RunDigest digest_of(Cluster& cluster, const EventLog& log) {
+  RunDigest d;
+  const RecordingSink& m = cluster.metrics();
+  d.counters = m.counters();
+  d.events = log.lanes();
+  d.delivered_events = log.count(EventLog::kDelivered);
+  d.stored_events = log.count(static_cast<int>(buffer::BufferEvent::kStored));
+  d.recovery_latencies = m.recovery_latencies();
+  d.traffic = cluster.network().stats();
+  for (std::size_t lane = 0; lane < cluster.lane_count(); ++lane) {
+    d.per_lane_events.push_back(cluster.network().lane_sim(lane).fired_count());
+  }
+  d.events_fired = cluster.events_fired();
+  d.final_now = cluster.now();
+  d.total_buffered = cluster.total_buffered();
+  d.lanes = cluster.lane_count();
+  for (MemberId mem = 0; mem < cluster.size(); ++mem) {
+    d.evictions += cluster.endpoint(mem).buffer().stats().evicted;
+    d.sheds += cluster.endpoint(mem).buffer().stats().shed;
+  }
+  // The log must see every delivery the counters saw, or comparing logs
+  // would prove less than the counters do.
+  EXPECT_EQ(d.delivered_events, d.counters.delivered);
+  EXPECT_GT(d.stored_events, 0u);
+  return d;
+}
 
 RunDigest run_workload(std::size_t shards) {
   ClusterConfig cc;
@@ -41,6 +122,7 @@ RunDigest run_workload(std::size_t shards) {
   cc.codec_roundtrip = true;
   cc.shards = shards;
   Cluster cluster(cc);
+  EventLog log(cluster);
 
   // A scripted stream with churn: 8 multicasts from the root sender, one
   // graceful leave in region 1 and one crash in region 2 mid-stream.
@@ -59,33 +141,14 @@ RunDigest run_workload(std::size_t shards) {
   cluster.run_for(Duration::seconds(1));
   cluster.run_until_quiet(Duration::seconds(2));
 
-  RunDigest d;
-  const RecordingSink& m = cluster.metrics();
-  d.counters = m.counters();
-  d.deliveries = m.deliveries();
-  d.stores = m.stores();
-  d.discards = m.discards();
-  d.promotions = m.promotions();
-  d.recovery_latencies = m.recovery_latencies();
-  d.traffic = cluster.network().stats();
-  for (std::size_t lane = 0; lane < cluster.lane_count(); ++lane) {
-    d.per_lane_events.push_back(cluster.network().lane_sim(lane).fired_count());
-  }
-  d.events_fired = cluster.events_fired();
-  d.final_now = cluster.now();
-  d.total_buffered = cluster.total_buffered();
-  d.lanes = cluster.lane_count();
-  return d;
+  return digest_of(cluster, log);
 }
 
 void expect_identical(const RunDigest& a, const RunDigest& b,
                       const char* label) {
   SCOPED_TRACE(label);
   EXPECT_TRUE(a.counters == b.counters) << "metrics counters diverge";
-  EXPECT_EQ(a.deliveries, b.deliveries);
-  EXPECT_EQ(a.stores, b.stores);
-  EXPECT_EQ(a.discards, b.discards);
-  EXPECT_EQ(a.promotions, b.promotions);
+  EXPECT_TRUE(a.events == b.events) << "lane event logs diverge";
   EXPECT_EQ(a.recovery_latencies, b.recovery_latencies);
   EXPECT_TRUE(a.traffic == b.traffic) << "traffic stats diverge";
   EXPECT_EQ(a.per_lane_events, b.per_lane_events);
@@ -101,7 +164,7 @@ TEST(ShardDeterminism, SameResultsForShards124) {
 
   // The workload must be non-trivial or the contract is vacuous.
   ASSERT_EQ(s1.lanes, 4u);
-  ASSERT_GT(s1.deliveries.size(), 50u);
+  ASSERT_GT(s1.delivered_events, 50u);
   ASSERT_GT(s1.counters.recoveries, 0u);
   ASSERT_GT(s1.traffic.cross_lane_sends, 0u);
   ASSERT_GT(s1.traffic.dropped, 0u);
@@ -126,6 +189,7 @@ RunDigest run_budgeted_workload(std::size_t shards) {
   cc.shards = shards;
   cc.protocol.buffer_budget = buffer::BufferBudget{256, 0};  // ~4 frames
   Cluster cluster(cc);
+  EventLog log(cluster);
 
   for (int i = 0; i < 8; ++i) {
     cluster.schedule_script(
@@ -142,23 +206,7 @@ RunDigest run_budgeted_workload(std::size_t shards) {
   cluster.run_for(Duration::seconds(1));
   cluster.run_until_quiet(Duration::seconds(2));
 
-  RunDigest d;
-  const RecordingSink& m = cluster.metrics();
-  d.counters = m.counters();
-  d.deliveries = m.deliveries();
-  d.stores = m.stores();
-  d.discards = m.discards();
-  d.promotions = m.promotions();
-  d.recovery_latencies = m.recovery_latencies();
-  d.traffic = cluster.network().stats();
-  d.events_fired = cluster.events_fired();
-  d.final_now = cluster.now();
-  d.total_buffered = cluster.total_buffered();
-  d.lanes = cluster.lane_count();
-  for (MemberId m = 0; m < cluster.size(); ++m) {
-    d.evictions += cluster.endpoint(m).buffer().stats().evicted;
-  }
-  return d;
+  return digest_of(cluster, log);
 }
 
 TEST(ShardDeterminism, EvictionEnabledRunsAreShardCountInvariant) {
@@ -194,6 +242,7 @@ RunDigest run_coordinated_workload(std::size_t shards) {
   cc.protocol.buffer_coordination.enabled = true;
   cc.protocol.buffer_coordination.digest_interval = Duration::millis(15);
   Cluster cluster(cc);
+  EventLog log(cluster);
 
   for (int i = 0; i < 8; ++i) {
     cluster.schedule_script(
@@ -210,24 +259,7 @@ RunDigest run_coordinated_workload(std::size_t shards) {
   cluster.run_for(Duration::seconds(1));
   cluster.run_until_quiet(Duration::seconds(2));
 
-  RunDigest d;
-  const RecordingSink& m = cluster.metrics();
-  d.counters = m.counters();
-  d.deliveries = m.deliveries();
-  d.stores = m.stores();
-  d.discards = m.discards();
-  d.promotions = m.promotions();
-  d.recovery_latencies = m.recovery_latencies();
-  d.traffic = cluster.network().stats();
-  d.events_fired = cluster.events_fired();
-  d.final_now = cluster.now();
-  d.total_buffered = cluster.total_buffered();
-  d.lanes = cluster.lane_count();
-  for (MemberId mem = 0; mem < cluster.size(); ++mem) {
-    d.evictions += cluster.endpoint(mem).buffer().stats().evicted;
-    d.sheds += cluster.endpoint(mem).buffer().stats().shed;
-  }
-  return d;
+  return digest_of(cluster, log);
 }
 
 TEST(ShardDeterminism, CoordinationEnabledRunsAreShardCountInvariant) {
@@ -271,6 +303,7 @@ RunDigest run_flow_workload(std::size_t shards) {
   cc.protocol.flow.window_size = 2;
   cc.protocol.flow.ack_interval = Duration::millis(8);
   Cluster cluster(cc);
+  EventLog log(cluster);
 
   for (int i = 0; i < 4; ++i) {
     cluster.schedule_script(
@@ -291,20 +324,7 @@ RunDigest run_flow_workload(std::size_t shards) {
   cluster.run_for(Duration::seconds(1));
   cluster.run_until_quiet(Duration::seconds(2));
 
-  RunDigest d;
-  const RecordingSink& m = cluster.metrics();
-  d.counters = m.counters();
-  d.deliveries = m.deliveries();
-  d.stores = m.stores();
-  d.discards = m.discards();
-  d.promotions = m.promotions();
-  d.recovery_latencies = m.recovery_latencies();
-  d.traffic = cluster.network().stats();
-  d.events_fired = cluster.events_fired();
-  d.final_now = cluster.now();
-  d.total_buffered = cluster.total_buffered();
-  d.lanes = cluster.lane_count();
-  return d;
+  return digest_of(cluster, log);
 }
 
 TEST(ShardDeterminism, FlowControlRunsAreShardCountInvariant) {
@@ -347,6 +367,7 @@ RunDigest run_adaptive_churn_flow_workload(std::size_t shards) {
   cc.protocol.flow.adaptive = true;
   cc.protocol.flow.piggyback = true;
   Cluster cluster(cc);
+  EventLog log(cluster);
 
   for (int i = 0; i < 6; ++i) {
     cluster.schedule_script(
@@ -363,27 +384,17 @@ RunDigest run_adaptive_churn_flow_workload(std::size_t shards) {
   cluster.schedule_script(TimePoint::zero() + Duration::millis(45),
                           [&cluster] { cluster.crash(5); });
   cluster.schedule_script(TimePoint::zero() + Duration::millis(85),
-                          [&cluster] { cluster.rejoin(5); });
+                          [&cluster, &log] {
+                            cluster.rejoin(5);
+                            log.attach(5);
+                          });
   cluster.schedule_script(TimePoint::zero() + Duration::millis(110),
                           [&cluster] { cluster.crash(12); });
 
   cluster.run_for(Duration::seconds(1));
   cluster.run_until_quiet(Duration::seconds(2));
 
-  RunDigest d;
-  const RecordingSink& m = cluster.metrics();
-  d.counters = m.counters();
-  d.deliveries = m.deliveries();
-  d.stores = m.stores();
-  d.discards = m.discards();
-  d.promotions = m.promotions();
-  d.recovery_latencies = m.recovery_latencies();
-  d.traffic = cluster.network().stats();
-  d.events_fired = cluster.events_fired();
-  d.final_now = cluster.now();
-  d.total_buffered = cluster.total_buffered();
-  d.lanes = cluster.lane_count();
-  return d;
+  return digest_of(cluster, log);
 }
 
 TEST(ShardDeterminism, AdaptiveChurnFlowRunsAreShardCountInvariant) {
@@ -423,6 +434,7 @@ RunDigest run_partition_heal_workload(std::size_t shards) {
   cc.protocol.flow.window_size = 4;
   cc.protocol.flow.ack_interval = Duration::millis(8);
   Cluster cluster(cc);
+  EventLog log(cluster);
 
   // Lossy edges into one member of region 0 and one of region 2: the
   // link-table clones must draw identically in every lane arrangement.
@@ -452,20 +464,7 @@ RunDigest run_partition_heal_workload(std::size_t shards) {
   cluster.run_for(Duration::seconds(1));
   cluster.run_until_quiet(Duration::seconds(2));
 
-  RunDigest d;
-  const RecordingSink& m = cluster.metrics();
-  d.counters = m.counters();
-  d.deliveries = m.deliveries();
-  d.stores = m.stores();
-  d.discards = m.discards();
-  d.promotions = m.promotions();
-  d.recovery_latencies = m.recovery_latencies();
-  d.traffic = cluster.network().stats();
-  d.events_fired = cluster.events_fired();
-  d.final_now = cluster.now();
-  d.total_buffered = cluster.total_buffered();
-  d.lanes = cluster.lane_count();
-  return d;
+  return digest_of(cluster, log);
 }
 
 TEST(ShardDeterminism, PartitionHealRunsAreShardCountInvariant) {
@@ -503,6 +502,7 @@ RunDigest run_hierarchy_workload(std::size_t shards,
   cc.sub_shard_members = sub_shard_members;
   cc.protocol.hierarchy.enabled = true;
   Cluster cluster(cc);
+  EventLog log(cluster);
 
   for (int i = 0; i < 8; ++i) {
     cluster.schedule_script(
@@ -519,20 +519,7 @@ RunDigest run_hierarchy_workload(std::size_t shards,
   cluster.run_for(Duration::seconds(1));
   cluster.run_until_quiet(Duration::seconds(2));
 
-  RunDigest d;
-  const RecordingSink& m = cluster.metrics();
-  d.counters = m.counters();
-  d.deliveries = m.deliveries();
-  d.stores = m.stores();
-  d.discards = m.discards();
-  d.promotions = m.promotions();
-  d.recovery_latencies = m.recovery_latencies();
-  d.traffic = cluster.network().stats();
-  d.events_fired = cluster.events_fired();
-  d.final_now = cluster.now();
-  d.total_buffered = cluster.total_buffered();
-  d.lanes = cluster.lane_count();
-  return d;
+  return digest_of(cluster, log);
 }
 
 TEST(ShardDeterminism, HierarchyRunsAreShardCountInvariant) {
@@ -613,16 +600,6 @@ TEST(ShardDeterminism, RepeatedRunIsReproducible) {
   RunDigest a = run_workload(2);
   RunDigest b = run_workload(2);
   expect_identical(a, b, "shards=2 run A vs run B");
-}
-
-TEST(ShardDeterminism, MergedEventStreamsAreTimeOrdered) {
-  RunDigest d = run_workload(4);
-  for (std::size_t i = 1; i < d.deliveries.size(); ++i) {
-    ASSERT_LE(d.deliveries[i - 1].at, d.deliveries[i].at) << "index " << i;
-  }
-  for (std::size_t i = 1; i < d.stores.size(); ++i) {
-    ASSERT_LE(d.stores[i - 1].at, d.stores[i].at) << "index " << i;
-  }
 }
 
 TEST(ShardDeterminism, ShardCountClampsToLanes) {

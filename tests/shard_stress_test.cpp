@@ -39,6 +39,13 @@ TEST(ShardStress, SixteenRegionsUnderBurstLossConserveCrossRegionPackets) {
   cc.shards = 0;  // hardware concurrency, clamped to 16 lanes
   Cluster cluster(cc);
   ASSERT_EQ(cluster.lane_count(), kRegions);
+  // Per-member delivery counts. Each member's handler runs only on its own
+  // lane, and a lane runs on one worker at a time, so no lock is needed.
+  std::vector<std::map<MessageId, int>> seen(cluster.size());
+  for (MemberId m = 0; m < cluster.size(); ++m) {
+    cluster.endpoint(m).set_delivery_handler(
+        [&seen, m](const proto::Data& d) { ++seen[m][d.id]; });
+  }
 
   // Bursty loss on the control plane (requests/repairs/sessions); each lane
   // owns a clone of the chain, so bursts are lane-local and deterministic.
@@ -76,13 +83,13 @@ TEST(ShardStress, SixteenRegionsUnderBurstLossConserveCrossRegionPackets) {
   EXPECT_EQ(ts.cross_lane_sends, ts.cross_lane_deliveries);
   EXPECT_TRUE(cluster.network().outboxes_empty());
 
-  // No member saw the same message twice.
-  std::map<std::pair<MemberId, MessageId>, int> seen;
-  for (const auto& ev : cluster.metrics().deliveries()) {
-    int& n = seen[{ev.member, ev.id}];
-    ++n;
-    ASSERT_LE(n, 1) << "duplicate delivery of " << ev.id << " at member "
-                    << ev.member;
+  // Every member delivered every message, none of them twice.
+  for (MemberId m = 0; m < cluster.size(); ++m) {
+    ASSERT_EQ(seen[m].size(), static_cast<std::size_t>(kMessages))
+        << "member " << m;
+    for (const auto& [id, n] : seen[m]) {
+      ASSERT_EQ(n, 1) << "duplicate delivery of " << id << " at member " << m;
+    }
   }
 
   // Nobody is wedged mid-recovery.
