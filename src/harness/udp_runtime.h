@@ -10,10 +10,12 @@
 // datagram. run_for() drives all workers over a harness::ShardPool and is a
 // full barrier, so between calls the caller may touch any endpoint safely.
 //
-// Receive is zero-copy end-to-end: UdpBus hands each worker SharedBytes
-// views aliasing its preallocated segment ring, decode_shared() keeps
-// payload blobs aliasing the same slot, and the slot is recycled only after
-// the last reference (e.g. a buffered payload) is released.
+// Receive copies a frame at most once: UdpBus hands each worker a large
+// frame as a SharedBytes view of its preallocated segment ring and a small
+// one (at most UdpBus::kMaxCopiedFrame bytes) as an exact-size copy;
+// decode_shared() keeps payload blobs aliasing that buffer, and a ring slot
+// is recycled only after the last reference (e.g. a buffered payload) is
+// released.
 //
 // Topology latency is reproduced with the bus's delayed sends, so WAN
 // timing holds on loopback. Membership is static (the directory's initial

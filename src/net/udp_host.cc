@@ -4,7 +4,6 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/udp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -153,12 +152,12 @@ UdpBus::UdpBus(std::size_t member_count, std::uint16_t base_port,
   gso_active_ = gro_active_ = offload_requested(config_);
   epoch_ns_ = config_.epoch_ns != 0 ? config_.epoch_ns : monotonic_ns();
 
-  fds_.reserve(owned);
+  sockets_.reserve(owned);
   for (std::size_t i = 0; i < owned; ++i) {
     int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
     if (fd < 0) {
-      for (int f : fds_) ::close(f);
-      fds_.clear();
+      for (const pollfd& p : sockets_) ::close(p.fd);
+      sockets_.clear();
       throw std::runtime_error(std::string("UdpBus: socket() failed: ") +
                                std::strerror(errno));
     }
@@ -169,14 +168,14 @@ UdpBus::UdpBus(std::size_t member_count, std::uint16_t base_port,
     if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
       int saved = errno;
       ::close(fd);
-      for (int f : fds_) ::close(f);
-      fds_.clear();
+      for (const pollfd& p : sockets_) ::close(p.fd);
+      sockets_.clear();
       throw std::runtime_error(std::string("UdpBus: bind() failed: ") +
                                std::strerror(saved));
     }
     int flags = ::fcntl(fd, F_GETFL, 0);
     ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-    fds_.push_back(fd);
+    sockets_.push_back(pollfd{fd, POLLIN, 0});
 #if defined(__linux__)
     if (gro_active_) {
       // Every socket must agree on GRO: an unsplit coalesced train on a
@@ -189,8 +188,8 @@ UdpBus::UdpBus(std::size_t member_count, std::uint16_t base_port,
                   "): receive offload disabled");
         gro_active_ = false;
         int off = 0;
-        for (int f : fds_) {
-          ::setsockopt(f, IPPROTO_UDP, UDP_GRO, &off, sizeof(off));
+        for (const pollfd& p : sockets_) {
+          ::setsockopt(p.fd, IPPROTO_UDP, UDP_GRO, &off, sizeof(off));
         }
       }
     }
@@ -199,7 +198,7 @@ UdpBus::UdpBus(std::size_t member_count, std::uint16_t base_port,
 }
 
 UdpBus::~UdpBus() {
-  for (int fd : fds_) ::close(fd);
+  for (const pollfd& p : sockets_) ::close(p.fd);
 }
 
 TimePoint UdpBus::now() const {
@@ -430,10 +429,14 @@ void UdpBus::deliver(std::size_t local, std::uint16_t src_port_be,
     return;  // stray datagram from an unrelated sender
   }
   auto from = static_cast<MemberId>(src_port - base_port_);
-  if (on_receive_) {
-    on_receive_(static_cast<MemberId>(first_member_ + local), from,
-                std::move(bytes));
+  if (!on_receive_) return;
+  if (bytes.size() <= kMaxCopiedFrame) {
+    // A small frame that the protocol buffers would pin a whole ring slot
+    // and force the ring to allocate a fresh one: hand out a copy.
+    bytes = SharedBytes::copy_of(bytes.span());
   }
+  on_receive_(static_cast<MemberId>(first_member_ + local), from,
+              std::move(bytes));
 }
 
 void UdpBus::drain_socket_scalar(std::size_t local) {
@@ -443,8 +446,9 @@ void UdpBus::drain_socket_scalar(std::size_t local) {
     std::uint8_t* buf = ring_.writable(0);
     // MSG_TRUNC: report the datagram's true length so oversized ones are
     // detected instead of silently clipped.
-    ssize_t n = ::recvfrom(fds_[local], buf, ring_.segment_size(), MSG_TRUNC,
-                           reinterpret_cast<sockaddr*>(&src), &srclen);
+    ssize_t n = ::recvfrom(sockets_[local].fd, buf, ring_.segment_size(),
+                           MSG_TRUNC, reinterpret_cast<sockaddr*>(&src),
+                           &srclen);
     ++recv_syscalls_;
     if (n < 0) {
       switch (detail::classify_recv_errno(errno)) {
@@ -489,7 +493,7 @@ void UdpBus::drain_socket_batched(std::size_t local) {
         msgs[j].msg_hdr.msg_controllen = CMSG_SPACE(sizeof(int));
       }
     }
-    int n = ::recvmmsg(fds_[local], msgs, static_cast<unsigned>(batch),
+    int n = ::recvmmsg(sockets_[local].fd, msgs, static_cast<unsigned>(batch),
                        MSG_DONTWAIT, nullptr);
     ++recv_syscalls_;
     if (n < 0) {
@@ -552,46 +556,62 @@ void UdpBus::drain_socket_batched(std::size_t local) {
 #endif
 }
 
-void UdpBus::drain_sockets() {
-  for (std::size_t i = 0; i < fds_.size(); ++i) {
+bool UdpBus::fire_due_timers() {
+  const TimePoint t = now();
+  for (std::size_t fired = 0; timers_.next_event_time() <= t; ++fired) {
+    if (fired == kMaxTimersPerTurn) return true;
+    timers_.step();
+  }
+  return false;
+}
+
+bool UdpBus::poll_and_drain(Duration timeout) {
+#if defined(__linux__)
+  const timespec ts{static_cast<time_t>(timeout.us() / 1'000'000),
+                    static_cast<long>(timeout.us() % 1'000'000) * 1000};
+  int rc = ::ppoll(sockets_.data(), sockets_.size(), &ts, nullptr);
+#else
+  // Millisecond resolution: round up so no timer is woken early.
+  const int timeout_ms =
+      timeout > Duration::zero() ? static_cast<int>(timeout.us() / 1000) + 1
+                                 : 0;
+  int rc = ::poll(sockets_.data(), sockets_.size(), timeout_ms);
+#endif
+  ++poll_syscalls_;
+  if (rc < 0) {
+    if (errno == EINTR) return true;
+    log::error("UdpBus: poll failed: ", std::strerror(errno));
+    return false;
+  }
+  for (std::size_t i = 0; rc > 0 && i < sockets_.size(); ++i) {
+    if (sockets_[i].revents == 0) continue;
+    --rc;
     if (batched_) {
       drain_socket_batched(i);
     } else {
       drain_socket_scalar(i);
     }
   }
+  return true;
 }
 
-std::size_t UdpBus::run_until(TimePoint deadline) {
+void UdpBus::run_until(TimePoint deadline) {
   stopped_ = false;
-  std::uint64_t received_before = datagrams_received_;
-  std::vector<pollfd> pfds(fds_.size());
-  for (std::size_t i = 0; i < fds_.size(); ++i) {
-    pfds[i] = pollfd{fds_[i], POLLIN, 0};
-  }
-  while (!stopped_ && now() < deadline) {
-    timers_.run_until(now());
+  for (;;) {
+    const bool timers_due = fire_due_timers();
     flush_sends();
-    TimePoint wake = std::min(deadline, timers_.next_event_time());
-    Duration until_wake = wake - now();
-    int timeout_ms = 0;
-    if (until_wake > Duration::zero()) {
-      timeout_ms = static_cast<int>(until_wake.us() / 1000) + 1;
+    const TimePoint t = now();
+    const bool last_turn = stopped_ || t >= deadline;
+    Duration timeout = Duration::zero();
+    if (!last_turn && !timers_due) {
+      // A timer may have come due since fire_due_timers() read the clock.
+      timeout = std::max(Duration::zero(),
+                         std::min(deadline, timers_.next_event_time()) - t);
     }
-    int rc = ::poll(pfds.data(), pfds.size(), timeout_ms);
-    ++poll_syscalls_;
-    if (rc < 0 && errno != EINTR) {
-      log::error("UdpBus: poll failed: ", std::strerror(errno));
-      break;
-    }
-    if (rc > 0) drain_sockets();
+    if (!poll_and_drain(timeout)) return;
     flush_sends();
+    if (last_turn) return;
   }
-  timers_.run_until(now());
-  flush_sends();
-  drain_sockets();
-  flush_sends();
-  return static_cast<std::size_t>(datagrams_received_ - received_before);
 }
 
 }  // namespace rrmp::net

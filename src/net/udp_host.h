@@ -4,19 +4,29 @@
 // Each member is a UDP socket bound to 127.0.0.1:(base_port + member). A bus
 // may own a *subset* of the members (thread-per-core runtime: each worker
 // bus binds only its members' sockets but can send to every port in the
-// group), serviced by one poll() loop on the caller's thread so endpoint
+// group), serviced by one event loop on the caller's thread so endpoint
 // code needs no locking. IP multicast is emulated by unicast fan-out
 // (documented substitution: the sandbox offers no multicast routing; the
 // protocol above only observes per-receiver delivery, which is identical).
 //
+// Event loop (run_until): each turn fires at most kMaxTimersPerTurn due
+// timers, flushes the send queue, then sleeps in ppoll() with a µs timeout
+// until the next timer or the deadline — or polls without sleeping while
+// due timers remain, so a timer wave cannot starve the sockets — and drains
+// only the sockets the poll reported ready. Timers therefore fire within
+// the kernel's timer slack of their due time. Non-Linux builds fall back to
+// poll() with millisecond timeouts rounded up.
+//
 // Throughput path (Linux, on by default):
 //  - receives are batched through recvmmsg() into a preallocated
-//    SegmentRing — decoded frames alias ring slots via SharedBytes, so a
-//    datagram is written once by the kernel and never copied again
-//    (modeled on DFI's MulticastSegmentBuffer). A slot is recycled only
-//    when every SharedBytes referencing it has been released; a slot still
-//    pinned (e.g. its payload sits in a buffer store) is replaced with a
-//    fresh allocation instead of being overwritten.
+//    SegmentRing (modeled on DFI's MulticastSegmentBuffer). Frames above
+//    kMaxCopiedFrame alias their ring slot via SharedBytes, so such a
+//    datagram is written once by the kernel and never copied again; a slot
+//    is recycled only when every SharedBytes referencing it has been
+//    released, and a slot still pinned (e.g. its payload sits in a buffer
+//    store) is replaced with a fresh allocation instead of being
+//    overwritten. Smaller frames are copied into an exact-size buffer
+//    before delivery, so a buffered 64 B payload holds 64 B, not a slot.
 //  - sends are queued and flushed through sendmmsg() in batches; a regional
 //    fan-out enqueues one refcounted SharedBytes per receiver, so the wire
 //    image is encoded once for the whole group.
@@ -25,8 +35,8 @@
 //    for up to 64 datagrams — syscall batching alone cannot touch the
 //    per-datagram network-stack cost that dominates on modern kernels), and
 //    receive sockets opt into UDP_GRO so the kernel hands back coalesced
-//    trains that are split into per-datagram SharedBytes views of one ring
-//    slot, still zero-copy.
+//    trains that are split into per-datagram views of one ring slot (copied
+//    out, like any frame, when small).
 // Where the batched syscalls are unavailable (non-Linux, or a kernel that
 // returns ENOSYS/EOPNOTSUPP) the bus falls back one level at a time —
 // offload to sendmmsg, sendmmsg to the scalar recvfrom()/sendto() path —
@@ -36,6 +46,8 @@
 // datagram is handed to the socket, so WAN timing can be reproduced on
 // loopback.
 #pragma once
+
+#include <poll.h>
 
 #include <cstdint>
 #include <functional>
@@ -139,6 +151,12 @@ struct UdpBusConfig {
 
 class UdpBus {
  public:
+  /// Due timers fired per loop turn before the sockets are polled again.
+  static constexpr std::size_t kMaxTimersPerTurn = 64;
+  /// Received frames of at most this many bytes are copied out of the ring
+  /// before delivery; larger ones alias their slot.
+  static constexpr std::size_t kMaxCopiedFrame = 512;
+
   /// Binds one socket per owned member. Throws std::runtime_error if the
   /// port range would overflow 65535 (base_port + member_count must fit —
   /// silent uint16 wrap-around used to bind colliding/wrong ports) or if
@@ -150,9 +168,11 @@ class UdpBus {
   UdpBus(const UdpBus&) = delete;
   UdpBus& operator=(const UdpBus&) = delete;
 
-  /// Delivery callback. `bytes` aliases a receive-ring slot: keeping the
-  /// SharedBytes (or a slice of it) alive is cheap and safe — the ring
-  /// recycles the slot only after the last reference is gone.
+  /// Delivery callback. A frame of at most kMaxCopiedFrame bytes arrives
+  /// in its own exact-size buffer; a larger one aliases its receive-ring
+  /// slot. Either way, keeping the SharedBytes (or a slice of it) alive is
+  /// safe — the ring recycles a slot only after the last reference is
+  /// gone, and replaces a slot that is still pinned when its turn comes.
   using ReceiveFn =
       std::function<void(MemberId to, MemberId from, SharedBytes bytes)>;
   void set_receive_callback(ReceiveFn fn) { on_receive_ = std::move(fn); }
@@ -182,8 +202,8 @@ class UdpBus {
   }
 
   /// Service sockets and timers until `deadline` (bus time) passes or
-  /// stop() is called. Returns the number of datagrams delivered.
-  std::size_t run_until(TimePoint deadline);
+  /// stop() is called, then poll once more without sleeping.
+  void run_until(TimePoint deadline);
   void stop() { stopped_ = true; }
 
   /// Push any queued batched sends to the kernel now (run_until flushes
@@ -191,12 +211,12 @@ class UdpBus {
   void flush_sends();
 
   std::size_t member_count() const { return total_members_; }
-  std::size_t owned_count() const { return fds_.size(); }
+  std::size_t owned_count() const { return sockets_.size(); }
   MemberId first_member() const {
     return static_cast<MemberId>(first_member_);
   }
   bool owns(MemberId m) const {
-    return m >= first_member_ && m < first_member_ + fds_.size();
+    return m >= first_member_ && m < first_member_ + sockets_.size();
   }
 
   std::uint64_t datagrams_sent() const { return datagrams_sent_; }
@@ -234,17 +254,22 @@ class UdpBus {
   /// the kernel refused offload and gso_active_ was cleared — the caller
   /// then re-sends the same range through sendmmsg).
   std::size_t send_gso_train(std::size_t begin, std::size_t count);
-  void drain_sockets();
+  /// Fires due timers, at most kMaxTimersPerTurn; true if more are due.
+  bool fire_due_timers();
+  /// Waits up to `timeout` for a readable socket and drains the ready
+  /// ones; false on a poll error.
+  bool poll_and_drain(Duration timeout);
   void drain_socket_scalar(std::size_t local);
   void drain_socket_batched(std::size_t local);
   void deliver(std::size_t local, std::uint16_t src_port, SharedBytes bytes);
-  int fd_of(MemberId m) const { return fds_[m - first_member_]; }
+  int fd_of(MemberId m) const { return sockets_[m - first_member_].fd; }
 
   UdpBusConfig config_;
   std::uint16_t base_port_;
   std::size_t total_members_;
   std::size_t first_member_;
-  std::vector<int> fds_;
+  // One socket per owned member, local index order; doubles as the poll set.
+  std::vector<pollfd> sockets_;
   ReceiveFn on_receive_;
   DelayFn delay_fn_;
   std::int64_t epoch_ns_ = 0;
@@ -256,8 +281,8 @@ class UdpBus {
   SegmentRing ring_;
   std::vector<PendingSend> send_queue_;
 
-  // Timer queue on bus time: its clock is run up to now() at each poll
-  // iteration, so it never runs ahead of the wall clock.
+  // Timer queue on bus time: its clock advances only by firing due timers,
+  // so it never runs ahead of the wall clock.
   sim::Simulator timers_;
 
   std::uint64_t datagrams_sent_ = 0;

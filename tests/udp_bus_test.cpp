@@ -1,6 +1,6 @@
 // Unit tests for the loopback-UDP datagram bus (sockets, timers, delays,
-// batched syscalls, segment-ring receive). Skipped when the environment
-// forbids binding UDP sockets.
+// batched syscalls, segment-ring receive, event-loop timing). Skipped when
+// the environment forbids binding UDP sockets.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -8,6 +8,9 @@
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
+
+#include <algorithm>
+#include <functional>
 
 #include "net/udp_host.h"
 
@@ -203,15 +206,17 @@ TEST(UdpBusTest, StrayPortFilteringUnderBatching) {
   EXPECT_EQ(bus->datagrams_received(), 6u);  // 5 stray + 1 legit
 }
 
-// The zero-copy contract: a SharedBytes held across further receives stays
-// intact because the ring replaces (never overwrites) a still-referenced
-// slot when its turn comes around again.
+// The zero-copy contract: a frame above the copy threshold aliases its ring
+// slot, and a SharedBytes held across further receives stays intact because
+// the ring replaces (never overwrites) a still-referenced slot when its turn
+// comes around again.
 TEST(UdpBusTest, RingSlotReuseAfterReleasePreservesPinnedPayload) {
   UdpBusConfig cfg;
   cfg.batch_size = 2;
   cfg.ring_segments = 4;  // tiny ring: wraps quickly
   auto bus = try_bus(2, 39590, cfg);
   if (!bus) GTEST_SKIP() << "UDP sockets unavailable";
+  constexpr std::size_t kFrame = UdpBus::kMaxCopiedFrame + 1;
   SharedBytes pinned;
   int received = 0;
   constexpr int kTotal = 24;  // wraps the 4-slot ring several times
@@ -222,16 +227,50 @@ TEST(UdpBusTest, RingSlotReuseAfterReleasePreservesPinnedPayload) {
         if (++received == kTotal) bus->stop();
       });
   for (int i = 0; i < kTotal; ++i) {
-    bus->send(0, 1, {static_cast<std::uint8_t>(0x10 + i), 0x77});
+    std::vector<std::uint8_t> frame(kFrame, 0x77);
+    frame[0] = static_cast<std::uint8_t>(0x10 + i);
+    bus->send(0, 1, std::move(frame));
   }
   bus->run_until(bus->now() + Duration::millis(1000));
   ASSERT_EQ(received, kTotal);
   // The pinned view still reads the *first* datagram's bytes.
-  ASSERT_EQ(pinned.size(), 2u);
+  ASSERT_EQ(pinned.size(), kFrame);
   EXPECT_EQ(pinned.data()[0], 0x10);
-  EXPECT_EQ(pinned.data()[1], 0x77);
+  EXPECT_EQ(pinned.data()[kFrame - 1], 0x77);
   // The ring had to replace the pinned slot at least once to keep going.
   EXPECT_GE(bus->ring_replacements(), 1u);
+}
+
+// Frames of at most kMaxCopiedFrame bytes leave the ring before delivery:
+// holding every one of them pins no slot, so the tiny ring wraps without a
+// single replacement and each held frame keeps its own bytes.
+TEST(UdpBusTest, SmallFramesDoNotPinRingSlots) {
+  UdpBusConfig cfg;
+  cfg.batch_size = 2;
+  cfg.ring_segments = 4;
+  auto bus = try_bus(2, 39665, cfg);
+  if (!bus) GTEST_SKIP() << "UDP sockets unavailable";
+  constexpr std::size_t kFrame = UdpBus::kMaxCopiedFrame;
+  constexpr std::size_t kTotal = 24;
+  std::vector<SharedBytes> held;
+  bus->set_receive_callback(
+      [&](MemberId to, MemberId, SharedBytes bytes) {
+        if (to != 1) return;
+        held.push_back(bytes);
+        if (held.size() == kTotal) bus->stop();
+      });
+  for (std::size_t i = 0; i < kTotal; ++i) {
+    bus->send(0, 1,
+              std::vector<std::uint8_t>(kFrame, static_cast<std::uint8_t>(i)));
+  }
+  bus->run_until(bus->now() + Duration::millis(1000));
+  ASSERT_EQ(held.size(), kTotal);
+  for (std::size_t i = 0; i < kTotal; ++i) {
+    ASSERT_EQ(held[i].size(), kFrame) << "frame " << i;
+    EXPECT_EQ(held[i].data()[0], i) << "frame " << i;
+    EXPECT_EQ(held[i].data()[kFrame - 1], i) << "frame " << i;
+  }
+  EXPECT_EQ(bus->ring_replacements(), 0u);
 }
 
 TEST(UdpBusTest, ScalarFallbackPathStillDelivers) {
@@ -378,6 +417,88 @@ TEST(UdpBusTest, OffloadFanOutBucketsByDestination) {
           << "member " << to << " datagram " << i;
     }
   }
+}
+
+// Timers fire on time: a chain of timers 1.3 ms apart never fires early,
+// and its median lateness stays well under a millisecond. A wait rounded up
+// to whole milliseconds would fire each one about 0.7 ms late.
+TEST(UdpBusTest, TimerChainFiresWithinMicroseconds) {
+  auto bus = try_bus(1, 39660);
+  if (!bus) GTEST_SKIP() << "UDP sockets unavailable";
+  constexpr std::size_t kTimers = 200;
+  const Duration gap = Duration::micros(1300);
+  std::vector<std::int64_t> late_us;
+  TimePoint due;
+  std::function<void()> tick = [&] {
+    late_us.push_back((bus->now() - due).us());
+    if (late_us.size() == kTimers) {
+      bus->stop();
+      return;
+    }
+    due = bus->now() + gap;
+    bus->schedule_after(gap, tick);
+  };
+  due = bus->now() + gap;
+  bus->schedule_after(gap, tick);
+  bus->run_until(bus->now() + Duration::seconds(2));
+  ASSERT_EQ(late_us.size(), kTimers);
+  EXPECT_GE(*std::min_element(late_us.begin(), late_us.end()), 0)
+      << "a timer fired before its due time";
+  auto mid = late_us.begin() + kTimers / 2;
+  std::nth_element(late_us.begin(), mid, late_us.end());
+  EXPECT_LT(*mid, 500) << "median lateness in µs";
+}
+
+// A wake drains only the sockets the poll reported ready: on a 16-member
+// bus where member 0 alone receives, each datagram costs one recv call, not
+// one per member.
+TEST(UdpBusTest, WakeDrainsOnlyReadySockets) {
+  constexpr std::size_t kMembers = 16;
+  auto bus = try_bus(kMembers, 39670);
+  if (!bus) GTEST_SKIP() << "UDP sockets unavailable";
+  constexpr int kDatagrams = 100;
+  int received = 0;
+  bus->set_receive_callback([&](MemberId to, MemberId, SharedBytes) {
+    EXPECT_EQ(to, 0u);
+    if (++received == kDatagrams) bus->stop();
+  });
+  int sent = 0;
+  std::function<void()> send_next = [&] {
+    bus->send(1, 0, {static_cast<std::uint8_t>(sent)});
+    if (++sent < kDatagrams) {
+      bus->schedule_after(Duration::millis(1), send_next);
+    }
+  };
+  bus->schedule_after(Duration::zero(), send_next);
+  bus->run_until(bus->now() + Duration::seconds(2));
+  ASSERT_EQ(received, kDatagrams);
+  EXPECT_LE(bus->recv_syscalls(), bus->poll_syscalls() + kMembers)
+      << bus->poll_syscalls() << " polls";
+}
+
+// A wave of due timers cannot starve the sockets: the loop polls after
+// every kMaxTimersPerTurn timers, so a datagram sent by the wave's first
+// timer is delivered before its last timer fires.
+TEST(UdpBusTest, TimerWaveYieldsToSockets) {
+  auto bus = try_bus(2, 39690);
+  if (!bus) GTEST_SKIP() << "UDP sockets unavailable";
+  constexpr std::size_t kTimers = 4 * UdpBus::kMaxTimersPerTurn;
+  std::size_t fired = 0;
+  std::size_t fired_at_delivery = 0;
+  bus->set_receive_callback([&](MemberId to, MemberId, SharedBytes) {
+    if (to == 1) fired_at_delivery = fired;
+  });
+  bus->schedule_after(Duration::zero(), [&] {
+    ++fired;
+    bus->send(0, 1, {7});
+  });
+  for (std::size_t i = 1; i < kTimers; ++i) {
+    bus->schedule_after(Duration::zero(), [&] { ++fired; });
+  }
+  bus->run_until(bus->now() + Duration::millis(200));
+  ASSERT_EQ(fired, kTimers);
+  ASSERT_GT(fired_at_delivery, 0u) << "datagram never delivered";
+  EXPECT_LT(fired_at_delivery, kTimers);
 }
 
 }  // namespace
