@@ -1,31 +1,24 @@
 // Real-transport throughput: the loopback-UDP bus under a windowed flood.
 //
-// Section 1 (bus level): member 0 floods 256-byte datagrams round-robin to
-// three receivers on one bus, windowed on outstanding datagrams, once per
-// syscall mode — the scalar recvfrom/sendto path (the pre-batching
-// behaviour, kept as the fallback), the batched recvmmsg/sendmmsg +
-// segment-ring path at two batch sizes, and the GSO/GRO segmentation-
-// offload path (UDP_SEGMENT trains out, UDP_GRO coalescing in). Reported
-// per cell: delivered msgs/s, p99 end-to-end delivery latency (payloads
-// carry their send timestamp), and syscalls per delivered message
-// (send + recv + poll).
-//
-// Section 2 (runtime level): unmodified protocol endpoints (UdpRuntime)
-// disseminate a message stream with no loss, single-worker vs
-// one-worker-per-core, reporting protocol-level delivery throughput. On a
-// single-core host both cells collapse to one worker; the cell is
-// informational (no shape verdict) for that reason.
+// Member 0 floods 256-byte datagrams round-robin to three receivers on one
+// bus, windowed on outstanding datagrams, once per syscall mode — the
+// scalar recvfrom/sendto path (the pre-batching behaviour, kept as the
+// fallback), the batched recvmmsg/sendmmsg path, and the GSO/GRO
+// segmentation-offload path (UDP_SEGMENT trains out, UDP_GRO coalescing
+// in). Reported per cell: delivered msgs/s, p99 end-to-end delivery latency
+// (payloads carry their send timestamp), and syscalls per delivered message
+// (send + recv + poll). The protocol endpoints over this transport are
+// measured by the end-to-end benchmark's UDP workloads (bench/e2e).
 //
 // RRMP_UDP_SECONDS truncates each flood cell's duration for CI smoke runs
 // (default 1.5 s per cell).
 #include <algorithm>
 #include <cstring>
-#include <memory>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
-#include "harness/udp_runtime.h"
 #include "net/udp_host.h"
 
 namespace rrmp {
@@ -49,7 +42,6 @@ struct FloodResult {
   double p99_us = 0;
   double syscalls_per_msg = 0;
   std::uint64_t delivered = 0;
-  std::uint64_t ring_replacements = 0;
 };
 
 /// Windowed flood on one bus: a 1 ms producer timer keeps up to kWindow
@@ -128,55 +120,6 @@ FloodResult run_flood(net::UdpBusConfig bus_cfg, std::uint16_t port,
   r.syscalls_per_msg =
       delivered > 0 ? static_cast<double>(syscalls) / static_cast<double>(delivered)
                     : 0;
-  r.ring_replacements = bus.ring_replacements();
-  return r;
-}
-
-struct RuntimeResult {
-  double msgs_per_sec = 0;
-  bool all_delivered = false;
-  std::size_t workers = 0;
-};
-
-/// Protocol-level stream: endpoint 0 ip-multicasts `messages` payloads,
-/// paced a few per session interval so recovery machinery idles; measures
-/// end-to-end delivery throughput (payload deliveries per second).
-RuntimeResult run_runtime_stream(std::size_t workers, std::uint16_t port,
-                                 int messages) {
-  net::Topology topo = net::make_hierarchy(
-      {4, 4}, Duration::millis(2), Duration::millis(4));
-  harness::UdpRuntimeConfig cfg;
-  cfg.base_port = port;
-  cfg.seed = 11;
-  cfg.workers = workers;
-  cfg.emulate_latency = false;
-  cfg.protocol.session_interval = Duration::millis(20);
-  harness::UdpRuntime rt(topo, cfg);
-
-  TimePoint start = rt.bus().now();
-  std::vector<MessageId> ids;
-  for (int burst = 0; burst < messages; burst += 8) {
-    for (int i = burst; i < std::min(messages, burst + 8); ++i) {
-      ids.push_back(rt.endpoint(0).multicast(
-          std::vector<std::uint8_t>(kPayloadBytes, 0x5A)));
-    }
-    rt.run_for(Duration::millis(5));
-  }
-  rt.run_for(Duration::millis(300));
-  double elapsed =
-      static_cast<double>((rt.bus().now() - start).us()) / 1e6;
-
-  RuntimeResult r;
-  r.workers = rt.worker_count();
-  r.all_delivered = true;
-  std::size_t deliveries = 0;
-  for (const MessageId& id : ids) {
-    std::size_t got = rt.count_received(id);
-    deliveries += got;
-    if (got != topo.member_count()) r.all_delivered = false;
-  }
-  r.msgs_per_sec =
-      elapsed > 0 ? static_cast<double>(deliveries) / elapsed : 0;
   return r;
 }
 
@@ -208,13 +151,12 @@ int main() {
   }
 
   analysis::Table table({"mode", "msgs/s", "p99 us", "syscalls/msg",
-                         "delivered", "ring repl"});
+                         "delivered"});
   auto add_row = [&](const std::string& mode, const FloodResult& r) {
     table.add_row({mode, std::to_string(static_cast<std::int64_t>(r.msgs_per_sec)),
                    std::to_string(static_cast<std::int64_t>(r.p99_us)),
                    std::to_string(r.syscalls_per_msg),
-                   std::to_string(r.delivered),
-                   std::to_string(r.ring_replacements)});
+                   std::to_string(r.delivered)});
   };
 
   net::UdpBusConfig scalar_cfg;
@@ -222,18 +164,10 @@ int main() {
   FloodResult scalar = run_flood(scalar_cfg, kBasePort, seconds);
   add_row("scalar sendto/recvfrom", scalar);
 
-  net::UdpBusConfig batched32;
-  batched32.batch_size = 32;
-  FloodResult b32 = run_flood(batched32, kBasePort + 8, seconds);
+  FloodResult b32 = run_flood({}, kBasePort + 8, seconds);
   add_row("batched recvmmsg/sendmmsg x32", b32);
 
-  net::UdpBusConfig batched64;
-  batched64.batch_size = 64;
-  FloodResult b64 = run_flood(batched64, kBasePort + 16, seconds);
-  add_row("batched recvmmsg/sendmmsg x64", b64);
-
   net::UdpBusConfig offload_cfg;
-  offload_cfg.batch_size = 32;
   offload_cfg.segmentation_offload = true;
   FloodResult offl = run_flood(offload_cfg, kBasePort + 24, seconds);
   add_row("gso/gro offload x32", offl);
@@ -244,7 +178,6 @@ int main() {
 
   report.add_scalar("scalar_msgs_per_sec", scalar.msgs_per_sec);
   report.add_scalar("batched_msgs_per_sec", b32.msgs_per_sec);
-  report.add_scalar("batched64_msgs_per_sec", b64.msgs_per_sec);
   report.add_scalar("offload_msgs_per_sec", offl.msgs_per_sec);
   report.add_scalar("scalar_p99_us", scalar.p99_us);
   report.add_scalar("batched_p99_us", b32.p99_us);
@@ -256,8 +189,7 @@ int main() {
   // configuration: syscall batching alone where that is what the kernel
   // rewards, GSO/GRO segmentation offload where (as on most modern
   // kernels) the per-datagram stack traversal dominates instead.
-  double best = std::max({b32.msgs_per_sec, b64.msgs_per_sec,
-                          offl.msgs_per_sec});
+  double best = std::max(b32.msgs_per_sec, offl.msgs_per_sec);
   double speedup = scalar.msgs_per_sec > 0
                        ? best / scalar.msgs_per_sec
                        : 0;
@@ -271,26 +203,6 @@ int main() {
       "batching at least halves syscalls per delivered message");
   report.verdict(scalar.p99_us > 0 && b32.p99_us > 0 && offl.p99_us > 0,
                  "p99 delivery latency measured on all paths");
-
-  // --- protocol endpoints over the batched runtime ---------------------------
-  int messages = seconds >= 1.0 ? 160 : 48;
-  RuntimeResult w1 = run_runtime_stream(1, kBasePort + 32, messages);
-  RuntimeResult whw = run_runtime_stream(0, kBasePort + 48, messages);
-  analysis::Table rt_table({"workers", "protocol msgs/s", "all delivered"});
-  rt_table.add_row({"1", std::to_string(static_cast<std::int64_t>(w1.msgs_per_sec)),
-                    w1.all_delivered ? "yes" : "no"});
-  rt_table.add_row({std::to_string(whw.workers) + " (per-core)",
-                    std::to_string(static_cast<std::int64_t>(whw.msgs_per_sec)),
-                    whw.all_delivered ? "yes" : "no"});
-  rt_table.print(std::cout);
-  bench::maybe_write_csv("udp_throughput_runtime", rt_table);
-  report.add_table("protocol stream: workers", rt_table);
-  report.add_scalar("runtime_msgs_per_sec_w1", w1.msgs_per_sec);
-  report.add_scalar("runtime_msgs_per_sec_percore", whw.msgs_per_sec);
-  report.add_scalar("runtime_workers_percore",
-                    static_cast<double>(whw.workers));
-  report.verdict(w1.all_delivered && whw.all_delivered,
-                 "protocol stream fully delivered at every worker count");
 
   report.write_if_requested();
   return report.all_ok() ? 0 : 1;

@@ -16,6 +16,15 @@ correct/attempted/failed counts must be equal. The runs default to
 benchmark's full size. Either half runs alone when only its pair of
 arguments is given.
 
+With --pairs N as well, it also runs the two UDP workloads (udp_small_open,
+udp_lossy_open) from both binaries on seeds 1-N at the benchmark's full
+size, alternating which binary goes first. These are not deterministic, so
+it prints each side's median and quartiles per end-to-end metric (plus the
+info cpu_us_per_delivery) and bench/e2e/run.py's comparison: the share of
+pairs the change won and a verdict under the bounds in BENCHMARK.json. It
+fails when a run fails its checks, not on a verdict. Ten pairs take about
+8 minutes.
+
 A change that means to alter bench output lists each such bench or
 workload, one name a line, in bench/expected_output_changes.txt. The check
 fails when a bench or workload differs and is not listed, and when a listed
@@ -25,7 +34,8 @@ Usage:
   bench/diff_bench_outputs.py --parent PARENT/build-release/bench \\
       --change build-release/bench \\
       [--e2e-parent PARENT/build-e2e/bench_e2e \\
-       --e2e-change build-e2e/bench_e2e [--seconds S] [--scale X]]
+       --e2e-change build-e2e/bench_e2e [--seconds S] [--scale X]
+       [--pairs N]]
 """
 
 import argparse
@@ -67,6 +77,7 @@ E2E_METRICS = [
     "wire_msgs_per_delivery",
 ]
 E2E_COUNTS = ["correct", "attempted", "failed"]
+UDP_WORKLOADS = ["udp_small_open", "udp_lossy_open"]
 
 EXPECTED_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                              "expected_output_changes.txt")
@@ -160,6 +171,47 @@ def check_e2e(args, expected, failures):
                bool(details), workload in expected, details, failures)
 
 
+def check_pairs(args, failures):
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                    "e2e"))
+    import run as e2e  # bench/e2e/run.py
+
+    spec = e2e.load_spec()
+    binaries = {"parent": args.e2e_parent, "change": args.e2e_change}
+    sides = {side: {"workloads": {}} for side in binaries}
+    for seed in range(1, args.pairs + 1):
+        order = ["parent", "change"] if seed % 2 else ["change", "parent"]
+        for workload in UDP_WORKLOADS:
+            for side in order:
+                what = f"{workload} seed {seed} {side}"
+                try:
+                    r = e2e.run_measured(binaries[side], workload, seed,
+                                         spec["run_seconds"], 1.0)
+                except e2e.BenchError as e:
+                    failures.append(f"{what}: {e}")
+                    continue
+                print(f"{what}: {'ok' if r['correct'] else 'FAILED'}",
+                      flush=True)
+                if not r["correct"]:
+                    failures.append(f"{what}: failed checks "
+                                    f"{r['checks_failed']}")
+                sides[side]["workloads"].setdefault(
+                    workload, {"runs": []})["runs"].append(r)
+    declared = spec["end_to_end"] + [{"name": "cpu_us_per_delivery",
+                                      "unit": "us"}]
+    print(f"\n{'workload':<16} {'side':<7} {'metric':<26} {'median':>12} "
+          f"{'q1':>12} {'q3':>12}")
+    for workload in UDP_WORKLOADS:
+        for side, results in sides.items():
+            runs = [{"metrics": r["metrics"] | r["info"]} for r in
+                    results["workloads"].get(workload, {"runs": []})["runs"]]
+            for name, q in e2e.summarize(runs, declared).items():
+                print(f"{workload:<16} {side:<7} {name:<26} "
+                      f"{q['median']:>12.6g} {q['q1']:>12.6g} "
+                      f"{q['q3']:>12.6g}")
+    e2e.compare(sides["parent"], sides["change"], spec)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", help="parent's bench build dir")
@@ -170,6 +222,9 @@ def main():
                     help="bench_e2e --seconds (default 2; full size 10)")
     ap.add_argument("--scale", type=float, default=0.25,
                     help="bench_e2e --scale (default 0.25; full size 1)")
+    ap.add_argument("--pairs", type=int, default=0,
+                    help="also run the UDP workloads on seeds 1..N, full "
+                         "size, from both binaries")
     args = ap.parse_args()
     benches = args.parent is not None or args.change is not None
     e2e = args.e2e_parent is not None or args.e2e_change is not None
@@ -179,6 +234,8 @@ def main():
         ap.error("--e2e-parent and --e2e-change go together")
     if not benches and not e2e:
         ap.error("give --parent/--change, --e2e-parent/--e2e-change or both")
+    if args.pairs and not e2e:
+        ap.error("--pairs needs --e2e-parent and --e2e-change")
 
     with open(EXPECTED_FILE) as f:
         expected = {l.strip() for l in f if l.strip() and not l.startswith("#")}
@@ -189,6 +246,8 @@ def main():
         check_benches(args, expected, failures)
     if e2e:
         check_e2e(args, expected, failures)
+    if args.pairs:
+        check_pairs(args, failures)
     for failure in failures:
         print(f"FAIL {failure}")
     return 1 if failures else 0

@@ -11,8 +11,9 @@
 // without copying. It is the payload type of the wire messages, so a
 // multicast fan-out, a buffered copy, and every repair retransmission of
 // the same message all reference one allocation. Immutability is by
-// construction — the owner is const and SharedBytes exposes no mutator —
-// so sharing can never observe a mutation.
+// construction — every owner is a vector moved into a const allocation
+// here, no other code holds a writable handle to it, and SharedBytes
+// exposes no mutator — so sharing can never observe a mutation.
 #pragma once
 
 #include <cstdint>
@@ -45,21 +46,6 @@ class SharedBytes {
   /// Copy `data` into a fresh owned buffer.
   static SharedBytes copy_of(std::span<const std::uint8_t> data) {
     return SharedBytes(std::vector<std::uint8_t>(data.begin(), data.end()));
-  }
-
-  /// Alias [offset, offset+len) of an externally owned buffer — no copy.
-  /// The caller promises the bytes are not mutated while any SharedBytes
-  /// (or slice of one) still references `owner`; the UDP segment ring
-  /// upholds this by recycling a slot only once its use_count drops back
-  /// to the ring's own reference.
-  static SharedBytes adopt(
-      std::shared_ptr<const std::vector<std::uint8_t>> owner,
-      std::size_t offset, std::size_t len) {
-    SharedBytes out;
-    out.data_ = owner->data() + offset;
-    out.size_ = len;
-    out.owner_ = std::move(owner);
-    return out;
   }
 
   /// A view of [offset, offset+len) sharing this buffer's owner — no copy.

@@ -123,9 +123,8 @@ UdpRuntime::UdpRuntime(const net::Topology& topology, UdpRuntimeConfig config)
     }
     bus->set_receive_callback(
         [this](MemberId to, MemberId from, SharedBytes bytes) {
-          // decode_shared keeps payload blobs aliasing `bytes`: the ring
-          // slot of a large frame (zero-copy from kernel to buffer), or
-          // the bus's exact-size copy of a small one.
+          // decode_shared keeps payload blobs aliasing `bytes`, the bus's
+          // exact-size copy of the frame.
           std::optional<proto::Message> msg = proto::decode_shared(bytes);
           if (!msg) {
             log::warn("UdpRuntime: dropping undecodable datagram (",

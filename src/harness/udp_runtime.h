@@ -10,12 +10,10 @@
 // datagram. run_for() drives all workers over a harness::ShardPool and is a
 // full barrier, so between calls the caller may touch any endpoint safely.
 //
-// Receive copies a frame at most once: UdpBus hands each worker a large
-// frame as a SharedBytes view of its preallocated segment ring and a small
-// one (at most UdpBus::kMaxCopiedFrame bytes) as an exact-size copy;
-// decode_shared() keeps payload blobs aliasing that buffer, and a ring slot
-// is recycled only after the last reference (e.g. a buffered payload) is
-// released.
+// Receive copies a frame exactly once: UdpBus hands each worker every frame
+// as an exact-size SharedBytes copied out of its reused receive scratch, and
+// decode_shared() keeps payload blobs aliasing that copy, so a buffered
+// payload holds its own frame and nothing more.
 //
 // Topology latency is reproduced with the bus's delayed sends, so WAN
 // timing holds on loopback. Membership is static (the directory's initial
@@ -58,7 +56,8 @@ struct UdpRuntimeConfig {
   /// 1 = everything on the caller's thread (the pre-threading behaviour);
   /// 0 = one worker per hardware core.
   std::size_t workers = 1;
-  /// Batching / segment-ring knobs forwarded to each worker's UdpBus.
+  /// Syscall-path knobs (batched_syscalls, segmentation_offload) forwarded
+  /// to each worker's UdpBus; the runtime sets its ownership and epoch.
   net::UdpBusConfig bus;
 };
 

@@ -28,21 +28,13 @@
 namespace rrmp::net {
 namespace {
 
-// Stack-array bound for the mmsghdr/iovec scratch in the batched paths;
-// config batch sizes are clamped to it.
-constexpr std::size_t kMaxBatch = 64;
-
 // Kernel cap on segments per GSO send (UDP_MAX_SEGMENTS) and the largest
 // possible UDP payload — a train must respect both.
 constexpr std::size_t kMaxGsoSegments = 64;
 constexpr std::size_t kMaxUdpPayload = 65507;
 // A GRO-coalesced train can be as large as one UDP datagram's payload
-// bound; offload ring slots must hold a whole train.
-constexpr std::size_t kOffloadSegmentSize = 65536;
-
-std::size_t clamp_batch(std::size_t b) {
-  return std::clamp<std::size_t>(b, 1, kMaxBatch);
-}
+// bound; with GRO on, each receive slot must hold a whole train.
+constexpr std::size_t kGroSlotSize = 65536;
 
 bool offload_requested(const UdpBusConfig& c) {
 #if defined(__linux__)
@@ -51,22 +43,6 @@ bool offload_requested(const UdpBusConfig& c) {
   (void)c;
   return false;
 #endif
-}
-
-std::size_t effective_segment_size(const UdpBusConfig& c) {
-  if (offload_requested(c)) {
-    return std::max(c.segment_size, kOffloadSegmentSize);
-  }
-  return c.segment_size;
-}
-
-std::size_t effective_ring_segments(const UdpBusConfig& c) {
-  if (c.ring_segments != 0) return c.ring_segments;
-  if (offload_requested(c)) {
-    // 64 KiB slots each holding a whole train: a shallow ring suffices.
-    return std::max<std::size_t>(clamp_batch(c.batch_size), 16);
-  }
-  return std::max<std::size_t>(8 * clamp_batch(c.batch_size), 64);
 }
 
 std::int64_t monotonic_ns() {
@@ -95,43 +71,11 @@ RecvDisposition classify_recv_errno(int err) {
 
 }  // namespace detail
 
-SegmentRing::SegmentRing(std::size_t segments, std::size_t segment_size)
-    : segment_size_(segment_size) {
-  slots_.reserve(segments);
-  for (std::size_t i = 0; i < segments; ++i) {
-    slots_.push_back(
-        std::make_shared<std::vector<std::uint8_t>>(segment_size));
-  }
-}
-
-std::uint8_t* SegmentRing::writable(std::size_t i) {
-  auto& slot = slots_[(head_ + i) % slots_.size()];
-  if (slot.use_count() > 1) {
-    // Still pinned by a delivered SharedBytes (e.g. a buffered payload):
-    // never overwrite — give the ring a fresh buffer and let the pinned one
-    // live for as long as its references do.
-    slot = std::make_shared<std::vector<std::uint8_t>>(segment_size_);
-    ++replacements_;
-  }
-  return slot->data();
-}
-
-SharedBytes SegmentRing::view(std::size_t i, std::size_t len) {
-  return view_at(i, 0, len);
-}
-
-SharedBytes SegmentRing::view_at(std::size_t i, std::size_t offset,
-                                 std::size_t len) {
-  const auto& slot = slots_[(head_ + i) % slots_.size()];
-  return SharedBytes::adopt(slot, offset, len);
-}
-
 UdpBus::UdpBus(std::size_t member_count, std::uint16_t base_port,
                UdpBusConfig config)
     : config_(std::move(config)),
       base_port_(base_port),
-      total_members_(member_count),
-      ring_(effective_ring_segments(config_), effective_segment_size(config_)) {
+      total_members_(member_count) {
   // Port-range overflow check: base_port + i used to be truncated through
   // uint16, silently wrapping past 65535 into colliding/wrong ports.
   if (static_cast<std::size_t>(base_port_) + member_count > 65536) {
@@ -140,8 +84,6 @@ UdpBus::UdpBus(std::size_t member_count, std::uint16_t base_port,
         std::to_string(base_port_) + " + " + std::to_string(member_count) +
         " members exceeds port 65535");
   }
-  config_.batch_size = std::clamp<std::size_t>(config_.batch_size, 1,
-                                               kMaxBatch);
   first_member_ = std::min(config_.first_member, member_count);
   std::size_t owned =
       std::min(config_.owned_count, member_count - first_member_);
@@ -195,6 +137,8 @@ UdpBus::UdpBus(std::size_t member_count, std::uint16_t base_port,
     }
 #endif
   }
+  if (gro_active_) slot_size_ = kGroSlotSize;
+  scratch_.resize(kBatch * slot_size_);
 }
 
 UdpBus::~UdpBus() {
@@ -233,7 +177,7 @@ void UdpBus::write_datagram(MemberId from, MemberId to, SharedBytes bytes) {
     return;
   }
   send_queue_.push_back(PendingSend{from, to, std::move(bytes)});
-  if (send_queue_.size() >= 4 * config_.batch_size) flush_sends();
+  if (send_queue_.size() >= 4 * kBatch) flush_sends();
 }
 
 void UdpBus::send_shared(MemberId from, MemberId to, SharedBytes bytes) {
@@ -338,10 +282,10 @@ void UdpBus::flush_run(std::size_t begin, std::size_t end) {
         // false — re-send the same range through sendmmsg below.
       }
     }
-    mmsghdr msgs[kMaxBatch];
-    iovec iovs[kMaxBatch];
-    sockaddr_in dsts[kMaxBatch];
-    std::size_t n = std::min(end - begin, config_.batch_size);
+    mmsghdr msgs[kBatch];
+    iovec iovs[kBatch];
+    sockaddr_in dsts[kBatch];
+    std::size_t n = std::min(end - begin, kBatch);
     // Stop the plain batch at the next GSO train so interleaved
     // singleton/train patterns keep their trains.
     if (gso_active_) {
@@ -422,7 +366,7 @@ void UdpBus::flush_sends() {
 }
 
 void UdpBus::deliver(std::size_t local, std::uint16_t src_port_be,
-                     SharedBytes bytes) {
+                     std::span<const std::uint8_t> frame) {
   ++datagrams_received_;
   std::uint16_t src_port = ntohs(src_port_be);
   if (src_port < base_port_ || src_port >= base_port_ + total_members_) {
@@ -430,23 +374,18 @@ void UdpBus::deliver(std::size_t local, std::uint16_t src_port_be,
   }
   auto from = static_cast<MemberId>(src_port - base_port_);
   if (!on_receive_) return;
-  if (bytes.size() <= kMaxCopiedFrame) {
-    // A small frame that the protocol buffers would pin a whole ring slot
-    // and force the ring to allocate a fresh one: hand out a copy.
-    bytes = SharedBytes::copy_of(bytes.span());
-  }
+  // The next receive overwrites the scratch: the frame leaves it now.
   on_receive_(static_cast<MemberId>(first_member_ + local), from,
-              std::move(bytes));
+              SharedBytes::copy_of(frame));
 }
 
 void UdpBus::drain_socket_scalar(std::size_t local) {
   for (;;) {
     sockaddr_in src{};
     socklen_t srclen = sizeof(src);
-    std::uint8_t* buf = ring_.writable(0);
     // MSG_TRUNC: report the datagram's true length so oversized ones are
     // detected instead of silently clipped.
-    ssize_t n = ::recvfrom(sockets_[local].fd, buf, ring_.segment_size(),
+    ssize_t n = ::recvfrom(sockets_[local].fd, scratch_.data(), slot_size_,
                            MSG_TRUNC, reinterpret_cast<sockaddr*>(&src),
                            &srclen);
     ++recv_syscalls_;
@@ -461,28 +400,26 @@ void UdpBus::drain_socket_scalar(std::size_t local) {
           return;
       }
     }
-    if (static_cast<std::size_t>(n) > ring_.segment_size()) {
+    if (static_cast<std::size_t>(n) > slot_size_) {
       ++datagrams_received_;
       log::warn("UdpBus: dropping ", n, "-byte datagram larger than the ",
-                ring_.segment_size(), "-byte segment size");
+                slot_size_, "-byte slot size");
       continue;
     }
-    SharedBytes bytes = ring_.view(0, static_cast<std::size_t>(n));
-    ring_.advance(1);
-    deliver(local, src.sin_port, std::move(bytes));
+    deliver(local, src.sin_port,
+            {scratch_.data(), static_cast<std::size_t>(n)});
   }
 }
 
 void UdpBus::drain_socket_batched(std::size_t local) {
 #if defined(__linux__)
-  const std::size_t batch = std::min(config_.batch_size, ring_.segments());
   for (;;) {
-    mmsghdr msgs[kMaxBatch];
-    iovec iovs[kMaxBatch];
-    sockaddr_in srcs[kMaxBatch];
-    alignas(cmsghdr) char ctrls[kMaxBatch][CMSG_SPACE(sizeof(int))];
-    for (std::size_t j = 0; j < batch; ++j) {
-      iovs[j] = {ring_.writable(j), ring_.segment_size()};
+    mmsghdr msgs[kBatch];
+    iovec iovs[kBatch];
+    sockaddr_in srcs[kBatch];
+    alignas(cmsghdr) char ctrls[kBatch][CMSG_SPACE(sizeof(int))];
+    for (std::size_t j = 0; j < kBatch; ++j) {
+      iovs[j] = {scratch_.data() + j * slot_size_, slot_size_};
       msgs[j] = {};
       msgs[j].msg_hdr.msg_name = &srcs[j];
       msgs[j].msg_hdr.msg_namelen = sizeof(srcs[j]);
@@ -493,7 +430,7 @@ void UdpBus::drain_socket_batched(std::size_t local) {
         msgs[j].msg_hdr.msg_controllen = CMSG_SPACE(sizeof(int));
       }
     }
-    int n = ::recvmmsg(sockets_[local].fd, msgs, static_cast<unsigned>(batch),
+    int n = ::recvmmsg(sockets_[local].fd, msgs, static_cast<unsigned>(kBatch),
                        MSG_DONTWAIT, nullptr);
     ++recv_syscalls_;
     if (n < 0) {
@@ -516,12 +453,12 @@ void UdpBus::drain_socket_batched(std::size_t local) {
     for (int j = 0; j < n; ++j) {
       if (msgs[j].msg_hdr.msg_flags & MSG_TRUNC) {
         ++datagrams_received_;
-        log::warn("UdpBus: dropping datagram larger than the ",
-                  ring_.segment_size(), "-byte segment size");
+        log::warn("UdpBus: dropping datagram larger than the ", slot_size_,
+                  "-byte slot size");
         continue;
       }
       // A GRO-coalesced train arrives as one buffer with the segment size
-      // in a cmsg: split it into per-datagram views of the same ring slot.
+      // in a cmsg: split it into its datagrams.
       int gro_size = 0;
       if (gro_active_) {
         for (cmsghdr* c = CMSG_FIRSTHDR(&msgs[j].msg_hdr); c != nullptr;
@@ -532,7 +469,7 @@ void UdpBus::drain_socket_batched(std::size_t local) {
         }
       }
       const std::size_t len = msgs[j].msg_len;
-      const auto slot = static_cast<std::size_t>(j);
+      const std::uint8_t* slot = scratch_.data() + j * slot_size_;
       if (gro_size > 0 && len > static_cast<std::size_t>(gro_size)) {
         ++gro_trains_;
         for (std::size_t off = 0; off < len;
@@ -540,16 +477,15 @@ void UdpBus::drain_socket_batched(std::size_t local) {
           std::size_t seg =
               std::min<std::size_t>(static_cast<std::size_t>(gro_size),
                                     len - off);
-          deliver(local, srcs[j].sin_port, ring_.view_at(slot, off, seg));
+          deliver(local, srcs[j].sin_port, {slot + off, seg});
         }
       } else {
-        deliver(local, srcs[j].sin_port, ring_.view(slot, len));
+        deliver(local, srcs[j].sin_port, {slot, len});
       }
     }
-    ring_.advance(static_cast<std::size_t>(n));
     // A short batch means the queue is (momentarily) empty; poll is
     // level-triggered, so anything arriving meanwhile wakes us again.
-    if (static_cast<std::size_t>(n) < batch) return;
+    if (static_cast<std::size_t>(n) < kBatch) return;
   }
 #else
   drain_socket_scalar(local);

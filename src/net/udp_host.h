@@ -18,15 +18,10 @@
 // poll() with millisecond timeouts rounded up.
 //
 // Throughput path (Linux, on by default):
-//  - receives are batched through recvmmsg() into a preallocated
-//    SegmentRing (modeled on DFI's MulticastSegmentBuffer). Frames above
-//    kMaxCopiedFrame alias their ring slot via SharedBytes, so such a
-//    datagram is written once by the kernel and never copied again; a slot
-//    is recycled only when every SharedBytes referencing it has been
-//    released, and a slot still pinned (e.g. its payload sits in a buffer
-//    store) is replaced with a fresh allocation instead of being
-//    overwritten. Smaller frames are copied into an exact-size buffer
-//    before delivery, so a buffered 64 B payload holds 64 B, not a slot.
+//  - receives are batched through recvmmsg() into one preallocated scratch
+//    of kBatch slots that every receive reuses. Each frame is then copied
+//    into an exact-size SharedBytes before delivery, so a buffered payload
+//    holds its own bytes and never pins receive memory.
 //  - sends are queued and flushed through sendmmsg() in batches; a regional
 //    fan-out enqueues one refcounted SharedBytes per receiver, so the wire
 //    image is encoded once for the whole group.
@@ -35,8 +30,8 @@
 //    for up to 64 datagrams — syscall batching alone cannot touch the
 //    per-datagram network-stack cost that dominates on modern kernels), and
 //    receive sockets opt into UDP_GRO so the kernel hands back coalesced
-//    trains that are split into per-datagram views of one ring slot (copied
-//    out, like any frame, when small).
+//    trains, which land in 64 KiB slots and are split into one copy per
+//    datagram.
 // Where the batched syscalls are unavailable (non-Linux, or a kernel that
 // returns ENOSYS/EOPNOTSUPP) the bus falls back one level at a time —
 // offload to sendmmsg, sendmmsg to the scalar recvfrom()/sendto() path —
@@ -51,7 +46,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -80,62 +74,16 @@ inline bool is_short_write(std::int64_t sent, std::size_t requested) {
 
 }  // namespace detail
 
-/// Preallocated ring of receive segments. The kernel writes each incoming
-/// datagram into the next slot; delivery hands out SharedBytes views that
-/// alias the slot in place. recycle-on-release: acquiring a slot whose
-/// buffer is still referenced outside the ring swaps in a fresh allocation
-/// (counted in replacements()) so pinned payloads are never overwritten.
-class SegmentRing {
- public:
-  SegmentRing(std::size_t segments, std::size_t segment_size);
-
-  /// Writable scratch for the slot `i` positions ahead of the head,
-  /// guaranteed exclusively owned by the ring. Does not advance the head.
-  std::uint8_t* writable(std::size_t i);
-
-  /// View of the first `len` bytes of slot head+i, aliasing the slot's
-  /// buffer (zero-copy). Valid until the slot is recycled — which the ring
-  /// defers while this view (or any slice of it) is alive.
-  SharedBytes view(std::size_t i, std::size_t len);
-
-  /// View of `len` bytes at `offset` within slot head+i: one GRO-coalesced
-  /// train lands in one slot and every datagram in it aliases a slice.
-  SharedBytes view_at(std::size_t i, std::size_t offset, std::size_t len);
-
-  /// Retire the first `n` slots: the next writable(0) is the old head+n.
-  void advance(std::size_t n) { head_ = (head_ + n) % slots_.size(); }
-
-  std::size_t segment_size() const { return segment_size_; }
-  std::size_t segments() const { return slots_.size(); }
-  /// Slots that were still pinned when their turn came and had to be
-  /// replaced with a fresh allocation.
-  std::uint64_t replacements() const { return replacements_; }
-
- private:
-  std::vector<std::shared_ptr<std::vector<std::uint8_t>>> slots_;
-  std::size_t segment_size_;
-  std::size_t head_ = 0;
-  std::uint64_t replacements_ = 0;
-};
-
 struct UdpBusConfig {
-  /// Datagrams per recvmmsg()/sendmmsg() call; also the send-queue flush
-  /// threshold.
-  std::size_t batch_size = 32;
-  /// Bytes per receive-ring slot; datagrams larger than this are dropped
-  /// with a warning (protocol frames are far smaller).
-  std::size_t segment_size = 2048;
-  /// Receive-ring depth; 0 = 8 * batch_size.
-  std::size_t ring_segments = 0;
   /// false forces the scalar recvfrom()/sendto() path (the pre-batching
   /// behaviour; also the automatic fallback where recvmmsg is unavailable).
   bool batched_syscalls = true;
   /// Linux UDP segmentation offload: flushes bucket the send queue by
   /// destination and emit equal-size trains as one sendmsg(UDP_SEGMENT);
   /// receive sockets enable UDP_GRO and split coalesced trains into
-  /// per-datagram ring views. Enlarges ring slots to 64 KiB (a full train)
-  /// with a correspondingly shallower default ring. Off by default; falls
-  /// back to plain sendmmsg/recvmmsg where the kernel refuses it.
+  /// datagrams. Enlarges receive slots to 64 KiB (a full train). Off by
+  /// default; falls back to plain sendmmsg/recvmmsg where the kernel
+  /// refuses it.
   bool segmentation_offload = false;
 
   /// Subset ownership (thread-per-core runtime): bind sockets for members
@@ -153,9 +101,13 @@ class UdpBus {
  public:
   /// Due timers fired per loop turn before the sockets are polled again.
   static constexpr std::size_t kMaxTimersPerTurn = 64;
-  /// Received frames of at most this many bytes are copied out of the ring
-  /// before delivery; larger ones alias their slot.
-  static constexpr std::size_t kMaxCopiedFrame = 512;
+  /// Datagrams per recvmmsg()/sendmmsg() call, and slots in the receive
+  /// scratch.
+  static constexpr std::size_t kBatch = 32;
+  /// Bytes per receive slot. A larger datagram is counted and dropped with
+  /// a warning (protocol frames are far smaller); with GRO on, slots hold a
+  /// whole 64 KiB train instead.
+  static constexpr std::size_t kSlotSize = 2048;
 
   /// Binds one socket per owned member. Throws std::runtime_error if the
   /// port range would overflow 65535 (base_port + member_count must fit —
@@ -168,11 +120,9 @@ class UdpBus {
   UdpBus(const UdpBus&) = delete;
   UdpBus& operator=(const UdpBus&) = delete;
 
-  /// Delivery callback. A frame of at most kMaxCopiedFrame bytes arrives
-  /// in its own exact-size buffer; a larger one aliases its receive-ring
-  /// slot. Either way, keeping the SharedBytes (or a slice of it) alive is
-  /// safe — the ring recycles a slot only after the last reference is
-  /// gone, and replaces a slot that is still pinned when its turn comes.
+  /// Delivery callback. Every frame arrives in its own exact-size buffer,
+  /// so keeping the SharedBytes (or a slice of it) alive holds only that
+  /// frame's bytes.
   using ReceiveFn =
       std::function<void(MemberId to, MemberId from, SharedBytes bytes)>;
   void set_receive_callback(ReceiveFn fn) { on_receive_ = std::move(fn); }
@@ -225,7 +175,10 @@ class UdpBus {
   std::uint64_t send_syscalls() const { return send_syscalls_; }
   std::uint64_t recv_syscalls() const { return recv_syscalls_; }
   std::uint64_t poll_syscalls() const { return poll_syscalls_; }
-  std::uint64_t ring_replacements() const { return ring_.replacements(); }
+  /// Always 0: frames are copied out of the receive scratch, so no
+  /// delivered SharedBytes pins receive memory. Kept because bench_e2e
+  /// still reports it as net.ring_replacements.
+  std::uint64_t ring_replacements() const { return 0; }
   /// True while the batched recvmmsg/sendmmsg path is active (false after
   /// an ENOSYS fallback or when configured off).
   bool batching_active() const { return batched_; }
@@ -261,7 +214,8 @@ class UdpBus {
   bool poll_and_drain(Duration timeout);
   void drain_socket_scalar(std::size_t local);
   void drain_socket_batched(std::size_t local);
-  void deliver(std::size_t local, std::uint16_t src_port, SharedBytes bytes);
+  void deliver(std::size_t local, std::uint16_t src_port,
+               std::span<const std::uint8_t> frame);
   int fd_of(MemberId m) const { return sockets_[m - first_member_].fd; }
 
   UdpBusConfig config_;
@@ -278,7 +232,10 @@ class UdpBus {
   bool gso_active_ = false;
   bool gro_active_ = false;
 
-  SegmentRing ring_;
+  // Receive scratch: kBatch slots of slot_size_ bytes, reused by every
+  // receive call.
+  std::size_t slot_size_ = kSlotSize;
+  std::vector<std::uint8_t> scratch_;
   std::vector<PendingSend> send_queue_;
 
   // Timer queue on bus time: its clock advances only by firing due timers,

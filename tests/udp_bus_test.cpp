@@ -1,6 +1,6 @@
 // Unit tests for the loopback-UDP datagram bus (sockets, timers, delays,
-// batched syscalls, segment-ring receive, event-loop timing). Skipped when
-// the environment forbids binding UDP sockets.
+// batched syscalls, copy-out receive, event-loop timing). Skipped when the
+// environment forbids binding UDP sockets.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -155,11 +155,10 @@ TEST(UdpBusTest, ImmediateSendPathMovesAndDetectsShortWrites) {
 }
 
 TEST(UdpBusTest, BurstLargerThanOneBatchAllDelivered) {
-  UdpBusConfig cfg;
-  cfg.batch_size = 8;  // burst spans many recvmmsg/sendmmsg batches
-  auto bus = try_bus(2, 39570, cfg);
+  auto bus = try_bus(2, 39570);
   if (!bus) GTEST_SKIP() << "UDP sockets unavailable";
-  constexpr int kBurst = 50;
+  // The burst spans several recvmmsg/sendmmsg batches.
+  constexpr int kBurst = 2 * static_cast<int>(UdpBus::kBatch) + 10;
   std::vector<bool> seen(kBurst, false);
   int received = 0;
   bus->set_receive_callback(
@@ -206,71 +205,69 @@ TEST(UdpBusTest, StrayPortFilteringUnderBatching) {
   EXPECT_EQ(bus->datagrams_received(), 6u);  // 5 stray + 1 legit
 }
 
-// The zero-copy contract: a frame above the copy threshold aliases its ring
-// slot, and a SharedBytes held across further receives stays intact because
-// the ring replaces (never overwrites) a still-referenced slot when its turn
-// comes around again.
-TEST(UdpBusTest, RingSlotReuseAfterReleasePreservesPinnedPayload) {
-  UdpBusConfig cfg;
-  cfg.batch_size = 2;
-  cfg.ring_segments = 4;  // tiny ring: wraps quickly
-  auto bus = try_bus(2, 39590, cfg);
-  if (!bus) GTEST_SKIP() << "UDP sockets unavailable";
-  constexpr std::size_t kFrame = UdpBus::kMaxCopiedFrame + 1;
-  SharedBytes pinned;
-  int received = 0;
-  constexpr int kTotal = 24;  // wraps the 4-slot ring several times
-  bus->set_receive_callback(
-      [&](MemberId to, MemberId, SharedBytes bytes) {
-        if (to != 1) return;
-        if (received == 0) pinned = bytes;  // pin the first slot
-        if (++received == kTotal) bus->stop();
-      });
-  for (int i = 0; i < kTotal; ++i) {
-    std::vector<std::uint8_t> frame(kFrame, 0x77);
-    frame[0] = static_cast<std::uint8_t>(0x10 + i);
-    bus->send(0, 1, std::move(frame));
+// Every frame leaves the reused receive scratch before delivery: frames
+// held across more than one kBatch receive keep their own bytes, whatever
+// their size, on the batched and the scalar path. kBatch + 8 frames fit the
+// default socket buffer.
+TEST(UdpBusTest, HeldFramesSurviveScratchReuse) {
+  constexpr std::size_t kSizes[] = {1, 64, 512, 513, 1024, UdpBus::kSlotSize};
+  constexpr std::size_t kTotal = UdpBus::kBatch + 8;
+  for (bool batched : {true, false}) {
+    SCOPED_TRACE(batched ? "batched" : "scalar");
+    UdpBusConfig cfg;
+    cfg.batched_syscalls = batched;
+    auto bus = try_bus(2, batched ? 39590 : 39595, cfg);
+    if (!bus) GTEST_SKIP() << "UDP sockets unavailable";
+    std::vector<SharedBytes> held;
+    bus->set_receive_callback([&](MemberId to, MemberId, SharedBytes bytes) {
+      if (to != 1) return;
+      held.push_back(bytes);
+      if (held.size() == kTotal) bus->stop();
+    });
+    for (std::size_t i = 0; i < kTotal; ++i) {
+      bus->send(0, 1,
+                std::vector<std::uint8_t>(kSizes[i % std::size(kSizes)],
+                                          static_cast<std::uint8_t>(i)));
+    }
+    bus->run_until(bus->now() + Duration::millis(1000));
+    ASSERT_EQ(held.size(), kTotal);
+    EXPECT_GE(bus->recv_syscalls(), 2u);
+    for (std::size_t i = 0; i < kTotal; ++i) {
+      const SharedBytes& frame = held[i];
+      ASSERT_EQ(frame.size(), kSizes[i % std::size(kSizes)]) << "frame " << i;
+      const auto marker = static_cast<std::uint8_t>(i);
+      EXPECT_TRUE(std::all_of(frame.data(), frame.data() + frame.size(),
+                              [&](std::uint8_t b) { return b == marker; }))
+          << "frame " << i;
+    }
   }
-  bus->run_until(bus->now() + Duration::millis(1000));
-  ASSERT_EQ(received, kTotal);
-  // The pinned view still reads the *first* datagram's bytes.
-  ASSERT_EQ(pinned.size(), kFrame);
-  EXPECT_EQ(pinned.data()[0], 0x10);
-  EXPECT_EQ(pinned.data()[kFrame - 1], 0x77);
-  // The ring had to replace the pinned slot at least once to keep going.
-  EXPECT_GE(bus->ring_replacements(), 1u);
 }
 
-// Frames of at most kMaxCopiedFrame bytes leave the ring before delivery:
-// holding every one of them pins no slot, so the tiny ring wraps without a
-// single replacement and each held frame keeps its own bytes.
-TEST(UdpBusTest, SmallFramesDoNotPinRingSlots) {
-  UdpBusConfig cfg;
-  cfg.batch_size = 2;
-  cfg.ring_segments = 4;
-  auto bus = try_bus(2, 39665, cfg);
-  if (!bus) GTEST_SKIP() << "UDP sockets unavailable";
-  constexpr std::size_t kFrame = UdpBus::kMaxCopiedFrame;
-  constexpr std::size_t kTotal = 24;
-  std::vector<SharedBytes> held;
-  bus->set_receive_callback(
-      [&](MemberId to, MemberId, SharedBytes bytes) {
-        if (to != 1) return;
-        held.push_back(bytes);
-        if (held.size() == kTotal) bus->stop();
-      });
-  for (std::size_t i = 0; i < kTotal; ++i) {
-    bus->send(0, 1,
-              std::vector<std::uint8_t>(kFrame, static_cast<std::uint8_t>(i)));
+// A datagram larger than its receive slot is counted and dropped, never
+// delivered, and the datagram behind it still arrives intact.
+TEST(UdpBusTest, OversizedDatagramIsCountedNotDelivered) {
+  constexpr std::size_t kLarge = 3000;
+  static_assert(kLarge > UdpBus::kSlotSize);
+  const std::vector<std::uint8_t> small = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+  for (bool batched : {true, false}) {
+    SCOPED_TRACE(batched ? "batched" : "scalar");
+    UdpBusConfig cfg;
+    cfg.batched_syscalls = batched;
+    auto bus = try_bus(2, batched ? 39630 : 39635, cfg);
+    if (!bus) GTEST_SKIP() << "UDP sockets unavailable";
+    std::vector<std::vector<std::uint8_t>> got;
+    bus->set_receive_callback([&](MemberId to, MemberId, SharedBytes bytes) {
+      if (to != 1) return;
+      got.emplace_back(bytes.data(), bytes.data() + bytes.size());
+      bus->stop();
+    });
+    bus->send(0, 1, std::vector<std::uint8_t>(kLarge, 0xAA));
+    bus->send(0, 1, small);
+    bus->run_until(bus->now() + Duration::millis(500));
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0], small);
+    EXPECT_EQ(bus->datagrams_received(), 2u);
   }
-  bus->run_until(bus->now() + Duration::millis(1000));
-  ASSERT_EQ(held.size(), kTotal);
-  for (std::size_t i = 0; i < kTotal; ++i) {
-    ASSERT_EQ(held[i].size(), kFrame) << "frame " << i;
-    EXPECT_EQ(held[i].data()[0], i) << "frame " << i;
-    EXPECT_EQ(held[i].data()[kFrame - 1], i) << "frame " << i;
-  }
-  EXPECT_EQ(bus->ring_replacements(), 0u);
 }
 
 TEST(UdpBusTest, ScalarFallbackPathStillDelivers) {
@@ -349,11 +346,10 @@ TEST(UdpBusTest, SubsetBusesExchangeAcrossOwnershipBoundary) {
 // contract holds.
 TEST(UdpBusTest, OffloadTrainsPreserveDatagramBoundariesAndOrder) {
   UdpBusConfig cfg;
-  cfg.batch_size = 16;
   cfg.segmentation_offload = true;
   auto bus = try_bus(2, 39640, cfg);
   if (!bus) GTEST_SKIP() << "UDP sockets unavailable";
-  constexpr int kCount = 40;
+  constexpr int kCount = static_cast<int>(UdpBus::kBatch) + 8;
   std::vector<std::vector<std::uint8_t>> got;
   bus->set_receive_callback(
       [&](MemberId to, MemberId, SharedBytes bytes) {
