@@ -16,14 +16,17 @@ correct/attempted/failed counts must be equal. The runs default to
 benchmark's full size. Either half runs alone when only its pair of
 arguments is given.
 
-With --pairs N as well, it also runs the two UDP workloads (udp_small_open,
-udp_lossy_open) from both binaries on seeds 1-N at the benchmark's full
-size, alternating which binary goes first. These are not deterministic, so
-it prints each side's median and quartiles per end-to-end metric (plus the
-info cpu_us_per_delivery) and bench/e2e/run.py's comparison: the share of
-pairs the change won and a verdict under the bounds in BENCHMARK.json. It
-fails when a run fails its checks, not on a verdict. Ten pairs take about
-8 minutes.
+With --pairs N as well, it also runs workloads from both binaries on seeds
+1-N at the benchmark's full size, alternating which binary goes first: the
+two UDP workloads (udp_small_open, udp_lossy_open) by default, or the
+comma-separated BENCHMARK.json workloads given with --pair-workloads (for
+example sim_tree_1e4, for a simulator speed claim). Their wall-clock
+metrics are not deterministic, so it prints each side's median and
+quartiles per end-to-end metric (plus the info cpu_us_per_delivery) and
+bench/e2e/run.py's comparison: the share of pairs the change won and a
+verdict under the bounds in BENCHMARK.json. It fails when a run fails its
+checks, not on a verdict. Ten UDP pairs take about 8 minutes, ten
+sim_tree_1e4 pairs about 6.
 
 A change that means to alter bench output lists each such bench or
 workload, one name a line, in bench/expected_output_changes.txt. The check
@@ -35,7 +38,7 @@ Usage:
       --change build-release/bench \\
       [--e2e-parent PARENT/build-e2e/bench_e2e \\
        --e2e-change build-e2e/bench_e2e [--seconds S] [--scale X]
-       [--pairs N]]
+       [--pairs N [--pair-workloads W1,W2]]]
 """
 
 import argparse
@@ -179,9 +182,15 @@ def check_pairs(args, failures):
     spec = e2e.load_spec()
     binaries = {"parent": args.e2e_parent, "change": args.e2e_change}
     sides = {side: {"workloads": {}} for side in binaries}
+    workloads = args.pair_workloads.split(",")
+    unknown = set(workloads) - {w["name"] for w in spec["workloads"]}
+    if unknown:
+        failures.append(f"--pair-workloads: unknown workloads "
+                        f"{sorted(unknown)}")
+        return
     for seed in range(1, args.pairs + 1):
         order = ["parent", "change"] if seed % 2 else ["change", "parent"]
-        for workload in UDP_WORKLOADS:
+        for workload in workloads:
             for side in order:
                 what = f"{workload} seed {seed} {side}"
                 try:
@@ -199,14 +208,14 @@ def check_pairs(args, failures):
                     workload, {"runs": []})["runs"].append(r)
     declared = spec["end_to_end"] + [{"name": "cpu_us_per_delivery",
                                       "unit": "us"}]
-    print(f"\n{'workload':<16} {'side':<7} {'metric':<26} {'median':>12} "
+    print(f"\n{'workload':<18} {'side':<7} {'metric':<26} {'median':>12} "
           f"{'q1':>12} {'q3':>12}")
-    for workload in UDP_WORKLOADS:
+    for workload in workloads:
         for side, results in sides.items():
             runs = [{"metrics": r["metrics"] | r["info"]} for r in
                     results["workloads"].get(workload, {"runs": []})["runs"]]
             for name, q in e2e.summarize(runs, declared).items():
-                print(f"{workload:<16} {side:<7} {name:<26} "
+                print(f"{workload:<18} {side:<7} {name:<26} "
                       f"{q['median']:>12.6g} {q['q1']:>12.6g} "
                       f"{q['q3']:>12.6g}")
     e2e.compare(sides["parent"], sides["change"], spec)
@@ -223,8 +232,11 @@ def main():
     ap.add_argument("--scale", type=float, default=0.25,
                     help="bench_e2e --scale (default 0.25; full size 1)")
     ap.add_argument("--pairs", type=int, default=0,
-                    help="also run the UDP workloads on seeds 1..N, full "
-                         "size, from both binaries")
+                    help="also run the --pair-workloads on seeds 1..N, "
+                         "full size, from both binaries")
+    ap.add_argument("--pair-workloads", default=",".join(UDP_WORKLOADS),
+                    help="comma-separated BENCHMARK.json workloads for "
+                         "--pairs (default: the two UDP workloads)")
     args = ap.parse_args()
     benches = args.parent is not None or args.change is not None
     e2e = args.e2e_parent is not None or args.e2e_change is not None

@@ -29,6 +29,15 @@ inline constexpr Duration kSearchCacheTtl = Duration::millis(500);
 /// size).
 inline constexpr std::uint32_t kAntiEntropyMaxPulls = 64;
 
+/// Variable Session heartbeat (LBRM): while a sender is idle, each Session
+/// doubles the spacing to the next, up to this many
+/// Config::session_interval. Sessions are also how a member that lost every
+/// copy of a message learns it exists, so a longer cap costs delivery at
+/// high loss. In 200 seeded runs of 80 members at 70% loss with C = 8, the
+/// runs leaving a message undelivered were 1 with no backoff, 3 at 4×, 7 at
+/// 8× and 92 at 16× (property_test's DeliveryBudget allows 5).
+inline constexpr std::int64_t kMaxSessionBackoff = 4;
+
 struct Config {
   /// Expected number of remote requests sent by a region per recovery round
   /// while the entire region misses a message (§2.2). Each member missing a
@@ -44,6 +53,13 @@ struct Config {
   /// the feedback that keeps short-term copies alive (§3.1). With
   /// session_interval > T, every holder of a tail message reaches its idle
   /// decision before the first request can possibly arrive.
+  ///
+  /// That argument concerns the Sessions that follow new data, and those
+  /// keep this spacing: the first Session after a transmitted frame goes
+  /// out within one interval. Once the sender is idle (nothing new since
+  /// the last Session, nothing queued for credit) the spacing doubles per
+  /// Session up to kMaxSessionBackoff intervals. A sender whose frames wait
+  /// for credit keeps this base cadence.
   Duration session_interval = Duration::millis(20);
 
   /// Measure per-peer RTTs from request->repair samples and derive retry

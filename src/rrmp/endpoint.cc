@@ -203,9 +203,12 @@ void Endpoint::transmit_next() {
     advertised_any_ = true;
   }
   host_.ip_multicast(proto::Message{std::move(wire)});
-  if (session_timer_ == kNoTimer) {
-    session_timer_ =
-        host_.schedule(cfg_.session_interval, [this] { session_tick(); });
+  // New data snaps a backed-off heartbeat back: the first Session after it
+  // still goes out within one session_interval.
+  if (session_timer_ == kNoTimer || session_gap_ > cfg_.session_interval) {
+    cancel(session_timer_);
+    session_gap_ = cfg_.session_interval;
+    session_timer_ = host_.schedule(session_gap_, [this] { session_tick(); });
   }
 }
 
@@ -224,8 +227,15 @@ void Endpoint::session_tick() {
     advertised_any_ = true;
   }
   host_.ip_multicast(proto::Message{std::move(s)});
-  session_timer_ =
-      host_.schedule(cfg_.session_interval, [this] { session_tick(); });
+  // Variable heartbeat (see kMaxSessionBackoff). A sender stalled on credit
+  // is not idle: its Sessions expose the frames at the window's edge, and
+  // the acks for those frames are what free its credit.
+  bool idle = flow_.send_seq() == session_seq_ && queued_sends() == 0;
+  session_seq_ = flow_.send_seq();
+  session_gap_ = idle ? std::min(session_gap_ * 2,
+                                 cfg_.session_interval * kMaxSessionBackoff)
+                      : cfg_.session_interval;
+  session_timer_ = host_.schedule(session_gap_, [this] { session_tick(); });
 }
 
 // ------------------------------------------------------------ dispatch ----

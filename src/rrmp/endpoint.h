@@ -1,7 +1,9 @@
 // RRMP protocol endpoint: one per group member.
 //
 // Implements the paper end to end:
-//  - loss detection from sequence gaps and session messages (§2.1),
+//  - loss detection from sequence gaps and session messages (§2.1); the
+//    Session heartbeat backs off while the sender is idle (LBRM's variable
+//    heartbeat, see kMaxSessionBackoff),
 //  - concurrent local + remote recovery phases (§2.2):
 //      local: request from a uniformly random region neighbor, retry on an
 //             RTT timer;
@@ -334,6 +336,10 @@ class Endpoint {
   // map, or by the buffer store, so halt() can cancel all of them: no
   // callback outlives the endpoint.
   TimerHandle session_timer_ = kNoTimer;
+  /// Variable Session heartbeat: the spacing the armed session timer was
+  /// scheduled with, and flow_.send_seq() at the last tick.
+  Duration session_gap_;
+  std::uint64_t session_seq_ = 0;
   TimerHandle history_timer_ = kNoTimer;
   TimerHandle anti_entropy_timer_ = kNoTimer;
   TimerHandle digest_timer_ = kNoTimer;

@@ -21,7 +21,8 @@ class SequenceTracker {
   /// max_known() would otherwise enumerate the whole span in one call —
   /// unbounded allocation and an unbounded stall. Enumeration past the cap
   /// is *resumed* by the next observation (sessions repeat every
-  /// session_interval), so nothing is ever silently dropped: it surfaces a
+  /// session_interval, or up to kMaxSessionBackoff times that while the
+  /// sender is idle), so nothing is ever silently dropped: it surfaces a
   /// bounded number of gaps at a time instead.
   static constexpr std::uint64_t kMaxGapsPerObservation = 1024;
 

@@ -3,6 +3,8 @@
 // suppression, search details, handoff, stability exchange, lookup modes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "harness/cluster.h"
 
 namespace rrmp::harness {
@@ -455,6 +457,66 @@ TEST(EndpointLifecycle, RejoinedMemberGetsFreshEndpoint) {
   cluster.inject_session_to(0, 1, std::vector<MemberId>{2});
   cluster.run_until_quiet(Duration::seconds(2));
   EXPECT_TRUE(cluster.endpoint(2).has_received(id));
+}
+
+// ------------------------------------------------------- session heartbeat ----
+
+TEST(SessionHeartbeat, IdleSenderBacksOffAndSnapsBack) {
+  // LBRM's variable heartbeat: once the sender has nothing new, each
+  // Session doubles the spacing to the next, up to kMaxSessionBackoff
+  // intervals. A new frame brings the next Session within one interval and
+  // restarts the doubling.
+  ClusterConfig cc = single_region(4, 29);
+  const Duration interval = Duration::millis(20);
+  cc.protocol.session_interval = interval;
+  Cluster cluster(cc);
+  struct Heard {
+    TimePoint at;
+    std::uint64_t highest;
+  };
+  std::vector<Heard> heard;  // Sessions at member 1; outlives the tap
+  Endpoint* ep = &cluster.endpoint(1);
+  SimHost* host = &cluster.host(1);
+  host->set_receiver([ep, host, &heard](const proto::Message& msg,
+                                        MemberId from) {
+    if (const auto* s = std::get_if<proto::Session>(&msg)) {
+      heard.push_back({host->now(), s->highest_seq});
+    }
+    ep->handle_message(msg, from);
+  });
+  cluster.schedule_script_after(Duration::millis(1), [&] {
+    for (std::uint8_t i = 0; i < 3; ++i) cluster.endpoint(0).multicast({i});
+  });
+  TimePoint fourth;
+  cluster.schedule_script_after(Duration::millis(500), [&] {
+    fourth = cluster.now();
+    cluster.endpoint(0).multicast({3});
+  });
+  cluster.run_for(Duration::millis(700));
+
+  auto first_of_4 = std::find_if(heard.begin(), heard.end(),
+                                 [](const Heard& h) { return h.highest == 4; });
+  ASSERT_NE(first_of_4, heard.end());
+  const std::size_t snap = static_cast<std::size_t>(first_of_4 - heard.begin());
+  // Idle: 20, 40, 80 ms, then the 4x cap for as long as nothing is new.
+  ASSERT_GE(snap, 6u);
+  const Duration idle_gaps[] = {interval, interval * 2, interval * 4};
+  for (std::size_t i = 1; i < snap; ++i) {
+    EXPECT_EQ(heard[i].highest, 3u) << "session " << i;
+    EXPECT_EQ(heard[i].at - heard[i - 1].at,
+              idle_gaps[std::min<std::size_t>(i - 1, 2)])
+        << "gap before session " << i;
+  }
+  // The 4th frame snaps the heartbeat back: its Session is sent within one
+  // interval (and arrives one intra-region hop later), then the gaps
+  // double again from 20 ms.
+  EXPECT_LE(first_of_4->at - fourth, interval + cc.intra_rtt / 2);
+  ASSERT_GE(heard.size(), snap + 4);
+  for (std::size_t i = snap + 1; i < snap + 4; ++i) {
+    EXPECT_EQ(heard[i].highest, 4u) << "session " << i;
+    EXPECT_EQ(heard[i].at - heard[i - 1].at, idle_gaps[i - snap - 1])
+        << "gap before session " << i;
+  }
 }
 
 }  // namespace

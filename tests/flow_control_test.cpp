@@ -695,6 +695,66 @@ TEST(FlowEndpointTest, SilentReturnLinkBoundsWindowUntilItHeals) {
   }
 }
 
+TEST(FlowEndpointTest, FlowBlockedSenderKeepsSessionCadence) {
+  // The wedge above, held until 200 ms: the sender transmits nothing new
+  // while 3's acks are lost, but it is not idle. Its Sessions expose the
+  // frames at the window's edge, so they keep the base cadence while frames
+  // wait for credit. Only once the burst has drained do they back off.
+  harness::Cluster cluster(flow_cluster(4, 141, /*window=*/2));
+  const Duration interval = cluster.config().protocol.session_interval;
+  cluster.set_link_loss(3, 0, 1.0);
+  struct Heard {
+    TimePoint at;
+    std::size_t queued;  // the sender's queued_sends() on arrival
+  };
+  std::vector<Heard> heard;  // Sessions at member 1; outlives the tap
+  Endpoint* ep = &cluster.endpoint(1);
+  const Endpoint* sender = &cluster.endpoint(0);
+  harness::SimHost* host = &cluster.host(1);
+  host->set_receiver([ep, sender, host, &heard](const proto::Message& msg,
+                                                MemberId from) {
+    if (std::holds_alternative<proto::Session>(msg)) {
+      heard.push_back({host->now(), sender->queued_sends()});
+    }
+    ep->handle_message(msg, from);
+  });
+  constexpr std::size_t kBurst = 8;
+  cluster.schedule_script_after(Duration::millis(1), [&] {
+    for (std::size_t i = 0; i < kBurst; ++i) {
+      cluster.endpoint(0).multicast(std::vector<std::uint8_t>(32, 0x99));
+    }
+  });
+  cluster.schedule_script_after(Duration::millis(200), [&] {
+    EXPECT_EQ(cluster.endpoint(0).queued_sends(), kBurst - 2);
+    cluster.set_link_loss(3, 0, 0.0);
+  });
+  cluster.run_for(Duration::millis(700));
+  EXPECT_EQ(cluster.endpoint(0).queued_sends(), 0u);
+  for (std::uint64_t s = 1; s <= kBurst; ++s) {
+    EXPECT_TRUE(cluster.all_received(MessageId{0, s})) << "seq " << s;
+  }
+
+  // queued_sends() never grows after the burst, so a Session that arrives
+  // while frames still wait was also sent while they waited: the next one
+  // follows one interval later.
+  std::size_t blocked = 0;
+  while (blocked + 1 < heard.size() && heard[blocked].queued > 0) {
+    EXPECT_EQ(heard[blocked + 1].at - heard[blocked].at, interval)
+        << "gap after session " << blocked;
+    ++blocked;
+  }
+  EXPECT_GE(blocked, 8u);  // the wedge spans ~10 intervals
+  // Drained and idle: the spacing grows to the 4x cap.
+  ASSERT_GE(heard.size(), blocked + 4);
+  for (std::size_t i = blocked + 2; i < heard.size(); ++i) {
+    EXPECT_GE(heard[i].at - heard[i - 1].at,
+              heard[i - 1].at - heard[i - 2].at)
+        << "gap before session " << i;
+  }
+  EXPECT_EQ(heard.back().at - heard[heard.size() - 2].at,
+            interval * kMaxSessionBackoff);
+}
+
 TEST(FlowEndpointTest, UnrecoverableJoinerBackfillReleasesInsteadOfDeadlock) {
   // The churn wedge: a member crashes, its pre-crash history is evicted
   // region-wide, and it rejoins mid-stream. Its seeded binding then freezes
