@@ -1,14 +1,16 @@
-// Microbenchmarks: BufferStore insert / lookup / eviction ns-per-op
-// (google-benchmark). The store is the per-member hot path of every
-// experiment — each received message is admitted once, each repair request
-// is a lookup, and under a budget every admission may run the eviction
-// protocol.
+// Microbenchmarks: BufferStore insert / lookup / eviction and DigestTable
+// refresh ns-per-op (google-benchmark). The store is the per-member hot path
+// of every experiment — each received message is admitted once, each repair
+// request is a lookup, and under a budget every admission may run the
+// eviction protocol, which under coordination ranks every entry against the
+// neighbors' digests.
 #include <benchmark/benchmark.h>
 
 #include <memory>
 #include <vector>
 
 #include "buffer/buffer_everything.h"
+#include "buffer/coordination.h"
 #include "buffer/fixed_time.h"
 #include "buffer/store.h"
 #include "common/random.h"
@@ -125,6 +127,70 @@ void BM_StoreAdmitEvictWithTimers(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_StoreAdmitEvictWithTimers)->Arg(16)->Arg(256);
+
+void BM_DigestTableUpdate(benchmark::State& state) {
+  // One neighbor's BufferDigest folded into the table: the per-frame cost
+  // of the coordination gossip. `range` peers (99: a 100-member region)
+  // each advertise five ranges and are refreshed round-robin.
+  auto peers = static_cast<MemberId>(state.range(0));
+  std::vector<std::vector<proto::DigestRange>> rows(peers);
+  for (MemberId p = 0; p < peers; ++p) {
+    for (std::uint64_t r = 0; r < 5; ++r) rows[p].push_back({1, p + 8 * r, 4});
+  }
+  buffer::DigestTable table;
+  for (MemberId p = 0; p < peers; ++p) table.update(p + 1, 1024, rows[p]);
+  MemberId next = 0;
+  for (auto _ : state) {
+    table.update(next + 1, 1024 + next, rows[next]);
+    benchmark::DoNotOptimize(table);
+    benchmark::ClobberMemory();
+    next = (next + 1) % peers;
+  }
+  if (table.peer_count() != peers) state.SkipWithError("rows lost");
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DigestTableUpdate)->Arg(99);
+
+void BM_StoreAdmitEvictCoordinated(benchmark::State& state) {
+  // Budgeted admission with coordination on: every insert ranks the whole
+  // store against 99 neighbors' digests (replica counts and keeper
+  // elections) before evicting one victim, at `range` occupancy. Frames
+  // cycle over five sources; each neighbor advertises one open-ended run
+  // per source for most sources, starting a few frames in, so the
+  // neighbors' windows overlap and every stored id has many holders.
+  constexpr MemberId kSources = 5;
+  constexpr MemberId kPeers = 99;
+  BenchEnv env;
+  buffer::CoordinationParams coordination;
+  coordination.enabled = true;
+  buffer::BufferStore store(
+      std::make_unique<buffer::BufferEverythingPolicy>(),
+      buffer::BufferBudget{0, static_cast<std::size_t>(state.range(0))},
+      coordination);
+  store.bind(&env);
+  for (MemberId p = 1; p <= kPeers; ++p) {
+    std::vector<proto::DigestRange> ranges;
+    for (MemberId s = 1; s <= kSources; ++s) {
+      if ((p + s) % 4 == 0) continue;
+      ranges.push_back({s, 1 + p % 8, std::uint64_t{1} << 62});
+    }
+    store.digests().update(p, 1024, ranges);
+  }
+  std::vector<std::uint8_t> payload(256, 1);
+  std::uint64_t seq = 0;
+  auto next = [&] {
+    ++seq;
+    return proto::Data{MessageId{static_cast<MemberId>(seq % kSources + 1), seq},
+                       payload};
+  };
+  for (std::int64_t i = 0; i < state.range(0); ++i) store.store(next());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(store.store(next()));
+  }
+  if (store.stats().evicted == 0) state.SkipWithError("nothing evicted");
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_StoreAdmitEvictCoordinated)->Arg(16)->Arg(256);
 
 }  // namespace
 

@@ -6,39 +6,39 @@
 
 namespace rrmp::buffer {
 
-void DigestTable::update(MemberId peer, std::uint64_t bytes_in_use,
-                         std::vector<proto::DigestRange> ranges,
-                         std::uint64_t window_outstanding) {
-  PeerDigest& d = peers_[peer];
-  d.bytes_in_use = bytes_in_use;
-  d.window_outstanding = window_outstanding;
-  d.missed = 0;  // a fresh advertisement restarts the aging clock
-  d.ranges = std::move(ranges);
+std::vector<DigestTable::Row>::const_iterator DigestTable::find(
+    MemberId peer) const {
+  auto it = std::lower_bound(rows_.begin(), rows_.end(), peer);
+  return it != rows_.end() && it->peer == peer ? it : rows_.end();
 }
 
-void DigestTable::forget(MemberId peer) { peers_.erase(peer); }
+void DigestTable::update(MemberId peer, std::uint64_t bytes_in_use,
+                         const std::vector<proto::DigestRange>& ranges) {
+  auto it = std::lower_bound(rows_.begin(), rows_.end(), peer);
+  if (it == rows_.end() || it->peer != peer) {
+    it = rows_.insert(it, Row{});
+    it->peer = peer;
+  }
+  it->bytes_in_use = bytes_in_use;
+  it->missed = 0;  // a fresh advertisement restarts the aging clock
+  it->ranges.assign(ranges.begin(), ranges.end());
+}
+
+void DigestTable::forget(MemberId peer) {
+  auto it = find(peer);
+  if (it != rows_.end()) rows_.erase(it);
+}
 
 void DigestTable::retain(const std::vector<MemberId>& alive) {
-  for (auto it = peers_.begin(); it != peers_.end();) {
-    if (std::find(alive.begin(), alive.end(), it->first) == alive.end()) {
-      it = peers_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  std::erase_if(rows_, [&alive](const Row& row) {
+    return !std::binary_search(alive.begin(), alive.end(), row.peer);
+  });
 }
 
 std::size_t DigestTable::age() {
-  std::size_t dropped = 0;
-  for (auto it = peers_.begin(); it != peers_.end();) {
-    if (++it->second.missed > kMaxMissedDigests) {
-      it = peers_.erase(it);
-      ++dropped;
-    } else {
-      ++it;
-    }
-  }
-  return dropped;
+  for (Row& row : rows_) ++row.missed;
+  return std::erase_if(
+      rows_, [](const Row& row) { return row.missed > kMaxMissedDigests; });
 }
 
 namespace {
@@ -49,12 +49,21 @@ bool range_holds(const proto::DigestRange& r, const MessageId& id) {
          id.seq - r.first_seq < r.count;
 }
 
+// Does `peer`, advertising `id`, beat `self` (whose score is `own`) in the
+// keeper election? Ties break by member id, matching hash_bufferers'
+// ordering.
+bool outranks(const MessageId& id, MemberId peer, std::uint64_t own,
+              MemberId self) {
+  std::uint64_t score = hash_score(id, peer);
+  return score < own || (score == own && peer < self);
+}
+
 }  // namespace
 
 std::size_t DigestTable::holders_of(const MessageId& id) const {
   std::size_t holders = 0;
-  for (const auto& [peer, d] : peers_) {
-    for (const proto::DigestRange& r : d.ranges) {
+  for (const Row& row : rows_) {
+    for (const proto::DigestRange& r : row.ranges) {
       if (range_holds(r, id)) {
         ++holders;
         break;
@@ -72,13 +81,13 @@ DigestTable::HolderInfo DigestTable::holder_info(const MessageId& id,
                                                  MemberId self) const {
   HolderInfo info;
   std::uint64_t own = hash_score(id, self);
-  for (const auto& [peer, d] : peers_) {
-    for (const proto::DigestRange& r : d.ranges) {
+  for (const Row& row : rows_) {
+    for (const proto::DigestRange& r : row.ranges) {
       if (range_holds(r, id)) {
         ++info.holders;
-        std::uint64_t score = hash_score(id, peer);
-        // Tie-break by member id, matching hash_bufferers' ordering.
-        if (score < own || (score == own && peer < self)) info.keeper = false;
+        if (info.keeper && outranks(id, row.peer, own, self)) {
+          info.keeper = false;
+        }
         break;
       }
     }
@@ -86,32 +95,47 @@ DigestTable::HolderInfo DigestTable::holder_info(const MessageId& id,
   return info;
 }
 
-std::uint64_t DigestTable::advertised_bytes(MemberId peer) const {
-  auto it = peers_.find(peer);
-  return it == peers_.end() ? 0 : it->second.bytes_in_use;
-}
-
-std::uint64_t DigestTable::advertised_outstanding(MemberId peer) const {
-  auto it = peers_.find(peer);
-  return it == peers_.end() ? 0 : it->second.window_outstanding;
-}
-
-std::uint64_t DigestTable::region_outstanding() const {
-  std::uint64_t total = 0;
-  for (const auto& [peer, d] : peers_) total += d.window_outstanding;
-  return total;
+void DigestTable::holder_infos(const std::vector<MessageId>& ids,
+                               MemberId self,
+                               std::vector<HolderInfo>& out) const {
+  out.assign(ids.size(), HolderInfo{});
+  // Per id: self's rendezvous score, and the last row that counted the id,
+  // so a row whose wire ranges overlap counts its peer once per id.
+  struct Tally {
+    std::uint64_t own = 0;
+    const Row* row = nullptr;
+  };
+  std::vector<Tally> tally(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    tally[i].own = hash_score(ids[i], self);
+  }
+  for (const Row& row : rows_) {
+    for (const proto::DigestRange& r : row.ranges) {
+      auto it = std::lower_bound(ids.begin(), ids.end(),
+                                 MessageId{r.source, r.first_seq});
+      for (; it != ids.end() && range_holds(r, *it); ++it) {
+        auto i = static_cast<std::size_t>(it - ids.begin());
+        if (tally[i].row == &row) continue;
+        tally[i].row = &row;
+        ++out[i].holders;
+        if (out[i].keeper && outranks(*it, row.peer, tally[i].own, self)) {
+          out[i].keeper = false;
+        }
+      }
+    }
+  }
 }
 
 MemberId DigestTable::least_loaded(const std::vector<MemberId>& alive,
                                    MemberId exclude) const {
   MemberId best = kInvalidMember;
   std::uint64_t best_bytes = 0;
-  for (const auto& [peer, d] : peers_) {  // ascending id: deterministic ties
-    if (peer == exclude) continue;
-    if (std::find(alive.begin(), alive.end(), peer) == alive.end()) continue;
-    if (best == kInvalidMember || d.bytes_in_use < best_bytes) {
-      best = peer;
-      best_bytes = d.bytes_in_use;
+  for (const Row& row : rows_) {  // ascending id: deterministic ties
+    if (row.peer == exclude) continue;
+    if (!std::binary_search(alive.begin(), alive.end(), row.peer)) continue;
+    if (best == kInvalidMember || row.bytes_in_use < best_bytes) {
+      best = row.peer;
+      best_bytes = row.bytes_in_use;
     }
   }
   return best;

@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "common/time.h"
@@ -64,28 +63,29 @@ inline constexpr std::size_t kRedundancyThreshold = 2;
 /// changes nothing in fault-free runs.
 inline constexpr std::size_t kMaxMissedDigests = 3;
 
-/// One store's view of its region neighbors' advertised buffer contents.
-/// Keyed by member id in an ordered map so every derived decision (replica
-/// counts, least-loaded neighbor) is deterministic across runs and shard
-/// counts.
+/// One store's view of its region neighbors' advertised buffer contents:
+/// one row per advertising peer in a vector sorted by member id, so every
+/// derived decision (replica counts, keeper elections, least-loaded
+/// neighbor) visits rows in ascending id order, deterministic across runs
+/// and shard counts, and a scan walks contiguous memory.
 class DigestTable {
  public:
   /// Replace `peer`'s advertisement (the digest stream is idempotent:
-  /// every digest carries the peer's full held set). `window_outstanding`
-  /// is the peer's advertised flow-control window occupancy (0 when flow
-  /// control is off at the peer).
+  /// every digest carries the peer's full held set). The ranges are copied
+  /// into the row's existing storage, so a steady-state refresh does not
+  /// allocate.
   void update(MemberId peer, std::uint64_t bytes_in_use,
-              std::vector<proto::DigestRange> ranges,
-              std::uint64_t window_outstanding = 0);
+              const std::vector<proto::DigestRange>& ranges);
 
   /// Drop `peer`'s advertisement (left/crashed).
   void forget(MemberId peer);
 
-  /// Drop every advertisement whose peer is not in `alive`. Called each
-  /// digest period with the current region view: a departed member's last
-  /// digest must not keep inflating replica counts (tricking survivors
-  /// into evicting what is now the region's last copy) or keep winning
-  /// keeper elections it can no longer honour.
+  /// Drop every advertisement whose peer is not in `alive`, which must be
+  /// sorted ascending (RegionView::members() is). Called each digest
+  /// period with the current region view: a departed member's last digest
+  /// must not keep inflating replica counts (tricking survivors into
+  /// evicting what is now the region's last copy) or keep winning keeper
+  /// elections it can no longer honour.
   void retain(const std::vector<MemberId>& alive);
 
   /// Advance every advertisement's missed-refresh counter by one period and
@@ -95,10 +95,10 @@ class DigestTable {
   /// digest of theirs can arrive. Returns the number of entries dropped.
   std::size_t age();
 
-  void clear() { peers_.clear(); }
+  void clear() { rows_.clear(); }
 
-  std::size_t peer_count() const { return peers_.size(); }
-  bool has_peer(MemberId peer) const { return peers_.count(peer) != 0; }
+  std::size_t peer_count() const { return rows_.size(); }
+  bool has_peer(MemberId peer) const { return find(peer) != rows_.end(); }
 
   /// Number of neighbors currently advertising `id` (never negative by
   /// construction: it is a count over the table, not a maintained delta).
@@ -112,39 +112,43 @@ class DigestTable {
   /// simultaneously; rendezvous hashing spreads keeper duty evenly.
   bool keeper_is(const MessageId& id, MemberId self) const;
 
-  /// holders_of + keeper_is in a single table scan — pick_victims consults
-  /// both per entry on the eviction hot path, and the advertising peers
-  /// that decide them are the same rows.
+  /// holders_of + keeper_is in a single table scan.
   struct HolderInfo {
     std::size_t holders = 0;  // neighbors advertising the id
     bool keeper = true;       // self wins the rendezvous election
+
+    friend bool operator==(const HolderInfo&, const HolderInfo&) = default;
   };
   HolderInfo holder_info(const MessageId& id, MemberId self) const;
 
-  /// Advertised bytes in use for `peer`; 0 if unknown.
-  std::uint64_t advertised_bytes(MemberId peer) const;
-
-  /// Advertised flow-window occupancy for `peer`; 0 if unknown.
-  std::uint64_t advertised_outstanding(MemberId peer) const;
-
-  /// Sum of advertised window occupancy across all peers: the region's
-  /// in-flight send load as the digest gossip sees it.
-  std::uint64_t region_outstanding() const;
+  /// holder_info for every id of `ids` in one pass over the table:
+  /// out[i] == holder_info(ids[i], self). `ids` must be sorted ascending
+  /// without duplicates (BufferStore::for_each_entry order). Each row's
+  /// ranges binary-search `ids` and walk the ids they hold, so the cost
+  /// follows the advertised ranges and the ids they hit, not ids × ranges.
+  /// This is how pick_victims ranks a whole store per eviction.
+  void holder_infos(const std::vector<MessageId>& ids, MemberId self,
+                    std::vector<HolderInfo>& out) const;
 
   /// The advertising peer with the least bytes in use, restricted to
-  /// `alive` and excluding `exclude`; ties break on the smaller MemberId.
-  /// kInvalidMember when no advertised peer qualifies.
+  /// `alive` (sorted ascending, as for retain) and excluding `exclude`;
+  /// ties break on the smaller MemberId. kInvalidMember when no advertised
+  /// peer qualifies.
   MemberId least_loaded(const std::vector<MemberId>& alive,
                         MemberId exclude) const;
 
  private:
-  struct PeerDigest {
+  struct Row {
+    MemberId peer = kInvalidMember;
     std::uint64_t bytes_in_use = 0;
-    std::uint64_t window_outstanding = 0;
     std::size_t missed = 0;  // digest periods since the last refresh
     std::vector<proto::DigestRange> ranges;
+
+    bool operator<(MemberId other) const { return peer < other; }
   };
-  std::map<MemberId, PeerDigest> peers_;
+  std::vector<Row>::const_iterator find(MemberId peer) const;
+
+  std::vector<Row> rows_;  // sorted by peer
 };
 
 }  // namespace rrmp::buffer

@@ -81,28 +81,30 @@ EvictionPlan RetentionPolicy::pick_victims(const EvictionDemand& need) {
   // keeper election stops all holders of a redundant entry from evicting
   // it simultaneously. Sole copies and keeper copies rank 0 (protected).
   //
-  // Ranking an entry costs a digest-table scan (holder_info), so the
-  // coordinated path computes every rank exactly once: one snapshot pass
-  // feeds both the single-victim fast path (min, no sort) and, only when
-  // the demand needs more, the full sort. The uncoordinated path keeps
-  // the PR 3 allocation-free steady-state scan.
-  const bool coordinated = store().coordination_enabled();
-  auto rank_of = [&](const MessageId& id) -> std::size_t {
-    // Called only for currently-stored entries, so our copy always counts.
-    DigestTable::HolderInfo info =
-        store().digests().holder_info(id, env().self());
-    std::size_t replicas = 1 + info.holders;
-    if (replicas < kRedundancyThreshold || info.keeper) return 0;
-    return replicas;
-  };
-  if (coordinated) {
+  // The coordinated path ranks every entry in one pass over the digest
+  // table (holder_infos): one snapshot feeds both the single-victim fast
+  // path (min, no sort) and, only when the demand needs more, the full
+  // sort. The uncoordinated path keeps its allocation-free steady-state
+  // scan.
+  if (store().coordination_enabled()) {
     std::vector<Candidate> candidates;
+    std::vector<MessageId> ids;
     candidates.reserve(store().count());
+    ids.reserve(store().count());
     store().for_each_entry([&](const BufferStore::EntryView& e) {
-      candidates.push_back(
-          {e.id, e.bytes, e.last_activity, e.long_term, rank_of(e.id)});
+      candidates.push_back({e.id, e.bytes, e.last_activity, e.long_term, 0});
+      ids.push_back(e.id);  // ascending, as holder_infos requires
     });
     if (candidates.empty()) return {};
+    std::vector<DigestTable::HolderInfo> infos;
+    store().digests().holder_infos(ids, env().self(), infos);
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      // Only stored entries are ranked, so our copy always counts.
+      std::size_t replicas = 1 + infos[i].holders;
+      if (replicas >= kRedundancyThreshold && !infos[i].keeper) {
+        candidates[i].replica_rank = replicas;
+      }
+    }
     const Candidate& best = *std::min_element(
         candidates.begin(), candidates.end(),
         [](const Candidate& a, const Candidate& b) {

@@ -57,7 +57,9 @@ class PolicyEnv {
   virtual RandomEngine& rng() = 0;
   /// Current size of the member's region (alive members, including self).
   virtual std::size_t region_size() const = 0;
-  /// Alive members of the region, including self (for hash-based selection).
+  /// Alive members of the region in ascending id order, including self
+  /// (hash-based selection; the shed path's DigestTable::least_loaded
+  /// binary-searches it).
   virtual const std::vector<MemberId>& region_members() const = 0;
   virtual MemberId self() const = 0;
 };

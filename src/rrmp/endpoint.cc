@@ -614,8 +614,7 @@ void Endpoint::handle_buffer_digest(const proto::BufferDigest& d,
   // delivered post-heal after sitting in a queue) describes buffer state we
   // could not reach then and cannot trust now: generations must match.
   if (d.view_gen != view_gen_) return;
-  store_->digests().update(d.member, d.bytes_in_use, d.ranges,
-                           d.window_outstanding);
+  store_->digests().update(d.member, d.bytes_in_use, d.ranges);
   if (cfg_.flow.enabled) {
     // The digest doubles as an occupancy report: a neighbor nearing its
     // budget sheds credit from our window before eviction pressure hits it.

@@ -19,6 +19,14 @@ FlowController::FlowController(FlowControlParams params,
   cwnd_ = min_cwnd_;  // slow start from the floor; AIMD grows it
 }
 
+FlowController::Peer& FlowController::row(MemberId id) {
+  auto it = std::lower_bound(
+      peers_.begin(), peers_.end(), id,
+      [](const auto& entry, MemberId key) { return entry.first < key; });
+  if (it == peers_.end() || it->first != id) it = peers_.insert(it, {id, {}});
+  return it->second;
+}
+
 std::uint64_t FlowController::window_floor() const {
   std::optional<std::uint64_t> floor;
   for (const auto& [id, p] : peers_) {
@@ -67,14 +75,14 @@ void FlowController::on_cursor(MemberId peer, std::uint64_t cursor) {
   // A peer cannot have received past what we sent; a corrupt or reordered
   // ack must not fabricate credit.
   cursor = std::min(cursor, send_seq_);
-  Peer& p = peers_[peer];
+  Peer& p = row(peer);
   p.reported = std::max(p.reported, cursor);
   p.cursor = std::max(p.cursor.value_or(0), cursor);
 }
 
 void FlowController::on_peer_budget(MemberId peer, std::uint64_t bytes_in_use,
                                     std::uint64_t budget_bytes) {
-  Peer& p = peers_[peer];
+  Peer& p = row(peer);
   p.bytes_in_use = bytes_in_use;
   p.budget_bytes = budget_bytes;
 }
@@ -82,7 +90,7 @@ void FlowController::on_peer_budget(MemberId peer, std::uint64_t bytes_in_use,
 void FlowController::on_peer_occupancy(MemberId peer,
                                        std::uint64_t bytes_in_use,
                                        std::uint64_t window_outstanding) {
-  Peer& p = peers_[peer];  // keeps any known budget
+  Peer& p = row(peer);  // keeps any known budget
   p.bytes_in_use = bytes_in_use;
   p.window_outstanding = window_outstanding;
 }
@@ -98,7 +106,7 @@ void FlowController::sync_peers(const std::vector<MemberId>& reachable) {
   // already reported keeps its real cursor.
   std::uint64_t floor = window_floor();
   for (MemberId m : reachable) {
-    Peer& p = peers_[m];
+    Peer& p = row(m);
     if (!p.cursor) p.cursor = floor;
   }
 }

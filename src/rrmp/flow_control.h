@@ -29,8 +29,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/time.h"
@@ -84,8 +84,9 @@ struct FlowControlParams {
 
 /// Per-sender window state: outstanding frames against the minimum peer
 /// receive cursor, plus the region occupancy view driving back-pressure.
-/// The peer table is an ordered map so every decision is deterministic
-/// across runs and shard counts.
+/// The peer table is a vector of rows sorted by member id, so every decision
+/// visits peers in ascending id order, deterministic across runs and shard
+/// counts, and the per-frame floor scan walks contiguous memory.
 class FlowController {
  public:
   FlowController() : FlowController(FlowControlParams{}, 0) {}
@@ -209,7 +210,10 @@ class FlowController {
   std::uint32_t min_cwnd_ = 1;
   std::uint32_t cwnd_ = 1;
   std::uint64_t send_seq_ = 0;
-  std::map<MemberId, Peer> peers_;
+  std::vector<std::pair<MemberId, Peer>> peers_;  // sorted by member id
+
+  /// `id`'s row, inserted empty at its sorted position when absent.
+  Peer& row(MemberId id);
 };
 
 /// Clamp nonsensical knob values (window 0, non-positive ack period) to safe

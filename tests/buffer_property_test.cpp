@@ -3,8 +3,8 @@
 // Every (policy, budget, coordination, seed) combination drives a store
 // through a long randomized sequence of admissions, handoffs, request
 // feedback, time advances, forced discards, handoff drains, neighbor digest
-// updates and stability-frontier advances, and checks the store's
-// structural invariants after every operation:
+// updates, prunes and aging, and stability-frontier advances, and checks
+// the store's structural invariants after every operation:
 //
 //   - the budget is never exceeded once an admission returns;
 //   - accounting is exact (bytes == sum of entry sizes, stats conservation:
@@ -15,6 +15,10 @@
 //     timer can ever fire for a departed entry and no handle leaks;
 //   - digest-derived replica counts never go negative (they are counts, not
 //     deltas) and never exceed the advertising peer set;
+//   - the flat DigestTable answers peer_count, has_peer, holders_of and
+//     least_loaded exactly as a std::map shadow fed the same digest ops, and
+//     its one-pass holder_infos equals per-id holder_info, overlapping and
+//     unsorted wire ranges included;
 //   - shed handoffs happen only under coordination, only for sole copies,
 //     and only toward digest-advertised peers, and are counted apart from
 //     evictions.
@@ -24,6 +28,7 @@
 // return identical plans for identical state.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <sstream>
 #include <vector>
@@ -60,6 +65,41 @@ struct ShedRecord {
   MessageId id;
   MemberId target;
 };
+
+/// The DigestTable's specification as an ordered map: one advertisement
+/// per peer, visited in ascending member id.
+struct ShadowDigest {
+  std::uint64_t bytes_in_use = 0;
+  std::size_t missed = 0;
+  std::vector<proto::DigestRange> ranges;
+};
+using DigestShadow = std::map<MemberId, ShadowDigest>;
+
+bool shadow_holds(const ShadowDigest& d, const MessageId& id) {
+  for (const proto::DigestRange& r : d.ranges) {
+    if (r.source == id.source && id.seq >= r.first_seq &&
+        id.seq - r.first_seq < r.count) {
+      return true;
+    }
+  }
+  return false;
+}
+
+MemberId shadow_least_loaded(const DigestShadow& shadow,
+                             const std::vector<MemberId>& alive,
+                             MemberId exclude) {
+  MemberId best = kInvalidMember;
+  std::uint64_t best_bytes = 0;
+  for (const auto& [peer, d] : shadow) {
+    if (peer == exclude) continue;
+    if (std::find(alive.begin(), alive.end(), peer) == alive.end()) continue;
+    if (best == kInvalidMember || d.bytes_in_use < best_bytes) {
+      best = peer;
+      best_bytes = d.bytes_in_use;
+    }
+  }
+  return best;
+}
 
 /// Drives one randomized run and checks invariants after every op.
 class StoreFuzzer {
@@ -160,14 +200,18 @@ class StoreFuzzer {
              static_cast<std::uint64_t>(op_rng_.uniform_int(1, 40)),
              static_cast<std::uint64_t>(op_rng_.uniform_int(1, 8))});
       }
-      store_->digests().update(
-          peer, static_cast<std::uint64_t>(op_rng_.uniform_int(0, 4096)),
-          std::move(ranges));
+      // Coarse sizes make least_loaded's tie-break on member id common.
+      auto bytes =
+          static_cast<std::uint64_t>(op_rng_.uniform_int(0, 8)) * 512;
+      store_->digests().update(peer, bytes, ranges);
+      shadow_[peer] = ShadowDigest{bytes, 0, ranges};
     } else if (dice < 94) {
-      if (op_rng_.uniform_int(0, 1) == 0) {
-        store_->digests().forget(
-            static_cast<MemberId>(op_rng_.uniform_int(1, 7)));
-      } else {
+      std::int64_t kind = op_rng_.uniform_int(0, 2);
+      if (kind == 0) {
+        auto peer = static_cast<MemberId>(op_rng_.uniform_int(1, 7));
+        store_->digests().forget(peer);
+        shadow_.erase(peer);
+      } else if (kind == 1) {
         // View shrink: prune advertisers against a random alive subset, as
         // the endpoint does each digest period.
         std::vector<MemberId> alive;
@@ -175,6 +219,18 @@ class StoreFuzzer {
           if (op_rng_.uniform_int(0, 3) != 0) alive.push_back(m);
         }
         store_->digests().retain(alive);
+        std::erase_if(shadow_, [&alive](const auto& row) {
+          return std::find(alive.begin(), alive.end(), row.first) ==
+                 alive.end();
+        });
+      } else {
+        // A digest period passes with no refresh.
+        std::size_t dropped = store_->digests().age();
+        for (auto& [peer, d] : shadow_) ++d.missed;
+        std::size_t expected = std::erase_if(shadow_, [](const auto& row) {
+          return row.second.missed > kMaxMissedDigests;
+        });
+        ASSERT_EQ(dropped, expected);
       }
     } else if (dice < 96) {
       (void)store_->drain_for_handoff();
@@ -244,6 +300,7 @@ class StoreFuzzer {
       ASSERT_LE(replicas, 1 + store_->digests().peer_count());
     });
     ASSERT_EQ(store_->known_replicas(MessageId{99, 99}), 0u);
+    check_digest_table();
 
     // Sheds: coordination-gated, sole-copy-only, digest-advertised targets,
     // counted apart from evictions.
@@ -257,9 +314,50 @@ class StoreFuzzer {
     }
   }
 
+  /// The flat table against its map shadow, and the one-pass ranking
+  /// against the per-id one, over the stored ids (pick_victims' input) and
+  /// every id the fuzz's ranges can reach.
+  void check_digest_table() {
+    const DigestTable& table = store_->digests();
+    ASSERT_EQ(table.peer_count(), shadow_.size());
+    for (MemberId m = 0; m < 9; ++m) {
+      ASSERT_EQ(table.has_peer(m), shadow_.count(m) != 0) << "peer " << m;
+    }
+    std::vector<MessageId> reachable;
+    for (MemberId source = 1; source <= 2; ++source) {
+      for (std::uint64_t seq = 1; seq <= 48; ++seq) {
+        MessageId id{source, seq};
+        reachable.push_back(id);
+        std::size_t holders = 0;
+        for (const auto& [peer, d] : shadow_) holders += shadow_holds(d, id);
+        ASSERT_EQ(table.holders_of(id), holders) << id;
+      }
+    }
+    for (const std::vector<MemberId>& alive :
+         {env_.region_members(), std::vector<MemberId>{1, 2, 5}}) {
+      for (MemberId exclude : {MemberId{0}, MemberId{2}}) {
+        ASSERT_EQ(table.least_loaded(alive, exclude),
+                  shadow_least_loaded(shadow_, alive, exclude));
+      }
+    }
+    std::vector<MessageId> stored;
+    store_->for_each_entry(
+        [&](const BufferStore::EntryView& e) { stored.push_back(e.id); });
+    std::vector<DigestTable::HolderInfo> infos;
+    for (const std::vector<MessageId>* ids : {&stored, &reachable}) {
+      table.holder_infos(*ids, env_.self(), infos);
+      ASSERT_EQ(infos.size(), ids->size());
+      for (std::size_t i = 0; i < ids->size(); ++i) {
+        ASSERT_EQ(infos[i], table.holder_info((*ids)[i], env_.self()))
+            << (*ids)[i];
+      }
+    }
+  }
+
   FuzzConfig cfg_;
   FakePolicyEnv env_;
   RandomEngine op_rng_;
+  DigestShadow shadow_;
   std::unique_ptr<BufferStore> store_;
   std::vector<LoggedEvent> log_;
   std::vector<ShedRecord> sheds_;
@@ -383,6 +481,23 @@ TEST(BufferPropertyTest, RetainPrunesDepartedAdvertisers) {
   EXPECT_EQ(table.holders_of(id), 0u);
   // With no advertisers left, any member elects itself keeper.
   EXPECT_TRUE(table.keeper_is(id, 0));
+
+  // A refresh reuses the row's range storage: when a row shrinks from three
+  // ranges to one, nothing of the longer advertisement may survive.
+  const std::vector<MessageId> ids = {{1, 5}, {1, 7}, {2, 2}};
+  table.update(4, 40, {{1, 5, 1}, {1, 7, 1}, {2, 1, 3}});
+  std::vector<DigestTable::HolderInfo> infos;
+  table.holder_infos(ids, 0, infos);
+  ASSERT_EQ(infos.size(), 3u);
+  for (const DigestTable::HolderInfo& info : infos) EXPECT_EQ(info.holders, 1u);
+  table.update(4, 40, {{1, 5, 1}});
+  EXPECT_EQ(table.holders_of(MessageId{1, 5}), 1u);
+  EXPECT_EQ(table.holders_of(MessageId{1, 7}), 0u);
+  EXPECT_EQ(table.holders_of(MessageId{2, 2}), 0u);
+  table.holder_infos(ids, 0, infos);
+  EXPECT_EQ(infos[0].holders, 1u);
+  EXPECT_EQ(infos[1].holders, 0u);
+  EXPECT_EQ(infos[2].holders, 0u);
 }
 
 TEST(BufferPropertyTest, DigestAgingDropsSeveredAdvertisersButNotFreshOnes) {
