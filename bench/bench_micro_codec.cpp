@@ -36,20 +36,6 @@ void BM_DecodeData(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeData)->Arg(64)->Arg(1024)->Arg(8192);
 
-void BM_EncodeDecodeGossip(benchmark::State& state) {
-  proto::Gossip g;
-  g.from = 1;
-  for (std::uint32_t i = 0; i < state.range(0); ++i) {
-    g.beats.push_back(proto::Heartbeat{i, i * 17u});
-  }
-  proto::Message m{g};
-  for (auto _ : state) {
-    auto decoded = proto::decode(proto::encode(m));
-    benchmark::DoNotOptimize(decoded);
-  }
-}
-BENCHMARK(BM_EncodeDecodeGossip)->Arg(16)->Arg(128)->Arg(1024);
-
 void BM_EncodeHistory(benchmark::State& state) {
   proto::History h;
   h.member = 3;

@@ -7,6 +7,12 @@ header contains "wall" hold wall-clock times, so their cells are masked
 before comparing. RRMP_HIERARCHY_POINTS=2 keeps the hierarchy bench to its
 10^4 and 10^5 member points.
 
+It also runs nine example invocations (EXAMPLES) from the examples/
+directory next to each bench directory, so both trees must have built
+rrmp_examples as well as rrmp_bench. Each runs from its own tree's source
+directory, so each tree reads its own .fault files; their stdout and exit
+codes must be equal. Together they take well under a second.
+
 With --e2e-parent and --e2e-change it also runs the two simulator workloads
 of the end-to-end benchmark (sim_region_stream, sim_tree_1e4) on seeds 1-5
 from both bench_e2e binaries. The simulator is deterministic per seed, so
@@ -28,8 +34,9 @@ verdict under the bounds in BENCHMARK.json. It fails when a run fails its
 checks, not on a verdict. Ten UDP pairs take about 8 minutes, ten
 sim_tree_1e4 pairs about 6.
 
-A change that means to alter bench output lists each such bench or
-workload, one name a line, in bench/expected_output_changes.txt. The check
+A change that means to alter bench output lists each such bench, workload
+or example invocation (as written in EXAMPLES), one a line, in
+bench/expected_output_changes.txt. The check
 fails when a bench or workload differs and is not listed, and when a listed
 one did not change, so the list cannot go stale.
 
@@ -67,6 +74,22 @@ BENCHES = [
     "bench_ext_fault_sweep",
     "bench_ext_hierarchy_depth",
     "bench_ext_overload_sweep",
+]
+
+# Run from the tree's source directory; the .fault paths are relative to it.
+# The all-on scenario_cli run is the only deterministic check that runs flow
+# control, hierarchy and coordination together.
+EXAMPLES = [
+    "quickstart",
+    "wan_recovery",
+    "file_transfer",
+    "custom_host",
+    "scenario_cli",
+    "scenario_cli --fault-script=examples/churn_lossy_storm.fault",
+    "scenario_cli --fault-script=examples/partition_heal.fault --flow",
+    "scenario_cli --flow --adaptive-window --piggyback --hierarchy "
+    "--coordinate --buffer-bytes=8192",
+    "scenario_cli --policy=stability --loss=0.2",
 ]
 
 E2E_WORKLOADS = ["sim_region_stream", "sim_tree_1e4"]
@@ -116,6 +139,28 @@ def run(bench_dir, name):
     return proc.returncode, normalize(proc.stdout)
 
 
+def source_dir(build_dir):
+    """The source tree a CMake build directory was configured from."""
+    with open(os.path.join(build_dir, "CMakeCache.txt")) as f:
+        for line in f:
+            if line.startswith("CMAKE_HOME_DIRECTORY:"):
+                return line.split("=", 1)[1].strip()
+    raise RuntimeError(f"{build_dir}: no CMAKE_HOME_DIRECTORY in CMakeCache.txt")
+
+
+def run_example(bench_dir, invocation):
+    """Exit code and stdout lines of one example invocation."""
+    build_dir = os.path.dirname(os.path.abspath(bench_dir))
+    argv = invocation.split()
+    exe = os.path.join(build_dir, "examples", argv[0])
+    if not os.path.exists(exe):
+        return "missing", []
+    proc = subprocess.run([exe] + argv[1:], cwd=source_dir(build_dir),
+                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                          text=True, timeout=600)
+    return proc.returncode, proc.stdout.splitlines()
+
+
 def run_e2e(binary, workload, seed, seconds, scale):
     """The deterministic values of one bench_e2e run, or its exit code."""
     cmd = [binary, f"--workload={workload}", f"--seed={seed}",
@@ -144,10 +189,12 @@ def report(name, changed, listed, details, failures):
 
 
 def check_benches(args, expected, failures):
-    for name in BENCHES:
-        parent, change = run(args.parent, name), run(args.change, name)
+    runs = [(name, run) for name in BENCHES]
+    runs += [(invocation, run_example) for invocation in EXAMPLES]
+    for name, runner in runs:
+        parent, change = runner(args.parent, name), runner(args.change, name)
         if change[0] == "missing":  # a parent without it is a new bench
-            failures.append(f"{name}: not built in {args.change}")
+            failures.append(f"{name}: not built next to {args.change}")
             continue
         details = []
         if parent[0] != change[0]:
@@ -251,9 +298,10 @@ def main():
 
     with open(EXPECTED_FILE) as f:
         expected = {l.strip() for l in f if l.strip() and not l.startswith("#")}
-    failures = [f"{name}: listed in {EXPECTED_FILE} but not a checked bench "
-                f"or workload"
-                for name in sorted(expected - set(BENCHES) - set(E2E_WORKLOADS))]
+    checked = set(BENCHES) | set(EXAMPLES) | set(E2E_WORKLOADS)
+    failures = [f"{name}: listed in {EXPECTED_FILE} but not a checked bench, "
+                f"example or workload"
+                for name in sorted(expected - checked)]
     if benches:
         check_benches(args, expected, failures)
     if e2e:

@@ -434,7 +434,7 @@ PolicyOutcome run_stream_scenario(buffer::PolicyKind kind,
   };
   using MT = proto::MessageType;
   for (MT t : {MT::kSession, MT::kLocalRequest, MT::kRemoteRequest,
-               MT::kSearchRequest, MT::kSearchFound, MT::kGossip, MT::kHistory,
+               MT::kSearchRequest, MT::kSearchFound, MT::kHistory,
                MT::kHandoff, MT::kBufferDigest, MT::kShed}) {
     out.control_msgs += by_type(t);
     out.control_bytes += bytes_by_type(t);

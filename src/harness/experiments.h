@@ -162,7 +162,8 @@ struct PolicyOutcome {
                                 // neighbor (coordination only) — counted
                                 // apart from evictions: these copies survive
   std::uint64_t rejected = 0;   // admissions refused (msg > whole budget)
-  std::uint64_t control_msgs = 0;   // requests/search/session/history/gossip
+  std::uint64_t control_msgs = 0;   // session/request/search/history/
+                                    // handoff/digest/shed frames
   std::uint64_t control_bytes = 0;
   std::uint64_t repair_msgs = 0;
   std::uint64_t digest_msgs = 0;    // BufferDigest multicasts (coordination)

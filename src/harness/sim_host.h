@@ -1,13 +1,12 @@
 // SimHost: IHost implementation backed by the discrete-event simulator.
 //
-// One SimHost per member. Views come from the ground-truth Directory,
-// filtered by this member's *local* suspicions (set by its gossip failure
-// detector), so a member that suspects a peer stops picking it as a
-// recovery/search target even before the rest of the cluster notices.
+// One SimHost per member. Its views are the ground-truth Directory's: the
+// paper assumes every member knows its own and its parent region's
+// membership (§2), and joins, leaves and crashes reach the Directory from
+// the cluster and its fault scripts.
 #pragma once
 
 #include <functional>
-#include <unordered_set>
 
 #include "membership/directory.h"
 #include "net/sim_network.h"
@@ -38,21 +37,17 @@ class SimHost final : public IHost, public net::MessageHandler {
   void multicast_region(proto::Message msg) override;
   void ip_multicast(proto::Message msg) override;
   RandomEngine& rng() override { return rng_; }
-  const membership::RegionView& local_view() const override;
-  const membership::RegionView& parent_view() const override;
-  Duration rtt_estimate(MemberId peer) const override;
-  /// Both terms are monotone non-decreasing, so any view-affecting change
-  /// strictly advances the sum.
-  std::uint64_t view_epoch() const override {
-    return directory_.version() + suspicion_epoch_;
+  const membership::RegionView& local_view() const override {
+    return directory_.region_view(region_);
   }
+  const membership::RegionView& parent_view() const override {
+    return directory_.parent_view(region_);
+  }
+  Duration rtt_estimate(MemberId peer) const override;
+  std::uint64_t view_epoch() const override { return directory_.version(); }
 
   // net::MessageHandler
   void on_message(const proto::Message& msg, MemberId from) override;
-
-  /// Local failure-detector verdicts; filtered out of this member's views.
-  void set_suspected(MemberId m, bool suspected);
-  bool suspects(MemberId m) const { return suspected_.count(m) > 0; }
 
   /// Per-receiver loss of this member's initial IP multicast (fault
   /// injection may change it mid-run, at script barriers).
@@ -60,8 +55,6 @@ class SimHost final : public IHost, public net::MessageHandler {
   double data_loss() const { return data_loss_rate_; }
 
  private:
-  void refresh_views() const;
-
   MemberId self_;
   RegionId region_;
   net::SimNetwork& network_;
@@ -70,14 +63,6 @@ class SimHost final : public IHost, public net::MessageHandler {
   RandomEngine rng_;
   double data_loss_rate_;
   Receiver receiver_;
-  std::unordered_set<MemberId> suspected_;
-
-  // View caches, rebuilt when the directory version or suspicions change.
-  mutable membership::RegionView local_cache_;
-  mutable membership::RegionView parent_cache_;
-  mutable std::uint64_t cached_version_ = 0;
-  std::uint64_t suspicion_epoch_ = 1;
-  mutable std::uint64_t cached_suspicion_epoch_ = 0;
 };
 
 }  // namespace rrmp::harness

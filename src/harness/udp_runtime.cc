@@ -15,9 +15,7 @@ class UdpRuntime::MemberHost final : public IHost {
         region_(rt.topology_.region_of(self)),
         rt_(rt),
         bus_(bus),
-        rng_(std::move(rng)),
-        local_view_(rt.directory_.region_view(region_)),
-        parent_view_(rt.directory_.parent_view(region_)) {}
+        rng_(std::move(rng)) {}
 
   MemberId self() const override { return self_; }
   RegionId region() const override { return region_; }
@@ -58,11 +56,13 @@ class UdpRuntime::MemberHost final : public IHost {
 
   RandomEngine& rng() override { return rng_; }
 
+  // The runtime never changes its Directory after construction, so every
+  // worker reads the same views without locking.
   const membership::RegionView& local_view() const override {
-    return local_view_;
+    return rt_.directory_.region_view(region_);
   }
   const membership::RegionView& parent_view() const override {
-    return parent_view_;
+    return rt_.directory_.parent_view(region_);
   }
 
   Duration rtt_estimate(MemberId peer) const override {
@@ -77,8 +77,6 @@ class UdpRuntime::MemberHost final : public IHost {
   UdpRuntime& rt_;
   net::UdpBus& bus_;
   RandomEngine rng_;
-  membership::RegionView local_view_;
-  membership::RegionView parent_view_;
 };
 
 UdpRuntime::UdpRuntime(const net::Topology& topology, UdpRuntimeConfig config)

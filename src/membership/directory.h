@@ -1,10 +1,11 @@
 // Membership directory: tracks which topology members are currently alive
 // and materializes per-region views.
 //
-// In the simulator this is the ground-truth membership service; individual
-// endpoints see it filtered through their own failure detector (a member may
-// locally suspect a peer before/without the directory knowing). Joins and
-// graceful leaves go through here; crashes are marked by the harness.
+// It stands in for the membership the paper assumes (§2: each receiver
+// knows its own and its parent region's members, kept by gossip failure
+// detection [13]). Every SimHost and UdpRuntime member reads its views from
+// here. Joins and graceful leaves go through here; crashes are marked by the
+// harness.
 #pragma once
 
 #include <cstdint>

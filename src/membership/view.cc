@@ -19,14 +19,12 @@ void RegionView::add(MemberId m) {
   auto it = std::lower_bound(members_.begin(), members_.end(), m);
   if (it != members_.end() && *it == m) return;
   members_.insert(it, m);
-  ++version_;
 }
 
 void RegionView::remove(MemberId m) {
   auto it = std::lower_bound(members_.begin(), members_.end(), m);
   if (it == members_.end() || *it != m) return;
   members_.erase(it);
-  ++version_;
 }
 
 MemberId RegionView::pick_random(RandomEngine& rng, MemberId exclude) const {

@@ -22,9 +22,6 @@ class RegionView {
   bool contains(MemberId m) const;
   const std::vector<MemberId>& members() const { return members_; }
 
-  /// Monotone counter bumped on every mutation; lets caches detect staleness.
-  std::uint64_t version() const { return version_; }
-
   void add(MemberId m);
   void remove(MemberId m);
 
@@ -40,7 +37,6 @@ class RegionView {
 
  private:
   std::vector<MemberId> members_;  // kept sorted for deterministic iteration
-  std::uint64_t version_ = 0;
 };
 
 }  // namespace rrmp::membership

@@ -145,15 +145,6 @@ void encode_body(W& w, const Handoff& m) {
   for (const Data& d : m.messages) encode_data_core(w, d);
 }
 template <typename W>
-void encode_body(W& w, const Gossip& m) {
-  w.put_u32(m.from);
-  w.put_varint(m.beats.size());
-  for (const Heartbeat& h : m.beats) {
-    w.put_u32(h.member);
-    w.put_u64(h.counter);
-  }
-}
-template <typename W>
 void encode_body(W& w, const History& m) {
   w.put_u32(m.member);
   w.put_varint(m.sources.size());
@@ -257,17 +248,6 @@ bool decode_body(ByteReader& r, Handoff& m) {
   }
   return r.ok();
 }
-bool decode_body(ByteReader& r, Gossip& m) {
-  m.from = r.get_u32();
-  std::uint64_t n = r.get_varint();
-  if (!r.ok() || n > kMaxRepeated) return false;
-  m.beats.resize(n);
-  for (Heartbeat& h : m.beats) {
-    h.member = r.get_u32();
-    h.counter = r.get_u64();
-  }
-  return r.ok();
-}
 bool decode_body(ByteReader& r, History& m) {
   m.member = r.get_u32();
   std::uint64_t n = r.get_varint();
@@ -343,7 +323,6 @@ std::optional<Message> decode_from(ByteReader& r) {
     case MessageType::kSearchRequest: return decode_as<SearchRequest>(r);
     case MessageType::kSearchFound: return decode_as<SearchFound>(r);
     case MessageType::kHandoff: return decode_as<Handoff>(r);
-    case MessageType::kGossip: return decode_as<Gossip>(r);
     case MessageType::kHistory: return decode_as<History>(r);
     case MessageType::kBufferDigest: return decode_as<BufferDigest>(r);
     case MessageType::kShed: return decode_as<Shed>(r);
@@ -373,7 +352,6 @@ MessageType type_of(const Message& m) {
         if constexpr (std::is_same_v<T, SearchFound>)
           return MessageType::kSearchFound;
         if constexpr (std::is_same_v<T, Handoff>) return MessageType::kHandoff;
-        if constexpr (std::is_same_v<T, Gossip>) return MessageType::kGossip;
         if constexpr (std::is_same_v<T, History>) return MessageType::kHistory;
         if constexpr (std::is_same_v<T, BufferDigest>)
           return MessageType::kBufferDigest;
@@ -397,7 +375,6 @@ const char* type_name(MessageType t) {
     case MessageType::kSearchRequest: return "SEARCH_REQ";
     case MessageType::kSearchFound: return "SEARCH_FOUND";
     case MessageType::kHandoff: return "HANDOFF";
-    case MessageType::kGossip: return "GOSSIP";
     case MessageType::kHistory: return "HISTORY";
     case MessageType::kBufferDigest: return "BUFFER_DIGEST";
     case MessageType::kShed: return "SHED";

@@ -1,6 +1,7 @@
-// Wire messages of the RRMP protocol suite (paper §2–§3) plus the two
-// substrate protocols it builds on: gossip failure detection [13] and the
-// stability-detection baseline's history exchange [8].
+// Wire messages of the RRMP protocol suite (paper §2–§3) plus the
+// stability-detection baseline's history exchange [8]. The paper assumes a
+// gossip failure detector [13] underneath; here membership comes from the
+// harness's membership::Directory, so no frame carries failure detection.
 //
 // A Message is a closed variant; the codec (codec.h) maps it to/from bytes.
 #pragma once
@@ -124,23 +125,6 @@ struct Handoff {
   friend bool operator==(const Handoff&, const Handoff&) = default;
 };
 
-/// One member's heartbeat counter, as disseminated by the gossip failure
-/// detector (van Renesse et al. [13]).
-struct Heartbeat {
-  MemberId member = kInvalidMember;
-  std::uint64_t counter = 0;
-
-  friend bool operator==(const Heartbeat&, const Heartbeat&) = default;
-};
-
-/// Gossip round payload: the sender's current view of heartbeat counters.
-struct Gossip {
-  MemberId from = kInvalidMember;
-  std::vector<Heartbeat> beats;
-
-  friend bool operator==(const Gossip&, const Gossip&) = default;
-};
-
 /// Per-source reception state: everything below `next_expected` was
 /// received; `bitmap` covers [next_expected, next_expected + 64*len).
 struct SourceHistory {
@@ -243,8 +227,8 @@ struct Escalate {
 
 using Message =
     std::variant<Data, Session, LocalRequest, RemoteRequest, Repair,
-                 RegionalRepair, SearchRequest, SearchFound, Handoff, Gossip,
-                 History, BufferDigest, Shed, CreditAck, Escalate>;
+                 RegionalRepair, SearchRequest, SearchFound, Handoff, History,
+                 BufferDigest, Shed, CreditAck, Escalate>;
 
 /// Stable wire tags; never renumber.
 enum class MessageType : std::uint8_t {
@@ -257,7 +241,8 @@ enum class MessageType : std::uint8_t {
   kSearchRequest = 7,
   kSearchFound = 8,
   kHandoff = 9,
-  kGossip = 10,
+  // 10 carried the gossip failure detector's heartbeats. Reserved: never
+  // reuse it; the decoder rejects a frame with this tag.
   kHistory = 11,
   kBufferDigest = 12,
   kShed = 13,

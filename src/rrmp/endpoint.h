@@ -40,6 +40,16 @@
 //
 // The endpoint is transport-agnostic: it talks only to an IHost, so the same
 // code runs on the discrete-event simulator and on loopback UDP sockets.
+//
+// Its member functions are defined in three files, by engine:
+//  - endpoint.cc: lifecycle, the send path and window, dispatch, reception,
+//    handoff and shed inheritance;
+//  - endpoint_state.cc: the state plane — the Session, credit, digest and
+//    History ticks, their handlers, the flow-control peer glue, and the view
+//    and partition hooks;
+//  - endpoint_recovery.cc: the recovery engine — the request ladder,
+//    repairs, local/remote phases, representatives, search, regional relay
+//    and anti-entropy pulls.
 #pragma once
 
 #include <deque>
@@ -57,7 +67,6 @@
 #include "buffer/store.h"
 #include "rrmp/config.h"
 #include "rrmp/flow_control.h"
-#include "rrmp/gossip_fd.h"
 #include "rrmp/host.h"
 #include "rrmp/metrics.h"
 #include "rrmp/rtt_estimator.h"
@@ -157,11 +166,6 @@ class Endpoint {
   /// Missing sequence numbers currently known for `source`.
   std::vector<std::uint64_t> missing_from(MemberId source) const;
 
-  /// Start the gossip failure detector (optional; suspicion is reported to
-  /// on_suspect so the host can filter its views).
-  void enable_gossip_fd(GossipConfig config,
-                        std::function<void(MemberId, bool)> on_suspect);
-
   /// Measured-RTT state (populated when config.measure_rtt is set).
   const RttEstimator& rtt_estimator() const { return rtt_; }
 
@@ -199,9 +203,9 @@ class Endpoint {
     TimePoint started;
     /// Requesters carried in outgoing SearchRequests (front is forwarded).
     std::vector<MemberId> carry;
-    /// Requesters that contacted *this* member directly (RemoteRequest);
-    /// when another member's chain finds the holder, these are forwarded to
-    /// the holder so they are never left unserved.
+    /// Requesters that contacted *this* member directly (RemoteRequest or
+    /// Escalate); when another member's chain finds the holder, these are
+    /// forwarded to the holder so they are never left unserved.
     std::vector<MemberId> own;
     TimerHandle timer = kNoTimer;
     std::uint32_t attempts = 0;
@@ -218,28 +222,90 @@ class Endpoint {
     MemberId requester = kInvalidMember;
   };
 
-  // Message handlers.
+  // --- endpoint.cc: send path, dispatch, reception -----------------------
+
   void handle_data(const proto::Data& d, MemberId from);
   void handle_session(const proto::Session& s, MemberId from);
-  void handle_local_request(const proto::LocalRequest& r, MemberId from);
-  void handle_remote_request(const proto::RemoteRequest& r, MemberId from);
-  void handle_repair(const proto::Repair& r, MemberId from);
-  void handle_regional_repair(const proto::RegionalRepair& r, MemberId from);
-  void handle_search_request(const proto::SearchRequest& r, MemberId from);
-  void handle_search_found(const proto::SearchFound& r, MemberId from);
   void handle_handoff(const proto::Handoff& h, MemberId from);
-  void handle_gossip(const proto::Gossip& g, MemberId from);
-  void handle_history(const proto::History& h, MemberId from);
-  void handle_buffer_digest(const proto::BufferDigest& d, MemberId from);
   void handle_shed(const proto::Shed& s, MemberId from);
-  void handle_credit_ack(const proto::CreditAck& a, MemberId from);
-  void handle_escalate(const proto::Escalate& e, MemberId from);
 
   // Reception path shared by data/repair/regional-repair/handoff; a
   // message already received is ignored.
   void accept(const proto::Data& d);
+  /// Take over a neighbor's copy (leave-time handoff, §3.2, or budget shed):
+  /// deliver it if never received, then keep it long-term.
+  void inherit(const proto::Data& d);
 
-  // Recovery.
+  /// True when the window admits the next frame right now (always true
+  /// when alone in the region: there is no peer to grant credit).
+  bool flow_admits() const;
+  /// Deliver locally and transmit the oldest queued frame of window_.
+  void transmit_next();
+  /// Transmit queued frames while credit allows.
+  void drain_window();
+
+  void cancel(TimerHandle& t);
+  Duration request_timeout(MemberId peer) const;
+  SequenceTracker& tracker(MemberId source) { return trackers_[source]; }
+
+  // --- endpoint_state.cc: ticks, their handlers, flow glue ---------------
+
+  // Session messages (sender only).
+  void session_tick();
+  // Flow control (Config::flow): periodic CreditAcks to the region's
+  // senders + queue drain.
+  void credit_tick();
+  // Cooperative budget coordination: periodic regional digest multicast.
+  void digest_tick();
+  // Stability baseline support.
+  void history_tick();
+  void recompute_stability();
+  proto::History build_history() const;
+
+  void handle_credit_ack(const proto::CreditAck& a, MemberId from);
+  void handle_buffer_digest(const proto::BufferDigest& d, MemberId from);
+  void handle_history(const proto::History& h, MemberId from);
+  /// Apply a piggybacked cursor block from a region peer's Data/Session
+  /// frame (same credit semantics as a CreditAck's cursor list).
+  void handle_piggyback(const std::vector<proto::ReceiveCursor>& cursors,
+                        MemberId from);
+
+  /// This member's per-source receive cursors — the piggyback block on
+  /// outgoing Data/Session frames; each region source's own entry is the
+  /// payload of the CreditAck it is sent.
+  std::vector<proto::ReceiveCursor> cursor_snapshot() const;
+  /// The live view minus self and currently-unreachable peers (flow
+  /// control's peer universe), sorted.
+  const std::vector<MemberId>& flow_peers() const;
+  /// True when an active partition severs us from `m`.
+  bool flow_unreachable(MemberId m) const;
+
+  // --- endpoint_recovery.cc: the recovery engine -------------------------
+
+  void handle_local_request(const proto::LocalRequest& r, MemberId from);
+  void handle_remote_request(const proto::RemoteRequest& r, MemberId from);
+  void handle_escalate(const proto::Escalate& e, MemberId from);
+  void handle_search_request(const proto::SearchRequest& r, MemberId from);
+  void handle_repair(const proto::Repair& r, MemberId from);
+  void handle_regional_repair(const proto::RegionalRepair& r, MemberId from);
+  void handle_search_found(const proto::SearchFound& r, MemberId from);
+
+  /// The rung of §3.3's ladder that answered a request.
+  enum class Answer { kRepaired, kAwaited, kForwarded, kUnanswered };
+  /// §3.3's ladder, shared by RemoteRequest, Escalate and SearchRequest:
+  /// repair `requester` from the buffer; else, if the message was never
+  /// received, record the requester as a waiter and recover it (recoveries
+  /// climb from escalation level `hop`); else, received and discarded,
+  /// forward the request to a holder a recent search located. kUnanswered
+  /// leaves locating a bufferer to the caller.
+  Answer answer_request(const MessageId& id, MemberId requester,
+                        std::uint32_t hop);
+  /// Count and send a Repair of `d` to `to`.
+  void send_repair(MemberId to, const proto::Data& d, bool remote);
+  // On receipt of a message: serve its waiters and the searches for it.
+  void serve_waiters(const proto::Data& d);
+  void satisfy_searches(const proto::Data& d);
+
   /// `escalate_hop` seeds RecoveryTask::escalate_hop before the first
   /// attempt goes out.
   void start_recovery(const MessageId& id, std::uint32_t escalate_hop = 0);
@@ -260,8 +326,11 @@ class Endpoint {
   /// at base << repair::kMaxBackoffShift. Identity outside hierarchy mode.
   Duration retry_backoff(Duration base, std::uint32_t attempts) const;
 
-  // Search (§3.3).
-  void start_search(const MessageId& id, MemberId requester);
+  // Search (§3.3). `direct` marks a requester that contacted this member
+  // itself (a RemoteRequest or Escalate) rather than through another
+  // searcher's SearchRequest; see SearchTask::own.
+  void start_search(const MessageId& id, MemberId requester,
+                    bool direct = true);
   void search_attempt(const MessageId& id);
   void end_search(const MessageId& id, MemberId holder);
   void schedule_query_reply(const MessageId& id, MemberId requester);
@@ -278,51 +347,9 @@ class Endpoint {
   void schedule_regional_relay(const proto::Data& d);
   void fire_regional_relay(const MessageId& id);
 
-  // Stability baseline support.
-  void history_tick();
-  void recompute_stability();
-
   // Anti-entropy engine (Bimodal Multicast [3]).
   void anti_entropy_tick();
   void pull_from_digest(const proto::History& digest, MemberId from);
-  proto::History build_history() const;
-
-  // Session messages (sender only).
-  void session_tick();
-
-  // Cooperative budget coordination: periodic regional digest multicast.
-  void digest_tick();
-
-  // Flow control (Config::flow): periodic CreditAcks to the region's
-  // senders + queue drain.
-  void credit_tick();
-  /// True when the window admits the next frame right now (always true
-  /// when alone in the region: there is no peer to grant credit).
-  bool flow_admits() const;
-  /// Deliver locally and transmit the oldest queued frame of window_.
-  void transmit_next();
-  /// Transmit queued frames while credit allows.
-  void drain_window();
-  /// This member's per-source receive cursors — the piggyback block on
-  /// outgoing Data/Session frames; each region source's own entry is the
-  /// payload of the CreditAck it is sent.
-  std::vector<proto::ReceiveCursor> cursor_snapshot() const;
-  /// Apply a piggybacked cursor block from a region peer's Data/Session
-  /// frame (same credit semantics as a CreditAck's cursor list).
-  void handle_piggyback(const std::vector<proto::ReceiveCursor>& cursors,
-                        MemberId from);
-  /// The live view minus self and currently-unreachable peers (flow
-  /// control's peer universe), sorted.
-  const std::vector<MemberId>& flow_peers() const;
-  /// True when an active partition severs us from `m`.
-  bool flow_unreachable(MemberId m) const;
-
-  // Helpers.
-  void serve_waiters(const proto::Data& d);
-  void satisfy_searches(const proto::Data& d);
-  void cancel(TimerHandle& t);
-  Duration request_timeout(MemberId peer) const;
-  SequenceTracker& tracker(MemberId source) { return trackers_[source]; }
 
   IHost& host_;
   Config cfg_;
@@ -436,8 +463,6 @@ class Endpoint {
   const buffer::HashBasedPolicy* hash_policy_ = nullptr;
   buffer::BuffererSelector selector_;
   std::vector<MemberId> bufferer_scratch_;
-
-  std::unique_ptr<GossipFailureDetector> gossip_fd_;
 };
 
 }  // namespace rrmp

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "harness/cluster.h"
 
@@ -256,6 +257,106 @@ TEST(EndpointSearch, RemoteRequestForUnknownMessageStartsRecovery) {
   EXPECT_GE(cluster.metrics().counters().remote_repairs_sent, 1u);
 }
 
+// ---------------------------------------------------------- request ladder ----
+
+TEST(EndpointLadder, EveryRequestFrameClimbsTheSameLadder) {
+  // §3.3's ladder, climbed alike by a RemoteRequest, an Escalate and a
+  // SearchRequest: repair from the buffer; else, never received, record a
+  // waiter and recover (the waiter is repaired once the message arrives);
+  // else, received and discarded, forward to the holder a completed search
+  // located.
+  enum Frame { kRemoteRequest, kEscalate, kSearchRequest };
+  enum State { kBuffered, kNeverReceived, kDiscarded };
+  struct Row {
+    Frame frame;
+    State state;
+    std::size_t repairs;   // remote Repairs of the id reaching the requester
+    std::size_t found;     // SearchFound{id, target} heard by a region peer
+    std::size_t forwards;  // RemoteRequest{id, requester} reaching the holder
+    std::size_t waiters;   // at the target, right after the frame
+    std::size_t recoveries;
+  };
+  const Row rows[] = {
+      {kRemoteRequest, kBuffered, 1, 0, 0, 0, 0},
+      {kRemoteRequest, kNeverReceived, 1, 0, 0, 1, 1},
+      {kRemoteRequest, kDiscarded, 0, 0, 1, 0, 0},
+      {kEscalate, kBuffered, 1, 0, 0, 0, 0},
+      {kEscalate, kNeverReceived, 1, 0, 0, 1, 1},
+      {kEscalate, kDiscarded, 0, 0, 1, 0, 0},
+      {kSearchRequest, kBuffered, 1, 1, 0, 0, 0},
+      {kSearchRequest, kNeverReceived, 1, 0, 0, 1, 1},
+      {kSearchRequest, kDiscarded, 0, 0, 1, 0, 0},
+  };
+  const char* frame_names[] = {"RemoteRequest", "Escalate", "SearchRequest"};
+  const char* state_names[] = {"buffered", "never received", "discarded"};
+  // Region 0 holds the source, the target and the holder; the requester
+  // sits alone in a child region, as a remote requester does.
+  constexpr MemberId kSource = 0, kTarget = 1, kHolder = 2, kRequester = 5;
+  const MessageId id{kSource, 1};
+  for (const Row& row : rows) {
+    SCOPED_TRACE(std::string(frame_names[row.frame]) + " at a " +
+                 state_names[row.state] + " target");
+    std::size_t repairs = 0, found = 0, forwards = 0;
+    ClusterConfig cc;
+    cc.region_sizes = {5, 1};
+    cc.seed = 40;
+    cc.protocol.hierarchy.enabled = row.frame == kEscalate;
+    Cluster cluster(cc);
+    if (row.state != kNeverReceived) {
+      cluster.inject_data_to(kSource, 1, std::vector<MemberId>{kTarget});
+    }
+    if (row.state == kDiscarded) {
+      cluster.force_discard(kTarget, id);
+      cluster.endpoint(kTarget).handle_message(
+          proto::Message{proto::SearchFound{id, kHolder}}, kHolder);
+    }
+    // Tap the requester's and the holder's frames on their way in.
+    cluster.host(kRequester)
+        .set_receiver([&, ep = &cluster.endpoint(kRequester)](
+                          const proto::Message& msg, MemberId from) {
+          const auto* r = std::get_if<proto::Repair>(&msg);
+          if (r != nullptr && r->id == id && r->remote) ++repairs;
+          ep->handle_message(msg, from);
+        });
+    cluster.host(kHolder).set_receiver(
+        [&, ep = &cluster.endpoint(kHolder)](const proto::Message& msg,
+                                             MemberId from) {
+          const auto* f = std::get_if<proto::SearchFound>(&msg);
+          if (f != nullptr && f->id == id && f->holder == kTarget) ++found;
+          const auto* q = std::get_if<proto::RemoteRequest>(&msg);
+          if (q != nullptr && q->id == id && q->requester == kRequester) {
+            ++forwards;
+          }
+          ep->handle_message(msg, from);
+        });
+    Endpoint& target = cluster.endpoint(kTarget);
+    switch (row.frame) {
+      case kRemoteRequest:
+        target.handle_message(
+            proto::Message{proto::RemoteRequest{id, kRequester}}, kRequester);
+        break;
+      case kEscalate:
+        target.handle_message(
+            proto::Message{proto::Escalate{id, kRequester, 0}}, kRequester);
+        break;
+      case kSearchRequest:
+        target.handle_message(
+            proto::Message{proto::SearchRequest{id, kRequester}}, kHolder);
+        break;
+    }
+    EXPECT_EQ(target.waiter_count(), row.waiters);
+    EXPECT_EQ(target.active_recoveries(), row.recoveries);
+    if (row.state == kNeverReceived) {
+      // The message turns up: the target serves its waiter.
+      cluster.inject_data_to(kSource, 1, std::vector<MemberId>{kTarget});
+    }
+    cluster.run_for(Duration::millis(100));  // > the 50 ms inter-region hop
+    EXPECT_EQ(repairs, row.repairs);
+    EXPECT_EQ(found, row.found);
+    EXPECT_EQ(forwards, row.forwards);
+  }
+}
+
 // ------------------------------------------------------------- hash-direct ----
 
 TEST(EndpointHashDirect, RecoveryTargetsHashBufferers) {
@@ -416,14 +517,6 @@ TEST(EndpointLifecycle, MissingFromIntrospection) {
   cluster.inject_session_to(0, 3, std::vector<MemberId>{1});
   auto missing = cluster.endpoint(1).missing_from(0);
   EXPECT_EQ(missing, (std::vector<std::uint64_t>{1, 2, 3}));
-}
-
-TEST(EndpointLifecycle, GossipMessageWithoutFdIsIgnored) {
-  Cluster cluster(single_region(3, 25));
-  proto::Gossip g{1, {proto::Heartbeat{0, 5}}};
-  cluster.endpoint(0).handle_message(proto::Message{g}, 1);  // must not crash
-  cluster.run_for(Duration::millis(10));
-  SUCCEED();
 }
 
 TEST(EndpointLifecycle, CrashLeavesNoTimerPending) {

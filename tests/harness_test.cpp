@@ -85,29 +85,6 @@ TEST(ClusterTest, SimHostViewsFollowDirectory) {
   EXPECT_EQ(cluster.host(5).parent_view().size(), 3u);
 }
 
-TEST(ClusterTest, SuspicionFiltersViewsPerMember) {
-  ClusterConfig cc;
-  cc.region_sizes = {5};
-  cc.seed = 7;
-  Cluster cluster(cc);
-  cluster.host(0).set_suspected(3, true);
-  EXPECT_FALSE(cluster.host(0).local_view().contains(3));
-  EXPECT_EQ(cluster.host(0).local_view().size(), 4u);
-  // Other members are unaffected: suspicion is local knowledge.
-  EXPECT_TRUE(cluster.host(1).local_view().contains(3));
-  cluster.host(0).set_suspected(3, false);
-  EXPECT_TRUE(cluster.host(0).local_view().contains(3));
-}
-
-TEST(ClusterTest, SelfNeverFilteredFromOwnView) {
-  ClusterConfig cc;
-  cc.region_sizes = {3};
-  cc.seed = 8;
-  Cluster cluster(cc);
-  cluster.host(0).set_suspected(0, true);  // nonsensical, must be ignored
-  EXPECT_TRUE(cluster.host(0).local_view().contains(0));
-}
-
 TEST(ClusterTest, RttEstimateMatchesTopology) {
   ClusterConfig cc;
   cc.region_sizes = {3, 2};

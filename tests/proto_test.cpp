@@ -86,15 +86,6 @@ TEST(CodecTest, EmptyHandoffRoundTrip) {
   EXPECT_EQ(round_trip(h), h);
 }
 
-TEST(CodecTest, GossipRoundTrip) {
-  Gossip g;
-  g.from = 5;
-  for (std::uint32_t i = 0; i < 50; ++i) {
-    g.beats.push_back(Heartbeat{i, i * 1000ULL});
-  }
-  EXPECT_EQ(round_trip(g), g);
-}
-
 TEST(CodecTest, HistoryRoundTrip) {
   History h;
   h.member = 13;
@@ -186,7 +177,7 @@ TEST(CodecTest, TypeTagsAreStable) {
   EXPECT_EQ(static_cast<int>(type_of(Message{SearchRequest{}})), 7);
   EXPECT_EQ(static_cast<int>(type_of(Message{SearchFound{}})), 8);
   EXPECT_EQ(static_cast<int>(type_of(Message{Handoff{}})), 9);
-  EXPECT_EQ(static_cast<int>(type_of(Message{Gossip{}})), 10);
+  // 10 is reserved (the retired gossip heartbeat frame).
   EXPECT_EQ(static_cast<int>(type_of(Message{History{}})), 11);
   EXPECT_EQ(static_cast<int>(type_of(Message{BufferDigest{}})), 12);
   EXPECT_EQ(static_cast<int>(type_of(Message{Shed{}})), 13);
@@ -195,11 +186,16 @@ TEST(CodecTest, TypeTagsAreStable) {
 }
 
 TEST(CodecTest, TypeNamesAreDistinct) {
+  // Every live tag (1-9 and 11-15) has its own name; reserved 10 has none.
   std::set<std::string> names;
-  for (int t = 1; t <= 14; ++t) {
-    names.insert(type_name(static_cast<MessageType>(t)));
+  for (int t = 1; t <= 15; ++t) {
+    if (t == 10) continue;
+    std::string name = type_name(static_cast<MessageType>(t));
+    EXPECT_NE(name, "UNKNOWN") << "tag " << t;
+    names.insert(name);
   }
   EXPECT_EQ(names.size(), 14u);
+  EXPECT_STREQ(type_name(static_cast<MessageType>(10)), "UNKNOWN");
 }
 
 TEST(CodecTest, EncodedSizeMatchesEncoding) {
@@ -223,7 +219,6 @@ TEST(CodecTest, EncodedSizeMatchesEncodingForEveryType) {
       Message{SearchFound{MessageId{7, 8}, 1}},
       Message{Handoff{{Data{MessageId{1, 1}, {1}},
                        Data{MessageId{1, 2}, std::vector<std::uint8_t>(200, 2)}}}},
-      Message{Gossip{1, {{2, 3}, {4, 5}}}},
       Message{History{1, {SourceHistory{2, 10, {0xFF, 0x00}}}}},
       Message{BufferDigest{3, 1ULL << 33, 129, {{1, 5, 127}, {2, 1, 128}}}},
       Message{Shed{4, Data{MessageId{1, 2}, std::vector<std::uint8_t>(128, 9)}}},
@@ -297,7 +292,6 @@ TEST(CodecFuzzTest, EveryTruncationOfEveryTypeRejected) {
       Message{SearchRequest{MessageId{1, 2}, 3}},
       Message{SearchFound{MessageId{1, 2}, 3}},
       Message{Handoff{{Data{MessageId{1, 1}, {1}}}}},
-      Message{Gossip{1, {Heartbeat{2, 3}}}},
       Message{History{1, {SourceHistory{1, 2, {0xFF}}}}},
       Message{BufferDigest{1, 64, 2, {DigestRange{1, 2, 3}}}},
       Message{Shed{1, Data{MessageId{1, 1}, {7, 8}}}},
@@ -441,11 +435,22 @@ TEST(CodecNegativeTest, TruncatedVarintLengthPrefixRejected) {
   EXPECT_FALSE(decode(runaway).has_value());
 }
 
-TEST(CodecNegativeTest, HostileGossipBeatCountRejected) {
-  std::vector<std::uint8_t> bytes = {10};  // kGossip
-  append_u32(bytes, 5);                    // from
-  append_varint(bytes, 1ULL << 41);        // beats count
-  EXPECT_FALSE(decode(bytes).has_value());
+TEST(CodecNegativeTest, ReservedTagTenRejected) {
+  // Tag 10 carried the retired gossip heartbeat frame: no body decodes under
+  // it, neither the old well-formed layout nor a hostile count.
+  std::vector<std::uint8_t> bare = {10};
+  EXPECT_FALSE(decode(bare).has_value());
+  std::vector<std::uint8_t> old_frame = {10};
+  append_u32(old_frame, 5);          // from
+  append_varint(old_frame, 1);       // one heartbeat
+  append_u32(old_frame, 2);          // member
+  append_u64(old_frame, 3);          // counter
+  EXPECT_FALSE(decode(old_frame).has_value());
+  EXPECT_FALSE(decode_shared(SharedBytes(old_frame)).has_value());
+  std::vector<std::uint8_t> hostile = {10};
+  append_u32(hostile, 5);
+  append_varint(hostile, 1ULL << 41);  // beats count
+  EXPECT_FALSE(decode(hostile).has_value());
 }
 
 TEST(CodecNegativeTest, HostileHistoryBitmapLengthRejected) {
