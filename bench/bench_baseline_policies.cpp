@@ -32,7 +32,7 @@ int main() {
       "Ablation A4: buffer policies on a lossy 80-message stream",
       "n = 60, 5% per-receiver loss on the initial multicast, payload 256 B.\n"
       "occupancy = time-averaged buffered messages per member;\n"
-      "control = session+request+search+history+gossip messages.");
+      "control = session+request+search+history+handoff+digest+shed messages.");
 
   analysis::Table t({"policy", "delivered", "unrecovered", "peak/member",
                      "occupancy/member", "final total", "recovery ms",

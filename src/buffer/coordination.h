@@ -5,11 +5,12 @@
 // message while a neighbor holds a redundant one. Coordination closes that
 // gap with three pieces, all approximate and all cheap:
 //
-//   1. Digest gossip — every digest_interval each member multicasts a
-//      proto::BufferDigest (held MessageId ranges + bytes in use) within its
-//      region. Each BufferStore folds neighbors' digests into a DigestTable,
-//      giving it an approximate replica count per buffered entry and a view
-//      of where free buffer capacity lives.
+//   1. Digest gossip — each member multicasts a proto::BufferDigest (held
+//      MessageId ranges + bytes in use) within its region when it changes,
+//      then as a keep-alive (kDigestKeepAliveTicks). Each BufferStore folds
+//      neighbors' digests into a DigestTable, giving it an approximate
+//      replica count per buffered entry and a view of where free buffer
+//      capacity lives.
 //   2. Cost-aware eviction — RetentionPolicy::pick_victims prefers victims
 //      with >= kRedundancyThreshold known regional replicas (self included)
 //      and protects sole-copy entries, falling back to the PR 4 order
@@ -35,9 +36,10 @@ namespace rrmp::buffer {
 struct CoordinationParams {
   /// Master switch; everything below is inert when false.
   bool enabled = false;
-  /// Period of the per-member BufferDigest regional multicast. Keep it at or
-  /// below the policies' retention timescales (idle threshold T, TTLs) or
-  /// the replica counts are stale by the time eviction consults them.
+  /// Period of the digest tick, which multicasts a changed BufferDigest.
+  /// Keep it at or below the policies' retention timescales (idle
+  /// threshold T, TTLs) or the replica counts are stale by the time
+  /// eviction consults them.
   Duration digest_interval = Duration::millis(20);
   /// Push sole-copy victims to the least-loaded digest-advertised neighbor
   /// (proto::Shed) before discarding them.
@@ -54,13 +56,22 @@ struct CoordinationParams {
 /// the uncoordinated order applies.
 inline constexpr std::size_t kRedundancyThreshold = 2;
 
-/// A neighbor's advertisement ages out after this many digest intervals
-/// without a refresh. A peer that is alive-but-severed across a network
-/// partition stays in the view, so retain() never prunes it — without aging
-/// its last digest would keep inflating replica counts and pinning keeper
-/// elections for the whole partition. Digests normally refresh every
-/// interval, so entries never age past 1 in a connected region and aging
-/// changes nothing in fault-free runs.
+/// A digest goes out on the tick its content changes and on the next (one
+/// lost copy heals a tick later), then, while unchanged, only as a full
+/// keep-alive every this many ticks. A quiet region sends a quarter of the
+/// digests, a joiner waits at most 4 ticks for an unchanged peer's row,
+/// and no version field is needed: a receiver could not ask for a digest
+/// it knew it missed, and the repeat and the keep-alive heal the loss.
+inline constexpr std::size_t kDigestKeepAliveTicks = 4;
+
+/// A neighbor's advertisement ages out after this many keep-alive periods
+/// without a refresh: the endpoint ages its table once per period, so a row
+/// goes 13–16 ticks after its last digest arrived. A peer that is
+/// alive-but-severed across a network partition stays in the view, so
+/// retain() never prunes it — without aging its last digest would keep
+/// inflating replica counts and pinning keeper elections for the whole
+/// partition. A connected peer, quiet or not, refreshes at least once per
+/// period, so aging changes nothing in fault-free runs.
 inline constexpr std::size_t kMaxMissedDigests = 3;
 
 /// One store's view of its region neighbors' advertised buffer contents:

@@ -157,9 +157,9 @@ struct DigestRange {
 
 /// Compact per-member buffer digest — the gossip/heartbeat extension behind
 /// cooperative region-wide budgets: held MessageId ranges plus bytes in
-/// use, multicast within the region every digest period so each member
-/// learns an approximate replica count per buffered entry and where free
-/// buffer capacity lives. `window_outstanding` additionally advertises the
+/// use, multicast within the region on change and as a keep-alive so each
+/// member learns an approximate replica count per buffered entry and where
+/// free buffer capacity lives. `window_outstanding` additionally advertises the
 /// member's own flow-control window occupancy (outstanding unacknowledged
 /// Data frames; 0 when flow control is off), making send pressure visible
 /// region-wide alongside buffer pressure.

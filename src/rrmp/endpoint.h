@@ -20,7 +20,7 @@
 //  - random search for a bufferer of a discarded message (§3.3), terminated
 //    by an "I have the message" regional multicast,
 //  - long-term buffer handoff on voluntary leave (§3.2),
-//  - optional cooperative region-wide budgets: periodic BufferDigest gossip
+//  - optional cooperative region-wide budgets: BufferDigest gossip on change
 //    advertising the held id set + bytes in use, replica-aware eviction, and
 //    shed handoffs pushing sole-copy entries to the least-loaded neighbor
 //    under budget pressure (Config::buffer_coordination),
@@ -255,7 +255,7 @@ class Endpoint {
   // Flow control (Config::flow): periodic CreditAcks to the region's
   // senders + queue drain.
   void credit_tick();
-  // Cooperative budget coordination: periodic regional digest multicast.
+  // Cooperative budget coordination: regional digest multicast on change.
   void digest_tick();
   // Stability baseline support.
   void history_tick();
@@ -370,6 +370,11 @@ class Endpoint {
   TimerHandle history_timer_ = kNoTimer;
   TimerHandle anti_entropy_timer_ = kNoTimer;
   TimerHandle digest_timer_ = kNoTimer;
+  /// buffer::kDigestKeepAliveTicks: the digest built at the last tick, the
+  /// ticks since its content changed, and the ticks so far (aging phase).
+  proto::BufferDigest last_digest_;
+  std::uint32_t digest_quiet_ = 0;
+  std::uint32_t digest_ticks_ = 0;
   TimerHandle credit_timer_ = kNoTimer;
 
   // Flow control state (inert when cfg_.flow.enabled is false). flow_

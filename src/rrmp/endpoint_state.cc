@@ -268,15 +268,25 @@ void Endpoint::digest_tick() {
   store_->digests().retain(host_.local_view().members());
   // Alive-but-severed members (a partition) survive the view prune; their
   // advertisements age out instead once no refresh arrives for a few
-  // periods. A connected peer refreshes every period, so its counter
-  // oscillates between 0 and 1 and aging never fires in fault-free runs.
-  store_->digests().age();
+  // keep-alive periods. A connected peer refreshes at least once per
+  // period, so aging, once per period, never fires in fault-free runs.
+  if (digest_ticks_++ % buffer::kDigestKeepAliveTicks == 0) {
+    store_->digests().age();
+  }
   // Advertise even when empty: a zero bytes_in_use digest is exactly what
   // makes this member the least-loaded shed target.
   proto::BufferDigest d = store_->build_digest();
   d.view_gen = view_gen_;
   if (cfg_.flow.enabled) d.window_outstanding = flow_.outstanding();
-  host_.multicast_region(proto::Message{std::move(d)});
+  // Send on the tick the content changes (the first tick does: last_digest_
+  // names no member) and once more on the next, then only a keep-alive
+  // every kDigestKeepAliveTicks ticks while it stays the same.
+  digest_quiet_ = d == last_digest_ ? digest_quiet_ + 1 : 0;
+  if (digest_quiet_ == 0) last_digest_ = d;
+  if (digest_quiet_ <= 1 ||
+      digest_quiet_ % buffer::kDigestKeepAliveTicks == 0) {
+    host_.multicast_region(proto::Message{std::move(d)});
+  }
   digest_timer_ = host_.schedule(cfg_.buffer_coordination.digest_interval,
                                  [this] { digest_tick(); });
 }

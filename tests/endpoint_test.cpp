@@ -612,5 +612,101 @@ TEST(SessionHeartbeat, IdleSenderBacksOffAndSnapsBack) {
   }
 }
 
+
+// ----------------------------------------------------------- buffer digest ----
+
+TEST(DigestCadence, ChangedDigestRepeatsOnceThenKeepsAlive) {
+  // A BufferDigest goes out on the tick its content changes (the first
+  // tick counts), once more on the next, then only as a keep-alive every
+  // kDigestKeepAliveTicks ticks. Tables age once per keep-alive period: a
+  // quiet but connected peer never ages out, and a severed one leaves 13-16
+  // ticks after its last digest arrived.
+  static_assert(buffer::kDigestKeepAliveTicks == 4);
+  static_assert(buffer::kMaxMissedDigests == 3);
+  constexpr std::size_t kMembers = 4;
+  ClusterConfig cc = single_region(kMembers, 31);
+  const Duration tick = Duration::millis(20);
+  cc.protocol.buffer_coordination.enabled = true;
+  cc.protocol.buffer_coordination.digest_interval = tick;
+  cc.policy = buffer::BufferEverythingParams{};  // a stored frame stays
+  Cluster cluster(cc);
+  const Duration hop = cc.intra_rtt / 2;
+  // Every member ticks at tick * (k + 1) for k = 0, 1, ...; its digests
+  // arrive one hop later. Tap each member's digests on their way in.
+  struct Heard {
+    MemberId from;
+    TimePoint at;
+  };
+  std::vector<std::vector<Heard>> heard(kMembers);  // outlives the taps
+  for (MemberId m = 0; m < kMembers; ++m) {
+    SimHost* host = &cluster.host(m);
+    host->set_receiver([ep = &cluster.endpoint(m), host, log = &heard[m]](
+                           const proto::Message& msg, MemberId from) {
+      if (const auto* d = std::get_if<proto::BufferDigest>(&msg)) {
+        log->push_back({d->member, host->now()});
+      }
+      ep->handle_message(msg, from);
+    });
+  }
+  // The ticks of member 1's digests that member 0 heard from `since` on.
+  auto ticks_heard = [&](TimePoint since) {
+    std::vector<std::int64_t> ticks;
+    for (const Heard& h : heard[0]) {
+      if (h.from != 1 || h.at < since) continue;
+      EXPECT_EQ((h.at.us() - hop.us()) % tick.us(), 0) << h.at;
+      ticks.push_back((h.at.us() - hop.us()) / tick.us() - 1);
+    }
+    return ticks;
+  };
+
+  // No data: the first tick is a change, then the repeat and keep-alives.
+  cluster.run_for(Duration::millis(290));
+  EXPECT_EQ(ticks_heard(TimePoint::zero()),
+            (std::vector<std::int64_t>{0, 1, 4, 8, 12}));
+
+  // A multicast changes every buffer: member 1 stores the frame at 295 ms,
+  // so tick 14 (300 ms) sends, 15 repeats, and keep-alives follow.
+  const TimePoint sent = cluster.now();
+  cluster.endpoint(0).multicast({1});
+  cluster.run_for(Duration::millis(300));
+  EXPECT_EQ(ticks_heard(sent), (std::vector<std::int64_t>{14, 15, 18, 22, 26}));
+
+  // Through 2 s of quiet every member keeps a row for each of its 3 peers.
+  for (int ms = 0; ms < 2000; ++ms) {
+    cluster.run_for(Duration::millis(1));
+    for (MemberId m = 0; m < kMembers; ++m) {
+      ASSERT_EQ(cluster.endpoint(m).buffer().digests().peer_count(),
+                kMembers - 1)
+          << "member " << m << " at " << cluster.now();
+    }
+  }
+
+  // Cut member 3 off between ticks, with no digest in flight. Each
+  // survivor drops its row at its 13th to 16th tick after member 3's last
+  // digest arrived: more than 12 and at most 16 ticks later.
+  constexpr MemberId kCut = 3;
+  cluster.partition({{0, 1, 2}, {kCut}});
+  std::vector<TimePoint> dropped(kCut, TimePoint::max());
+  for (int ms = 0; ms < 500; ++ms) {
+    cluster.run_for(Duration::millis(1));
+    for (MemberId m = 0; m < kCut; ++m) {
+      if (dropped[m] == TimePoint::max() &&
+          !cluster.endpoint(m).buffer().digests().has_peer(kCut)) {
+        dropped[m] = cluster.now();
+      }
+    }
+  }
+  for (MemberId m = 0; m < kCut; ++m) {
+    SCOPED_TRACE("survivor " + std::to_string(m));
+    auto last = std::find_if(heard[m].rbegin(), heard[m].rend(),
+                             [](const Heard& h) { return h.from == kCut; });
+    ASSERT_NE(last, heard[m].rend());
+    ASSERT_NE(dropped[m], TimePoint::max());
+    EXPECT_GT(dropped[m] - last->at, tick * 12);
+    EXPECT_LE(dropped[m] - last->at, tick * 16);
+    EXPECT_EQ(cluster.endpoint(m).buffer().digests().peer_count(), 2u);
+  }
+}
+
 }  // namespace
 }  // namespace rrmp::harness
