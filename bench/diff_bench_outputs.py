@@ -28,8 +28,10 @@ two UDP workloads (udp_small_open, udp_lossy_open) by default, or the
 comma-separated BENCHMARK.json workloads given with --pair-workloads (for
 example sim_tree_1e4, for a simulator speed claim). Their wall-clock
 metrics are not deterministic, so it prints each side's median and
-quartiles per end-to-end metric (plus the info cpu_us_per_delivery and,
-for the simulator workloads, sim.events_per_delivery) and
+quartiles per end-to-end metric (plus the info cpu_us_per_delivery;
+for the simulator workloads, sim.events_per_delivery; and for the UDP
+workloads, net.send_syscalls_per_delivery and
+net.recv_syscalls_per_delivery) and
 bench/e2e/run.py's comparison: the share of pairs the change won and a
 verdict under the bounds in BENCHMARK.json. It fails when a run fails its
 checks, not on a verdict. Ten UDP pairs take about 8 minutes, ten
@@ -105,6 +107,9 @@ E2E_METRICS = [
 ]
 E2E_COUNTS = ["correct", "attempted", "failed"]
 UDP_WORKLOADS = ["udp_small_open", "udp_lossy_open"]
+# Per-layer metrics every untraced UDP run reports, printed with --pairs.
+UDP_SYSCALL_METRICS = ["net.send_syscalls_per_delivery",
+                       "net.recv_syscalls_per_delivery"]
 
 EXPECTED_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                              "expected_output_changes.txt")
@@ -256,16 +261,20 @@ def check_pairs(args, failures):
                     workload, {"runs": []})["runs"].append(r)
     declared = spec["end_to_end"] + [{"name": "cpu_us_per_delivery",
                                       "unit": "us"}]
-    # Only the simulator workloads fire simulator events.
+    # Only the simulator workloads fire simulator events, and only the UDP
+    # ones make syscalls.
     sim_declared = declared + [{"name": "sim.events_per_delivery",
                                 "unit": "ratio"}]
+    udp_declared = declared + [m for m in spec["per_layer"] if m["name"] in
+                               UDP_SYSCALL_METRICS]
     print(f"\n{'workload':<18} {'side':<7} {'metric':<26} {'median':>12} "
           f"{'q1':>12} {'q3':>12}")
     for workload in workloads:
         for side, results in sides.items():
             runs = [{"metrics": r["metrics"] | r["info"]} for r in
                     results["workloads"].get(workload, {"runs": []})["runs"]]
-            names = sim_declared if workload in E2E_WORKLOADS else declared
+            names = (sim_declared if workload in E2E_WORKLOADS else
+                     udp_declared if workload in UDP_WORKLOADS else declared)
             for name, q in e2e.summarize(runs, names).items():
                 print(f"{workload:<18} {side:<7} {name:<26} "
                       f"{q['median']:>12.6g} {q['q1']:>12.6g} "

@@ -42,7 +42,7 @@ struct Options {
   std::size_t buffer_bytes = 0;    // per-member byte budget, 0 = unlimited
   std::size_t buffer_count = 0;    // per-member entry budget, 0 = unlimited
   bool coordinate = false;         // cooperative region-wide budgets
-  std::int64_t digest_ms = 20;     // BufferDigest gossip period
+  std::int64_t digest_ms = 20;     // BufferDigest tick period
   bool no_shed = false;            // disable sole-copy shed handoffs
   bool flow = false;               // windowed send admission (flow control)
   std::size_t window = 32;         // outstanding-frame window per sender
@@ -87,7 +87,9 @@ void print_usage() {
       "                        (0 = unlimited)\n"
       "  --coordinate          cooperative region-wide budgets: digest\n"
       "                        gossip, replica-aware eviction, shed handoffs\n"
-      "  --digest-interval=MS  BufferDigest gossip period (20)\n"
+      "  --digest-interval=MS  BufferDigest tick period (20): a digest goes\n"
+      "                        out when it changes, once more, then every\n"
+      "                        4th tick\n"
       "  --no-shed             keep coordination but disable sole-copy\n"
       "                        shed handoffs\n"
       "  --flow                windowed send admission with credit-based\n"

@@ -39,18 +39,11 @@ class UdpRuntime::MemberHost final : public IHost {
   }
 
   void ip_multicast(proto::Message msg) override {
+    // One datagram to the group; each receiving bus draws the loss.
     SharedBytes wire(proto::encode(msg));
-    const auto* data = std::get_if<proto::Data>(&msg);
+    if (bus_.send_group(self_, wire)) return;
     for (MemberId m = 0; m < rt_.topology_.member_count(); ++m) {
-      if (m == self_) continue;
-      bool lost;
-      if (rt_.config_.drop_fn && data != nullptr) {
-        lost = rt_.config_.drop_fn(data->id.seq, m);
-      } else {
-        lost = rng_.bernoulli(rt_.config_.data_loss);
-      }
-      if (lost) continue;
-      bus_.send_shared(self_, m, wire);
+      if (m != self_) bus_.send_shared(self_, m, wire);
     }
   }
 
@@ -113,7 +106,23 @@ UdpRuntime::UdpRuntime(const net::Topology& topology, UdpRuntimeConfig config)
     endpoints_.push_back(std::make_unique<Endpoint>(
         *hosts_.back(), config_.protocol, std::move(policy), sink));
   }
+  // Loss on the initial dissemination, decided where each copy arrives:
+  // Data and Session frames travel only by ip_multicast. A Data frame is
+  // lost by drop_fn(seq, to) when set; otherwise both are lost at data_loss,
+  // drawn from the receiving member's RNG. Other frames always arrive.
+  auto lost = [this](MemberId, MemberId to,
+                     std::span<const std::uint8_t> frame) {
+    if (std::optional<MessageId> id = proto::peek_data_id(frame)) {
+      if (config_.drop_fn) return config_.drop_fn(id->seq, to);
+    } else if (frame.empty() ||
+               frame[0] !=
+                   static_cast<std::uint8_t>(proto::MessageType::kSession)) {
+      return false;
+    }
+    return hosts_[to]->rng().bernoulli(config_.data_loss);
+  };
   for (auto& bus : buses_) {
+    if (config_.drop_fn || config_.data_loss > 0.0) bus->set_drop_fn(lost);
     if (config_.emulate_latency) {
       bus->set_delay_fn([this](MemberId from, MemberId to) {
         return topology_.one_way_latency(from, to);

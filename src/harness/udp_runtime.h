@@ -10,14 +10,20 @@
 // datagram. run_for() drives all workers over a harness::ShardPool and is a
 // full barrier, so between calls the caller may touch any endpoint safely.
 //
+// ip_multicast() sends one datagram to the bus's loopback multicast group
+// (UdpBus::send_group), and falls back to one unicast per member when the
+// group socket is unavailable. multicast_region() fans out by unicast.
+//
 // Receive copies a frame exactly once: UdpBus hands each worker every frame
-// as an exact-size SharedBytes copied out of its reused receive scratch, and
+// as an exact-size SharedBytes copied out of its reused receive scratch (a
+// group frame once, shared by that worker's receivers), and
 // decode_shared() keeps payload blobs aliasing that copy, so a buffered
 // payload holds its own frame and nothing more.
 //
-// Topology latency is reproduced with the bus's delayed sends, so WAN
-// timing holds on loopback. Membership is static (the directory's initial
-// state).
+// Topology latency is reproduced by the bus, so WAN timing holds on
+// loopback: a unicast datagram is held at the sender, a group frame at each
+// receiving bus. Loss is drawn at the receiving bus on either path.
+// Membership is static (the directory's initial state).
 #pragma once
 
 #include <functional>
@@ -41,16 +47,19 @@ struct UdpRuntimeConfig {
   /// per-member budget rides in protocol.buffer_budget.
   buffer::PolicySpec policy = buffer::TwoPhaseParams{};
   std::uint64_t seed = 1;
-  /// Per-receiver loss applied to ip_multicast fan-out (initial
-  /// dissemination), as in the simulator.
+  /// Per-receiver loss on the ip_multicast frames (Data and Session, the
+  /// initial dissemination), as in the simulator. Drawn at the receiving
+  /// bus from the receiving member's RNG.
   double data_loss = 0.0;
   /// Deterministic drop schedule for the initial dissemination: when set,
-  /// `drop_fn(seq, to)` replaces the Bernoulli data_loss draw — the same
-  /// schedule the simulator applies via SimNetwork::set_data_drop_fn, so
-  /// parity experiments lose exactly the same (message, receiver) pairs on
-  /// both transports.
+  /// `drop_fn(seq, to)` replaces the Bernoulli data_loss draw for Data
+  /// frames — the same schedule the simulator applies via
+  /// SimNetwork::set_data_drop_fn, so parity experiments lose exactly the
+  /// same (message, receiver) pairs on both transports. Asked at the
+  /// receiving bus, with `seq` read from the frame's header.
   std::function<bool(std::uint64_t seq, MemberId to)> drop_fn;
-  /// Reproduce topology latencies with delayed sends (false = raw loopback).
+  /// Reproduce topology latencies with the bus's delays (false = raw
+  /// loopback).
   bool emulate_latency = true;
   /// Event-loop threads; members are partitioned contiguously across them.
   /// 1 = everything on the caller's thread (the pre-threading behaviour);

@@ -21,11 +21,13 @@ SimNetwork::SimNetwork(sim::Simulator& simulator, const Topology& topology,
   lanes_.emplace_back(std::move(rng));
   lanes_[0].sim = &simulator;
   member_lane_.assign(topology_.member_count(), 0);
+  handlers_.assign(topology_.member_count(), nullptr);
 }
 
 SimNetwork::SimNetwork(const Topology& topology, RandomEngine rng,
                        std::size_t sub_shard_members)
     : topology_(topology) {
+  handlers_.assign(topology_.member_count(), nullptr);
   // The safe epoch window: no cross-lane path can undercut the minimum
   // topology edge, and splitting a region adds intra-region cross-lane
   // traffic at that region's one-way delay.
@@ -76,13 +78,16 @@ void SimNetwork::attach(MemberId m, MessageHandler* handler) {
   if (handler == nullptr) {
     throw std::invalid_argument("SimNetwork::attach: null handler");
   }
+  if (m >= handlers_.size()) handlers_.resize(m + 1, nullptr);
   handlers_[m] = handler;
 }
 
-void SimNetwork::detach(MemberId m) { handlers_.erase(m); }
+void SimNetwork::detach(MemberId m) {
+  if (m < handlers_.size()) handlers_[m] = nullptr;
+}
 
 bool SimNetwork::attached(MemberId m) const {
-  return handlers_.find(m) != handlers_.end();
+  return m < handlers_.size() && handlers_[m] != nullptr;
 }
 
 void SimNetwork::set_control_loss(std::unique_ptr<LossModel> model) {
@@ -134,12 +139,12 @@ Duration SimNetwork::delay(Lane& src, MemberId from, MemberId to) {
 
 void SimNetwork::deliver(MemberId to, const proto::Message& msg,
                          MemberId from) {
-  auto it = handlers_.find(to);
-  if (it == handlers_.end()) return;  // crashed or left: packet vanishes
+  MessageHandler* handler = to < handlers_.size() ? handlers_[to] : nullptr;
+  if (handler == nullptr) return;  // crashed or left: packet vanishes
   Lane& dst = lanes_[lane_of(to)];
   ++dst.stats.delivered;
   if (lane_of(from) != lane_of(to)) ++dst.stats.cross_lane_deliveries;
-  it->second->on_message(msg, from);
+  handler->on_message(msg, from);
 }
 
 void SimNetwork::dispatch(Lane& src, std::size_t dst_lane, MemberId from,

@@ -47,7 +47,6 @@
 #include <functional>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/random.h"
@@ -237,7 +236,9 @@ class SimNetwork {
   std::vector<Lane> lanes_;
   std::vector<std::size_t> member_lane_;  // MemberId -> lane index
   Duration lookahead_ = Duration::infinite();
-  std::unordered_map<MemberId, MessageHandler*> handlers_;
+  // Indexed by member id; nullptr = detached. Sized to the topology at
+  // construction, so attaching one of its members never reallocates it.
+  std::vector<MessageHandler*> handlers_;
   // member -> partition group; empty when no partition is active. Read-only
   // between script barriers, so concurrent lanes may consult it freely.
   std::vector<std::uint32_t> partition_group_;

@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 
 #include "common/logging.h"
@@ -59,6 +60,67 @@ sockaddr_in loopback_addr(std::uint16_t port) {
   return addr;
 }
 
+// The group of the members on ports base_port..: 239.255.hi.lo for
+// base_port = hi·256 + lo, so groups on different base ports never meet.
+sockaddr_in group_addr(std::uint16_t base_port) {
+  sockaddr_in addr = loopback_addr(base_port);
+  addr.sin_addr.s_addr = htonl(0xEFFF0000u | base_port);
+  return addr;
+}
+
+int open_udp_socket() {
+#if defined(__linux__)
+  return ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+#else
+  int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+  if (fd >= 0) ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
+  return fd;
+#endif
+}
+
+// The group socket: bound to the group address, so it hears only this
+// group and never collides with the members' 127.0.0.1 ports; SO_REUSEADDR
+// so the buses of one group share it; joined on loopback. It never sets
+// UDP_GRO. Returns -1, with a warning, when any step fails.
+//
+// It queues the multicast frames of all `owned` members, so it asks for
+// their combined default receive buffer (the kernel caps it at
+// net.core.rmem_max): one default buffer overflowed on the burst a stalled
+// loop sends when it wakes, losing those frames at every member at once.
+int open_group_socket(std::uint16_t base_port, std::size_t owned) {
+#if defined(__linux__)
+  int fd = open_udp_socket();
+  if (fd < 0) return -1;
+  const int on = 1;
+  int rcvbuf = 0;
+  socklen_t len = sizeof(rcvbuf);
+  if (::getsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, &len) == 0 &&
+      rcvbuf > 0) {
+    rcvbuf = static_cast<int>(std::min<std::size_t>(
+        static_cast<std::size_t>(rcvbuf) * std::max<std::size_t>(owned, 1),
+        std::numeric_limits<int>::max()));
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  }
+  sockaddr_in addr = group_addr(base_port);
+  ip_mreq join{};
+  join.imr_multiaddr = addr.sin_addr;
+  join.imr_interface.s_addr = htonl(INADDR_LOOPBACK);
+  if (::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &on, sizeof(on)) == 0 &&
+      ::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0 &&
+      ::setsockopt(fd, IPPROTO_IP, IP_ADD_MEMBERSHIP, &join, sizeof(join)) ==
+          0) {
+    return fd;
+  }
+  log::warn("UdpBus: group socket unavailable (", std::strerror(errno),
+            "): multicast falls back to unicast fan-out");
+  ::close(fd);
+#else
+  (void)base_port;
+  (void)owned;
+#endif
+  return -1;
+}
+
 }  // namespace
 
 namespace detail {
@@ -94,9 +156,9 @@ UdpBus::UdpBus(std::size_t member_count, std::uint16_t base_port,
   gso_active_ = gro_active_ = offload_requested(config_);
   epoch_ns_ = config_.epoch_ns != 0 ? config_.epoch_ns : monotonic_ns();
 
-  sockets_.reserve(owned);
+  sockets_.reserve(owned + 1);
   for (std::size_t i = 0; i < owned; ++i) {
-    int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+    int fd = open_udp_socket();
     if (fd < 0) {
       for (const pollfd& p : sockets_) ::close(p.fd);
       sockets_.clear();
@@ -115,8 +177,6 @@ UdpBus::UdpBus(std::size_t member_count, std::uint16_t base_port,
       throw std::runtime_error(std::string("UdpBus: bind() failed: ") +
                                std::strerror(saved));
     }
-    int flags = ::fcntl(fd, F_GETFL, 0);
-    ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
     sockets_.push_back(pollfd{fd, POLLIN, 0});
 #if defined(__linux__)
     if (gro_active_) {
@@ -137,6 +197,11 @@ UdpBus::UdpBus(std::size_t member_count, std::uint16_t base_port,
     }
 #endif
   }
+  owned_ = owned;
+  group_if_.assign(owned, 0);
+  if (int fd = open_group_socket(base_port_, owned); fd >= 0) {
+    sockets_.push_back(pollfd{fd, POLLIN, 0});
+  }
   if (gro_active_) slot_size_ = kGroSlotSize;
   scratch_.resize(kBatch * slot_size_);
 }
@@ -149,10 +214,14 @@ TimePoint UdpBus::now() const {
   return TimePoint::from_us((monotonic_ns() - epoch_ns_) / 1000);
 }
 
+sockaddr_in UdpBus::dest_addr(MemberId to) const {
+  if (to == kGroup) return group_addr(base_port_);
+  return loopback_addr(static_cast<std::uint16_t>(base_port_ + to));
+}
+
 void UdpBus::write_datagram_scalar(MemberId from, MemberId to,
                                    std::span<const std::uint8_t> bytes) {
-  sockaddr_in dst =
-      loopback_addr(static_cast<std::uint16_t>(base_port_ + to));
+  sockaddr_in dst = dest_addr(to);
   ssize_t n;
   do {
     n = ::sendto(fd_of(from), bytes.data(), bytes.size(), 0,
@@ -171,7 +240,6 @@ void UdpBus::write_datagram_scalar(MemberId from, MemberId to,
 }
 
 void UdpBus::write_datagram(MemberId from, MemberId to, SharedBytes bytes) {
-  if (!owns(from) || to >= total_members_) return;
   if (!batched_) {
     write_datagram_scalar(from, to, bytes.span());
     return;
@@ -192,6 +260,28 @@ void UdpBus::send_shared(MemberId from, MemberId to, SharedBytes bytes) {
   });
 }
 
+bool UdpBus::send_group(MemberId from, SharedBytes bytes) {
+  if (!group_active() || !owns(from)) return false;
+  std::int8_t& multicast_if = group_if_[from - first_member_];
+#if defined(__linux__)
+  if (multicast_if == 0) {
+    in_addr lo{htonl(INADDR_LOOPBACK)};
+    multicast_if = ::setsockopt(fd_of(from), IPPROTO_IP, IP_MULTICAST_IF,
+                                &lo, sizeof(lo)) == 0
+                       ? 1
+                       : -1;
+    if (multicast_if < 0) {
+      log::warn("UdpBus: IP_MULTICAST_IF refused (", std::strerror(errno),
+                "): member ", from, " fans out by unicast");
+    }
+  }
+#endif
+  if (multicast_if <= 0) return false;
+  ++group_sends_;
+  write_datagram(from, kGroup, std::move(bytes));
+  return true;
+}
+
 std::size_t UdpBus::send_gso_train(std::size_t begin, std::size_t count) {
 #if defined(__linux__)
   const PendingSend& head = send_queue_[begin];
@@ -202,8 +292,7 @@ std::size_t UdpBus::send_gso_train(std::size_t begin, std::size_t count) {
     iovs[j] = {const_cast<std::uint8_t*>(b.data()), b.size()};
     total += b.size();
   }
-  sockaddr_in dst =
-      loopback_addr(static_cast<std::uint16_t>(base_port_ + head.to));
+  sockaddr_in dst = dest_addr(head.to);
   char ctrl[CMSG_SPACE(sizeof(std::uint16_t))] = {};
   msghdr mh{};
   mh.msg_name = &dst;
@@ -257,7 +346,7 @@ void UdpBus::flush_run(std::size_t begin, std::size_t end) {
   // batcher below.
   auto train_len = [&](std::size_t i) {
     const PendingSend& h = send_queue_[i];
-    if (h.bytes.empty()) return std::size_t{1};
+    if (h.bytes.empty() || h.to == kGroup) return std::size_t{1};
     std::size_t len = 1;
     std::size_t total = h.bytes.size();
     while (i + len < end && len < kMaxGsoSegments &&
@@ -295,8 +384,7 @@ void UdpBus::flush_run(std::size_t begin, std::size_t end) {
     }
     for (std::size_t j = 0; j < n; ++j) {
       const PendingSend& p = send_queue_[begin + j];
-      dsts[j] =
-          loopback_addr(static_cast<std::uint16_t>(base_port_ + p.to));
+      dsts[j] = dest_addr(p.to);
       iovs[j] = {const_cast<std::uint8_t*>(p.bytes.data()), p.bytes.size()};
       msgs[j] = {};
       msgs[j].msg_hdr.msg_name = &dsts[j];
@@ -373,10 +461,28 @@ void UdpBus::deliver(std::size_t local, std::uint16_t src_port_be,
     return;  // stray datagram from an unrelated sender
   }
   auto from = static_cast<MemberId>(src_port - base_port_);
-  if (!on_receive_) return;
-  // The next receive overwrites the scratch: the frame leaves it now.
-  on_receive_(static_cast<MemberId>(first_member_ + local), from,
-              SharedBytes::copy_of(frame));
+  if (local < owned_) {
+    auto to = static_cast<MemberId>(first_member_ + local);
+    if (drop_fn_ && drop_fn_(from, to, frame)) return;
+    // The next receive overwrites the scratch: the frame leaves it now.
+    if (on_receive_) on_receive_(to, from, SharedBytes::copy_of(frame));
+    return;
+  }
+  // A group frame: one copy, shared by every owned member but the sender,
+  // each of which draws its own loss and waits out its own link delay.
+  const SharedBytes bytes = SharedBytes::copy_of(frame);
+  for (std::size_t i = 0; i < owned_; ++i) {
+    auto to = static_cast<MemberId>(first_member_ + i);
+    if (to == from || (drop_fn_ && drop_fn_(from, to, frame))) continue;
+    Duration d = delay_fn_ ? delay_fn_(from, to) : Duration::zero();
+    if (d > Duration::zero()) {
+      schedule_after(d, [this, to, from, bytes] {
+        if (on_receive_) on_receive_(to, from, bytes);
+      });
+    } else if (on_receive_) {
+      on_receive_(to, from, bytes);
+    }
+  }
 }
 
 void UdpBus::drain_socket_scalar(std::size_t local) {

@@ -5,9 +5,17 @@
 // may own a *subset* of the members (thread-per-core runtime: each worker
 // bus binds only its members' sockets but can send to every port in the
 // group), serviced by one event loop on the caller's thread so endpoint
-// code needs no locking. IP multicast is emulated by unicast fan-out
-// (documented substitution: the sandbox offers no multicast routing; the
-// protocol above only observes per-receiver delivery, which is identical).
+// code needs no locking.
+//
+// Group multicast (Linux): each bus also opens one group socket, bound to
+// (239.255.hi.lo, base_port) for base_port = hi·256 + lo and joined on
+// 127.0.0.1. SO_REUSEADDR lets the buses of one group share it, and the
+// group address keeps groups on other base ports apart. It queues every
+// owned member's multicast frames, so its receive buffer is their combined
+// default. send_group() writes one datagram to the group; every bus drains
+// it once and hands one shared copy to each of its own members except the
+// sender. Where a group setup call fails, and on other systems, send_group()
+// returns false and callers fan out by unicast.
 //
 // Event loop (run_until): each turn fires at most kMaxTimersPerTurn due
 // timers, flushes the send queue, then sleeps in ppoll() with a µs timeout
@@ -29,19 +37,22 @@
 //    send queue become one sendmsg(UDP_SEGMENT) train (one kernel traversal
 //    for up to 64 datagrams — syscall batching alone cannot touch the
 //    per-datagram network-stack cost that dominates on modern kernels), and
-//    receive sockets opt into UDP_GRO so the kernel hands back coalesced
+//    member sockets opt into UDP_GRO so the kernel hands back coalesced
 //    trains, which land in 64 KiB slots and are split into one copy per
-//    datagram.
+//    datagram. Group datagrams never join a train.
 // Where the batched syscalls are unavailable (non-Linux, or a kernel that
 // returns ENOSYS/EOPNOTSUPP) the bus falls back one level at a time —
 // offload to sendmmsg, sendmmsg to the scalar recvfrom()/sendto() path —
 // with identical semantics.
 //
-// An optional delay function injects the topology's latency before a
-// datagram is handed to the socket, so WAN timing can be reproduced on
-// loopback.
+// An optional delay function injects the topology's latency, so WAN timing
+// can be reproduced on loopback: a unicast datagram waits at the sender
+// before it is handed to the socket, a group frame at each receiving bus
+// before it is handed to each receiver. An optional drop function decides
+// loss per (received datagram, receiving member), before that delay.
 #pragma once
 
+#include <netinet/in.h>
 #include <poll.h>
 
 #include <cstdint>
@@ -109,10 +120,12 @@ class UdpBus {
   /// whole 64 KiB train instead.
   static constexpr std::size_t kSlotSize = 2048;
 
-  /// Binds one socket per owned member. Throws std::runtime_error if the
-  /// port range would overflow 65535 (base_port + member_count must fit —
-  /// silent uint16 wrap-around used to bind colliding/wrong ports) or if
-  /// any bind fails (e.g. ports in use or sockets unavailable).
+  /// Binds one socket per owned member, then the group socket. Throws
+  /// std::runtime_error if the port range would overflow 65535
+  /// (base_port + member_count must fit — silent uint16 wrap-around used to
+  /// bind colliding/wrong ports) or if any member bind fails (e.g. ports in
+  /// use or sockets unavailable); a group socket that cannot be set up only
+  /// turns send_group() off.
   UdpBus(std::size_t member_count, std::uint16_t base_port,
          UdpBusConfig config = {});
   ~UdpBus();
@@ -127,10 +140,18 @@ class UdpBus {
       std::function<void(MemberId to, MemberId from, SharedBytes bytes)>;
   void set_receive_callback(ReceiveFn fn) { on_receive_ = std::move(fn); }
 
-  /// Artificial one-way delay applied before a datagram is written to the
-  /// socket; nullptr means send immediately.
+  /// Artificial one-way delay: a unicast datagram waits before it is
+  /// written to the socket, a group frame after it is received, per
+  /// receiver. nullptr means no delay.
   using DelayFn = std::function<Duration(MemberId from, MemberId to)>;
   void set_delay_fn(DelayFn fn) { delay_fn_ = std::move(fn); }
+
+  /// Loss emulation, asked once per (received datagram, receiving member)
+  /// before the delay and the receive callback: true drops the frame for
+  /// that member. nullptr drops nothing.
+  using DropFn = std::function<bool(MemberId from, MemberId to,
+                                    std::span<const std::uint8_t> frame)>;
+  void set_drop_fn(DropFn fn) { drop_fn_ = std::move(fn); }
 
   /// Monotonic time since the epoch, as a simulated-time TimePoint.
   TimePoint now() const;
@@ -141,6 +162,11 @@ class UdpBus {
   /// Refcounted send: a fan-out enqueues N references to one wire image
   /// instead of N copies. `from` must be owned by this bus.
   void send_shared(MemberId from, MemberId to, SharedBytes bytes);
+  /// One datagram to the group: every bus of the group hands it to each of
+  /// its members except `from`, which must be owned by this bus. Returns
+  /// false, having sent nothing, when the group path is unavailable; the
+  /// caller then fans out with send_shared().
+  bool send_group(MemberId from, SharedBytes bytes);
 
   /// Timers fire on the loop thread, interleaved with receives, in (time,
   /// scheduling) order. cancel() is O(1) and a no-op on a fired id.
@@ -161,15 +187,20 @@ class UdpBus {
   void flush_sends();
 
   std::size_t member_count() const { return total_members_; }
-  std::size_t owned_count() const { return sockets_.size(); }
+  std::size_t owned_count() const { return owned_; }
   MemberId first_member() const {
     return static_cast<MemberId>(first_member_);
   }
   bool owns(MemberId m) const {
-    return m >= first_member_ && m < first_member_ + sockets_.size();
+    return m >= first_member_ && m < first_member_ + owned_;
   }
+  /// True when the group socket is up, so send_group() can send.
+  bool group_active() const { return sockets_.size() > owned_; }
 
+  /// Datagrams written; a group datagram counts once.
   std::uint64_t datagrams_sent() const { return datagrams_sent_; }
+  /// send_group() calls that sent (each one datagram).
+  std::uint64_t group_sends() const { return group_sends_; }
   std::uint64_t datagrams_received() const { return datagrams_received_; }
   /// Syscall accounting for the syscalls/msg throughput metric.
   std::uint64_t send_syscalls() const { return send_syscalls_; }
@@ -193,10 +224,12 @@ class UdpBus {
  private:
   struct PendingSend {
     MemberId from;
-    MemberId to;
+    MemberId to;  // kGroup for a group datagram
     SharedBytes bytes;
   };
+  static constexpr MemberId kGroup = kInvalidMember;
 
+  sockaddr_in dest_addr(MemberId to) const;  // a member's port, or kGroup
   void write_datagram(MemberId from, MemberId to, SharedBytes bytes);
   void write_datagram_scalar(MemberId from, MemberId to,
                              std::span<const std::uint8_t> bytes);
@@ -214,6 +247,8 @@ class UdpBus {
   bool poll_and_drain(Duration timeout);
   void drain_socket_scalar(std::size_t local);
   void drain_socket_batched(std::size_t local);
+  /// Hands a frame received on socket `local` to its member, or, from the
+  /// group socket, to every owned member but the sender.
   void deliver(std::size_t local, std::uint16_t src_port,
                std::span<const std::uint8_t> frame);
   int fd_of(MemberId m) const { return sockets_[m - first_member_].fd; }
@@ -222,10 +257,16 @@ class UdpBus {
   std::uint16_t base_port_;
   std::size_t total_members_;
   std::size_t first_member_;
-  // One socket per owned member, local index order; doubles as the poll set.
+  // One socket per owned member, local index order, then the group socket
+  // when it is up; doubles as the poll set.
   std::vector<pollfd> sockets_;
+  std::size_t owned_ = 0;
+  // Per owned member: IP_MULTICAST_IF not tried yet (0), set (1), refused
+  // (-1). Set on a member's first group send.
+  std::vector<std::int8_t> group_if_;
   ReceiveFn on_receive_;
   DelayFn delay_fn_;
+  DropFn drop_fn_;
   std::int64_t epoch_ns_ = 0;
   bool stopped_ = false;
   bool batched_ = true;
@@ -243,6 +284,7 @@ class UdpBus {
   sim::Simulator timers_;
 
   std::uint64_t datagrams_sent_ = 0;
+  std::uint64_t group_sends_ = 0;
   std::uint64_t datagrams_received_ = 0;
   std::uint64_t send_syscalls_ = 0;
   std::uint64_t recv_syscalls_ = 0;

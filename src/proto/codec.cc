@@ -403,6 +403,16 @@ std::optional<Message> decode_shared(const SharedBytes& wire) {
   return decode_from(r);
 }
 
+std::optional<MessageId> peek_data_id(std::span<const std::uint8_t> frame) {
+  ByteReader r(frame);
+  if (r.get_u8() != static_cast<std::uint8_t>(MessageType::kData)) {
+    return std::nullopt;
+  }
+  MessageId id = get_message_id(r);
+  if (!r.ok()) return std::nullopt;
+  return id;
+}
+
 std::size_t encoded_size(const Message& m) {
   SizeCounter c;
   std::visit([&c](const auto& v) { encode_body(c, v); }, m);

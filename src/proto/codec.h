@@ -32,6 +32,11 @@ SharedBytes encode_shared(const Message& m);
 /// behaviour to decode(span).
 std::optional<Message> decode_shared(const SharedBytes& wire);
 
+/// The id of a Data frame, read from its header without decoding the rest;
+/// nullopt for any other frame type and for a frame too short to hold the
+/// id. A hit does not mean the whole frame decodes.
+std::optional<MessageId> peek_data_id(std::span<const std::uint8_t> frame);
+
 /// Encoded size without materializing the buffer (used by traffic metrics).
 /// Exactly encode(m).size(): the same encoder runs against a byte counter.
 std::size_t encoded_size(const Message& m);

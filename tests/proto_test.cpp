@@ -266,6 +266,23 @@ TEST(CodecTest, DecodeSharedRejectsLikeDecode) {
 
 // --------------------------------------------------------- malformed input ----
 
+// peek_data_id reads a Data frame's id from its header alone: the payload
+// and cursor block behind it are never looked at.
+TEST(CodecTest, PeekDataIdReadsTheHeaderOnly) {
+  Data d{MessageId{7, 0x0102030405060708ull}, {9, 9, 9}, {{2, 5}}};
+  const std::vector<std::uint8_t> wire = encode(Message{d});
+  EXPECT_EQ(peek_data_id(wire), d.id);
+  constexpr std::size_t kHeader = 1 + 4 + 8;  // tag, source, seq
+  for (std::size_t len = 0; len < kHeader; ++len) {
+    EXPECT_FALSE(peek_data_id({wire.data(), len})) << "length " << len;
+  }
+  EXPECT_EQ(peek_data_id({wire.data(), kHeader}), d.id);
+
+  EXPECT_FALSE(peek_data_id(encode(Message{Session{7, 1}})));
+  EXPECT_FALSE(peek_data_id(encode(Message{Repair{d.id, {9}, false}})));
+  EXPECT_FALSE(peek_data_id(std::vector<std::uint8_t>{}));
+}
+
 TEST(CodecFuzzTest, EmptyInputRejected) {
   EXPECT_FALSE(decode({}).has_value());
 }

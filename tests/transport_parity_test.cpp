@@ -5,6 +5,11 @@
 // transport-agnostic.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include "common/random.h"
 #include "harness/cluster.h"
 #include "harness/udp_runtime.h"
@@ -112,8 +117,9 @@ bool scheduled_drop(std::uint64_t seq, MemberId to, double rate) {
 // loopback UDP sockets, sampling the fraction of (message, receiver) pairs
 // delivered at fixed checkpoints. The real transport's recovery curve must
 // track the simulator's prediction within tolerance and both must converge
-// to full delivery.
-TEST(TransportParity, RecoveryCurveMatchesSimulatorOnSharedLossSchedule) {
+// to full delivery. `fan_out` runs the UDP side with its multicast group
+// taken, so ip_multicast falls back to one unicast per member.
+void check_recovery_curve(bool fan_out) {
   constexpr std::size_t kMembers = 8;
   constexpr int kMessages = 6;
   constexpr double kLossRate = 0.35;
@@ -165,16 +171,36 @@ TEST(TransportParity, RecoveryCurveMatchesSimulatorOnSharedLossSchedule) {
   net::Topology topo = net::make_hierarchy({kMembers}, Duration::millis(4),
                                            Duration::millis(10));
   UdpRuntimeConfig uc;
-  uc.base_port = 39900;
+  uc.base_port = fan_out ? 39950 : 39900;
   uc.seed = 4242;
   uc.protocol = cc.protocol;
   uc.policy = cc.policy;
   uc.drop_fn = drop;
+  // A socket bound to the group's address without SO_REUSEADDR makes the
+  // bus's own group bind fail.
+  int blocker = -1;
+  if (fan_out) {
+    blocker = ::socket(AF_INET, SOCK_DGRAM, 0);
+    sockaddr_in group{};
+    group.sin_family = AF_INET;
+    group.sin_port = htons(uc.base_port);
+    group.sin_addr.s_addr = htonl(0xEFFF0000u | uc.base_port);
+    if (blocker < 0 || ::bind(blocker, reinterpret_cast<sockaddr*>(&group),
+                              sizeof(group)) != 0) {
+      if (blocker >= 0) ::close(blocker);
+      GTEST_SKIP() << "cannot bind the multicast group address";
+    }
+  }
   std::unique_ptr<UdpRuntime> udp;
   try {
     udp = std::make_unique<UdpRuntime>(topo, uc);
   } catch (const std::runtime_error&) {
+    if (blocker >= 0) ::close(blocker);
     GTEST_SKIP() << "UDP sockets unavailable";
+  }
+  if (blocker >= 0) {
+    ::close(blocker);
+    ASSERT_FALSE(udp->bus().group_active());
   }
   std::vector<MessageId> udp_ids;
   for (int i = 0; i < kMessages; ++i) {
@@ -204,6 +230,28 @@ TEST(TransportParity, RecoveryCurveMatchesSimulatorOnSharedLossSchedule) {
   // Loss was injected, so both stacks exercised the repair machinery.
   EXPECT_GT(sim_run.metrics().counters().repairs_sent, 0u);
   EXPECT_GT(udp->metrics().counters().repairs_sent, 0u);
+  // The receiving buses lost exactly the scheduled (seq, receiver) pairs:
+  // each one, and nothing else, was detected as a loss.
+  EXPECT_EQ(udp->metrics().counters().losses_detected,
+            static_cast<std::uint64_t>(drops));
+  if (fan_out) {
+    EXPECT_EQ(udp->bus().group_sends(), 0u);
+    return;
+  }
+  if (!udp->bus().group_active()) {
+    GTEST_SKIP() << "loopback multicast group unavailable: the run fanned "
+                    "out by unicast";
+  }
+  // Every Data frame and Session went out as one group datagram.
+  EXPECT_GE(udp->bus().group_sends(), static_cast<std::uint64_t>(kMessages));
+}
+
+TEST(TransportParity, RecoveryCurveMatchesSimulatorOnSharedLossSchedule) {
+  check_recovery_curve(/*fan_out=*/false);
+}
+
+TEST(TransportParity, RecoveryCurveMatchesSimulatorOnFanOutFallback) {
+  check_recovery_curve(/*fan_out=*/true);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Unit tests for the loopback-UDP datagram bus (sockets, timers, delays,
-// batched syscalls, copy-out receive, event-loop timing). Skipped when the
-// environment forbids binding UDP sockets.
+// batched syscalls, copy-out receive, event-loop timing, group multicast).
+// Skipped when the environment forbids binding UDP sockets or, for the group
+// tests, joining the loopback multicast group.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -11,6 +12,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
 
 #include "net/udp_host.h"
 
@@ -495,6 +497,241 @@ TEST(UdpBusTest, TimerWaveYieldsToSockets) {
   ASSERT_EQ(fired, kTimers);
   ASSERT_GT(fired_at_delivery, 0u) << "datagram never delivered";
   EXPECT_LT(fired_at_delivery, kTimers);
+}
+
+// ---- group multicast -------------------------------------------------------
+
+// A bus whose group socket is up, or nullptr (the caller skips).
+std::unique_ptr<UdpBus> try_group_bus(std::size_t members, std::uint16_t port,
+                                      UdpBusConfig cfg = {}) {
+  auto bus = try_bus(members, port, cfg);
+  return bus && bus->group_active() ? std::move(bus) : nullptr;
+}
+
+constexpr const char* kNoGroup =
+    "UDP sockets or the loopback multicast group unavailable";
+
+// The group of the buses on base port `port`: 239.255.hi.lo for port
+// hi·256 + lo.
+sockaddr_in group_of(std::uint16_t port) {
+  sockaddr_in group{};
+  group.sin_family = AF_INET;
+  group.sin_port = htons(port);
+  group.sin_addr.s_addr = htonl(0xEFFF0000u | port);
+  return group;
+}
+
+TEST(UdpBusGroupTest, GroupSendReachesEveryOtherMemberOnce) {
+  auto bus = try_group_bus(3, 39400);
+  if (!bus) GTEST_SKIP() << kNoGroup;
+  std::vector<int> got(3, 0);
+  bus->set_receive_callback(
+      [&](MemberId to, MemberId from, std::span<const std::uint8_t> bytes) {
+        EXPECT_EQ(from, 0u);
+        EXPECT_EQ(std::vector<std::uint8_t>(bytes.begin(), bytes.end()),
+                  (std::vector<std::uint8_t>{7, 8}));
+        ++got[to];
+      });
+  ASSERT_TRUE(bus->send_group(0, SharedBytes(std::vector<std::uint8_t>{7, 8})));
+  bus->run_until(bus->now() + Duration::millis(200));  // any duplicate too
+  EXPECT_EQ(got, (std::vector<int>{0, 1, 1}));
+  EXPECT_EQ(bus->datagrams_sent(), 1u);
+  EXPECT_EQ(bus->group_sends(), 1u);
+}
+
+TEST(UdpBusGroupTest, DropHookAskedOncePerDatagramAndReceiver) {
+  auto bus = try_group_bus(3, 39410);
+  if (!bus) GTEST_SKIP() << kNoGroup;
+  std::map<std::pair<MemberId, MemberId>, int> asked;
+  bus->set_drop_fn(
+      [&](MemberId from, MemberId to, std::span<const std::uint8_t> frame) {
+        EXPECT_EQ(frame.size(), 1u);
+        ++asked[{from, to}];
+        return to == 2;
+      });
+  std::vector<int> got(3, 0);
+  bus->set_receive_callback(
+      [&](MemberId to, MemberId, SharedBytes) { ++got[to]; });
+  for (std::uint8_t i = 0; i < 2; ++i) {
+    ASSERT_TRUE(bus->send_group(0, SharedBytes(std::vector<std::uint8_t>{i})));
+  }
+  bus->run_until(bus->now() + Duration::millis(200));
+  const std::map<std::pair<MemberId, MemberId>, int> want = {{{0, 1}, 2},
+                                                             {{0, 2}, 2}};
+  EXPECT_EQ(asked, want);
+  EXPECT_EQ(got, (std::vector<int>{0, 2, 0}));
+}
+
+// The delay of a group frame is served at the receiver: the datagram is on
+// the wire at once, and handed over no earlier than the delay.
+TEST(UdpBusGroupTest, DelayFnHoldsGroupFrameAtReceiver) {
+  auto bus = try_group_bus(2, 39420);
+  if (!bus) GTEST_SKIP() << kNoGroup;
+  bus->set_delay_fn([](MemberId, MemberId) { return Duration::millis(80); });
+  TimePoint received_at = TimePoint::max();
+  bus->set_receive_callback([&](MemberId to, MemberId, SharedBytes) {
+    if (to == 1) {
+      received_at = bus->now();
+      bus->stop();
+    }
+  });
+  const TimePoint sent_at = bus->now();
+  ASSERT_TRUE(bus->send_group(0, SharedBytes(std::vector<std::uint8_t>{42})));
+  bus->flush_sends();
+  EXPECT_EQ(bus->datagrams_sent(), 1u);  // not held at the sender
+  bus->run_until(bus->now() + Duration::millis(500));
+  ASSERT_NE(received_at, TimePoint::max());
+  EXPECT_GE(received_at, sent_at + Duration::millis(80));
+}
+
+TEST(UdpBusGroupTest, GroupDatagramFromStrayPortIsDropped) {
+  constexpr std::uint16_t kPort = 39430;
+  auto bus = try_group_bus(2, kPort);
+  if (!bus) GTEST_SKIP() << kNoGroup;
+  int delivered = 0;
+  bus->set_receive_callback([&](MemberId to, MemberId from, SharedBytes) {
+    ++delivered;
+    EXPECT_EQ(to, 1u);
+    EXPECT_EQ(from, 0u);  // never the stray sender
+  });
+  // An unrelated socket on an ephemeral port writes to the bus's group.
+  int stray = ::socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(stray, 0);
+  in_addr lo{htonl(INADDR_LOOPBACK)};
+  ASSERT_EQ(::setsockopt(stray, IPPROTO_IP, IP_MULTICAST_IF, &lo, sizeof(lo)),
+            0);
+  sockaddr_in group = group_of(kPort);
+  std::uint8_t junk[3] = {1, 2, 3};
+  for (int i = 0; i < 5; ++i) {
+    ::sendto(stray, junk, sizeof(junk), 0,
+             reinterpret_cast<sockaddr*>(&group), sizeof(group));
+  }
+  ASSERT_TRUE(bus->send_group(0, SharedBytes(std::vector<std::uint8_t>{42})));
+  bus->run_until(bus->now() + Duration::millis(200));
+  ::close(stray);
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(bus->datagrams_received(), 6u);  // 5 stray + 1 legit
+}
+
+TEST(UdpBusGroupTest, BusesOnDifferentBasePortsDoNotHearEachOther) {
+  auto a = try_group_bus(2, 39440);
+  if (!a) GTEST_SKIP() << kNoGroup;
+  auto b = try_group_bus(2, 39450);
+  if (!b) GTEST_SKIP() << kNoGroup;
+  std::vector<std::uint8_t> got_a, got_b;
+  a->set_receive_callback([&](MemberId, MemberId, SharedBytes bytes) {
+    got_a.insert(got_a.end(), bytes.data(), bytes.data() + bytes.size());
+  });
+  b->set_receive_callback([&](MemberId, MemberId, SharedBytes bytes) {
+    got_b.insert(got_b.end(), bytes.data(), bytes.data() + bytes.size());
+  });
+  ASSERT_TRUE(a->send_group(0, SharedBytes(std::vector<std::uint8_t>{0xA})));
+  ASSERT_TRUE(b->send_group(0, SharedBytes(std::vector<std::uint8_t>{0xB})));
+  a->flush_sends();
+  b->flush_sends();
+  a->run_until(a->now() + Duration::millis(100));
+  b->run_until(b->now() + Duration::millis(100));
+  EXPECT_EQ(got_a, std::vector<std::uint8_t>{0xA});
+  EXPECT_EQ(got_b, std::vector<std::uint8_t>{0xB});
+  EXPECT_EQ(a->datagrams_received(), 1u);
+  EXPECT_EQ(b->datagrams_received(), 1u);
+}
+
+// The buses of one group share its address: each drains every group frame
+// once and hands it to its own members, never to the other bus's.
+TEST(UdpBusGroupTest, SubsetBusesEachHandGroupFrameToTheirMembers) {
+  UdpBusConfig lo;
+  lo.first_member = 0;
+  lo.owned_count = 2;
+  UdpBusConfig hi;
+  hi.first_member = 2;
+  hi.owned_count = 2;
+  auto bus_lo = try_group_bus(4, 39460, lo);
+  if (!bus_lo) GTEST_SKIP() << kNoGroup;
+  auto bus_hi = try_group_bus(4, 39460, hi);
+  ASSERT_TRUE(bus_hi) << "subset buses must share the group socket";
+  std::vector<int> got(4, 0);
+  auto count = [&](MemberId to, MemberId from, SharedBytes) {
+    EXPECT_EQ(from, 0u);
+    ++got[to];
+  };
+  bus_lo->set_receive_callback(count);
+  bus_hi->set_receive_callback(count);
+  ASSERT_TRUE(bus_lo->send_group(0, SharedBytes(std::vector<std::uint8_t>{9})));
+  bus_lo->flush_sends();
+  bus_hi->run_until(bus_hi->now() + Duration::millis(100));
+  bus_lo->run_until(bus_lo->now() + Duration::millis(100));
+  EXPECT_EQ(got, (std::vector<int>{0, 1, 1, 1}));
+  EXPECT_EQ(bus_lo->datagrams_received(), 1u);
+  EXPECT_EQ(bus_hi->datagrams_received(), 1u);
+}
+
+// The group socket queues every owned member's multicast frames: a burst
+// of 1 KiB frames larger than one default receive buffer holds, all in the
+// kernel before the first drain, still reaches every member.
+TEST(UdpBusGroupTest, BurstLargerThanOneDefaultBufferIsNotDropped) {
+  auto bus = try_group_bus(3, 39470);
+  if (!bus) GTEST_SKIP() << kNoGroup;
+  constexpr int kBurst = 140;
+  std::vector<int> got(3, 0);
+  bus->set_receive_callback(
+      [&](MemberId to, MemberId, SharedBytes) { ++got[to]; });
+  const SharedBytes frame(std::vector<std::uint8_t>(1024, 0x5A));
+  for (int i = 0; i < kBurst; ++i) ASSERT_TRUE(bus->send_group(0, frame));
+  bus->flush_sends();
+  bus->run_until(bus->now() + Duration::millis(200));
+  EXPECT_EQ(got, (std::vector<int>{0, kBurst, kBurst}));
+}
+
+// With segmentation offload on, equal-size group frames, which would make
+// a train to one destination, still go out one datagram each, in order.
+TEST(UdpBusGroupTest, GroupFramesNeverJoinAnOffloadTrain) {
+  UdpBusConfig cfg;
+  cfg.segmentation_offload = true;
+  auto bus = try_group_bus(3, 39490, cfg);
+  if (!bus) GTEST_SKIP() << kNoGroup;
+  constexpr int kFrames = 40;
+  std::vector<std::vector<std::uint8_t>> got[3];
+  bus->set_receive_callback([&](MemberId to, MemberId, SharedBytes bytes) {
+    got[to].emplace_back(bytes.data(), bytes.data() + bytes.size());
+  });
+  for (int i = 0; i < kFrames; ++i) {
+    ASSERT_TRUE(bus->send_group(
+        0, SharedBytes(std::vector<std::uint8_t>(100, std::uint8_t(i)))));
+  }
+  bus->flush_sends();
+  EXPECT_EQ(bus->gso_batches(), 0u);
+  EXPECT_EQ(bus->datagrams_sent(), static_cast<std::uint64_t>(kFrames));
+  bus->run_until(bus->now() + Duration::millis(200));
+  for (MemberId to = 1; to < 3; ++to) {
+    ASSERT_EQ(got[to].size(), static_cast<std::size_t>(kFrames));
+    for (int i = 0; i < kFrames; ++i) {
+      EXPECT_EQ(got[to][static_cast<std::size_t>(i)].front(), i);
+    }
+  }
+}
+
+// A group setup step that fails turns the group path off: send_group()
+// sends nothing and says so, so the caller fans out. Here the group's
+// address is held by a socket without SO_REUSEADDR.
+TEST(UdpBusGroupTest, TakenGroupAddressTurnsSendGroupOff) {
+  constexpr std::uint16_t kPort = 39480;
+  int blocker = ::socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(blocker, 0);
+  sockaddr_in group = group_of(kPort);
+  if (::bind(blocker, reinterpret_cast<sockaddr*>(&group), sizeof(group)) !=
+      0) {
+    ::close(blocker);
+    GTEST_SKIP() << "cannot bind the multicast group address";
+  }
+  auto bus = try_bus(2, kPort);
+  ::close(blocker);
+  if (!bus) GTEST_SKIP() << "UDP sockets unavailable";
+  EXPECT_FALSE(bus->group_active());
+  EXPECT_FALSE(bus->send_group(0, SharedBytes(std::vector<std::uint8_t>{1})));
+  bus->flush_sends();
+  EXPECT_EQ(bus->datagrams_sent(), 0u);
+  EXPECT_EQ(bus->group_sends(), 0u);
 }
 
 }  // namespace
