@@ -26,16 +26,18 @@ With --pairs N as well, it also runs workloads from both binaries on seeds
 1-N at the benchmark's full size, alternating which binary goes first: the
 two UDP workloads (udp_small_open, udp_lossy_open) by default, or the
 comma-separated BENCHMARK.json workloads given with --pair-workloads (for
-example sim_tree_1e4, for a simulator speed claim). Their wall-clock
-metrics are not deterministic, so it prints each side's median and
-quartiles per end-to-end metric (plus the info cpu_us_per_delivery;
+example sim_tree_1e4, for a simulator speed claim). Each run's line shows
+its failed (member, message) pairs beside ok/FAILED: a run under its
+workload's undelivered ceiling reads ok with some pairs failed. Their
+wall-clock metrics are not deterministic, so it prints each side's median
+and quartiles per end-to-end metric (plus the info cpu_us_per_delivery;
 for the simulator workloads, sim.events_per_delivery; and for the UDP
 workloads, net.send_syscalls_per_delivery and
-net.recv_syscalls_per_delivery) and
-bench/e2e/run.py's comparison: the share of pairs the change won and a
-verdict under the bounds in BENCHMARK.json. It fails when a run fails its
-checks, not on a verdict. Ten UDP pairs take about 8 minutes, ten
-sim_tree_1e4 pairs about 6.
+net.recv_syscalls_per_delivery), each side's total failed and attempted
+pairs per workload, and bench/e2e/run.py's comparison: the share of pairs
+the change won and a verdict under the bounds in BENCHMARK.json. It fails
+when a run fails its checks, not on a verdict. Ten UDP pairs take about 8
+minutes, ten sim_tree_1e4 pairs about 6.
 
 A change that means to alter bench output lists each such bench, workload
 or example invocation (as written in EXAMPLES), one a line, in
@@ -252,8 +254,8 @@ def check_pairs(args, failures):
                 except e2e.BenchError as e:
                     failures.append(f"{what}: {e}")
                     continue
-                print(f"{what}: {'ok' if r['correct'] else 'FAILED'}",
-                      flush=True)
+                print(f"{what}: {'ok' if r['correct'] else 'FAILED'}, "
+                      f"failed {r['failed']} of {r['attempted']}", flush=True)
                 if not r["correct"]:
                     failures.append(f"{what}: failed checks "
                                     f"{r['checks_failed']}")
@@ -279,6 +281,14 @@ def check_pairs(args, failures):
                 print(f"{workload:<18} {side:<7} {name:<26} "
                       f"{q['median']:>12.6g} {q['q1']:>12.6g} "
                       f"{q['q3']:>12.6g}")
+    # A run can pass its undelivered ceiling and still strand pairs.
+    print(f"\n{'workload':<18} {'side':<7} {'failed':>10} {'attempted':>12}")
+    for workload in workloads:
+        for side, results in sides.items():
+            runs = results["workloads"].get(workload, {"runs": []})["runs"]
+            print(f"{workload:<18} {side:<7} "
+                  f"{sum(r['failed'] for r in runs):>10} "
+                  f"{sum(r['attempted'] for r in runs):>12}")
     e2e.compare(sides["parent"], sides["change"], spec)
 
 

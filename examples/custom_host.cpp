@@ -76,8 +76,9 @@ class TinyHost final : public IHost {
     return empty_;
   }
 
-  // 8. An RTT estimate used for retry timers. A constant prior is fine —
-  //    enable Config::measure_rtt and the endpoint refines it itself.
+  // 8. An RTT estimate used for retry timers: the endpoint waits one
+  //    estimate of the member it asked before each retry (§2.2). A constant
+  //    is fine on a network this uniform.
   Duration rtt_estimate(MemberId) const override {
     return Duration::millis(10);
   }

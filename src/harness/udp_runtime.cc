@@ -85,7 +85,7 @@ UdpRuntime::UdpRuntime(const net::Topology& topology, UdpRuntimeConfig config)
           std::chrono::steady_clock::now().time_since_epoch())
           .count();
   for (std::size_t w = 0; w < workers; ++w) {
-    net::UdpBusConfig bc = config_.bus;
+    net::UdpBusConfig bc;
     bc.first_member = w * chunk_;
     bc.owned_count = std::min(chunk_, n - w * chunk_);
     bc.epoch_ns = epoch;

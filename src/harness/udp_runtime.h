@@ -65,9 +65,6 @@ struct UdpRuntimeConfig {
   /// 1 = everything on the caller's thread (the pre-threading behaviour);
   /// 0 = one worker per hardware core.
   std::size_t workers = 1;
-  /// Syscall-path knobs (batched_syscalls, segmentation_offload) forwarded
-  /// to each worker's UdpBus; the runtime sets its ownership and epoch.
-  net::UdpBusConfig bus;
 };
 
 class UdpRuntime {

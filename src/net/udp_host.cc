@@ -3,7 +3,6 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
-#include <netinet/udp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -16,35 +15,8 @@
 
 #include "common/logging.h"
 
-#if defined(__linux__)
-// Kernel ≥ 4.18 / ≥ 5.0 socket options; older libc headers may lack them.
-#ifndef UDP_SEGMENT
-#define UDP_SEGMENT 103
-#endif
-#ifndef UDP_GRO
-#define UDP_GRO 104
-#endif
-#endif
-
 namespace rrmp::net {
 namespace {
-
-// Kernel cap on segments per GSO send (UDP_MAX_SEGMENTS) and the largest
-// possible UDP payload — a train must respect both.
-constexpr std::size_t kMaxGsoSegments = 64;
-constexpr std::size_t kMaxUdpPayload = 65507;
-// A GRO-coalesced train can be as large as one UDP datagram's payload
-// bound; with GRO on, each receive slot must hold a whole train.
-constexpr std::size_t kGroSlotSize = 65536;
-
-bool offload_requested(const UdpBusConfig& c) {
-#if defined(__linux__)
-  return c.segmentation_offload && c.batched_syscalls;
-#else
-  (void)c;
-  return false;
-#endif
-}
 
 std::int64_t monotonic_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -80,8 +52,8 @@ int open_udp_socket() {
 
 // The group socket: bound to the group address, so it hears only this
 // group and never collides with the members' 127.0.0.1 ports; SO_REUSEADDR
-// so the buses of one group share it; joined on loopback. It never sets
-// UDP_GRO. Returns -1, with a warning, when any step fails.
+// so the buses of one group share it; joined on loopback. Returns -1, with
+// a warning, when any step fails.
 //
 // It queues the multicast frames of all `owned` members, so it asks for
 // their combined default receive buffer (the kernel caps it at
@@ -153,7 +125,6 @@ UdpBus::UdpBus(std::size_t member_count, std::uint16_t base_port,
 #if !defined(__linux__)
   batched_ = false;  // recvmmsg/sendmmsg unavailable: scalar path
 #endif
-  gso_active_ = gro_active_ = offload_requested(config_);
   epoch_ns_ = config_.epoch_ns != 0 ? config_.epoch_ns : monotonic_ns();
 
   sockets_.reserve(owned + 1);
@@ -178,32 +149,13 @@ UdpBus::UdpBus(std::size_t member_count, std::uint16_t base_port,
                                std::strerror(saved));
     }
     sockets_.push_back(pollfd{fd, POLLIN, 0});
-#if defined(__linux__)
-    if (gro_active_) {
-      // Every socket must agree on GRO: an unsplit coalesced train on a
-      // socket without the option would be delivered as one fused
-      // datagram. First refusal turns it off for the bus — and strips it
-      // from any socket already configured.
-      int on = 1;
-      if (::setsockopt(fd, IPPROTO_UDP, UDP_GRO, &on, sizeof(on)) != 0) {
-        log::warn("UdpBus: UDP_GRO unsupported (", std::strerror(errno),
-                  "): receive offload disabled");
-        gro_active_ = false;
-        int off = 0;
-        for (const pollfd& p : sockets_) {
-          ::setsockopt(p.fd, IPPROTO_UDP, UDP_GRO, &off, sizeof(off));
-        }
-      }
-    }
-#endif
   }
   owned_ = owned;
   group_if_.assign(owned, 0);
   if (int fd = open_group_socket(base_port_, owned); fd >= 0) {
     sockets_.push_back(pollfd{fd, POLLIN, 0});
   }
-  if (gro_active_) slot_size_ = kGroSlotSize;
-  scratch_.resize(kBatch * slot_size_);
+  scratch_.resize(kBatch * kSlotSize);
 }
 
 UdpBus::~UdpBus() {
@@ -282,106 +234,13 @@ bool UdpBus::send_group(MemberId from, SharedBytes bytes) {
   return true;
 }
 
-std::size_t UdpBus::send_gso_train(std::size_t begin, std::size_t count) {
-#if defined(__linux__)
-  const PendingSend& head = send_queue_[begin];
-  iovec iovs[kMaxGsoSegments];
-  std::size_t total = 0;
-  for (std::size_t j = 0; j < count; ++j) {
-    const SharedBytes& b = send_queue_[begin + j].bytes;
-    iovs[j] = {const_cast<std::uint8_t*>(b.data()), b.size()};
-    total += b.size();
-  }
-  sockaddr_in dst = dest_addr(head.to);
-  char ctrl[CMSG_SPACE(sizeof(std::uint16_t))] = {};
-  msghdr mh{};
-  mh.msg_name = &dst;
-  mh.msg_namelen = sizeof(dst);
-  mh.msg_iov = iovs;
-  mh.msg_iovlen = count;
-  mh.msg_control = ctrl;
-  mh.msg_controllen = sizeof(ctrl);
-  cmsghdr* cm = CMSG_FIRSTHDR(&mh);
-  cm->cmsg_level = SOL_UDP;
-  cm->cmsg_type = UDP_SEGMENT;
-  cm->cmsg_len = CMSG_LEN(sizeof(std::uint16_t));
-  auto seg = static_cast<std::uint16_t>(head.bytes.size());
-  std::memcpy(CMSG_DATA(cm), &seg, sizeof(seg));
-  ssize_t n;
-  do {
-    n = ::sendmsg(fd_of(head.from), &mh, 0);
-  } while (n < 0 && errno == EINTR);
-  ++send_syscalls_;
-  if (n < 0) {
-    if (errno == EINVAL || errno == ENOTSUP || errno == EOPNOTSUPP ||
-        errno == ENOSYS || errno == EIO) {
-      log::warn("UdpBus: UDP_SEGMENT refused (", std::strerror(errno),
-                "): send offload disabled");
-      gso_active_ = false;
-      return 0;  // caller re-sends the range through sendmmsg
-    }
-    // Same policy as a failed sendmmsg batch: drop the first datagram and
-    // keep going — here the whole train was one datagram on the wire.
-    log::warn("UdpBus: GSO sendmsg failed: ", std::strerror(errno));
-    return count;
-  }
-  if (detail::is_short_write(n, total)) {
-    log::warn("UdpBus: short GSO train write: ", n, " of ", total, " bytes");
-  }
-  ++gso_batches_;
-  datagrams_sent_ += count;
-  return count;
-#else
-  (void)begin;
-  (void)count;
-  return 0;
-#endif
-}
-
 void UdpBus::flush_run(std::size_t begin, std::size_t end) {
 #if defined(__linux__)
-  // With offload on, flush_sends bucketed this run by destination, so
-  // equal-size groups sit contiguously: carve them off as GSO trains and
-  // feed whatever is left (singletons, mixed sizes) to the sendmmsg
-  // batcher below.
-  auto train_len = [&](std::size_t i) {
-    const PendingSend& h = send_queue_[i];
-    if (h.bytes.empty() || h.to == kGroup) return std::size_t{1};
-    std::size_t len = 1;
-    std::size_t total = h.bytes.size();
-    while (i + len < end && len < kMaxGsoSegments &&
-           send_queue_[i + len].to == h.to &&
-           send_queue_[i + len].bytes.size() == h.bytes.size() &&
-           total + h.bytes.size() <= kMaxUdpPayload) {
-      ++len;
-      total += h.bytes.size();
-    }
-    return len;
-  };
   while (batched_ && begin < end) {
-    if (gso_active_) {
-      std::size_t t = train_len(begin);
-      if (t >= 2) {
-        std::size_t consumed = send_gso_train(begin, t);
-        if (consumed > 0) {
-          begin += consumed;
-          continue;
-        }
-        // consumed == 0: the kernel refused offload and gso_active_ is now
-        // false — re-send the same range through sendmmsg below.
-      }
-    }
     mmsghdr msgs[kBatch];
     iovec iovs[kBatch];
     sockaddr_in dsts[kBatch];
-    std::size_t n = std::min(end - begin, kBatch);
-    // Stop the plain batch at the next GSO train so interleaved
-    // singleton/train patterns keep their trains.
-    if (gso_active_) {
-      std::size_t cut = 1;
-      while (cut < n && train_len(begin + cut) < 2) ++cut;
-      n = cut;
-    }
+    const std::size_t n = std::min(end - begin, kBatch);
     for (std::size_t j = 0; j < n; ++j) {
       const PendingSend& p = send_queue_[begin + j];
       dsts[j] = dest_addr(p.to);
@@ -437,16 +296,6 @@ void UdpBus::flush_sends() {
            send_queue_[j].from == send_queue_[i].from) {
       ++j;
     }
-    if (gso_active_ && j - i > 2) {
-      // Bucket the run by destination so round-robin fan-outs form
-      // contiguous GSO trains. Stable: per-destination datagram order is
-      // preserved; cross-destination order carries no UDP guarantee.
-      std::stable_sort(send_queue_.begin() + static_cast<std::ptrdiff_t>(i),
-                       send_queue_.begin() + static_cast<std::ptrdiff_t>(j),
-                       [](const PendingSend& a, const PendingSend& b) {
-                         return a.to < b.to;
-                       });
-    }
     flush_run(i, j);
     i = j;
   }
@@ -491,7 +340,7 @@ void UdpBus::drain_socket_scalar(std::size_t local) {
     socklen_t srclen = sizeof(src);
     // MSG_TRUNC: report the datagram's true length so oversized ones are
     // detected instead of silently clipped.
-    ssize_t n = ::recvfrom(sockets_[local].fd, scratch_.data(), slot_size_,
+    ssize_t n = ::recvfrom(sockets_[local].fd, scratch_.data(), kSlotSize,
                            MSG_TRUNC, reinterpret_cast<sockaddr*>(&src),
                            &srclen);
     ++recv_syscalls_;
@@ -506,10 +355,10 @@ void UdpBus::drain_socket_scalar(std::size_t local) {
           return;
       }
     }
-    if (static_cast<std::size_t>(n) > slot_size_) {
+    if (static_cast<std::size_t>(n) > kSlotSize) {
       ++datagrams_received_;
       log::warn("UdpBus: dropping ", n, "-byte datagram larger than the ",
-                slot_size_, "-byte slot size");
+                kSlotSize, "-byte slot size");
       continue;
     }
     deliver(local, src.sin_port,
@@ -523,18 +372,13 @@ void UdpBus::drain_socket_batched(std::size_t local) {
     mmsghdr msgs[kBatch];
     iovec iovs[kBatch];
     sockaddr_in srcs[kBatch];
-    alignas(cmsghdr) char ctrls[kBatch][CMSG_SPACE(sizeof(int))];
     for (std::size_t j = 0; j < kBatch; ++j) {
-      iovs[j] = {scratch_.data() + j * slot_size_, slot_size_};
+      iovs[j] = {scratch_.data() + j * kSlotSize, kSlotSize};
       msgs[j] = {};
       msgs[j].msg_hdr.msg_name = &srcs[j];
       msgs[j].msg_hdr.msg_namelen = sizeof(srcs[j]);
       msgs[j].msg_hdr.msg_iov = &iovs[j];
       msgs[j].msg_hdr.msg_iovlen = 1;
-      if (gro_active_) {
-        msgs[j].msg_hdr.msg_control = ctrls[j];
-        msgs[j].msg_hdr.msg_controllen = CMSG_SPACE(sizeof(int));
-      }
     }
     int n = ::recvmmsg(sockets_[local].fd, msgs, static_cast<unsigned>(kBatch),
                        MSG_DONTWAIT, nullptr);
@@ -559,35 +403,12 @@ void UdpBus::drain_socket_batched(std::size_t local) {
     for (int j = 0; j < n; ++j) {
       if (msgs[j].msg_hdr.msg_flags & MSG_TRUNC) {
         ++datagrams_received_;
-        log::warn("UdpBus: dropping datagram larger than the ", slot_size_,
+        log::warn("UdpBus: dropping datagram larger than the ", kSlotSize,
                   "-byte slot size");
         continue;
       }
-      // A GRO-coalesced train arrives as one buffer with the segment size
-      // in a cmsg: split it into its datagrams.
-      int gro_size = 0;
-      if (gro_active_) {
-        for (cmsghdr* c = CMSG_FIRSTHDR(&msgs[j].msg_hdr); c != nullptr;
-             c = CMSG_NXTHDR(&msgs[j].msg_hdr, c)) {
-          if (c->cmsg_level == SOL_UDP && c->cmsg_type == UDP_GRO) {
-            std::memcpy(&gro_size, CMSG_DATA(c), sizeof(gro_size));
-          }
-        }
-      }
-      const std::size_t len = msgs[j].msg_len;
-      const std::uint8_t* slot = scratch_.data() + j * slot_size_;
-      if (gro_size > 0 && len > static_cast<std::size_t>(gro_size)) {
-        ++gro_trains_;
-        for (std::size_t off = 0; off < len;
-             off += static_cast<std::size_t>(gro_size)) {
-          std::size_t seg =
-              std::min<std::size_t>(static_cast<std::size_t>(gro_size),
-                                    len - off);
-          deliver(local, srcs[j].sin_port, {slot + off, seg});
-        }
-      } else {
-        deliver(local, srcs[j].sin_port, {slot, len});
-      }
+      deliver(local, srcs[j].sin_port,
+              {scratch_.data() + j * kSlotSize, msgs[j].msg_len});
     }
     // A short batch means the queue is (momentarily) empty; poll is
     // level-triggered, so anything arriving meanwhile wakes us again.

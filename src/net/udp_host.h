@@ -33,16 +33,8 @@
 //  - sends are queued and flushed through sendmmsg() in batches; a regional
 //    fan-out enqueues one refcounted SharedBytes per receiver, so the wire
 //    image is encoded once for the whole group.
-//  - with segmentation_offload on, equal-size same-destination runs of the
-//    send queue become one sendmsg(UDP_SEGMENT) train (one kernel traversal
-//    for up to 64 datagrams — syscall batching alone cannot touch the
-//    per-datagram network-stack cost that dominates on modern kernels), and
-//    member sockets opt into UDP_GRO so the kernel hands back coalesced
-//    trains, which land in 64 KiB slots and are split into one copy per
-//    datagram. Group datagrams never join a train.
 // Where the batched syscalls are unavailable (non-Linux, or a kernel that
-// returns ENOSYS/EOPNOTSUPP) the bus falls back one level at a time —
-// offload to sendmmsg, sendmmsg to the scalar recvfrom()/sendto() path —
+// returns ENOSYS) the bus falls back to the scalar recvfrom()/sendto() path
 // with identical semantics.
 //
 // An optional delay function injects the topology's latency, so WAN timing
@@ -89,13 +81,6 @@ struct UdpBusConfig {
   /// false forces the scalar recvfrom()/sendto() path (the pre-batching
   /// behaviour; also the automatic fallback where recvmmsg is unavailable).
   bool batched_syscalls = true;
-  /// Linux UDP segmentation offload: flushes bucket the send queue by
-  /// destination and emit equal-size trains as one sendmsg(UDP_SEGMENT);
-  /// receive sockets enable UDP_GRO and split coalesced trains into
-  /// datagrams. Enlarges receive slots to 64 KiB (a full train). Off by
-  /// default; falls back to plain sendmmsg/recvmmsg where the kernel
-  /// refuses it.
-  bool segmentation_offload = false;
 
   /// Subset ownership (thread-per-core runtime): bind sockets for members
   /// [first_member, first_member + owned_count) out of a group of
@@ -116,8 +101,7 @@ class UdpBus {
   /// scratch.
   static constexpr std::size_t kBatch = 32;
   /// Bytes per receive slot. A larger datagram is counted and dropped with
-  /// a warning (protocol frames are far smaller); with GRO on, slots hold a
-  /// whole 64 KiB train instead.
+  /// a warning (protocol frames are far smaller).
   static constexpr std::size_t kSlotSize = 2048;
 
   /// Binds one socket per owned member, then the group socket. Throws
@@ -213,13 +197,6 @@ class UdpBus {
   /// True while the batched recvmmsg/sendmmsg path is active (false after
   /// an ENOSYS fallback or when configured off).
   bool batching_active() const { return batched_; }
-  /// True while GSO sends / GRO receives are active (requested, supported
-  /// by the kernel, and not disabled by a runtime fallback).
-  bool offload_active() const { return gso_active_ || gro_active_; }
-  /// sendmsg(UDP_SEGMENT) trains emitted (each covers ≥2 datagrams).
-  std::uint64_t gso_batches() const { return gso_batches_; }
-  /// GRO-coalesced trains received and split into ≥2 datagram views.
-  std::uint64_t gro_trains() const { return gro_trains_; }
 
  private:
   struct PendingSend {
@@ -234,12 +211,6 @@ class UdpBus {
   void write_datagram_scalar(MemberId from, MemberId to,
                              std::span<const std::uint8_t> bytes);
   void flush_run(std::size_t begin, std::size_t end);  // same-fd run
-  /// Queue entries [begin, begin+count) — same from/to/size — as one
-  /// sendmsg(UDP_SEGMENT) train. Returns entries consumed (count on
-  /// success, 1 when the train had to be dropped on a send error, 0 when
-  /// the kernel refused offload and gso_active_ was cleared — the caller
-  /// then re-sends the same range through sendmmsg).
-  std::size_t send_gso_train(std::size_t begin, std::size_t count);
   /// Fires due timers, at most kMaxTimersPerTurn; true if more are due.
   bool fire_due_timers();
   /// Waits up to `timeout` for a readable socket and drains the ready
@@ -270,12 +241,9 @@ class UdpBus {
   std::int64_t epoch_ns_ = 0;
   bool stopped_ = false;
   bool batched_ = true;
-  bool gso_active_ = false;
-  bool gro_active_ = false;
 
-  // Receive scratch: kBatch slots of slot_size_ bytes, reused by every
+  // Receive scratch: kBatch slots of kSlotSize bytes, reused by every
   // receive call.
-  std::size_t slot_size_ = kSlotSize;
   std::vector<std::uint8_t> scratch_;
   std::vector<PendingSend> send_queue_;
 
@@ -289,8 +257,6 @@ class UdpBus {
   std::uint64_t send_syscalls_ = 0;
   std::uint64_t recv_syscalls_ = 0;
   std::uint64_t poll_syscalls_ = 0;
-  std::uint64_t gso_batches_ = 0;
-  std::uint64_t gro_trains_ = 0;
 };
 
 }  // namespace rrmp::net

@@ -62,12 +62,6 @@ struct Config {
   /// for credit keeps this base cadence.
   Duration session_interval = Duration::millis(20);
 
-  /// Measure per-peer RTTs from request->repair samples and derive retry
-  /// timeouts with Jacobson/Karels smoothing instead of trusting the
-  /// host's static estimate. Off by default so the figure reproductions
-  /// use the paper's exact-RTT timers (retries wait one RTT).
-  bool measure_rtt = false;
-
   /// Upper bound on local/remote/search retry attempts per message; 0 means
   /// unbounded (the sim's event horizon bounds it in practice).
   std::uint32_t max_attempts = 0;

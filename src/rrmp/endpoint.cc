@@ -324,9 +324,4 @@ void Endpoint::cancel(TimerHandle& t) {
   }
 }
 
-Duration Endpoint::request_timeout(MemberId peer) const {
-  Duration base = host_.rtt_estimate(peer);
-  return cfg_.measure_rtt ? rtt_.rto(peer, base) : base;
-}
-
 }  // namespace rrmp

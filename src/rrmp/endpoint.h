@@ -69,7 +69,6 @@
 #include "rrmp/flow_control.h"
 #include "rrmp/host.h"
 #include "rrmp/metrics.h"
-#include "rrmp/rtt_estimator.h"
 #include "rrmp/sequence_tracker.h"
 
 namespace rrmp {
@@ -166,9 +165,6 @@ class Endpoint {
   /// Missing sequence numbers currently known for `source`.
   std::vector<std::uint64_t> missing_from(MemberId source) const;
 
-  /// Measured-RTT state (populated when config.measure_rtt is set).
-  const RttEstimator& rtt_estimator() const { return rtt_; }
-
  private:
   // PolicyEnv implementation handed to the buffer policy.
   class Env final : public buffer::PolicyEnv {
@@ -245,7 +241,6 @@ class Endpoint {
   void drain_window();
 
   void cancel(TimerHandle& t);
-  Duration request_timeout(MemberId peer) const;
   SequenceTracker& tracker(MemberId source) { return trackers_[source]; }
 
   // --- endpoint_state.cc: ticks, their handlers, flow glue ---------------
@@ -437,12 +432,6 @@ class Endpoint {
   // Flat open-addressing maps on the per-message hot path: at million-member
   // scale the recovery/waiter churn outgrows unordered_map's node traffic.
   common::FlatMap<MessageId, RecoveryTask> recoveries_;
-  // Outstanding local probes per message, for RTT sampling: when we FIRST
-  // probed each target. Attributing a repair to the first probe of its
-  // sender avoids Karn's retransmission ambiguity (a retry to the same
-  // target would otherwise yield a near-zero sample).
-  std::unordered_map<MessageId, std::map<MemberId, TimePoint>> probes_;
-  RttEstimator rtt_;
   common::FlatMap<MessageId, std::vector<MemberId>> waiters_;
   std::unordered_map<MessageId, SearchTask> searches_;
   std::unordered_map<MessageId, PendingRelay> pending_relays_;

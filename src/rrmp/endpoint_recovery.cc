@@ -162,17 +162,7 @@ void Endpoint::satisfy_searches(const proto::Data& d) {
 // ---------------------------------------------------- repair handlers ----
 
 void Endpoint::handle_repair(const proto::Repair& r, MemberId from) {
-  // Close the RTT sample if this repair answers one of our probes.
-  if (cfg_.measure_rtt) {
-    auto probe = probes_.find(r.id);
-    if (probe != probes_.end()) {
-      auto target = probe->second.find(from);
-      if (target != probe->second.end()) {
-        rtt_.add_sample(from, host_.now() - target->second);
-        probes_.erase(probe);
-      }
-    }
-  }
+  (void)from;
   // Duplicate check first (§2.2): only the first copy triggers a regional
   // relay.
   if (tracker(r.id.source).has(r.id.seq)) return;
@@ -232,7 +222,6 @@ void Endpoint::finish_recovery(const MessageId& id) {
   cancel(it->second.local_timer);
   cancel(it->second.remote_timer);
   recoveries_.erase(it);
-  probes_.erase(id);
 }
 
 MemberId Endpoint::pick_request_target(const MessageId& id) {
@@ -286,10 +275,9 @@ void Endpoint::local_attempt(const MessageId& id) {
   }
   ++task.local_attempts;
   metrics_.on_request_sent(self(), id, /*remote=*/false, host_.now());
-  if (cfg_.measure_rtt) probes_[id].try_emplace(q, host_.now());
   host_.send(q, proto::Message{proto::LocalRequest{id, self()}});
   task.local_timer = host_.schedule(
-      retry_backoff(request_timeout(q), task.local_attempts - 1),
+      retry_backoff(host_.rtt_estimate(q), task.local_attempts - 1),
       [this, id] { local_attempt(id); });
 }
 
@@ -322,24 +310,27 @@ void Endpoint::remote_attempt(const MessageId& id) {
       return;  // we are the sender and the root — nobody above us
     }
     task.remote_timer = host_.schedule(
-        retry_backoff(request_timeout(up), task.remote_attempts - 1),
+        retry_backoff(host_.rtt_estimate(up), task.remote_attempts - 1),
         [this, id] { remote_attempt(id); });
     return;
   }
   const membership::RegionView& parent = host_.parent_view();
-  if (parent.empty()) return;  // root region: no remote phase (§2.2)
+  // The root region has no parent to ask (§2.2). A message from outside it
+  // can still be lost by every member here, so its sender stands in.
+  const bool root = parent.empty();
+  if (root && host_.local_view().contains(id.source)) return;
   if (cfg_.max_attempts != 0 && task.remote_attempts >= cfg_.max_attempts) {
     return;
   }
   ++task.remote_attempts;
-  MemberId r = parent.pick_random(host_.rng());
+  MemberId r = root ? id.source : parent.pick_random(host_.rng());
   if (r == kInvalidMember) return;
   // Send with probability lambda/n so that, region-wide, the expected number
   // of remote requests per recovery round is lambda (§2.2). The retry timer
   // is armed whether or not a request was actually sent.
   std::size_t n = std::max<std::size_t>(host_.local_view().size(), 1);
   if (host_.rng().bernoulli(cfg_.lambda / static_cast<double>(n))) {
-    if (hash_policy_ != nullptr) {
+    if (!root && hash_policy_ != nullptr) {
       const std::vector<MemberId>& set =
           selector_.select(id, parent.members(), hash_policy_->params().k);
       if (!set.empty()) r = set[task.remote_attempts % set.size()];
@@ -347,8 +338,8 @@ void Endpoint::remote_attempt(const MessageId& id) {
     metrics_.on_request_sent(self(), id, /*remote=*/true, host_.now());
     host_.send(r, proto::Message{proto::RemoteRequest{id, self()}});
   }
-  task.remote_timer =
-      host_.schedule(request_timeout(r), [this, id] { remote_attempt(id); });
+  task.remote_timer = host_.schedule(host_.rtt_estimate(r),
+                                     [this, id] { remote_attempt(id); });
 }
 
 // -------------------------------------------------------- repair tree ----
@@ -450,8 +441,8 @@ void Endpoint::search_attempt(const MessageId& id) {
   ++task.attempts;
   metrics_.on_search_hop(self(), q, id, host_.now());
   host_.send(q, proto::Message{proto::SearchRequest{id, task.carry.front()}});
-  task.timer =
-      host_.schedule(request_timeout(q), [this, id] { search_attempt(id); });
+  task.timer = host_.schedule(host_.rtt_estimate(q),
+                              [this, id] { search_attempt(id); });
 }
 
 void Endpoint::end_search(const MessageId& id, MemberId holder) {

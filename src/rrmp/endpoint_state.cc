@@ -131,12 +131,10 @@ void Endpoint::credit_tick() {
     }
   }
   // AIMD probe round: one additive step per clean round. The round must
-  // outlast the slowest peer's feedback loop, so it is the larger of the
-  // ack interval and the measured RTT (the topology estimate until
-  // measure_rtt has samples).
-  Duration rtt = host_.rtt_estimate(self());
-  if (cfg_.measure_rtt) rtt = rtt_.max_srtt(rtt);
-  Duration round = std::max(cfg_.flow.ack_interval, rtt);
+  // outlast the region's feedback loop, so it is the larger of the ack
+  // interval and the host's intra-region RTT estimate.
+  Duration round =
+      std::max(cfg_.flow.ack_interval, host_.rtt_estimate(self()));
   if (host_.now() - aimd_round_start_ >= round) {
     if (!aimd_loss_in_round_ && flow_.window_floor() > aimd_round_floor_) {
       flow_.on_clean_round();

@@ -190,7 +190,6 @@ TEST(Soak, FullStackWithChurnLossAndFailureDetection) {
   cc.seed = 108;
   std::get<buffer::TwoPhaseParams>(cc.policy).C = 8.0;
   cc.protocol.lambda = 2.0;
-  cc.protocol.measure_rtt = true;
   Cluster cluster(cc);
 
   // 60 messages over 600 ms.

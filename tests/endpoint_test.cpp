@@ -104,6 +104,33 @@ TEST(EndpointRecovery, NoRemotePhaseInRootRegion) {
   EXPECT_EQ(cluster.metrics().counters().remote_requests_sent, 0u);
 }
 
+// The root region has no parent region to ask. When every root member
+// loses a message from a sender in another region, the root still recovers
+// it, from the sender.
+TEST(EndpointRecovery, RootRegionRecoversLossOfAnotherRegionsMessage) {
+  ClusterConfig cc;
+  cc.region_sizes = {4, 4, 4, 4};
+  cc.intra_rtt = Duration::millis(4);
+  cc.inter_one_way = Duration::millis(10);
+  Cluster cluster(cc);
+  const std::vector<MemberId> root = cluster.region_members(0);
+  const MessageId lost{4, 5};
+  cluster.network().set_data_drop_fn(
+      [&](const proto::Message& msg, MemberId to) {
+        const auto* d = std::get_if<proto::Data>(&msg);
+        return d != nullptr && d->id == lost &&
+               std::find(root.begin(), root.end(), to) != root.end();
+      });
+  for (int i = 0; i < 8; ++i) {
+    cluster.endpoint(4).multicast({static_cast<std::uint8_t>(i)});
+  }
+  cluster.run_for(Duration::seconds(3));
+  for (MemberId m = 0; m < cluster.size(); ++m) {
+    EXPECT_TRUE(cluster.endpoint(m).has_received(lost)) << "member " << m;
+    EXPECT_EQ(cluster.endpoint(m).active_recoveries(), 0u) << "member " << m;
+  }
+}
+
 TEST(EndpointRecovery, LambdaZeroSendsNoRemoteRequests) {
   ClusterConfig cc;
   cc.region_sizes = {5, 5};
