@@ -44,7 +44,7 @@ int main() {
        {buffer::PolicyKind::kTwoPhase, buffer::PolicyKind::kFixedTime,
         buffer::PolicyKind::kBufferEverything, buffer::PolicyKind::kHashBased,
         buffer::PolicyKind::kStability}) {
-    harness::PolicyOutcome o = harness::run_stream_scenario(kind, scenario);
+    harness::StreamOutcome o = harness::run_stream_scenario(kind, scenario);
     if (kind == buffer::PolicyKind::kBufferEverything) {
       everything_final = o.final_buffered_total;
     }
@@ -52,12 +52,12 @@ int main() {
       two_phase_final = o.final_buffered_total;
       two_phase_occ = o.mean_occupancy_per_member;
       two_phase_ctrl = o.control_msgs;
-      all_ok = all_ok && o.all_delivered;
+      all_ok = all_ok && o.goodput == 1.0;
     }
     if (kind == buffer::PolicyKind::kStability) {
       stability_ctrl = o.control_msgs;
     }
-    t.add_row({o.policy, o.all_delivered ? "all" : "INCOMPLETE",
+    t.add_row({o.policy, o.goodput == 1.0 ? "all" : "INCOMPLETE",
                analysis::Table::num(o.unrecovered),
                analysis::Table::num(o.peak_buffer_per_member, 0),
                analysis::Table::num(o.mean_occupancy_per_member, 1),

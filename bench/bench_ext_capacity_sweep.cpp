@@ -66,19 +66,19 @@ int main() {
                      "peak B/member"});
   std::vector<double> success;
   std::vector<double> delivered;
-  harness::PolicyOutcome unlimited{};
+  harness::StreamOutcome unlimited{};
   std::uint64_t total_evictions = 0;
   for (std::size_t budget : budgets) {
     scenario.budget.max_bytes = budget;
-    harness::PolicyOutcome o =
+    harness::StreamOutcome o =
         harness::run_stream_scenario(buffer::PolicyKind::kTwoPhase, scenario);
     if (budget == 0) unlimited = o;
     success.push_back(o.recovery_success);
-    delivered.push_back(o.delivered_fraction);
+    delivered.push_back(o.goodput);
     total_evictions += o.evictions;
     t.add_row({budget == 0 ? "unlimited" : analysis::Table::num(
                                                static_cast<std::uint64_t>(budget)),
-               analysis::Table::num(o.delivered_fraction, 3),
+               analysis::Table::num(o.goodput, 3),
                analysis::Table::num(o.recovery_success, 3),
                analysis::Table::num(o.mean_recovery_ms, 2),
                analysis::Table::num(o.evictions),
@@ -93,13 +93,13 @@ int main() {
   report.add_table("recovery vs per-member buffer budget", t);
   report.add_scalar("unlimited_recovery_success", unlimited.recovery_success);
   report.add_scalar("unlimited_delivered_fraction",
-                    unlimited.delivered_fraction);
+                    unlimited.goodput);
   report.add_scalar("min_budget_recovery_success", success.back());
   report.add_scalar("min_budget_delivered_fraction", delivered.back());
   report.add_scalar("total_evictions", static_cast<double>(total_evictions));
 
   report.verdict(unlimited.recovery_success >= 0.999 &&
-                     unlimited.delivered_fraction >= 0.999,
+                     unlimited.goodput >= 0.999,
                  "with an unlimited budget every loss is recovered (the "
                  "paper's operating point)");
   // Sampling noise at adjacent generous budgets is real; the *shape* target

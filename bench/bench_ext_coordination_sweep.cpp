@@ -80,18 +80,18 @@ int main() {
   // both sit at 1.0 — there is nothing left to win.)
   std::size_t degraded_points = 0, strictly_better = 0;
   for (std::size_t budget : budgets) {
-    harness::PolicyOutcome pair[2];
+    harness::StreamOutcome pair[2];
     for (bool coordinate : {false, true}) {
       scenario.budget.max_bytes = budget;
       scenario.coordination.enabled = coordinate;
-      harness::PolicyOutcome o = harness::run_stream_scenario(
+      harness::StreamOutcome o = harness::run_stream_scenario(
           buffer::PolicyKind::kTwoPhase, scenario);
       pair[coordinate ? 1 : 0] = o;
       t.add_row({budget == 0 ? "unlimited"
                              : analysis::Table::num(
                                    static_cast<std::uint64_t>(budget)),
                  coordinate ? "coordinated" : "uncoordinated",
-                 analysis::Table::num(o.delivered_fraction, 3),
+                 analysis::Table::num(o.goodput, 3),
                  analysis::Table::num(o.recovery_success, 3),
                  analysis::Table::num(o.mean_recovery_ms, 2),
                  analysis::Table::num(o.evictions),

@@ -49,18 +49,23 @@
 int main() {
   using namespace rrmp;
 
-  harness::FaultScenario scenario;
+  harness::StreamScenario scenario;
   scenario.region_size = 24;
   scenario.senders = 4;
-  scenario.messages_per_sender = 30;
+  scenario.messages = 30;
   scenario.send_interval = Duration::millis(2);
   scenario.data_loss = 0.05;
   scenario.payload_bytes = 512;
+  // Post-burst settle time. It must cover post-heal backfill: partitioned
+  // and rejoined members recover their missed tail here.
   scenario.drain = Duration::millis(2500);
   scenario.seed = 0xFA'0001;
-  scenario.budget_bytes = 8192;
-  scenario.window_size = 8;
-  scenario.ack_interval = Duration::millis(5);
+  scenario.budget.max_bytes = 8192;
+  scenario.coordination.enabled = true;
+  scenario.coordination.digest_interval = Duration::millis(10);
+  scenario.flow.enabled = true;
+  scenario.flow.window_size = 8;
+  scenario.flow.ack_interval = Duration::millis(5);
 
   std::vector<harness::FaultCell> cells = {
       harness::FaultCell::kClean,      harness::FaultCell::kPartition,
@@ -90,9 +95,11 @@ int main() {
                      "unrecovered", "rej'd", "completed", "severed",
                      "deferred", "releases", "evictions", "sheds"});
 
-  std::vector<harness::FaultOutcome> outcomes;
+  std::vector<harness::StreamOutcome> outcomes;
   for (harness::FaultCell cell : cells) {
-    harness::FaultOutcome o = harness::run_fault_cell(cell, scenario);
+    harness::StreamOutcome o = harness::run_stream_scenario(
+        buffer::PolicyKind::kTwoPhase, scenario,
+        harness::fault_cell_script(cell, scenario));
     outcomes.push_back(o);
     t.add_row({harness::fault_cell_name(cell),
                analysis::Table::num(o.goodput, 3),
@@ -113,12 +120,12 @@ int main() {
   t.print(std::cout);
   bench::maybe_write_csv("ext_fault_sweep", t);
 
-  const harness::FaultOutcome& clean = outcomes.front();
+  const harness::StreamOutcome& clean = outcomes.front();
   bool clean_bounds = true;
   bool all_recovered = true;
   bool no_sender_wedged = true;
   std::uint64_t total_deferred = 0;
-  for (const harness::FaultOutcome& o : outcomes) {
+  for (const harness::StreamOutcome& o : outcomes) {
     if (o.goodput > clean.goodput + 1e-9) clean_bounds = false;
     if (o.unrecovered != 0) all_recovered = false;
     if (o.senders_completed != o.senders) no_sender_wedged = false;
@@ -127,8 +134,9 @@ int main() {
 
   bench::JsonReport report("ext_fault_sweep");
   report.add_table("degradation grid by fault cell", t);
-  for (const harness::FaultOutcome& o : outcomes) {
-    std::string cell = harness::fault_cell_name(o.cell);
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    const harness::StreamOutcome& o = outcomes[i];
+    std::string cell = harness::fault_cell_name(cells[i]);
     report.add_scalar("goodput_" + cell, o.goodput);
     report.add_scalar("recovery_" + cell, o.recovery_success);
     report.add_scalar("unrecovered_" + cell,
@@ -158,7 +166,7 @@ int main() {
                  "the flow-control machinery actually engaged across the "
                  "sweep (sends deferred)");
   if (outcomes.size() > 1) {
-    const harness::FaultOutcome& part = outcomes[1];
+    const harness::StreamOutcome& part = outcomes[1];
     report.add_scalar("severed_partition", static_cast<double>(part.severed));
     report.verdict(part.severed > 0,
                    "the partition actually severed traffic (packets dropped "

@@ -41,25 +41,38 @@
 int main() {
   using namespace rrmp;
 
-  harness::OverloadScenario scenario;
+  harness::StreamScenario scenario;
   scenario.region_size = 24;
-  scenario.messages_per_sender = 30;
+  scenario.messages = 30;
   scenario.send_interval = Duration::millis(2);
   scenario.data_loss = 0.05;
   scenario.payload_bytes = 512;
+  // Post-stream settle time. It must cover the credit-paced tail: a
+  // windowed sender still holds queued frames when the unpaced schedule
+  // ends.
   scenario.drain = Duration::millis(1500);
   scenario.seed = 0xF10'0001;
-  scenario.budget_bytes = 4096;
-  scenario.window_size = 8;
-  scenario.ack_interval = Duration::millis(5);
+  scenario.budget.max_bytes = 4096;
+  scenario.coordination.enabled = true;
+  scenario.coordination.digest_interval = Duration::millis(10);
+  scenario.flow.window_size = 8;
+  scenario.flow.ack_interval = Duration::millis(5);
 
   // The adaptive variant: same schedule and seed, but the window is AIMD
   // (starts at 2 frames, grows one frame per clean credit round, halves
   // on stall, capped by the static window as ceiling) and receive cursors
   // ride on outgoing Data/Session frames instead of standalone CreditAcks.
-  harness::OverloadScenario adaptive = scenario;
-  adaptive.adaptive = true;
-  adaptive.piggyback = true;
+  harness::StreamScenario adaptive = scenario;
+  adaptive.flow.adaptive = true;
+  adaptive.flow.piggyback = true;
+
+  auto run = [](harness::StreamScenario sc, std::size_t senders, bool flow_on,
+                const harness::FaultScript& faults = {}) {
+    sc.senders = senders;
+    sc.flow.enabled = flow_on;
+    return harness::run_stream_scenario(buffer::PolicyKind::kTwoPhase, sc,
+                                        faults);
+  };
 
   // One sender is the paced baseline; the crowd grows until the region's
   // aggregate stream rate dwarfs what the budgets can hold.
@@ -89,7 +102,7 @@ int main() {
                      "credit msgs", "suppressed", "overhead", "evictions",
                      "sheds", "unrecovered"});
   auto add_row = [&t](std::size_t senders, const char* mode,
-                      const harness::OverloadOutcome& o) {
+                      const harness::StreamOutcome& o) {
     t.add_row({analysis::Table::num(static_cast<std::uint64_t>(senders)),
                mode, analysis::Table::num(o.goodput, 3),
                analysis::Table::num(o.fairness, 3),
@@ -99,7 +112,7 @@ int main() {
                analysis::Table::num(o.control_overhead, 4),
                analysis::Table::num(o.evictions),
                analysis::Table::num(o.sheds),
-               analysis::Table::num(o.unrecovered)});
+               analysis::Table::num(o.unrecovered + o.unrecovered_rejoined)});
   };
 
   std::vector<double> goodput_off, goodput_on, goodput_ad;
@@ -113,10 +126,9 @@ int main() {
   bool adaptive_never_worse = true;
   double min_fairness_on = 1.0, min_fairness_ad = 1.0;
   for (std::size_t senders : sender_counts) {
-    harness::OverloadOutcome pair[2];
+    harness::StreamOutcome pair[2];
     for (bool flow_on : {false, true}) {
-      harness::OverloadOutcome o =
-          harness::run_overload_point(senders, flow_on, scenario);
+      harness::StreamOutcome o = run(scenario, senders, flow_on);
       pair[flow_on ? 1 : 0] = o;
       add_row(senders, flow_on ? "windowed" : "unpaced", o);
       if (flow_on) {
@@ -126,8 +138,7 @@ int main() {
         delivered_on += o.delivered_payload_bytes;
       }
     }
-    harness::OverloadOutcome ad =
-        harness::run_overload_point(senders, true, adaptive);
+    harness::StreamOutcome ad = run(adaptive, senders, true);
     add_row(senders, "adaptive", ad);
     total_credit_msgs_ad += ad.credit_msgs;
     total_suppressed_ad += ad.acks_suppressed;
@@ -150,18 +161,20 @@ int main() {
     }
   }
 
-  // Churn pair at the largest crowd: a non-sender receiver crashes a third
-  // of the way through the burst and rejoins two thirds through. The
+  // Churn pair at the largest crowd: the last receiver crashes a third of
+  // the way through the burst and rejoins two thirds through. The
   // churn-safe credit seeding (joiner cursors start at the sender's current
   // floor, departed cursors dropped at view-change time) must keep both
   // window modes from wedging on the joiner's empty receive state.
-  harness::OverloadScenario churn_w = scenario;
-  churn_w.churn = true;
-  harness::OverloadScenario churn_a = adaptive;
-  churn_a.churn = true;
+  const Duration burst =
+      scenario.send_interval * static_cast<std::int64_t>(scenario.messages);
+  const MemberId victim = static_cast<MemberId>(scenario.region_size - 1);
+  harness::FaultScript churn;
+  churn.crash(TimePoint::zero() + burst / 3, {victim});
+  churn.rejoin(TimePoint::zero() + (burst * 2) / 3, {victim});
   std::size_t big = sender_counts.back();
-  harness::OverloadOutcome cw = harness::run_overload_point(big, true, churn_w);
-  harness::OverloadOutcome ca = harness::run_overload_point(big, true, churn_a);
+  harness::StreamOutcome cw = run(scenario, big, true, churn);
+  harness::StreamOutcome ca = run(adaptive, big, true, churn);
   add_row(big, "windowed+churn", cw);
   add_row(big, "adaptive+churn", ca);
 

@@ -5,7 +5,11 @@ Runs every deterministic bench from two build trees, the parent commit's and
 the change's, and compares their exit codes and stdout. Table columns whose
 header contains "wall" hold wall-clock times, so their cells are masked
 before comparing. RRMP_HIERARCHY_POINTS=2 keeps the hierarchy bench to its
-10^4 and 10^5 member points.
+10^4 and 10^5 member points. Each bench also writes its JSON report into a
+fresh RRMP_BENCH_JSON_DIR per side, and each report's "ok", "scalars" and
+"verdicts" must be equal too: some scalars never reach stdout. Its tables
+are covered by stdout, and the "(json written to ...)" line, which names
+the per-side directory, is dropped before stdout is compared.
 
 It also runs nine example invocations (EXAMPLES) from the examples/
 directory next to each bench directory, so both trees must have built
@@ -59,6 +63,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 BENCHES = [
     "bench_fig3_longterm_distribution",
@@ -117,10 +122,17 @@ EXPECTED_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                              "expected_output_changes.txt")
 
 
+# The parts of a bench's JSON report that stdout does not already cover.
+JSON_KEYS = ["ok", "scalars", "verdicts"]
+
+
 def normalize(stdout):
-    """Strip table cell padding, mask 'wall' columns, drop rule widths."""
+    """Strip table cell padding, mask 'wall' columns, drop rule widths and
+    the line naming where the JSON report went."""
     lines, wall = [], None
     for line in stdout.splitlines():
+        if line.startswith("(json written to "):
+            continue
         if not line.startswith("|"):
             lines.append(line)
             wall = None  # a table ends at the first non-table line
@@ -137,14 +149,41 @@ def normalize(stdout):
 
 
 def run(bench_dir, name):
+    """Exit code, normalized stdout lines and JSON reports of one bench."""
     exe = os.path.join(bench_dir, name)
     if not os.path.exists(exe):
-        return "missing", []
-    env = dict(os.environ, RRMP_HIERARCHY_POINTS="2")
-    proc = subprocess.run([exe], env=env,
-                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-                          text=True, timeout=600)
-    return proc.returncode, normalize(proc.stdout)
+        return "missing", [], {}
+    with tempfile.TemporaryDirectory() as json_dir:
+        env = dict(os.environ, RRMP_HIERARCHY_POINTS="2",
+                   RRMP_BENCH_JSON_DIR=json_dir)
+        proc = subprocess.run([exe], env=env,
+                              stdout=subprocess.PIPE,
+                              stderr=subprocess.DEVNULL, text=True,
+                              timeout=600)
+        reports = {}
+        for file in sorted(os.listdir(json_dir)):
+            with open(os.path.join(json_dir, file)) as f:
+                report = json.load(f)
+            reports[file] = {key: report.get(key) for key in JSON_KEYS}
+    return proc.returncode, normalize(proc.stdout), reports
+
+
+def json_details(parent, change):
+    """One line per report key (per scalar) that differs."""
+    details = []
+    for file in sorted(parent.keys() | change.keys()):
+        p, c = parent.get(file, {}), change.get(file, {})
+        for key in JSON_KEYS:
+            pv, cv = p.get(key), c.get(key)
+            if key == "scalars" and isinstance(pv, dict) and \
+                    isinstance(cv, dict):
+                for s in sorted(pv.keys() | cv.keys()):
+                    if pv.get(s) != cv.get(s):
+                        details.append(f"{file} scalar {s}: {pv.get(s)} -> "
+                                       f"{cv.get(s)}")
+            elif pv != cv:
+                details.append(f"{file} {key}: {pv} -> {cv}")
+    return details
 
 
 def source_dir(build_dir):
@@ -162,11 +201,11 @@ def run_example(bench_dir, invocation):
     argv = invocation.split()
     exe = os.path.join(build_dir, "examples", argv[0])
     if not os.path.exists(exe):
-        return "missing", []
+        return "missing", [], {}
     proc = subprocess.run([exe] + argv[1:], cwd=source_dir(build_dir),
                           stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
                           text=True, timeout=600)
-    return proc.returncode, proc.stdout.splitlines()
+    return proc.returncode, proc.stdout.splitlines(), {}
 
 
 def run_e2e(binary, workload, seed, seconds, scale):
@@ -210,6 +249,7 @@ def check_benches(args, expected, failures):
         diff = difflib.unified_diff(parent[1], change[1], "parent", "change",
                                     lineterm="")
         details += list(diff)[:40]
+        details += json_details(parent[2], change[2])[:40]
         report(name, parent != change, name in expected, details, failures)
 
 

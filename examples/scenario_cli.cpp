@@ -43,7 +43,6 @@ struct Options {
   std::size_t buffer_count = 0;    // per-member entry budget, 0 = unlimited
   bool coordinate = false;         // cooperative region-wide budgets
   std::int64_t digest_ms = 20;     // BufferDigest tick period
-  bool no_shed = false;            // disable sole-copy shed handoffs
   bool flow = false;               // windowed send admission (flow control)
   std::size_t window = 32;         // outstanding-frame window per sender
   std::int64_t ack_ms = 10;        // CreditAck feedback period
@@ -90,8 +89,6 @@ void print_usage() {
       "  --digest-interval=MS  BufferDigest tick period (20): a digest goes\n"
       "                        out when it changes, once more, then every\n"
       "                        4th tick\n"
-      "  --no-shed             keep coordination but disable sole-copy\n"
-      "                        shed handoffs\n"
       "  --flow                windowed send admission with credit-based\n"
       "                        feedback (CreditAcks to each sender)\n"
       "  --window=N            outstanding-frame window per sender (32)\n"
@@ -190,8 +187,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
         std::fprintf(stderr, "--digest-interval must be positive\n");
         return false;
       }
-    } else if (arg == "--no-shed") {
-      opt.no_shed = true;
     } else if (arg == "--flow") {
       opt.flow = true;
     } else if (eat("--window=", v)) {
@@ -350,7 +345,6 @@ int main(int argc, char** argv) {
   cc.protocol.buffer_coordination.enabled = opt.coordinate;
   cc.protocol.buffer_coordination.digest_interval =
       Duration::millis(opt.digest_ms);
-  cc.protocol.buffer_coordination.shed_sole_copies = !opt.no_shed;
   cc.protocol.flow.enabled = opt.flow;
   cc.protocol.flow.window_size = static_cast<std::uint32_t>(opt.window);
   cc.protocol.flow.ack_interval = Duration::millis(opt.ack_ms);

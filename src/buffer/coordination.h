@@ -41,9 +41,6 @@ struct CoordinationParams {
   /// threshold T, TTLs) or the replica counts are stale by the time
   /// eviction consults them.
   Duration digest_interval = Duration::millis(20);
-  /// Push sole-copy victims to the least-loaded digest-advertised neighbor
-  /// (proto::Shed) before discarding them.
-  bool shed_sole_copies = true;
 
   friend bool operator==(const CoordinationParams&,
                          const CoordinationParams&) = default;

@@ -105,8 +105,7 @@ std::string describe(const PolicySpec& spec) {
 std::string describe(const CoordinationParams& coordination) {
   if (!coordination.enabled) return "uncoordinated";
   return "coordinated(digest=" + duration_str(coordination.digest_interval) +
-         ", redundancy>=" + std::to_string(kRedundancyThreshold) +
-         ", shed=" + (coordination.shed_sole_copies ? "on" : "off") + ")";
+         ", redundancy>=" + std::to_string(kRedundancyThreshold) + ")";
 }
 
 std::unique_ptr<RetentionPolicy> make_policy(const PolicySpec& spec) {

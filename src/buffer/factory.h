@@ -56,7 +56,7 @@ bool kind_from_name(const std::string& name, PolicyKind& out);
 std::string describe(const PolicySpec& spec);
 
 /// Companion one-liner for the coordination knobs, e.g.
-/// "coordinated(digest=20ms, redundancy>=2, shed=on)" or "uncoordinated".
+/// "coordinated(digest=20ms, redundancy>=2)" or "uncoordinated".
 std::string describe(const CoordinationParams& coordination);
 
 std::unique_ptr<RetentionPolicy> make_policy(const PolicySpec& spec);

@@ -130,8 +130,8 @@ void BufferStore::remove_victim(const MessageId& victim) {
   // fresh digests. Locally-received copies shed freely — the first hop is
   // where the recovery value is, and the receiver admits them as
   // handoff-provenance, closing the cycle.
-  if (coordination_.enabled && coordination_.shed_sole_copies &&
-      shed_handler_ && digests_.holders_of(victim) == 0) {
+  if (coordination_.enabled && shed_handler_ &&
+      digests_.holders_of(victim) == 0) {
     const Entry* e = find(victim);
     if (e != nullptr &&
         (!e->via_handoff ||

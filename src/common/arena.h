@@ -46,8 +46,6 @@ class Arena {
     if (p != nullptr) p->~T();
   }
 
-  std::size_t bytes_allocated() const { return bytes_allocated_; }
-
  private:
   struct Chunk {
     std::unique_ptr<std::byte[]> data;
@@ -64,7 +62,6 @@ class Arena {
       std::size_t offset = (c.used + align - 1) & ~(align - 1);
       if (offset + size <= c.size) {
         c.used = offset + size;
-        bytes_allocated_ += size;
         return c.data.get() + offset;
       }
     }
@@ -73,13 +70,11 @@ class Arena {
     c.data = std::make_unique<std::byte[]>(chunk_size);
     c.size = chunk_size;
     c.used = size;
-    bytes_allocated_ += size;
     chunks_.push_back(std::move(c));
     return chunks_.back().data.get();
   }
 
   std::size_t chunk_bytes_;
-  std::size_t bytes_allocated_ = 0;
   std::vector<Chunk> chunks_;
 };
 

@@ -15,21 +15,9 @@ void ByteWriter::put_bytes(std::span<const std::uint8_t> data) {
   put_raw(data);
 }
 
-void ByteWriter::put_string(std::string_view s) {
-  put_varint(s.size());
-  buf_.insert(buf_.end(), s.begin(), s.end());
-}
-
 std::uint8_t ByteReader::get_u8() {
   if (!require(1)) return 0;
   return data_[pos_++];
-}
-
-double ByteReader::get_f64() {
-  std::uint64_t bits = get_u64();
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
 }
 
 std::uint64_t ByteReader::get_varint() {
@@ -44,16 +32,6 @@ std::uint64_t ByteReader::get_varint() {
   }
   ok_ = false;  // varint longer than 10 bytes is malformed
   return 0;
-}
-
-std::vector<std::uint8_t> ByteReader::get_bytes() {
-  std::uint64_t n = get_varint();
-  if (!require(n)) return {};
-  std::vector<std::uint8_t> out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                                data_.begin() +
-                                    static_cast<std::ptrdiff_t>(pos_ + n));
-  pos_ += n;
-  return out;
 }
 
 SharedBytes ByteReader::get_shared_bytes() {
@@ -73,14 +51,6 @@ SharedBytes ByteReader::get_shared_bytes() {
     return owner_->slice(at, n);
   }
   return SharedBytes::copy_of(data_.subspan(at, n));
-}
-
-std::string ByteReader::get_string() {
-  std::uint64_t n = get_varint();
-  if (!require(n)) return {};
-  std::string out(reinterpret_cast<const char*>(data_.data()) + pos_, n);
-  pos_ += n;
-  return out;
 }
 
 }  // namespace rrmp

@@ -20,8 +20,6 @@
 #include <cstring>
 #include <memory>
 #include <span>
-#include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -90,22 +88,14 @@ class ByteWriter {
   ByteWriter() = default;
 
   void put_u8(std::uint8_t v) { buf_.push_back(v); }
-  void put_u16(std::uint16_t v) { put_le(v); }
   void put_u32(std::uint32_t v) { put_le(v); }
   void put_u64(std::uint64_t v) { put_le(v); }
-  void put_i64(std::int64_t v) { put_le(static_cast<std::uint64_t>(v)); }
-  void put_f64(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    put_u64(bits);
-  }
 
   /// LEB128-style unsigned varint (1..10 bytes).
   void put_varint(std::uint64_t v);
 
   /// Varint length prefix followed by raw bytes.
   void put_bytes(std::span<const std::uint8_t> data);
-  void put_string(std::string_view s);
 
   void put_raw(std::span<const std::uint8_t> data) {
     buf_.insert(buf_.end(), data.begin(), data.end());
@@ -148,17 +138,12 @@ class ByteReader {
   explicit ByteReader(B&& bytes) = delete;
 
   std::uint8_t get_u8();
-  std::uint16_t get_u16() { return get_le<std::uint16_t>(); }
   std::uint32_t get_u32() { return get_le<std::uint32_t>(); }
   std::uint64_t get_u64() { return get_le<std::uint64_t>(); }
-  std::int64_t get_i64() { return static_cast<std::int64_t>(get_u64()); }
-  double get_f64();
   std::uint64_t get_varint();
-  std::vector<std::uint8_t> get_bytes();
   /// Length-prefixed blob as SharedBytes: a borrowed slice of the reader's
   /// SharedBytes source when one was provided, a copy otherwise.
   SharedBytes get_shared_bytes();
-  std::string get_string();
 
   /// True iff no read has overrun the buffer so far.
   bool ok() const { return ok_; }

@@ -47,57 +47,6 @@ std::vector<MemberId> pick_members(const std::vector<MemberId>& pool,
   return out;
 }
 
-/// Flash crowd: members 0..senders-1 each multicast `messages` frames of
-/// `bytes` bytes, all at the *same* instants, `interval` apart.
-void schedule_flash_crowd(Cluster& cluster, std::size_t senders,
-                          std::size_t messages, Duration interval,
-                          std::size_t bytes) {
-  for (std::size_t i = 0; i < messages; ++i) {
-    TimePoint at = TimePoint::zero() + interval * static_cast<std::int64_t>(i);
-    for (MemberId s = 0; s < static_cast<MemberId>(senders); ++s) {
-      cluster.schedule_script(at, [&cluster, s, bytes] {
-        cluster.endpoint(s).multicast(std::vector<std::uint8_t>(bytes, 0x5A));
-      });
-    }
-  }
-}
-
-struct FlashCrowdTally {
-  std::size_t fully_delivered = 0;  // streamed messages every member got
-  double goodput = 1.0;
-  double fairness = 1.0;
-  std::size_t senders_completed = 0;
-};
-
-FlashCrowdTally tally_flash_crowd(const Cluster& cluster, std::size_t senders,
-                                  std::size_t messages) {
-  FlashCrowdTally out;
-  double sum = 0.0, sumsq = 0.0;  // of per-sender fully-delivered counts
-  for (MemberId s = 0; s < static_cast<MemberId>(senders); ++s) {
-    std::size_t got = 0;
-    for (std::uint64_t seq = 1; seq <= messages; ++seq) {
-      if (cluster.all_received(MessageId{s, seq})) ++got;
-    }
-    out.fully_delivered += got;
-    const double x = static_cast<double>(got);
-    sum += x;
-    sumsq += x * x;
-    if (cluster.endpoint(s).highest_sent() >= messages) {
-      ++out.senders_completed;
-    }
-  }
-  std::size_t streamed = senders * messages;
-  out.goodput = streamed == 0 ? 1.0
-                              : static_cast<double>(out.fully_delivered) /
-                                    static_cast<double>(streamed);
-  // Jain's index: (sum x)^2 / (n * sum x^2); 1.0 for the degenerate
-  // nothing-delivered case (no sender was favoured over another).
-  out.fairness = sumsq == 0.0 ? 1.0
-                              : (sum * sum) /
-                                    (static_cast<double>(senders) * sumsq);
-  return out;
-}
-
 }  // namespace
 
 // ------------------------------------------------------------- Figure 6 ----
@@ -342,28 +291,39 @@ SearchStrategyOutcome run_search_strategy(Config::SearchStrategy strategy,
   return out;
 }
 
-// ----------------------------------------------------------- Ablation A4 ----
+// ------------------------------------------------------ The lossy stream ----
 
-PolicyOutcome run_stream_scenario(buffer::PolicyKind kind,
+StreamOutcome run_stream_scenario(buffer::PolicyKind kind,
                                   const StreamScenario& scenario,
+                                  const FaultScript& faults,
                                   const ExperimentDefaults& defaults) {
   ClusterConfig cc = base_config(defaults);
   cc.region_sizes = {scenario.region_size};
   cc.policy = spec_for(kind, defaults);
   cc.protocol.buffer_budget = scenario.budget;
   cc.protocol.buffer_coordination = scenario.coordination;
+  cc.protocol.flow = scenario.flow;
   cc.data_loss = scenario.data_loss;
   cc.seed = scenario.seed;
   Cluster cluster(cc);
 
-  MemberId sender = 0;
+  const std::size_t senders = std::min(scenario.senders, scenario.region_size);
+  const std::size_t bytes = scenario.payload_bytes;
   for (std::size_t i = 0; i < scenario.messages; ++i) {
-    cluster.schedule_script(
-        TimePoint::zero() + scenario.send_interval * static_cast<std::int64_t>(i),
-        [&cluster, sender, bytes = scenario.payload_bytes] {
-          cluster.endpoint(sender).multicast(
-              std::vector<std::uint8_t>(bytes, 0x5A));
-        });
+    TimePoint at = TimePoint::zero() +
+                   scenario.send_interval * static_cast<std::int64_t>(i);
+    for (MemberId s = 0; s < static_cast<MemberId>(senders); ++s) {
+      cluster.schedule_script(at, [&cluster, s, bytes] {
+        cluster.endpoint(s).multicast(std::vector<std::uint8_t>(bytes, 0x5A));
+      });
+    }
+  }
+  faults.schedule_on(cluster);
+  // Members a crash event names tally apart, as rejoiners.
+  std::vector<bool> rejoiner(cluster.size(), false);
+  for (const FaultEvent& ev : faults.events()) {
+    if (ev.kind != FaultEvent::Kind::kCrash) continue;
+    for (MemberId m : ev.members) rejoiner[m] = true;
   }
 
   TimePoint end = TimePoint::zero() +
@@ -380,34 +340,46 @@ PolicyOutcome run_stream_scenario(buffer::PolicyKind kind,
   cluster.schedule_script_after(Duration::millis(5), sampler);
   cluster.run_for(end - TimePoint::zero());
 
-  PolicyOutcome out;
+  StreamOutcome out;
   out.policy = buffer::to_string(kind);
-  out.all_delivered = true;
+  out.senders = senders;
   std::size_t fully_delivered = 0;
-  for (std::uint64_t seq = 1; seq <= scenario.messages; ++seq) {
-    if (cluster.all_received(MessageId{sender, seq})) {
-      ++fully_delivered;
-    } else {
-      out.all_delivered = false;
+  double sum = 0.0, sumsq = 0.0;  // of per-sender fully-delivered counts
+  for (MemberId s = 0; s < static_cast<MemberId>(senders); ++s) {
+    std::size_t got = 0;
+    for (std::uint64_t seq = 1; seq <= scenario.messages; ++seq) {
+      if (cluster.all_received(MessageId{s, seq})) ++got;
+    }
+    fully_delivered += got;
+    const double x = static_cast<double>(got);
+    sum += x;
+    sumsq += x * x;
+    if (cluster.endpoint(s).highest_sent() >= scenario.messages) {
+      ++out.senders_completed;
     }
   }
-  out.delivered_fraction =
-      scenario.messages == 0
-          ? 1.0
-          : static_cast<double>(fully_delivered) /
-                static_cast<double>(scenario.messages);
+  const std::size_t streamed = senders * scenario.messages;
+  out.goodput = streamed == 0 ? 1.0
+                              : static_cast<double>(fully_delivered) /
+                                    static_cast<double>(streamed);
+  // Jain's index: (sum x)^2 / (n * sum x^2); 1.0 for the degenerate
+  // nothing-delivered case (no sender was favoured over another).
+  out.fairness = sumsq == 0.0 ? 1.0
+                              : (sum * sum) /
+                                    (static_cast<double>(senders) * sumsq);
+
   std::size_t peak = 0, peak_bytes = 0;
-  std::uint64_t open = 0;
   for (MemberId m = 0; m < cluster.size(); ++m) {
+    if (!cluster.directory().alive(m)) continue;
     const buffer::BufferStats& bs = cluster.endpoint(m).buffer().stats();
     peak = std::max(peak, bs.peak_count);
     peak_bytes = std::max(peak_bytes, bs.peak_bytes);
     out.evictions += bs.evicted;
     out.sheds += bs.shed;
     out.rejected += bs.rejected;
-    open += cluster.endpoint(m).active_recoveries();
+    (rejoiner[m] ? out.unrecovered_rejoined : out.unrecovered) +=
+        cluster.endpoint(m).active_recoveries();
   }
-  out.unrecovered = open;
   out.peak_buffer_per_member = static_cast<double>(peak);
   out.peak_bytes_per_member = static_cast<double>(peak_bytes);
   out.mean_occupancy_per_member =
@@ -424,6 +396,9 @@ PolicyOutcome run_stream_scenario(buffer::PolicyKind kind,
           ? 1.0
           : static_cast<double>(counters.recoveries) /
                 static_cast<double>(counters.losses_detected);
+  out.deferred = counters.sends_deferred;
+  out.acks_suppressed = counters.credit_acks_suppressed;
+  out.stall_releases = counters.flow_stall_releases;
 
   const net::TrafficStats& ts = cluster.network().stats();
   auto by_type = [&ts](proto::MessageType t) {
@@ -441,73 +416,11 @@ PolicyOutcome run_stream_scenario(buffer::PolicyKind kind,
   }
   out.repair_msgs = by_type(MT::kRepair) + by_type(MT::kRegionalRepair);
   out.digest_msgs = by_type(MT::kBufferDigest);
-  return out;
-}
-
-// --------------------------------- Extension: flash-crowd overload ----
-
-OverloadOutcome run_overload_point(std::size_t senders, bool flow_on,
-                                   const OverloadScenario& scenario,
-                                   const ExperimentDefaults& defaults) {
-  ClusterConfig cc = base_config(defaults);
-  cc.region_sizes = {scenario.region_size};
-  cc.protocol.buffer_budget.max_bytes = scenario.budget_bytes;
-  cc.protocol.buffer_coordination.enabled = true;
-  cc.protocol.buffer_coordination.digest_interval = Duration::millis(10);
-  cc.protocol.flow.enabled = flow_on;
-  cc.protocol.flow.window_size = scenario.window_size;
-  cc.protocol.flow.ack_interval = scenario.ack_interval;
-  cc.protocol.flow.adaptive = scenario.adaptive;
-  cc.protocol.flow.piggyback = scenario.piggyback;
-  cc.data_loss = scenario.data_loss;
-  cc.seed = scenario.seed;
-  Cluster cluster(cc);
-
-  std::size_t n = std::min(senders, scenario.region_size);
-  schedule_flash_crowd(cluster, n, scenario.messages_per_sender,
-                       scenario.send_interval, scenario.payload_bytes);
-  Duration burst = scenario.send_interval *
-                   static_cast<std::int64_t>(scenario.messages_per_sender);
-  if (scenario.churn && n < scenario.region_size) {
-    // Churn axis: a non-sender receiver crashes a third of the way through
-    // the burst and rejoins two thirds through — a joiner with no receive
-    // state arriving mid-flash-crowd. Its seeded cursor must keep the
-    // crowd's window floors from collapsing to 0 while it backfills.
-    MemberId victim = static_cast<MemberId>(scenario.region_size - 1);
-    cluster.schedule_script(TimePoint::zero() + burst / 3,
-                            [&cluster, victim] { cluster.crash(victim); });
-    cluster.schedule_script(TimePoint::zero() + (burst * 2) / 3,
-                            [&cluster, victim] { cluster.rejoin(victim); });
-  }
-  Duration total = burst + scenario.drain;
-  cluster.run_for(total);
-
-  OverloadOutcome out;
-  out.senders = n;
-  out.flow_on = flow_on;
-  const FlashCrowdTally tally =
-      tally_flash_crowd(cluster, n, scenario.messages_per_sender);
-  out.goodput = tally.goodput;
-  out.fairness = tally.fairness;
-  out.senders_completed = tally.senders_completed;
-  for (MemberId m = 0; m < cluster.size(); ++m) {
-    const buffer::BufferStats& bs = cluster.endpoint(m).buffer().stats();
-    out.evictions += bs.evicted;
-    out.sheds += bs.shed;
-    out.rejected += bs.rejected;
-    out.unrecovered += cluster.endpoint(m).active_recoveries();
-  }
-  out.deferred = cluster.metrics().counters().sends_deferred;
-  out.credit_msgs = cluster.network().stats().sends_by_type[static_cast<
-      std::size_t>(proto::MessageType::kCreditAck)];
-  out.credit_bytes = cluster.network().stats().bytes_by_type[static_cast<
-      std::size_t>(proto::MessageType::kCreditAck)];
-  out.acks_suppressed = cluster.metrics().counters().credit_acks_suppressed;
-  out.stall_remcasts = cluster.metrics().counters().flow_stall_remcasts;
-  out.stall_releases = cluster.metrics().counters().flow_stall_releases;
+  out.credit_msgs = by_type(MT::kCreditAck);
+  out.credit_bytes = bytes_by_type(MT::kCreditAck);
+  out.severed = ts.severed;
   out.delivered_payload_bytes =
-      static_cast<std::uint64_t>(tally.fully_delivered) *
-      scenario.payload_bytes;
+      static_cast<std::uint64_t>(fully_delivered) * scenario.payload_bytes;
   out.control_overhead =
       out.delivered_payload_bytes == 0
           ? 0.0
@@ -515,8 +428,6 @@ OverloadOutcome run_overload_point(std::size_t senders, bool flow_on,
                 static_cast<double>(out.delivered_payload_bytes);
   return out;
 }
-
-// --------------------------------- Extension: degradation sweep ----
 
 const char* fault_cell_name(FaultCell cell) {
   switch (cell) {
@@ -529,119 +440,51 @@ const char* fault_cell_name(FaultCell cell) {
   return "?";
 }
 
-FaultOutcome run_fault_cell(FaultCell cell, const FaultScenario& scenario,
-                            const ExperimentDefaults& defaults) {
-  ClusterConfig cc = base_config(defaults);
-  cc.region_sizes = {scenario.region_size};
-  cc.protocol.buffer_budget.max_bytes = scenario.budget_bytes;
-  cc.protocol.buffer_coordination.enabled = true;
-  cc.protocol.buffer_coordination.digest_interval = Duration::millis(10);
-  cc.protocol.flow.enabled = true;
-  cc.protocol.flow.window_size = scenario.window_size;
-  cc.protocol.flow.ack_interval = scenario.ack_interval;
-  cc.data_loss = scenario.data_loss;
-  cc.seed = scenario.seed;
-  Cluster cluster(cc);
-
-  // The flash-crowd workload every cell shares: `senders` members stream at
-  // the same instants into tight budgets.
-  std::size_t n = std::min(scenario.senders, scenario.region_size);
-  schedule_flash_crowd(cluster, n, scenario.messages_per_sender,
-                       scenario.send_interval, scenario.payload_bytes);
-  Duration burst = scenario.send_interval *
-                   static_cast<std::int64_t>(scenario.messages_per_sender);
-
-  // Cell-specific hostility, built as a FaultScript timeline. Victims are
-  // always drawn from the tail of the member range so they never overlap
-  // the senders at the front.
+FaultScript fault_cell_script(FaultCell cell, const StreamScenario& scenario) {
+  const std::size_t n = std::min(scenario.senders, scenario.region_size);
+  const std::size_t receivers = scenario.region_size - n;
   auto tail_members = [&](std::size_t k) {
-    k = std::min(k, scenario.region_size - n);
     std::vector<MemberId> out;
-    for (std::size_t i = scenario.region_size - k; i < scenario.region_size;
-         ++i) {
+    for (std::size_t i = scenario.region_size - std::min(k, receivers);
+         i < scenario.region_size; ++i) {
       out.push_back(static_cast<MemberId>(i));
     }
     return out;
   };
-  TimePoint t0 = TimePoint::zero();
-  std::vector<bool> was_crashed(scenario.region_size, false);
+  const TimePoint t0 = TimePoint::zero();
+  const Duration burst =
+      scenario.send_interval * static_cast<std::int64_t>(scenario.messages);
   FaultScript faults;
   switch (cell) {
     case FaultCell::kClean: break;
     case FaultCell::kPartition: {
-      // A minority of the receivers loses contact with everyone else a third
-      // into the burst; the wall comes down when the burst ends, so the
-      // drain window measures whether they backfill what they missed.
-      std::size_t k = std::max<std::size_t>(1, (scenario.region_size - n) / 3);
+      // The wall comes down when the burst ends, so the drain window
+      // measures whether the minority backfills what it missed.
+      const std::size_t k = std::max<std::size_t>(1, receivers / 3);
       faults.partition(t0 + burst / 3, {tail_members(k)});
       faults.heal(t0 + burst);
       break;
     }
     case FaultCell::kLossyEdge: {
-      std::size_t k = std::max<std::size_t>(
+      const std::size_t k = std::max<std::size_t>(
           1, static_cast<std::size_t>(
-                 static_cast<double>(scenario.region_size) *
-                 scenario.lossy_fraction));
-      faults.link_loss(t0, tail_members(k), scenario.edge_loss);
+                 static_cast<double>(scenario.region_size) * 0.10));
+      faults.link_loss(t0, tail_members(k), 0.10);
       break;
     }
     case FaultCell::kChurnStorm: {
-      std::size_t k = std::max<std::size_t>(
-          1, static_cast<std::size_t>(
-                 static_cast<double>(scenario.region_size - n) *
-                 scenario.churn_fraction));
-      std::vector<MemberId> victims = tail_members(k);
-      for (MemberId v : victims) was_crashed[v] = true;
-      faults.crash(t0 + burst / 3, victims);
-      faults.rejoin(t0 + (burst * 2) / 3, victims);
+      const std::size_t k = std::max<std::size_t>(
+          1, static_cast<std::size_t>(static_cast<double>(receivers) * 0.50));
+      faults.crash(t0 + burst / 3, tail_members(k));
+      faults.rejoin(t0 + (burst * 2) / 3, tail_members(k));
       break;
     }
-    case FaultCell::kDigestLoss: {
-      faults.control_loss(t0 + burst / 3, scenario.spike_loss);
+    case FaultCell::kDigestLoss:
+      faults.control_loss(t0 + burst / 3, 0.60);
       faults.control_loss(t0 + (burst * 2) / 3, 0.0);
       break;
-    }
   }
-  if (!faults.empty()) faults.schedule_on(cluster);
-
-  cluster.run_for(burst + scenario.drain);
-
-  FaultOutcome out;
-  out.cell = cell;
-  out.senders = n;
-  const FlashCrowdTally tally =
-      tally_flash_crowd(cluster, n, scenario.messages_per_sender);
-  out.goodput = tally.goodput;
-  out.fairness = tally.fairness;
-  out.senders_completed = tally.senders_completed;
-  for (MemberId m = 0; m < cluster.size(); ++m) {
-    if (!cluster.directory().alive(m)) continue;
-    const buffer::BufferStats& bs = cluster.endpoint(m).buffer().stats();
-    out.evictions += bs.evicted;
-    out.sheds += bs.shed;
-    // A rejoiner's exhausted pre-crash backfills are a deficit, not a
-    // liveness failure; members that kept their state get no such excuse.
-    if (was_crashed[m]) {
-      out.unrecovered_rejoined += cluster.endpoint(m).active_recoveries();
-    } else {
-      out.unrecovered += cluster.endpoint(m).active_recoveries();
-    }
-  }
-  const auto& counters = cluster.metrics().counters();
-  out.recovery_success =
-      counters.losses_detected == 0
-          ? 1.0
-          : static_cast<double>(counters.recoveries) /
-                static_cast<double>(counters.losses_detected);
-  std::vector<double> rec_ms;
-  for (Duration d : cluster.metrics().recovery_latencies()) {
-    rec_ms.push_back(d.ms());
-  }
-  out.mean_recovery_ms = analysis::mean(rec_ms);
-  out.deferred = counters.sends_deferred;
-  out.stall_releases = counters.flow_stall_releases;
-  out.severed = cluster.network().stats().severed;
-  return out;
+  return faults;
 }
 
 // ----------------------------------------------------------- Ablation A5 ----

@@ -1,5 +1,8 @@
 // Experiment drivers: one function per figure/ablation of the paper,
-// shared by the bench binaries and the property tests.
+// shared by the bench binaries and the property tests. The lossy-stream
+// experiments (the A4 policy comparison and the capacity, coordination,
+// overload and fault sweeps) share one driver, run_stream_scenario, which
+// takes any FaultScript.
 //
 // Every driver is deterministic in its seed. Times are reported in
 // milliseconds, matching the paper's axes.
@@ -10,6 +13,7 @@
 #include <vector>
 
 #include "buffer/factory.h"
+#include "harness/fault_script.h"
 #include "rrmp/config.h"
 
 namespace rrmp::harness {
@@ -125,38 +129,59 @@ SearchStrategyOutcome run_search_strategy(Config::SearchStrategy strategy,
                                           std::uint64_t seed,
                                           const ExperimentDefaults& defaults = {});
 
-// ---- Ablation A4: buffer policy comparison on a lossy stream --------------
+// ---- The lossy stream: A4, capacity, coordination, overload, faults -------
 
+/// One region streams multicasts into its buffers, optionally under a fault
+/// timeline. Members 0..senders-1 each multicast `messages` frames of
+/// `payload_bytes`, all at the same instants `send_interval` apart, then the
+/// region drains. One sender is the A4 policy comparison and the capacity and
+/// coordination sweeps; several senders into tight budgets are the flash crowd
+/// of the overload and fault sweeps.
 struct StreamScenario {
   std::size_t region_size = 60;
-  std::size_t messages = 80;
+  std::size_t senders = 1;
+  std::size_t messages = 80;  ///< per sender
   Duration send_interval = Duration::millis(5);
   double data_loss = 0.05;
   std::size_t payload_bytes = 256;
+  /// Settle time after the last send instant. It must cover a windowed
+  /// sender's credit-paced tail and any post-fault backfill.
   Duration drain = Duration::millis(600);
   std::uint64_t seed = 1;
-  /// Per-member buffer budget (zero fields = unlimited, the paper's runs;
-  /// the capacity and coordination sweeps vary max_bytes).
+  /// Per-member buffer budget (zero fields = unlimited, the paper's runs).
   buffer::BufferBudget budget;
-  /// Cooperative region-wide budget coordination (disabled = PR 4
-  /// uncoordinated behaviour, bit for bit).
+  /// Cooperative region-wide budget coordination.
   buffer::CoordinationParams coordination;
+  /// Windowed send admission with credit feedback.
+  FlowControlParams flow;
 };
 
-struct PolicyOutcome {
+struct StreamOutcome {
   std::string policy;
-  bool all_delivered = false;
+  std::size_t senders = 0;
   /// Fraction of streamed messages every alive member received.
-  double delivered_fraction = 0.0;
-  std::uint64_t unrecovered = 0;        // open recoveries at the end
+  double goodput = 0.0;
+  /// Jain's fairness index over per-sender fully-delivered counts (1 =
+  /// perfectly even, 1/senders = one sender got everything through).
+  double fairness = 1.0;
+  /// Senders whose full schedule went out (a wedged flow window leaves
+  /// frames queued forever).
+  std::size_t senders_completed = 0;
+  /// Open recoveries at the end on alive members that no crash event named.
+  /// A partition severs links, not state, so partitioned members count here.
+  std::uint64_t unrecovered = 0;
+  /// Open recoveries at the end on crashed-and-rejoined members. A rejoiner
+  /// starts empty, and under budget pressure some of its pre-crash history is
+  /// legitimately gone.
+  std::uint64_t unrecovered_rejoined = 0;
+  /// Detected losses eventually repaired, as a fraction (1.0 when nothing
+  /// was lost).
+  double recovery_success = 1.0;
+  double mean_recovery_ms = 0.0;
   double peak_buffer_per_member = 0.0;  // max_m peak buffered msg count
   double peak_bytes_per_member = 0.0;   // max_m peak buffered bytes
   double mean_occupancy_per_member = 0.0;  // time-avg buffered msgs/member
   double final_buffered_total = 0.0;    // msgs still buffered at the end
-  double mean_recovery_ms = 0.0;
-  /// Detected losses that were eventually repaired, as a fraction (1.0 when
-  /// nothing was lost).
-  double recovery_success = 1.0;
   std::uint64_t evictions = 0;  // budget-forced departures across members
   std::uint64_t sheds = 0;      // budget-forced departures relocated to a
                                 // neighbor (coordination only) — counted
@@ -167,158 +192,48 @@ struct PolicyOutcome {
   std::uint64_t control_bytes = 0;
   std::uint64_t repair_msgs = 0;
   std::uint64_t digest_msgs = 0;    // BufferDigest multicasts (coordination)
-};
-
-PolicyOutcome run_stream_scenario(buffer::PolicyKind kind,
-                                  const StreamScenario& scenario,
-                                  const ExperimentDefaults& defaults = {});
-
-// ---- Extension: flash-crowd overload (flow control) -------------------------
-
-/// A flash crowd: `senders` members of one region all stream
-/// `messages_per_sender` multicasts at the same instants into tight
-/// per-member buffer budgets (coordination on). Without flow control every
-/// budget overruns simultaneously and the region sheds copies it then cannot
-/// recover; with it, windows pace the senders to what receivers absorb.
-struct OverloadScenario {
-  std::size_t region_size = 24;
-  std::size_t messages_per_sender = 30;
-  Duration send_interval = Duration::millis(2);
-  double data_loss = 0.05;
-  std::size_t payload_bytes = 512;
-  /// Post-stream settle time. Must cover the credit-paced tail: a windowed
-  /// sender still holds queued frames when the unpaced schedule ends.
-  Duration drain = Duration::millis(1500);
-  std::uint64_t seed = 1;
-  std::size_t budget_bytes = 4096;  // per-member buffer budget
-  std::uint32_t window_size = 8;
-  Duration ack_interval = Duration::millis(5);
-
-  /// AIMD window sizing + cursor piggybacking (the adaptive flow mode).
-  /// All off by default: the static-window run is bit-identical to the
-  /// pre-adaptive harness.
-  bool adaptive = false;
-  bool piggyback = false;
-
-  /// Churn axis: crash one non-sender receiver a third of the way through
-  /// the burst and rejoin it two thirds through — the joiner-mid-flash-crowd
-  /// case the churn-safe credit state exists for.
-  bool churn = false;
-};
-
-struct OverloadOutcome {
-  std::size_t senders = 0;
-  bool flow_on = false;
-  /// Fraction of all streamed messages every region member received.
-  double goodput = 0.0;
-  /// Jain's fairness index over per-sender fully-delivered counts (1 =
-  /// perfectly even, 1/senders = one sender got everything through).
-  double fairness = 1.0;
-  std::uint64_t deferred = 0;     // multicasts queued awaiting credit
-  std::uint64_t credit_msgs = 0;  // CreditAck frames on the wire
-  std::uint64_t evictions = 0;
-  std::uint64_t sheds = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t unrecovered = 0;
-  std::uint64_t credit_bytes = 0;       // CreditAck wire bytes
-  std::uint64_t acks_suppressed = 0;    // piggyback-suppressed CreditAcks
-  std::uint64_t stall_remcasts = 0;     // sender stall re-multicasts
-  std::uint64_t stall_releases = 0;     // stalled-cursor releases (churn)
-  /// Senders that completed their full schedule (send_seq reached the
-  /// scenario's messages_per_sender) — the churn liveness witness: a
-  /// wedged window leaves frames queued forever.
-  std::size_t senders_completed = 0;
+  std::uint64_t deferred = 0;       // multicasts queued awaiting credit
+  std::uint64_t credit_msgs = 0;    // CreditAck frames on the wire
+  std::uint64_t credit_bytes = 0;   // CreditAck wire bytes
+  std::uint64_t acks_suppressed = 0;  // piggyback-suppressed CreditAcks
+  std::uint64_t stall_releases = 0;   // stalled-cursor credit releases
+  std::uint64_t severed = 0;  // packets dropped at a partition wall
   /// Payload bytes of fully-delivered streams (the goodput numerator in
-  /// bytes) — the control-overhead denominator.
+  /// bytes).
   std::uint64_t delivered_payload_bytes = 0;
   /// CreditAck bytes per delivered payload byte: what the credit channel
-  /// costs per byte of useful, fully-delivered stream. 0 when nothing was
-  /// delivered.
+  /// costs per byte of useful stream. 0 when nothing was delivered.
   double control_overhead = 0.0;
 };
 
-OverloadOutcome run_overload_point(std::size_t senders, bool flow_on,
-                                   const OverloadScenario& scenario,
-                                   const ExperimentDefaults& defaults = {});
+/// Runs the stream under `kind`'s policy (spec_for the paper defaults) with
+/// `faults` scheduled after the sends, so a fault due at a send instant fires
+/// after that instant's multicasts.
+StreamOutcome run_stream_scenario(buffer::PolicyKind kind,
+                                  const StreamScenario& scenario,
+                                  const FaultScript& faults = {},
+                                  const ExperimentDefaults& defaults = {});
 
-// ---- Extension: fault-injection degradation sweep ---------------------------
-
-/// The degradation grid: one flash-crowd workload (budget coordination +
-/// windowed flow control on) per hostile-network cell. Each cell builds its
-/// fault timeline programmatically with FaultScript, so the sweep exercises
-/// the scripted-fault path end to end, not just the primitives.
+/// The fault sweep's hostile-network cells, each a FaultScript timeline over
+/// a flash-crowd stream. Victims come from the tail of the member range, so
+/// they never overlap the senders at the front; "the burst" is the stream's
+/// messages × send_interval.
 enum class FaultCell {
   kClean,       ///< no faults: the control every other cell degrades from
-  kPartition,   ///< minority receiver group severed a third into the burst,
-                ///< healed when the burst ends — recovery must complete
-                ///< during drain
-  kLossyEdge,   ///< ~10% of receivers behind persistently lossy links
-  kChurnStorm,  ///< half the non-sender receivers crash a third into the
-                ///< burst and rejoin two thirds through
-  kDigestLoss,  ///< control-plane loss spike mid-burst (digests, credit
-                ///< acks, requests and repairs all drop), restored two
-                ///< thirds through
+  kPartition,   ///< a third of the non-senders severed a third into the
+                ///< burst, healed when the burst ends — recovery must
+                ///< complete during drain
+  kLossyEdge,   ///< 10% of the members behind links that drop 10%
+  kChurnStorm,  ///< half the non-senders crash a third into the burst and
+                ///< rejoin two thirds through
+  kDigestLoss,  ///< 60% control-plane loss a third into the burst (digests,
+                ///< credit acks, requests and repairs all drop), restored
+                ///< two thirds through
 };
 
 const char* fault_cell_name(FaultCell cell);
 
-struct FaultScenario {
-  std::size_t region_size = 24;
-  std::size_t senders = 4;
-  std::size_t messages_per_sender = 30;
-  Duration send_interval = Duration::millis(2);
-  double data_loss = 0.05;
-  std::size_t payload_bytes = 512;
-  /// Post-burst settle time. Must cover post-heal backfill — partitioned and
-  /// rejoined members recover their missed tail here — not just the
-  /// credit-paced send tail.
-  Duration drain = Duration::millis(2500);
-  std::uint64_t seed = 1;
-  std::size_t budget_bytes = 4096;  // per-member buffer budget
-  std::uint32_t window_size = 8;
-  Duration ack_interval = Duration::millis(5);
-
-  // Cell knobs.
-  double edge_loss = 0.10;       ///< kLossyEdge per-link drop rate
-  double lossy_fraction = 0.10;  ///< fraction of members behind lossy edges
-  double churn_fraction = 0.50;  ///< fraction of non-senders crashed
-  double spike_loss = 0.60;      ///< kDigestLoss control-plane loss rate
-};
-
-struct FaultOutcome {
-  FaultCell cell = FaultCell::kClean;
-  std::size_t senders = 0;
-  /// Fraction of all streamed messages every *alive* region member received.
-  double goodput = 0.0;
-  /// Jain's fairness index over per-sender fully-delivered counts.
-  double fairness = 1.0;
-  /// Detected losses eventually repaired, as a fraction (1.0 when nothing
-  /// was lost). Members that crash with open recoveries leave them
-  /// unrepaired by construction, so the churn cell sits below 1.0.
-  double recovery_success = 1.0;
-  double mean_recovery_ms = 0.0;
-  /// Open recoveries at the end on members that kept their state (never
-  /// crashed): the post-heal liveness witness — every cell must drain this
-  /// to zero. Partitioned members count here: a partition severs links, not
-  /// state, so their backfill must always complete.
-  std::uint64_t unrecovered = 0;
-  /// Open recoveries at the end on crash-and-rejoined members. A rejoiner
-  /// starts empty and backfills its pre-crash history from whatever copies
-  /// the region still holds; under budget pressure some of that history is
-  /// legitimately gone, and the exhausted recovery tasks stay counted here.
-  std::uint64_t unrecovered_rejoined = 0;
-  /// Senders whose full schedule went out (a wedged flow window leaves
-  /// frames queued forever).
-  std::size_t senders_completed = 0;
-  std::uint64_t severed = 0;    // packets dropped at the partition wall
-  std::uint64_t deferred = 0;   // multicasts queued awaiting credit
-  std::uint64_t stall_releases = 0;  // stalled-cursor credit releases
-  std::uint64_t evictions = 0;
-  std::uint64_t sheds = 0;
-};
-
-FaultOutcome run_fault_cell(FaultCell cell, const FaultScenario& scenario,
-                            const ExperimentDefaults& defaults = {});
+FaultScript fault_cell_script(FaultCell cell, const StreamScenario& scenario);
 
 // ---- Extension: hierarchical repair makespan --------------------------------
 

@@ -28,7 +28,6 @@ void Directory::set_alive(MemberId m, bool alive) {
     views_[r].remove(m);
   }
   ++version_;
-  for (const Listener& fn : listeners_) fn(m, alive);
 }
 
 }  // namespace rrmp::membership

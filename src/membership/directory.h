@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -44,9 +43,6 @@ class Directory {
   /// Bumped on every membership change.
   std::uint64_t version() const { return version_; }
 
-  using Listener = std::function<void(MemberId member, bool now_alive)>;
-  void subscribe(Listener fn) { listeners_.push_back(std::move(fn)); }
-
  private:
   void set_alive(MemberId m, bool alive);
 
@@ -56,7 +52,6 @@ class Directory {
   std::vector<RegionView> views_;  // indexed by RegionId
   RegionView empty_view_;
   std::uint64_t version_ = 1;
-  std::vector<Listener> listeners_;
 };
 
 }  // namespace rrmp::membership

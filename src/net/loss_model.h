@@ -68,8 +68,6 @@ class GilbertElliottLoss final : public LossModel {
     return rng.bernoulli(bad_ ? loss_bad_ : loss_good_);
   }
 
-  bool in_bad_state() const { return bad_; }
-
   std::unique_ptr<LossModel> clone() const override {
     return std::make_unique<GilbertElliottLoss>(p_gb_, p_bg_, loss_good_,
                                                 loss_bad_);

@@ -62,10 +62,6 @@ class Topology {
   }
   Duration intra_rtt(RegionId r) const { return regions_.at(r).intra_rtt; }
 
-  bool same_region(MemberId a, MemberId b) const {
-    return region_of(a) == region_of(b);
-  }
-
   /// One-way propagation delay from `from` to `to`.
   Duration one_way_latency(MemberId from, MemberId to) const;
 
@@ -73,9 +69,6 @@ class Topology {
   Duration rtt(MemberId a, MemberId b) const {
     return one_way_latency(a, b) * 2;
   }
-
-  /// The default one-way latency for hops without an explicit override.
-  Duration default_inter_latency() const { return default_inter_one_way_; }
 
   /// Conservative lower bound on the one-way latency between members of any
   /// two distinct regions: the minimum over all hierarchy edges, explicit

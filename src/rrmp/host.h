@@ -2,8 +2,8 @@
 //
 // An IHost gives an endpoint its clock, timers, randomness, membership views
 // and message transmission. Two implementations exist: harness::SimHost
-// (discrete-event simulator) and harness::UdpMemberHost (real loopback UDP
-// sockets). Protocol code is identical on both.
+// (discrete-event simulator) and harness::UdpRuntime::MemberHost (real
+// loopback UDP sockets). Protocol code is identical on both.
 #pragma once
 
 #include <cstdint>

@@ -139,8 +139,8 @@ TEST(ExperimentsTest, StreamScenarioProducesTraffic) {
   sc.messages = 10;
   sc.data_loss = 0.2;
   sc.seed = 15;
-  PolicyOutcome o = run_stream_scenario(buffer::PolicyKind::kTwoPhase, sc);
-  EXPECT_TRUE(o.all_delivered);
+  StreamOutcome o = run_stream_scenario(buffer::PolicyKind::kTwoPhase, sc);
+  EXPECT_EQ(o.goodput, 1.0);
   EXPECT_GT(o.peak_buffer_per_member, 0.0);
   EXPECT_GT(o.control_msgs, 0u);   // session messages at minimum
   EXPECT_GT(o.repair_msgs, 0u);    // 20% loss needed repairs
@@ -152,7 +152,7 @@ TEST(ExperimentsTest, StarvedBudgetForcesEvictionsAndHurtsRecovery) {
   sc.messages = 20;
   sc.data_loss = 0.2;
   sc.seed = 15;
-  PolicyOutcome unlimited =
+  StreamOutcome unlimited =
       run_stream_scenario(buffer::PolicyKind::kTwoPhase, sc);
   EXPECT_EQ(unlimited.evictions, 0u);
   EXPECT_EQ(unlimited.rejected, 0u);
@@ -160,11 +160,11 @@ TEST(ExperimentsTest, StarvedBudgetForcesEvictionsAndHurtsRecovery) {
   // every admission evicts the previous message, so repair requests mostly
   // find nothing.
   sc.budget.max_bytes = 300;
-  PolicyOutcome starved =
+  StreamOutcome starved =
       run_stream_scenario(buffer::PolicyKind::kTwoPhase, sc);
   EXPECT_GT(starved.evictions, 0u);
   EXPECT_LT(starved.recovery_success, unlimited.recovery_success);
-  EXPECT_LT(starved.delivered_fraction, unlimited.delivered_fraction);
+  EXPECT_LT(starved.goodput, unlimited.goodput);
 }
 
 TEST(ExperimentsTest, CoordinationImprovesStarvedRecovery) {
@@ -177,15 +177,88 @@ TEST(ExperimentsTest, CoordinationImprovesStarvedRecovery) {
   sc.data_loss = 0.2;
   sc.seed = 15;
   sc.budget.max_bytes = 600;
-  PolicyOutcome unc = run_stream_scenario(buffer::PolicyKind::kTwoPhase, sc);
+  StreamOutcome unc = run_stream_scenario(buffer::PolicyKind::kTwoPhase, sc);
   sc.coordination.enabled = true;
-  PolicyOutcome coord = run_stream_scenario(buffer::PolicyKind::kTwoPhase, sc);
+  StreamOutcome coord = run_stream_scenario(buffer::PolicyKind::kTwoPhase, sc);
   ASSERT_LT(unc.recovery_success, 1.0);  // pressure is real
   EXPECT_EQ(unc.sheds, 0u);
   EXPECT_EQ(unc.digest_msgs, 0u);
   EXPECT_GT(coord.recovery_success, unc.recovery_success);
   EXPECT_GT(coord.sheds, 0u);
   EXPECT_GT(coord.digest_msgs, 0u);
+}
+
+TEST(ExperimentsTest, FaultCellScriptsPinTheSweepTimelines) {
+  // The fault sweep's shape: 24 members, 4 senders, 30 sends 2 ms apart, so
+  // the burst is 60 ms. Victims sit at the tail, clear of senders 0-3.
+  StreamScenario sc;
+  sc.region_size = 24;
+  sc.senders = 4;
+  sc.messages = 30;
+  sc.send_interval = Duration::millis(2);
+  const TimePoint t0 = TimePoint::zero();
+  auto members = [](MemberId first, MemberId last) {
+    std::vector<MemberId> out;
+    for (MemberId m = first; m <= last; ++m) out.push_back(m);
+    return out;
+  };
+  FaultScript partition, lossy_edge, churn_storm, digest_loss;
+  partition.partition(t0 + Duration::millis(20), {members(18, 23)})
+      .heal(t0 + Duration::millis(60));
+  lossy_edge.link_loss(t0, members(22, 23), 0.10);
+  churn_storm.crash(t0 + Duration::millis(20), members(14, 23))
+      .rejoin(t0 + Duration::millis(40), members(14, 23));
+  digest_loss.control_loss(t0 + Duration::millis(20), 0.6)
+      .control_loss(t0 + Duration::millis(40), 0.0);
+
+  EXPECT_TRUE(fault_cell_script(FaultCell::kClean, sc).empty());
+  EXPECT_EQ(fault_cell_script(FaultCell::kPartition, sc).events(),
+            partition.events());
+  EXPECT_EQ(fault_cell_script(FaultCell::kLossyEdge, sc).events(),
+            lossy_edge.events());
+  EXPECT_EQ(fault_cell_script(FaultCell::kChurnStorm, sc).events(),
+            churn_storm.events());
+  EXPECT_EQ(fault_cell_script(FaultCell::kDigestLoss, sc).events(),
+            digest_loss.events());
+}
+
+TEST(ExperimentsTest, WindowedFlashCrowdStaysLiveUnderEveryFaultCell) {
+  // A small windowed flash crowd: 4 of 12 members stream into 4 KiB
+  // budgets, so the W = 4 window binds and sends wait for credit.
+  StreamScenario sc;
+  sc.region_size = 12;
+  sc.senders = 4;
+  sc.messages = 10;
+  sc.send_interval = Duration::millis(2);
+  sc.data_loss = 0.05;
+  sc.payload_bytes = 512;
+  sc.drain = Duration::millis(1500);
+  sc.seed = 0xFA'0001;
+  sc.budget.max_bytes = 4096;
+  sc.coordination.enabled = true;
+  sc.coordination.digest_interval = Duration::millis(10);
+  sc.flow.enabled = true;
+  sc.flow.window_size = 4;
+  sc.flow.ack_interval = Duration::millis(5);
+
+  StreamOutcome plain = run_stream_scenario(buffer::PolicyKind::kTwoPhase, sc);
+  EXPECT_EQ(plain.goodput, 1.0);
+  EXPECT_EQ(plain.senders_completed, 4u);
+  EXPECT_GT(plain.deferred, 0u);
+
+  // The fault sweep's liveness verdict: no cell wedges a sender. Faults
+  // only take away, so the clean cell's goodput bounds every other cell's.
+  std::vector<StreamOutcome> cells;
+  for (FaultCell cell :
+       {FaultCell::kClean, FaultCell::kPartition, FaultCell::kLossyEdge,
+        FaultCell::kChurnStorm, FaultCell::kDigestLoss}) {
+    cells.push_back(run_stream_scenario(buffer::PolicyKind::kTwoPhase, sc,
+                                        fault_cell_script(cell, sc)));
+    EXPECT_EQ(cells.back().senders_completed, 4u) << fault_cell_name(cell);
+  }
+  for (const StreamOutcome& o : cells) {
+    EXPECT_LE(o.goodput, cells.front().goodput);
+  }
 }
 
 TEST(ExperimentsTest, NoRequestProbabilityMatchesFormula) {

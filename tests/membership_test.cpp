@@ -127,17 +127,6 @@ TEST(DirectoryTest, RedundantTransitionsAreNoOps) {
   EXPECT_EQ(f.dir.version(), v);
 }
 
-TEST(DirectoryTest, ListenersNotified) {
-  DirFixture f;
-  std::vector<std::pair<MemberId, bool>> events;
-  f.dir.subscribe([&](MemberId m, bool alive) { events.emplace_back(m, alive); });
-  f.dir.mark_failed(3);
-  f.dir.mark_joined(3);
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0], std::make_pair(MemberId{3}, false));
-  EXPECT_EQ(events[1], std::make_pair(MemberId{3}, true));
-}
-
 TEST(DirectoryTest, FailedParentMemberLeavesParentView) {
   DirFixture f;
   f.dir.mark_failed(0);

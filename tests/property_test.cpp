@@ -303,8 +303,8 @@ TEST_P(PolicySweep, LossyStreamFullyDelivered) {
   sc.messages = 30;
   sc.data_loss = 0.1;
   sc.seed = 55;
-  PolicyOutcome o = run_stream_scenario(GetParam(), sc);
-  EXPECT_TRUE(o.all_delivered) << o.policy;
+  StreamOutcome o = run_stream_scenario(GetParam(), sc);
+  EXPECT_EQ(o.goodput, 1.0) << o.policy;
   EXPECT_EQ(o.unrecovered, 0u) << o.policy;
 }
 

@@ -562,8 +562,7 @@ TEST(ShardDeterminism, SoleCopyProtectedWhenRedundantVictimAvailable) {
   using rrmp::testing::make_data;
   FakePolicyEnv env(/*region_size=*/4, /*self=*/0, /*seed=*/5);
   buffer::CoordinationParams coord;
-  coord.enabled = true;
-  coord.shed_sole_copies = false;  // isolate eviction ordering from the shed
+  coord.enabled = true;  // no shed handler is bound, so victims are evicted
   auto store = buffer::make_store(buffer::BufferEverythingParams{},
                                   buffer::BufferBudget{0, 2}, coord);
   store->bind(&env);
