@@ -11,7 +11,7 @@
 //                a third into the burst; the wall comes down when the burst
 //                ends, so the drain window measures post-heal backfill
 //   lossy-edge   ~10% of receivers sit behind persistently lossy links
-//                (LinkLossTable overrides on every link into them)
+//                (a loss-rate override on every link into them)
 //   churn-storm  half the non-sender receivers crash a third into the burst
 //                and rejoin two thirds through
 //   digest-loss  a control-plane loss spike mid-burst (digests, credit

@@ -20,8 +20,10 @@ codes must be equal. Together they take well under a second.
 With --e2e-parent and --e2e-change it also runs the two simulator workloads
 of the end-to-end benchmark (sim_region_stream, sim_tree_1e4) on seeds 1-5
 from both bench_e2e binaries. The simulator is deterministic per seed, so
-the latency, makespan, buffer-occupancy and wire-message metrics and the
-correct/attempted/failed counts must be equal. The runs default to
+every value an untraced run reports that does not measure the machine must
+be equal: the latency, makespan, buffer-occupancy and wire-message metrics,
+sim.events, every buffer.* and rrmp.* metric, the info values in E2E_INFO
+and the correct/attempted/failed counts. The runs default to
 --seconds 2 --scale 0.25, about 2 s each; --seconds 10 --scale 1 is the
 benchmark's full size. Either half runs alone when only its pair of
 arguments is given.
@@ -104,13 +106,25 @@ EXAMPLES = [
 
 E2E_WORKLOADS = ["sim_region_stream", "sim_tree_1e4"]
 E2E_SEEDS = range(1, 6)
-# The deterministic end-to-end metrics; the rest measure the machine.
+# The values of an untraced simulator run that are deterministic per seed.
+# The rest (setup_s, deliveries_per_s, harness.*, peak_rss_mib, ...) measure
+# the machine. Two runs of one binary on one seed agree on all of these.
 E2E_METRICS = [
     "delivery_latency_p50_ms",
     "makespan_p50_ms",
     "buffer_bytes_mean",
     "buffer_bytes_peak",
     "wire_msgs_per_delivery",
+    "sim.events",
+]
+E2E_METRIC_PREFIXES = ("buffer.", "rrmp.")
+E2E_INFO = [
+    "deliveries",
+    "delivery_latency_p99_ms",
+    "recovery_latency_p50_ms",
+    "recovery_latency_p99_ms",
+    "recovery_latency_samples",
+    "undelivered_ratio",
 ]
 E2E_COUNTS = ["correct", "attempted", "failed"]
 UDP_WORKLOADS = ["udp_small_open", "udp_lossy_open"]
@@ -219,7 +233,9 @@ def run_e2e(binary, workload, seed, seconds, scale):
         return {"exit code": proc.returncode}
     result = json.loads(lines[-1])
     values = {key: result[key] for key in E2E_COUNTS}
-    values.update({m: result["metrics"][m]["value"] for m in E2E_METRICS})
+    values.update({m: v["value"] for m, v in result["metrics"].items()
+                   if m in E2E_METRICS or m.startswith(E2E_METRIC_PREFIXES)})
+    values.update({m: result["info"][m]["value"] for m in E2E_INFO})
     return values
 
 

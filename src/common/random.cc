@@ -54,10 +54,6 @@ bool RandomEngine::bernoulli(double p) {
   return std::bernoulli_distribution(p)(engine());
 }
 
-double RandomEngine::exponential(double mean) {
-  return std::exponential_distribution<double>(1.0 / mean)(engine());
-}
-
 namespace {
 
 // BINV: sequential search of the CDF starting at 0. Expected iterations are

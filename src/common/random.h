@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <optional>
 #include <random>
-#include <span>
 #include <vector>
 
 namespace rrmp {
@@ -54,20 +53,6 @@ class RandomEngine {
   /// Monte Carlo drivers replay bit-identically for a given seed.
   std::uint64_t binomial(std::uint64_t n, double p);
 
-  /// Exponentially distributed value with the given mean (> 0).
-  double exponential(double mean);
-
-  /// Uniformly random element of a non-empty span.
-  template <typename T>
-  const T& pick(std::span<const T> items) {
-    return items[static_cast<std::size_t>(
-        uniform_int(0, static_cast<std::int64_t>(items.size()) - 1))];
-  }
-  template <typename T>
-  const T& pick(const std::vector<T>& items) {
-    return pick(std::span<const T>(items));
-  }
-
   /// k distinct indices sampled uniformly from [0, n). Requires k <= n.
   /// Order of the returned indices is randomized.
   std::vector<std::size_t> sample_indices(std::size_t n, std::size_t k);
@@ -81,9 +66,6 @@ class RandomEngine {
       std::swap(items[i - 1], items[j]);
     }
   }
-
-  /// Access to the underlying URBG for <random> distributions.
-  std::mt19937_64& urbg() { return engine(); }
 
  private:
   /// The mt19937_64 state (2.5 KB, 312-word seeding pass) materializes on

@@ -14,7 +14,7 @@ Cluster::Cluster(ClusterConfig config)
       master_rng_(config_.seed) {
   network_ = std::make_unique<net::SimNetwork>(
       topology_, master_rng_.fork(0xD00D), config_.sub_shard_members);
-  network_->set_control_loss(net::make_bernoulli(config_.control_loss));
+  network_->set_control_loss(config_.control_loss);
   network_->set_latency_jitter(config_.jitter);
   network_->set_codec_roundtrip(config_.codec_roundtrip);
   pool_ = std::make_unique<ShardPool>(
@@ -45,8 +45,10 @@ void Cluster::spawn_member(MemberId m) {
   arena_.destroy(endpoints_[m]);
   arena_.destroy(hosts_[m]);
   hosts_[m] = arena_.create<SimHost>(m, *network_, directory_,
-                                     master_rng_.fork(m + 1),
-                                     config_.data_loss);
+                                     master_rng_.fork(m + 1));
+  // A (re)joining member sends at the cluster-wide data loss in force now;
+  // a rate scoped to its previous incarnation does not carry over.
+  network_->set_data_loss(m, config_.data_loss);
   auto policy = buffer::make_policy(config_.policy);
   endpoints_[m] = arena_.create<Endpoint>(
       *hosts_[m], config_.protocol, std::move(policy),
@@ -306,30 +308,24 @@ void Cluster::notify_partition_change() {
 
 void Cluster::set_data_loss(double rate) {
   config_.data_loss = rate;  // future rejoins inherit the new rate
-  for (MemberId m = 0; m < size(); ++m) {
-    if (!removed_[m]) hosts_[m]->set_data_loss(rate);
-  }
+  for (MemberId m = 0; m < size(); ++m) network_->set_data_loss(m, rate);
 }
 
 void Cluster::set_member_data_loss(MemberId m, double rate) {
-  if (!removed_.at(m)) hosts_[m]->set_data_loss(rate);
+  network_->set_data_loss(m, rate);
 }
 
 void Cluster::set_control_loss(double rate) {
-  // Stateless Bernoulli models: replacing every lane's instance at a
-  // barrier is safe and deterministic.
-  network_->set_control_loss(net::make_bernoulli(rate));
+  network_->set_control_loss(rate);
 }
 
 void Cluster::set_lossy_members(const std::vector<MemberId>& members,
                                 double rate) {
-  for (MemberId m : members) link_loss_.set_member_rate(m, rate);
-  network_->set_link_loss(link_loss_);
+  for (MemberId m : members) network_->set_member_loss(m, rate);
 }
 
 void Cluster::set_link_loss(MemberId src, MemberId dst, double rate) {
-  link_loss_.set_link_rate(src, dst, rate);
-  network_->set_link_loss(link_loss_);
+  network_->set_link_loss(src, dst, rate);
 }
 
 void Cluster::notify_view_change() {

@@ -174,12 +174,10 @@ class Cluster {
   /// state from *either* side of the former partition is stale afterwards.
   void heal();
   bool partitioned() const { return network_->partitioned(); }
-  /// Connectivity generation: 0 until the first partition, then bumped by
-  /// every partition() / heal().
-  std::uint64_t fault_generation() const { return fault_generation_; }
 
-  /// Loss-rate overrides (applied immediately; also inherited by future
-  /// rejoins where applicable).
+  /// Loss-rate overrides, forwarded to the network (applied immediately). A
+  /// rejoiner sends at the rate of the last set_data_loss (or
+  /// ClusterConfig::data_loss); a per-sender rate dies with its member.
   void set_data_loss(double rate);                   // every sender
   void set_member_data_loss(MemberId m, double rate);  // one sender
   void set_control_loss(double rate);
@@ -237,9 +235,8 @@ class Cluster {
   // scheduled in the past is clamped to the current barrier.
   sim::Simulator scripts_;
   TimePoint clock_;  // last barrier every lane has reached
-  // Fault injection: the master link-loss table (lanes hold clones) and the
-  // connectivity generation bumped at every partition()/heal().
-  net::LinkLossTable link_loss_;
+  // Connectivity generation: 0 until the first partition, then bumped by
+  // every partition() / heal().
   std::uint64_t fault_generation_ = 0;
 };
 

@@ -27,10 +27,11 @@
 //   event=control-loss  rate=<float>
 //   event=link-loss     members=<members> rate=<float> [src=<member>]
 //
-// data-loss changes the per-receiver loss of the listed senders' initial IP
-// multicast; control-loss swaps the region-wide control/repair loss model;
-// link-loss installs LinkLossTable overrides (every link into each listed
-// member, or only the src -> member edge when src is given). All events run
+// Every loss event sets an independent per-packet rate (net::SimNetwork).
+// data-loss sets the listed senders' initial IP multicast loss (a rejoiner
+// starts at the cluster-wide rate); control-loss the control/repair loss;
+// link-loss overrides every link into each listed member, or only the
+// src -> member edge when src is given. All events run
 // at script barriers, so a scripted run is deterministic at every shard
 // count; a run with an empty script is bit-identical to an unscripted one.
 #pragma once

@@ -3,15 +3,13 @@
 namespace rrmp::harness {
 
 SimHost::SimHost(MemberId self, net::SimNetwork& network,
-                 const membership::Directory& directory, RandomEngine rng,
-                 double data_loss_rate)
+                 const membership::Directory& directory, RandomEngine rng)
     : self_(self),
       region_(directory.region_of(self)),
       network_(network),
       sim_(network.simulator_for(self)),
       directory_(directory),
-      rng_(std::move(rng)),
-      data_loss_rate_(data_loss_rate) {}
+      rng_(std::move(rng)) {}
 
 TimePoint SimHost::now() const { return sim_.now(); }
 
@@ -30,7 +28,7 @@ void SimHost::multicast_region(proto::Message msg) {
 }
 
 void SimHost::ip_multicast(proto::Message msg) {
-  network_.ip_multicast(self_, msg, data_loss_rate_);
+  network_.ip_multicast(self_, msg);
 }
 
 Duration SimHost::rtt_estimate(MemberId peer) const {

@@ -20,8 +20,7 @@ class SimHost final : public IHost, public net::MessageHandler {
   /// (network.simulator_for(self)), so a host never touches another lane's
   /// event queue and regions can run on concurrent shard workers.
   SimHost(MemberId self, net::SimNetwork& network,
-          const membership::Directory& directory, RandomEngine rng,
-          double data_loss_rate);
+          const membership::Directory& directory, RandomEngine rng);
 
   /// Route incoming messages to the owning endpoint.
   using Receiver = std::function<void(const proto::Message&, MemberId from)>;
@@ -49,11 +48,6 @@ class SimHost final : public IHost, public net::MessageHandler {
   // net::MessageHandler
   void on_message(const proto::Message& msg, MemberId from) override;
 
-  /// Per-receiver loss of this member's initial IP multicast (fault
-  /// injection may change it mid-run, at script barriers).
-  void set_data_loss(double rate) { data_loss_rate_ = rate; }
-  double data_loss() const { return data_loss_rate_; }
-
  private:
   MemberId self_;
   RegionId region_;
@@ -61,7 +55,6 @@ class SimHost final : public IHost, public net::MessageHandler {
   sim::Simulator& sim_;  // this member's region lane
   const membership::Directory& directory_;
   RandomEngine rng_;
-  double data_loss_rate_;
   Receiver receiver_;
 };
 

@@ -9,25 +9,17 @@
 namespace rrmp::net {
 namespace {
 
-// Stream-id domain for per-lane RNG forks (lane 0 keeps the parent stream so
-// single-lane networks draw the same sequence as the legacy constructor).
+// Stream-id domain for per-lane RNG forks (lane 0 keeps the parent stream,
+// so a single-lane network draws the parent's own sequence).
 constexpr std::uint64_t kLaneDomain = 0x9A7E0000ULL;
 
 }  // namespace
-
-SimNetwork::SimNetwork(sim::Simulator& simulator, const Topology& topology,
-                       RandomEngine rng)
-    : topology_(topology) {
-  lanes_.emplace_back(std::move(rng));
-  lanes_[0].sim = &simulator;
-  member_lane_.assign(topology_.member_count(), 0);
-  handlers_.assign(topology_.member_count(), nullptr);
-}
 
 SimNetwork::SimNetwork(const Topology& topology, RandomEngine rng,
                        std::size_t sub_shard_members)
     : topology_(topology) {
   handlers_.assign(topology_.member_count(), nullptr);
+  data_loss_.assign(topology_.member_count(), 0.0);
   // The safe epoch window: no cross-lane path can undercut the minimum
   // topology edge, and splitting a region adds intra-region cross-lane
   // traffic at that region's one-way delay.
@@ -54,23 +46,18 @@ SimNetwork::SimNetwork(const Topology& topology, RandomEngine rng,
   if (!sharded) {
     // No usable lookahead: a single lane spanning every region.
     lanes_.emplace_back(std::move(rng));
-    lanes_[0].owned_sim = std::make_unique<sim::Simulator>();
-    lanes_[0].sim = lanes_[0].owned_sim.get();
     member_lane_.assign(topology_.member_count(), 0);
     return;
   }
   lookahead_ = la;
   lanes_.reserve(total_lanes);
-  // Lane 0 keeps the parent stream (so 1-lane sharded networks draw the
-  // same sequence as the legacy constructor); lanes l>0 take the split
-  // children, which are fork(kLaneDomain + l) by definition. With
-  // sub-sharding off the lane count equals the region count, so every
-  // existing configuration draws the exact streams it always did.
+  // Lane 0 keeps the parent stream; lanes l>0 take the split children,
+  // which are fork(kLaneDomain + l) by definition. With sub-sharding off the
+  // lane count equals the region count, so every existing configuration
+  // draws the exact streams it always did.
   std::vector<RandomEngine> lane_rngs = rng.split(total_lanes, kLaneDomain);
   for (std::size_t l = 0; l < total_lanes; ++l) {
     lanes_.emplace_back(l == 0 ? std::move(rng) : std::move(lane_rngs[l]));
-    lanes_[l].owned_sim = std::make_unique<sim::Simulator>();
-    lanes_[l].sim = lanes_[l].owned_sim.get();
   }
 }
 
@@ -90,25 +77,6 @@ bool SimNetwork::attached(MemberId m) const {
   return m < handlers_.size() && handlers_[m] != nullptr;
 }
 
-void SimNetwork::set_control_loss(std::unique_ptr<LossModel> model) {
-  if (!model) {
-    for (Lane& lane : lanes_) lane.loss = make_no_loss();
-    return;
-  }
-  // Lanes beyond the first receive fresh clones so stateful chains stay
-  // lane-local; lane 0 keeps the caller's instance.
-  for (std::size_t i = 1; i < lanes_.size(); ++i) {
-    lanes_[i].loss = model->clone();
-  }
-  lanes_[0].loss = std::move(model);
-}
-
-void SimNetwork::set_link_loss(const LinkLossTable& table) {
-  // Every lane gets a fresh clone (the caller keeps the master copy), so
-  // stateful overrides never share a chain across lanes.
-  for (Lane& lane : lanes_) lane.links = table.clone();
-}
-
 void SimNetwork::set_partition(const std::vector<std::vector<MemberId>>& groups) {
   // Group 0 is the implicit group of unlisted members; listed group i
   // becomes i+1.
@@ -125,6 +93,16 @@ void SimNetwork::set_partition(const std::vector<std::vector<MemberId>>& groups)
     }
   }
   partition_group_ = std::move(assignment);
+}
+
+double SimNetwork::loss_rate(MemberId from, MemberId to,
+                             double fallback) const {
+  if (!link_loss_.empty()) {
+    auto it = link_loss_.find({from, to});
+    if (it != link_loss_.end()) return it->second;
+  }
+  auto it = member_loss_.find(to);
+  return it == member_loss_.end() ? fallback : it->second;
 }
 
 Duration SimNetwork::delay(Lane& src, MemberId from, MemberId to) {
@@ -198,13 +176,9 @@ void SimNetwork::transmit(MemberId from, MemberId to, const Prepared& p,
     ++src.stats.severed;
     return;
   }
-  if (apply_loss) {
-    // A link override *replaces* the lane's uniform draw for this edge.
-    LossModel* link = src.links.find(from, to);
-    if (link != nullptr ? link->drop(src.rng) : src.loss->drop(src.rng)) {
-      ++src.stats.dropped;
-      return;
-    }
+  if (apply_loss && src.rng.bernoulli(loss_rate(from, to, control_loss_))) {
+    ++src.stats.dropped;
+    return;
   }
   if (!p.msg) return;  // codec round-trip failed (already logged)
   dispatch(src, lane_of(to), from, to, p.msg);
@@ -223,12 +197,12 @@ void SimNetwork::multicast_region(MemberId from, proto::Message msg) {
   }
 }
 
-void SimNetwork::ip_multicast(MemberId from, const proto::Message& msg,
-                              double per_receiver_loss) {
+void SimNetwork::ip_multicast(MemberId from, const proto::Message& msg) {
   Lane& src = lanes_[lane_of(from)];
   // The initial dissemination models raw IP multicast: no codec round-trip,
   // one shared in-flight copy for the whole group.
   MessagePtr in_flight = std::make_shared<const proto::Message>(msg);
+  const double data_loss = data_loss_[from];
   for (std::size_t m = 0; m < topology_.member_count(); ++m) {
     auto member = static_cast<MemberId>(m);
     if (member == from) continue;
@@ -239,16 +213,10 @@ void SimNetwork::ip_multicast(MemberId from, const proto::Message& msg,
     }
     // A deterministic drop schedule (transport-parity experiments) replaces
     // every draw and consumes no RNG; otherwise a lossy-edge receiver's
-    // override replaces the uniform per-receiver draw for its link only,
-    // and everyone else draws exactly as before.
-    bool lost;
-    if (data_drop_fn_) {
-      lost = data_drop_fn_(msg, member);
-    } else {
-      LossModel* link = src.links.find(from, member);
-      lost = link != nullptr ? link->drop(src.rng)
-                             : src.rng.bernoulli(per_receiver_loss);
-    }
+    // override replaces the sender's data loss for its link only.
+    bool lost = data_drop_fn_
+                    ? data_drop_fn_(msg, member)
+                    : src.rng.bernoulli(loss_rate(from, member, data_loss));
     if (lost) {
       ++src.stats.dropped;
       continue;

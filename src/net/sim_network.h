@@ -3,12 +3,20 @@
 //
 // Semantics:
 //  - unicast: one-way topology latency (+ optional jitter), control-plane
-//    loss model applies.
+//    loss applies.
 //  - multicast_region: independent unicast to every *attached* member of the
 //    sender's region except the sender (IP multicast within a region).
 //  - ip_multicast / ip_multicast_to: the sender's initial dissemination;
-//    either per-receiver Bernoulli loss or an explicitly chosen receiver set
-//    (how the paper drives Figures 6/7).
+//    either the sender's per-receiver data loss or an explicitly chosen
+//    receiver set (how the paper drives Figures 6/7).
+//
+// Loss is a rate. Each drop decision is one bernoulli(rate) draw from the
+// sending lane's stream, which draws nothing at rates 0 and 1. The rate is,
+// in lookup order: the directed link's override, the override on every link
+// into the receiver, else the control loss (or, for ip_multicast, the
+// sender's data loss). An override replaces that draw; it never compounds
+// with it. Rates change only at script barriers and no rule has state, so
+// concurrent lanes read them all without a copy.
 //
 // With codec_roundtrip enabled every message is encoded and re-decoded in
 // flight, so the simulator exercises the exact wire format the UDP host
@@ -21,17 +29,14 @@
 // immutable shared_ptr<const Message>. A 1000-member regional multicast
 // performs one encode and zero payload copies instead of 1000 of each.
 //
-// Lane partitioning (sharded mode): the network is split into one *lane* per
-// region, each owning a private Simulator, RNG stream, loss-model clone,
-// traffic stats and cross-lane outbox. Intra-lane traffic is scheduled
-// directly on the lane's simulator; cross-lane traffic is appended to the
-// sender lane's outbox and moved into the destination lane's queue by
-// exchange(), which the cluster harness calls at deterministic epoch
-// barriers. Because every mutable piece of state is lane-local between
-// barriers, lanes can run on concurrent worker threads and still produce
-// byte-identical results for any thread count. The legacy constructor
-// (external simulator) builds a single lane spanning all regions and behaves
-// exactly like the pre-sharding network.
+// Lane partitioning: the network is split into one *lane* per region, each
+// owning a private Simulator, RNG stream, traffic stats and cross-lane
+// outbox. Intra-lane traffic is scheduled directly on the lane's simulator;
+// cross-lane traffic is appended to the sender lane's outbox and moved into
+// the destination lane's queue by exchange(), which the cluster harness
+// calls at deterministic epoch barriers. Because every mutable piece of
+// state is lane-local between barriers, lanes can run on concurrent worker
+// threads and still produce byte-identical results for any thread count.
 //
 // Sub-sharding (scale mode): regions larger than `sub_shard_members` are
 // additionally split into consecutive-member chunks, each chunk its own
@@ -45,12 +50,13 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
-#include "net/loss_model.h"
 #include "net/topology.h"
 #include "proto/messages.h"
 #include "sim/simulator.h"
@@ -67,7 +73,7 @@ class MessageHandler {
 struct TrafficStats {
   std::uint64_t sends = 0;       // individual point-to-point transmissions
   std::uint64_t delivered = 0;   // transmissions that reached a handler
-  std::uint64_t dropped = 0;     // lost to the loss model
+  std::uint64_t dropped = 0;     // lost to a loss draw
   std::uint64_t severed = 0;     // cut by an active partition
   std::uint64_t bytes_sent = 0;  // encoded bytes across all transmissions
   // Cross-lane accounting (sharded mode): packets entering a lane outbox and
@@ -84,17 +90,12 @@ struct TrafficStats {
 
 class SimNetwork {
  public:
-  /// Legacy single-queue mode: every region shares `simulator`. Behaviour is
-  /// identical to the pre-sharding network (one lane, one RNG stream).
-  SimNetwork(sim::Simulator& simulator, const Topology& topology,
-             RandomEngine rng);
-
-  /// Sharded mode: one privately-owned simulator lane per region (collapsed
-  /// to a single lane when that would leave fewer than two lanes or a
-  /// non-positive lookahead for barriers). Lane 0 consumes `rng`'s own
-  /// stream; lane l>0 uses rng.fork(kLaneDomain+l). `sub_shard_members`,
-  /// when nonzero, splits regions larger than it into chunk lanes of that
-  /// many consecutive members (see the sub-sharding note above).
+  /// One privately-owned simulator lane per region (collapsed to a single
+  /// lane when that would leave fewer than two lanes or a non-positive
+  /// lookahead for barriers). Lane 0 consumes `rng`'s own stream; lane l>0
+  /// uses rng.fork(kLaneDomain+l). `sub_shard_members`, when nonzero, splits
+  /// regions larger than it into chunk lanes of that many consecutive
+  /// members (see the sub-sharding note above).
   SimNetwork(const Topology& topology, RandomEngine rng,
              std::size_t sub_shard_members = 0);
 
@@ -105,21 +106,26 @@ class SimNetwork {
   void detach(MemberId m);
   bool attached(MemberId m) const;
 
-  /// Loss model applied to unicast and regional multicast (control plane and
-  /// repairs). Each lane receives its own clone() so stateful models never
-  /// share a chain across lanes. The paper's experiments use NoLoss here.
-  void set_control_loss(std::unique_ptr<LossModel> model);
-
-  /// Per-link loss overrides (fault injection). Each lane receives its own
-  /// clone() of `table`, like set_control_loss, so stateful overrides stay
-  /// lane-local. An empty table restores uniform behaviour. Must not be
+  /// Loss rates (see the lookup order above), all 0 until set. Must not be
   /// called while lanes are running (script time only).
-  void set_link_loss(const LinkLossTable& table);
+  ///
+  /// Unicast and regional multicast: the control plane and repairs.
+  void set_control_loss(double rate) { control_loss_ = rate; }
+  /// Per-receiver loss of `sender`'s ip_multicast.
+  void set_data_loss(MemberId sender, double rate) {
+    data_loss_.at(sender) = rate;
+  }
+  /// Override for the directed link src -> dst.
+  void set_link_loss(MemberId src, MemberId dst, double rate) {
+    link_loss_[{src, dst}] = rate;
+  }
+  /// Override for every link into `dst` (a lossy edge receiver).
+  void set_member_loss(MemberId dst, double rate) { member_loss_[dst] = rate; }
 
   /// Sever all traffic between members of different `groups` (fault
   /// injection). Members listed in no group form one implicit extra group,
   /// connected among themselves. Severed sends are counted (TrafficStats::
-  /// severed) but consume no loss-model randomness, and packets already in
+  /// severed) but consume no loss randomness, and packets already in
   /// flight still deliver — a partition cuts links, it does not eat queues.
   /// Throws std::invalid_argument if a member appears in two groups. Must
   /// not be called while lanes are running (script time only).
@@ -137,11 +143,11 @@ class SimNetwork {
   void set_latency_jitter(double fraction) { jitter_fraction_ = fraction; }
 
   /// Deterministic drop schedule for the initial dissemination: when set,
-  /// ip_multicast asks `fn(msg, receiver)` instead of drawing from the loss
-  /// model / Bernoulli rate, consuming no RNG. This lets an experiment run
-  /// the *same* loss schedule on the simulator and on the real UDP
-  /// transport (transport-parity recovery curves). Unset (default) leaves
-  /// every draw bit-identical to the pre-hook behaviour.
+  /// ip_multicast asks `fn(msg, receiver)` instead of drawing its loss,
+  /// consuming no RNG. This lets an experiment run the *same* loss schedule
+  /// on the simulator and on the real UDP transport (transport-parity
+  /// recovery curves). Unset (default) leaves every draw bit-identical to
+  /// the pre-hook behaviour.
   using DataDropFn =
       std::function<bool(const proto::Message& msg, MemberId to)>;
   void set_data_drop_fn(DataDropFn fn) { data_drop_fn_ = std::move(fn); }
@@ -152,10 +158,9 @@ class SimNetwork {
   void unicast(MemberId from, MemberId to, proto::Message msg);
   void multicast_region(MemberId from, proto::Message msg);
 
-  /// Initial dissemination with independent per-receiver loss, to every
-  /// member of the group except the sender.
-  void ip_multicast(MemberId from, const proto::Message& msg,
-                    double per_receiver_loss);
+  /// Initial dissemination with independent per-receiver loss (the
+  /// sender's data loss), to every member of the group except the sender.
+  void ip_multicast(MemberId from, const proto::Message& msg);
 
   /// Initial dissemination to an explicit receiver set (scenario control).
   void ip_multicast_to(MemberId from, const proto::Message& msg,
@@ -213,15 +218,12 @@ class SimNetwork {
   };
 
   struct Lane {
-    std::unique_ptr<sim::Simulator> owned_sim;  // null in legacy mode
-    sim::Simulator* sim = nullptr;
+    std::unique_ptr<sim::Simulator> sim = std::make_unique<sim::Simulator>();
     RandomEngine rng;
-    std::unique_ptr<LossModel> loss;
-    LinkLossTable links;  // per-link overrides (empty: uniform loss)
     TrafficStats stats;
     std::vector<CrossLanePacket> outbox;
 
-    explicit Lane(RandomEngine r) : rng(std::move(r)), loss(make_no_loss()) {}
+    explicit Lane(RandomEngine r) : rng(std::move(r)) {}
   };
 
   Prepared prepare(proto::Message msg);
@@ -230,6 +232,9 @@ class SimNetwork {
   void dispatch(Lane& src, std::size_t dst_lane, MemberId from, MemberId to,
                 MessagePtr msg);
   Duration delay(Lane& src, MemberId from, MemberId to);
+  /// The loss rate of from -> to: a link or member override, else
+  /// `fallback` (the control loss, or the sender's data loss).
+  double loss_rate(MemberId from, MemberId to, double fallback) const;
   void deliver(MemberId to, const proto::Message& msg, MemberId from);
 
   const Topology& topology_;
@@ -242,6 +247,11 @@ class SimNetwork {
   // member -> partition group; empty when no partition is active. Read-only
   // between script barriers, so concurrent lanes may consult it freely.
   std::vector<std::uint32_t> partition_group_;
+  // Loss rates, read-only between script barriers like partition_group_.
+  double control_loss_ = 0.0;
+  std::vector<double> data_loss_;  // indexed by sender
+  std::map<std::pair<MemberId, MemberId>, double> link_loss_;
+  std::map<MemberId, double> member_loss_;
   double jitter_fraction_ = 0.0;
   bool codec_roundtrip_ = false;
   DataDropFn data_drop_fn_;

@@ -47,9 +47,6 @@ class Topology {
   RegionId region_of(MemberId m) const { return member_region_.at(m); }
   std::optional<RegionId> parent_of(RegionId r) const;
 
-  /// Hops from `r` to its root region (0 for roots).
-  std::size_t region_depth(RegionId r) const { return regions_.at(r).depth; }
-
   /// One-way latency of the edge from `r` to its parent (explicit override
   /// for that pair if set, else the default). Roots have no parent edge.
   Duration parent_edge_latency(RegionId r) const;

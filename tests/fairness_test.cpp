@@ -7,6 +7,7 @@
 #include <algorithm>
 
 #include "harness/cluster.h"
+#include "harness/fault_script.h"
 
 namespace rrmp::harness {
 namespace {
@@ -64,20 +65,25 @@ TEST(Fairness, HashBasedLoadAlsoBalanced) {
   EXPECT_LT(hi, 95.0);
 }
 
-TEST(BurstLoss, RecoveryConvergesUnderGilbertElliottControlLoss) {
+TEST(BurstLoss, RecoveryConvergesUnderBurstyControlLoss) {
   ClusterConfig cc;
   cc.region_sizes = {25};
   cc.seed = 303;
   std::get<buffer::TwoPhaseParams>(cc.policy).C = 12.0;
   Cluster cluster(cc);
-  // Bursty control-plane loss: good state clean, bad state drops 80%,
-  // ~10% of time in bad state.
-  cluster.network().set_control_loss(std::make_unique<net::GilbertElliottLoss>(
-      /*p_gb=*/0.02, /*p_bg=*/0.2, /*loss_good=*/0.0, /*loss_bad=*/0.8));
+  // Bursty control-plane loss: 80% for 20 ms of every 200 ms, clean between.
+  FaultScript bursts;
+  for (int k = 0; k < 25; ++k) {
+    TimePoint start = TimePoint::zero() + Duration::millis(200) * k;
+    bursts.control_loss(start, 0.8)
+        .control_loss(start + Duration::millis(20), 0.0);
+  }
+  bursts.schedule_on(cluster);
   std::vector<MemberId> holders = {0, 1, 2};
   MessageId id = cluster.inject(0, 1, holders);
   cluster.run_for(Duration::seconds(5));
   EXPECT_TRUE(cluster.all_received(id));
+  EXPECT_GT(cluster.network().stats().dropped, 0u);
 }
 
 TEST(CrashDuringSearch, SearchRoutesAroundDeadMembers) {

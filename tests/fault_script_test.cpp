@@ -249,5 +249,35 @@ TEST(FaultScriptScheduleTest, ScriptedRunMatchesProgrammaticRun) {
   EXPECT_GT(scripted.delivered, 0u);
 }
 
+TEST(FaultScriptScheduleTest, DataLossAcrossRejoin) {
+  // A rejoiner sends at the cluster-wide data loss in force when it
+  // rejoins: a rate scoped to one sender dies with that member's crash, and
+  // a cluster-wide rate set while a member is down reaches it on rejoin.
+  // Each check counts holders 6 ms after the send: past the 5 ms one-way
+  // latency, before any recovery can have run. The sender holds its own
+  // message.
+  Cluster cluster(small_cluster(42));
+  const TimePoint t0 = TimePoint::zero();
+  FaultScript script;
+  script.data_loss(t0 + Duration::millis(1), 1.0, {2})
+      .crash(t0 + Duration::millis(2), {2})
+      .rejoin(t0 + Duration::millis(3), {2})
+      .crash(t0 + Duration::millis(20), {4})
+      .data_loss(t0 + Duration::millis(21), 1.0)
+      .rejoin(t0 + Duration::millis(22), {4});
+  script.schedule_on(cluster);
+  const std::vector<std::uint8_t> payload(64, 0x5D);
+
+  cluster.run_for(Duration::millis(10));
+  MessageId from_2 = cluster.endpoint(2).multicast(payload);
+  cluster.run_for(Duration::millis(6));
+  EXPECT_EQ(cluster.count_received(from_2), cluster.size());
+
+  cluster.run_for(Duration::millis(14));  // t = 30 ms
+  MessageId from_4 = cluster.endpoint(4).multicast(payload);
+  cluster.run_for(Duration::millis(6));
+  EXPECT_EQ(cluster.count_received(from_4), 1u);
+}
+
 }  // namespace
 }  // namespace rrmp::harness

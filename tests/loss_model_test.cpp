@@ -1,194 +1,119 @@
-// Statistical tests: the loss models' empirical drop rates must match their
-// configured/stationary rates. Fixed seeds keep these deterministic; 100k
-// trials puts the Monte Carlo error well inside the ±1% tolerance.
+// Loss rules at the SimNetwork seam: the lookup order (directed link, then
+// every link into the receiver, then the control or data loss), overrides
+// that replace the fallback rate instead of compounding with it, and rates
+// 0 and 1 that decide without drawing. Fixed seeds keep these deterministic;
+// 50k sends put the Monte Carlo error well inside the ±1% tolerance.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <vector>
 
 #include "common/random.h"
-#include "net/loss_model.h"
+#include "net/sim_network.h"
+#include "net/topology.h"
 
 namespace rrmp::net {
 namespace {
 
-constexpr std::size_t kTrials = 100000;
+constexpr int kTrials = 50000;
 constexpr double kTolerance = 0.01;  // ±1% absolute
 
-double empirical_rate(LossModel& model, std::uint64_t seed,
-                      std::size_t trials = kTrials) {
-  RandomEngine rng(seed);
-  std::size_t drops = 0;
-  for (std::size_t i = 0; i < trials; ++i) {
-    if (model.drop(rng)) ++drops;
+class CountingHandler : public MessageHandler {
+ public:
+  void on_message(const proto::Message&, MemberId) override { ++count; }
+  std::size_t count = 0;
+};
+
+// One region of `members`, so one lane and one RNG stream.
+struct OneRegion {
+  explicit OneRegion(std::size_t members, std::uint64_t seed = 0x1055)
+      : topo(make_hierarchy({members})), net(topo, RandomEngine(seed)),
+        handlers(members) {
+    for (MemberId m = 0; m < members; ++m) net.attach(m, &handlers[m]);
   }
-  return static_cast<double>(drops) / static_cast<double>(trials);
-}
-
-TEST(LossModelStatTest, NoLossNeverDrops) {
-  NoLoss model;
-  EXPECT_EQ(empirical_rate(model, 0xA0), 0.0);
-}
-
-TEST(LossModelStatTest, BernoulliMatchesConfiguredRate) {
-  for (double p : {0.01, 0.05, 0.10, 0.25, 0.50, 0.90}) {
-    BernoulliLoss model(p);
-    double rate = empirical_rate(model, 0xB3B0);
-    EXPECT_NEAR(rate, p, kTolerance) << "configured p = " << p;
+  void run() { net.lane_sim(0).run(); }
+  double delivered_share(MemberId m) const {
+    return static_cast<double>(handlers[m].count) / kTrials;
   }
+  Topology topo;
+  SimNetwork net;
+  std::vector<CountingHandler> handlers;
+};
+
+proto::Message probe() { return proto::Message{proto::Session{0, 1}}; }
+
+TEST(LossRuleTest, LinkRuleBeatsMemberRuleBeatsControlLoss) {
+  // Control loss drops everything; every link into 5 drops nothing; the one
+  // directed link 3 -> 5 drops everything again.
+  OneRegion f(8);
+  f.net.set_control_loss(1.0);
+  f.net.set_member_loss(5, 0.0);
+  f.net.set_link_loss(3, 5, 1.0);
+  f.net.unicast(3, 5, probe());  // link rule
+  f.net.unicast(7, 5, probe());  // member rule
+  f.net.unicast(3, 6, probe());  // control loss
+  f.net.unicast(5, 3, probe());  // rules are directed: control loss
+  f.run();
+  EXPECT_EQ(f.handlers[5].count, 1u);  // from 7 only
+  EXPECT_EQ(f.handlers[6].count, 0u);
+  EXPECT_EQ(f.handlers[3].count, 0u);
+  EXPECT_EQ(f.net.stats().dropped, 3u);
 }
 
-TEST(LossModelStatTest, BernoulliFactoryMatchesConfiguredRate) {
-  auto model = make_bernoulli(0.2);
-  EXPECT_NEAR(empirical_rate(*model, 0xFAC7), 0.2, kTolerance);
-}
-
-TEST(LossModelStatTest, BernoulliExtremesAreExact) {
-  BernoulliLoss never(0.0);
-  EXPECT_EQ(empirical_rate(never, 0xE0), 0.0);
-  BernoulliLoss always(1.0);
-  EXPECT_EQ(empirical_rate(always, 0xE1), 1.0);
-}
-
-// The Gilbert–Elliott chain's stationary bad-state probability is
-// p_gb / (p_gb + p_bg); the long-run drop rate mixes the per-state loss
-// probabilities with those stationary weights.
-double gilbert_elliott_stationary_rate(double p_gb, double p_bg,
-                                       double loss_good, double loss_bad) {
-  double pi_bad = p_gb / (p_gb + p_bg);
-  return (1.0 - pi_bad) * loss_good + pi_bad * loss_bad;
-}
-
-TEST(LossModelStatTest, GilbertElliottMatchesStationaryRate) {
-  struct Config {
-    double p_gb, p_bg, loss_good, loss_bad;
-  };
-  const Config configs[] = {
-      {0.05, 0.25, 0.01, 0.50},   // short bursts, heavy in-burst loss
-      {0.10, 0.10, 0.00, 1.00},   // half the time in a total-blackout state
-      {0.02, 0.40, 0.005, 0.30},  // rare, brief bursts
-  };
-  std::uint64_t seed = 0x6E77;
-  for (const Config& c : configs) {
-    GilbertElliottLoss model(c.p_gb, c.p_bg, c.loss_good, c.loss_bad);
-    double expected = gilbert_elliott_stationary_rate(c.p_gb, c.p_bg,
-                                                      c.loss_good, c.loss_bad);
-    double rate = empirical_rate(model, seed++);
-    EXPECT_NEAR(rate, expected, kTolerance)
-        << "p_gb=" << c.p_gb << " p_bg=" << c.p_bg << " loss_good="
-        << c.loss_good << " loss_bad=" << c.loss_bad;
+TEST(LossRuleTest, OverrideReplacesControlLossRatherThanCompounding) {
+  // Into 2 the member rule's 20% applies alone: 80% arrive, not the 40%
+  // that stacking it on the 50% control loss would leave.
+  OneRegion f(4);
+  f.net.set_control_loss(0.5);
+  f.net.set_member_loss(2, 0.2);
+  for (int i = 0; i < kTrials; ++i) {
+    f.net.unicast(0, 1, probe());
+    f.net.unicast(0, 2, probe());
   }
+  f.run();
+  EXPECT_NEAR(f.delivered_share(1), 0.5, kTolerance);
+  EXPECT_NEAR(f.delivered_share(2), 0.8, kTolerance);
 }
 
-TEST(LossModelStatTest, GilbertElliottActuallyBursts) {
-  // With symmetric transitions and loss only in the bad state, consecutive
-  // drops must be far likelier than independence would allow.
-  GilbertElliottLoss model(0.05, 0.05, 0.0, 1.0);
-  RandomEngine rng(0xB57);
-  std::size_t drops = 0, pairs = 0;
-  bool prev = false;
-  for (std::size_t i = 0; i < kTrials; ++i) {
-    bool d = model.drop(rng);
-    if (d) ++drops;
-    if (d && prev) ++pairs;
-    prev = d;
+TEST(LossRuleTest, OverrideReplacesDataLossRatherThanCompounding) {
+  // ip_multicast falls back to the sender's data loss, not the control
+  // loss; a link override replaces it for that link only.
+  OneRegion f(4);
+  f.net.set_control_loss(1.0);
+  f.net.set_data_loss(0, 0.5);
+  f.net.set_data_loss(1, 1.0);  // another sender's rate does not apply
+  f.net.set_link_loss(0, 3, 0.2);
+  for (int i = 0; i < kTrials; ++i) f.net.ip_multicast(0, probe());
+  f.run();
+  EXPECT_NEAR(f.delivered_share(1), 0.5, kTolerance);
+  EXPECT_NEAR(f.delivered_share(2), 0.5, kTolerance);
+  EXPECT_NEAR(f.delivered_share(3), 0.8, kTolerance);
+}
+
+TEST(LossRuleTest, RatesZeroAndOneDrawNothing) {
+  // Two networks on one seed, both at 50% control loss. One also sends to
+  // 5 and 6, behind rate-0 and rate-1 member rules; the other never sends
+  // to them. If those two rules drew from the lane's stream, every later
+  // draw would shift and the other members' counts would differ.
+  constexpr int kRounds = 50;
+  OneRegion with(10), without(10);
+  with.net.set_control_loss(0.5);
+  without.net.set_control_loss(0.5);
+  with.net.set_member_loss(5, 0.0);
+  with.net.set_member_loss(6, 1.0);
+  for (int round = 0; round < kRounds; ++round) {
+    for (MemberId m = 1; m <= 9; ++m) {
+      with.net.unicast(0, m, probe());
+      if (m != 5 && m != 6) without.net.unicast(0, m, probe());
+    }
   }
-  double rate = static_cast<double>(drops) / kTrials;
-  double pair_rate = static_cast<double>(pairs) / (kTrials - 1);
-  EXPECT_NEAR(rate, 0.5, kTolerance);
-  // Independent drops would give pair_rate ~= rate^2 = 0.25; the chain gives
-  // pi_bad * P(stay bad) = 0.5 * 0.95 = 0.475, a ~1.9x burst factor.
-  EXPECT_GT(pair_rate, 1.5 * rate * rate);
-}
-
-// ---- LinkLossTable: per-link / per-member overrides ------------------------
-
-TEST(LinkLossTableTest, EmptyTableMatchesNothing) {
-  LinkLossTable table;
-  EXPECT_TRUE(table.empty());
-  EXPECT_EQ(table.rule_count(), 0u);
-  EXPECT_EQ(table.find(1, 2), nullptr);
-}
-
-TEST(LinkLossTableTest, LinkRuleBeatsMemberRule) {
-  // Member rule: everything into 5 drops always. Link rule: 3 -> 5
-  // specifically never drops. The directed link must win; every other
-  // sender still hits the member rule; unrelated pairs fall through to the
-  // region model (nullptr).
-  LinkLossTable table;
-  table.set_member_rate(5, 1.0);
-  table.set_link_rate(3, 5, 0.0);
-  EXPECT_EQ(table.rule_count(), 2u);
-
-  RandomEngine rng(0x11);
-  LossModel* link = table.find(3, 5);
-  ASSERT_NE(link, nullptr);
-  EXPECT_FALSE(link->drop(rng));
-
-  LossModel* member = table.find(7, 5);
-  ASSERT_NE(member, nullptr);
-  EXPECT_TRUE(member->drop(rng));
-
-  EXPECT_EQ(table.find(3, 6), nullptr);  // no rule: region model applies
-  EXPECT_EQ(table.find(5, 3), nullptr);  // rules are directed (into 5 only)
-}
-
-TEST(LinkLossTableTest, OverrideReplacesRatherThanCompounds) {
-  // A 20% member override must produce a 20% empirical rate on its own —
-  // the table replaces the region draw, it never stacks on top of it.
-  LinkLossTable table;
-  table.set_member_rate(9, 0.2);
-  LossModel* model = table.find(0, 9);
-  ASSERT_NE(model, nullptr);
-  EXPECT_NEAR(empirical_rate(*model, 0x20C4), 0.2, kTolerance);
-}
-
-TEST(LinkLossTableTest, ClearAndNullModelResetRules) {
-  LinkLossTable table;
-  table.set_link_rate(1, 2, 0.5);
-  table.set_member(4, nullptr);  // null model = explicit no-loss rule
-  EXPECT_EQ(table.rule_count(), 2u);
-  RandomEngine rng(0x99);
-  LossModel* none = table.find(1, 4);
-  ASSERT_NE(none, nullptr);
-  EXPECT_FALSE(none->drop(rng));
-  table.clear();
-  EXPECT_TRUE(table.empty());
-  EXPECT_EQ(table.find(1, 2), nullptr);
-}
-
-TEST(LinkLossTableTest, CloneIsDeepAndDeterministic) {
-  // Each lane holds its own clone of the master table; a stateful model
-  // (Gilbert–Elliott) must replay identically from each clone, and
-  // advancing one clone's chain must not perturb the other's — the
-  // shard-determinism contract depends on this isolation.
-  LinkLossTable master;
-  master.set_link(2, 8,
-                  std::make_unique<GilbertElliottLoss>(0.05, 0.25, 0.0, 1.0));
-  LinkLossTable a = master.clone();
-  LinkLossTable b = master.clone();
-  ASSERT_FALSE(a.empty());
-  ASSERT_FALSE(b.empty());
-
-  // Burn the master's chain forward: clones must be unaffected.
-  RandomEngine burn(0x77);
-  for (int i = 0; i < 1000; ++i) master.find(2, 8)->drop(burn);
-
-  RandomEngine ra(0xC1), rb(0xC1);
-  LossModel* ma = a.find(2, 8);
-  LossModel* mb = b.find(2, 8);
-  ASSERT_NE(ma, nullptr);
-  ASSERT_NE(mb, nullptr);
-  for (std::size_t i = 0; i < 10000; ++i) {
-    EXPECT_EQ(ma->drop(ra), mb->drop(rb)) << "clones diverged at trial " << i;
-  }
-}
-
-TEST(LossModelStatTest, SameSeedReplaysIdentically) {
-  GilbertElliottLoss a(0.05, 0.25, 0.01, 0.5);
-  GilbertElliottLoss b(0.05, 0.25, 0.01, 0.5);
-  RandomEngine ra(0xD5), rb(0xD5);
-  for (std::size_t i = 0; i < 10000; ++i) {
-    EXPECT_EQ(a.drop(ra), b.drop(rb)) << "diverged at trial " << i;
+  with.run();
+  without.run();
+  EXPECT_EQ(with.handlers[5].count, static_cast<std::size_t>(kRounds));
+  EXPECT_EQ(with.handlers[6].count, 0u);
+  for (MemberId m = 1; m <= 9; ++m) {
+    if (m == 5 || m == 6) continue;
+    EXPECT_EQ(with.handlers[m].count, without.handlers[m].count)
+        << "member " << m;
   }
 }
 

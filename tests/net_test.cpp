@@ -1,9 +1,8 @@
-// Unit tests: topology/latency model, loss models, simulated network.
+// Unit tests: topology/latency model, simulated network.
 #include <gtest/gtest.h>
 
 #include "net/sim_network.h"
 #include "net/topology.h"
-#include "sim/simulator.h"
 
 namespace rrmp::net {
 namespace {
@@ -67,9 +66,6 @@ TEST(TopologyTest, DeepHierarchyLatencySumsHopsToCommonAncestor) {
   MemberId m_root = topo.add_member(root);
   MemberId m_aa = topo.add_member(aa);
   MemberId m_b = topo.add_member(b);
-  EXPECT_EQ(topo.region_depth(root), 0u);
-  EXPECT_EQ(topo.region_depth(a), 1u);
-  EXPECT_EQ(topo.region_depth(aa), 2u);
   // Ancestor-descendant: one hop per level.
   EXPECT_EQ(topo.one_way_latency(m_root, m_aa), Duration::millis(100));
   EXPECT_EQ(topo.one_way_latency(m_aa, m_root), Duration::millis(100));
@@ -109,55 +105,6 @@ TEST(TopologyTest, MakeHierarchyBuildsExpectedShape) {
   EXPECT_EQ(chain.parent_of(2), RegionId{1});
 }
 
-TEST(LossModelTest, NoLossNeverDrops) {
-  RandomEngine rng(1);
-  NoLoss m;
-  for (int i = 0; i < 100; ++i) EXPECT_FALSE(m.drop(rng));
-}
-
-TEST(LossModelTest, BernoulliDropsAtConfiguredRate) {
-  RandomEngine rng(2);
-  BernoulliLoss m(0.2);
-  int drops = 0;
-  const int n = 50000;
-  for (int i = 0; i < n; ++i) {
-    if (m.drop(rng)) ++drops;
-  }
-  EXPECT_NEAR(static_cast<double>(drops) / n, 0.2, 0.01);
-}
-
-TEST(LossModelTest, MakeBernoulliZeroIsNoLoss) {
-  RandomEngine rng(3);
-  auto m = make_bernoulli(0.0);
-  for (int i = 0; i < 100; ++i) EXPECT_FALSE(m->drop(rng));
-}
-
-TEST(LossModelTest, GilbertElliottBurstsLosses) {
-  RandomEngine rng(4);
-  // Never leaves good->bad transitions: loss 0 in good, 1 in bad.
-  GilbertElliottLoss m(/*p_gb=*/0.01, /*p_bg=*/0.2, /*good=*/0.0, /*bad=*/1.0);
-  // Losses must cluster: count runs of consecutive drops.
-  int drops = 0, runs = 0;
-  bool in_run = false;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) {
-    bool d = m.drop(rng);
-    if (d) {
-      ++drops;
-      if (!in_run) {
-        ++runs;
-        in_run = true;
-      }
-    } else {
-      in_run = false;
-    }
-  }
-  ASSERT_GT(drops, 0);
-  ASSERT_GT(runs, 0);
-  double mean_burst = static_cast<double>(drops) / runs;
-  EXPECT_GT(mean_burst, 2.0);  // bursty: average run well above 1
-}
-
 // ------------------------------------------------------------ SimNetwork ----
 
 class CollectingHandler : public MessageHandler {
@@ -172,14 +119,27 @@ class CollectingHandler : public MessageHandler {
   std::vector<Received> received;
 };
 
+// Two regions, so two lanes: region 1's traffic crosses the outbox.
 struct NetFixture {
-  NetFixture() : topo(make_hierarchy({3, 2})), net(sim, topo, RandomEngine(7)) {
+  NetFixture() : topo(make_hierarchy({3, 2})), net(topo, RandomEngine(7)) {
     handlers.resize(topo.member_count());
     for (MemberId m = 0; m < topo.member_count(); ++m) {
       net.attach(m, &handlers[m]);
     }
   }
-  sim::Simulator sim;
+  // Fires every lane up to the earliest pending event, exchanging outboxes
+  // before each step, until nothing is left. Returns the last event's time.
+  TimePoint run() {
+    TimePoint last = TimePoint::zero();
+    for (net.exchange(); net.next_event_time() != TimePoint::max();
+         net.exchange()) {
+      last = net.next_event_time();
+      for (std::size_t l = 0; l < net.lane_count(); ++l) {
+        net.lane_sim(l).run_until(last);
+      }
+    }
+    return last;
+  }
   Topology topo;
   SimNetwork net;
   std::vector<CollectingHandler> handlers;
@@ -189,23 +149,23 @@ TEST(SimNetworkTest, UnicastDeliversAfterOneWayLatency) {
   NetFixture f;
   f.net.unicast(0, 1, proto::Message{proto::Session{0, 5}});
   EXPECT_TRUE(f.handlers[1].received.empty());
-  f.sim.run();
+  EXPECT_EQ(f.run(), TimePoint::zero() + Duration::millis(5));
   ASSERT_EQ(f.handlers[1].received.size(), 1u);
   EXPECT_EQ(f.handlers[1].received[0].from, 0u);
-  EXPECT_EQ(f.sim.now(), TimePoint::zero() + Duration::millis(5));
 }
 
 TEST(SimNetworkTest, CrossRegionUnicastUsesInterLatency) {
   NetFixture f;
+  ASSERT_EQ(f.net.lane_count(), 2u);
   f.net.unicast(0, 3, proto::Message{proto::Session{0, 5}});  // member 3: region 1
-  f.sim.run();
-  EXPECT_EQ(f.sim.now(), TimePoint::zero() + Duration::millis(50));
+  EXPECT_EQ(f.run(), TimePoint::zero() + Duration::millis(50));
+  EXPECT_EQ(f.handlers[3].received.size(), 1u);
 }
 
 TEST(SimNetworkTest, RegionalMulticastReachesRegionExceptSender) {
   NetFixture f;
   f.net.multicast_region(0, proto::Message{proto::Session{0, 1}});
-  f.sim.run();
+  f.run();
   EXPECT_TRUE(f.handlers[0].received.empty());  // not self
   EXPECT_EQ(f.handlers[1].received.size(), 1u);
   EXPECT_EQ(f.handlers[2].received.size(), 1u);
@@ -217,7 +177,7 @@ TEST(SimNetworkTest, IpMulticastToExplicitReceivers) {
   NetFixture f;
   std::vector<MemberId> receivers = {1, 4};
   f.net.ip_multicast_to(0, proto::Message{proto::Session{0, 1}}, receivers);
-  f.sim.run();
+  f.run();
   EXPECT_EQ(f.handlers[1].received.size(), 1u);
   EXPECT_EQ(f.handlers[4].received.size(), 1u);
   EXPECT_TRUE(f.handlers[2].received.empty());
@@ -225,10 +185,11 @@ TEST(SimNetworkTest, IpMulticastToExplicitReceivers) {
 
 TEST(SimNetworkTest, IpMulticastLossRateApplies) {
   NetFixture f;
+  f.net.set_data_loss(0, 0.5);
   for (int i = 0; i < 200; ++i) {
-    f.net.ip_multicast(0, proto::Message{proto::Session{0, 1}}, 0.5);
+    f.net.ip_multicast(0, proto::Message{proto::Session{0, 1}});
   }
-  f.sim.run();
+  f.run();
   // 4 receivers x 200 sends x 50% -> ~400.
   std::size_t delivered = 0;
   for (const auto& h : f.handlers) delivered += h.received.size();
@@ -242,15 +203,15 @@ TEST(SimNetworkTest, DetachedMemberReceivesNothing) {
   f.net.detach(1);
   EXPECT_FALSE(f.net.attached(1));
   f.net.unicast(0, 1, proto::Message{proto::Session{0, 1}});
-  f.sim.run();
+  f.run();
   EXPECT_TRUE(f.handlers[1].received.empty());
 }
 
 TEST(SimNetworkTest, ControlLossDropsUnicasts) {
   NetFixture f;
-  f.net.set_control_loss(std::make_unique<BernoulliLoss>(1.0));
+  f.net.set_control_loss(1.0);
   f.net.unicast(0, 1, proto::Message{proto::Session{0, 1}});
-  f.sim.run();
+  f.run();
   EXPECT_TRUE(f.handlers[1].received.empty());
   EXPECT_EQ(f.net.stats().dropped, 1u);
 }
@@ -260,7 +221,7 @@ TEST(SimNetworkTest, CodecRoundTripModePreservesMessages) {
   f.net.set_codec_roundtrip(true);
   proto::Data d{MessageId{0, 9}, {1, 2, 3}};
   f.net.unicast(0, 1, proto::Message{d});
-  f.sim.run();
+  f.run();
   ASSERT_EQ(f.handlers[1].received.size(), 1u);
   const auto* got = std::get_if<proto::Data>(&f.handlers[1].received[0].msg);
   ASSERT_NE(got, nullptr);
@@ -271,7 +232,7 @@ TEST(SimNetworkTest, TrafficStatsCountTypesAndBytes) {
   NetFixture f;
   f.net.unicast(0, 1, proto::Message{proto::Session{0, 1}});
   f.net.unicast(0, 1, proto::Message{proto::Data{MessageId{0, 1}, {1, 2}}});
-  f.sim.run();
+  f.run();
   const TrafficStats& s = f.net.stats();
   EXPECT_EQ(s.sends, 2u);
   EXPECT_EQ(s.delivered, 2u);
@@ -284,8 +245,7 @@ TEST(SimNetworkTest, JitterStretchesLatency) {
   NetFixture f;
   f.net.set_latency_jitter(1.0);  // latency in [5, 10] ms
   f.net.unicast(0, 1, proto::Message{proto::Session{0, 1}});
-  f.sim.run();
-  TimePoint t = f.sim.now();
+  TimePoint t = f.run();
   EXPECT_GE(t, TimePoint::zero() + Duration::millis(5));
   EXPECT_LE(t, TimePoint::zero() + Duration::millis(10));
 }
@@ -301,7 +261,7 @@ TEST(SimNetworkTest, FanOutRecipientsShareOnePayloadAllocation) {
   NetFixture f;
   proto::Data d{MessageId{0, 1}, {9, 8, 7, 6}};
   f.net.multicast_region(0, proto::Message{d});
-  f.sim.run();
+  f.run();
   ASSERT_EQ(f.handlers[1].received.size(), 1u);
   ASSERT_EQ(f.handlers[2].received.size(), 1u);
   const auto& p1 = std::get<proto::Data>(f.handlers[1].received[0].msg).payload;
@@ -318,7 +278,7 @@ TEST(SimNetworkTest, CodecRoundTripFanOutSharesOneWireBuffer) {
   f.net.set_codec_roundtrip(true);
   proto::Data d{MessageId{0, 2}, {1, 2, 3}};
   f.net.multicast_region(0, proto::Message{d});
-  f.sim.run();
+  f.run();
   ASSERT_EQ(f.handlers[1].received.size(), 1u);
   ASSERT_EQ(f.handlers[2].received.size(), 1u);
   const auto& p1 = std::get<proto::Data>(f.handlers[1].received[0].msg).payload;

@@ -1,5 +1,5 @@
-// Sharded-cluster stress (ISSUE 2, tier2): a 16-region × 200-host cluster
-// under Gilbert–Elliott control-plane loss, run on the maximum shard count.
+// Sharded-cluster stress (tier2): a 16-region × 200-host cluster under
+// bursty control-plane loss, run on the maximum shard count.
 // Asserts the barrier exchange neither loses nor duplicates cross-region
 // packets (conservation of the cross-lane counters), that every stream
 // message is delivered everywhere exactly once, and that teardown is clean.
@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "harness/cluster.h"
-#include "net/loss_model.h"
+#include "harness/fault_script.h"
 
 namespace rrmp::harness {
 namespace {
@@ -36,6 +36,7 @@ TEST(ShardStress, SixteenRegionsUnderBurstLossConserveCrossRegionPackets) {
   cc.region_sizes.assign(kRegions, hosts);
   cc.seed = 0x57E55;
   cc.data_loss = 0.10;
+  cc.control_loss = 0.01;
   cc.shards = 0;  // hardware concurrency, clamped to 16 lanes
   Cluster cluster(cc);
   ASSERT_EQ(cluster.lane_count(), kRegions);
@@ -47,10 +48,16 @@ TEST(ShardStress, SixteenRegionsUnderBurstLossConserveCrossRegionPackets) {
         [&seen, m](const proto::Data& d) { ++seen[m][d.id]; });
   }
 
-  // Bursty loss on the control plane (requests/repairs/sessions); each lane
-  // owns a clone of the chain, so bursts are lane-local and deterministic.
-  cluster.network().set_control_loss(std::make_unique<net::GilbertElliottLoss>(
-      /*p_gb=*/0.05, /*p_bg=*/0.30, /*loss_good=*/0.01, /*loss_bad=*/0.25));
+  // Bursty loss on the control plane (requests and repairs): 25% for 20 ms
+  // of every 140 ms while the stream and its recovery run, over the 1%
+  // floor. Each spike starts and ends at a script barrier.
+  FaultScript bursts;
+  for (int k = 0; k < 5; ++k) {
+    TimePoint start = TimePoint::zero() + Duration::millis(140) * k;
+    bursts.control_loss(start, 0.25)
+        .control_loss(start + Duration::millis(20), 0.01);
+  }
+  bursts.schedule_on(cluster);
 
   for (int i = 0; i < kMessages; ++i) {
     cluster.schedule_script(
