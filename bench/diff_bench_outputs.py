@@ -23,10 +23,11 @@ from both bench_e2e binaries. The simulator is deterministic per seed, so
 every value an untraced run reports that does not measure the machine must
 be equal: the latency, makespan, buffer-occupancy and wire-message metrics,
 sim.events, every buffer.* and rrmp.* metric, the info values in E2E_INFO
-and the correct/attempted/failed counts. The runs default to
---seconds 2 --scale 0.25, about 2 s each; --seconds 10 --scale 1 is the
-benchmark's full size. Either half runs alone when only its pair of
-arguments is given.
+and the correct/attempted/failed counts. Memory is checked too: each
+workload's median peak_rss_mib over the seeds may exceed the parent's by at
+most RSS_TOLERANCE. The runs default to --seconds 2 --scale 0.25, about 2 s
+each; --seconds 10 --scale 1 is the benchmark's full size. Either half runs
+alone when only its pair of arguments is given.
 
 With --pairs N as well, it also runs workloads from both binaries on seeds
 1-N at the benchmark's full size, alternating which binary goes first: the
@@ -49,7 +50,8 @@ A change that means to alter bench output lists each such bench, workload
 or example invocation (as written in EXAMPLES), one a line, in
 bench/expected_output_changes.txt. The check
 fails when a bench or workload differs and is not listed, and when a listed
-one did not change, so the list cannot go stale.
+one did not change, so the list cannot go stale. A listed workload is also
+exempt from the memory check.
 
 Usage:
   bench/diff_bench_outputs.py --parent PARENT/build-release/bench \\
@@ -63,6 +65,8 @@ import argparse
 import difflib
 import json
 import os
+import resource
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -127,6 +131,12 @@ E2E_INFO = [
     "undelivered_ratio",
 ]
 E2E_COUNTS = ["correct", "attempted", "failed"]
+# peak_rss_mib measures the machine but repeats closely per seed. Five
+# sim_tree_1e4 runs of one binary at the default size (seeds 1-5) spread by
+# at most 1.2% of their median (0.38 of 31.7 MiB), and two such sets'
+# medians differed by 0.25%, so a median more than 2% above the parent's is
+# the change's doing.
+RSS_TOLERANCE = 0.02
 UDP_WORKLOADS = ["udp_small_open", "udp_lossy_open"]
 # Per-layer metrics every untraced UDP run reports, printed with --pairs.
 UDP_SYSCALL_METRICS = ["net.send_syscalls_per_delivery",
@@ -223,20 +233,21 @@ def run_example(bench_dir, invocation):
 
 
 def run_e2e(binary, workload, seed, seconds, scale):
-    """The deterministic values of one bench_e2e run, or its exit code."""
+    """The deterministic values of one bench_e2e run (or its exit code) and
+    its peak_rss_mib (None when the run printed no report)."""
     cmd = [binary, f"--workload={workload}", f"--seed={seed}",
            f"--seconds={seconds}", f"--scale={scale}"]
     proc = subprocess.run(cmd, stdout=subprocess.PIPE,
                           stderr=subprocess.DEVNULL, text=True, timeout=600)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode not in (0, 1) or not lines:  # 1: a check failed
-        return {"exit code": proc.returncode}
+        return {"exit code": proc.returncode}, None
     result = json.loads(lines[-1])
     values = {key: result[key] for key in E2E_COUNTS}
     values.update({m: v["value"] for m, v in result["metrics"].items()
                    if m in E2E_METRICS or m.startswith(E2E_METRIC_PREFIXES)})
     values.update({m: result["info"][m]["value"] for m in E2E_INFO})
-    return values
+    return values, result["metrics"]["peak_rss_mib"]["value"]
 
 
 def report(name, changed, listed, details, failures):
@@ -269,20 +280,51 @@ def check_benches(args, expected, failures):
         report(name, parent != change, name in expected, details, failures)
 
 
+def check_rss(workload, parent, change, listed, failures):
+    """Fail when the change's median peak_rss_mib exceeds the parent's by
+    more than RSS_TOLERANCE, unless the workload is listed."""
+    # A run without a report already fails the value check.
+    parent = [v for v in parent if v is not None]
+    change = [v for v in change if v is not None]
+    if not parent or not change:
+        return
+    base, new = statistics.median(parent), statistics.median(change)
+    print(f"{workload} peak_rss_mib median: {base:.2f} -> {new:.2f} MiB",
+          flush=True)
+    # bench_e2e reads ru_maxrss, which Linux carries across exec from this
+    # script, so a run that peaks below the script's own mark reads the
+    # script's: growth under that mark does not show.
+    launcher = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    if base <= launcher:
+        print(f"  the parent reads this script's own high-water mark "
+              f"({launcher:.2f} MiB): growth below it does not show")
+    if new > base * (1 + RSS_TOLERANCE):
+        print(f"  more than {RSS_TOLERANCE:.0%} above the parent"
+              f"{' (expected)' if listed else ''}")
+        if not listed:
+            failures.append(f"{workload}: median peak_rss_mib {new:.2f} MiB "
+                            f"is more than {RSS_TOLERANCE:.0%} above the "
+                            f"parent's {base:.2f}")
+
+
 def check_e2e(args, expected, failures):
     for workload in E2E_WORKLOADS:
-        details = []
+        details, rss_parent, rss_change = [], [], []
         for seed in E2E_SEEDS:
-            parent = run_e2e(args.e2e_parent, workload, seed, args.seconds,
-                             args.scale)
-            change = run_e2e(args.e2e_change, workload, seed, args.seconds,
-                             args.scale)
+            parent, rss = run_e2e(args.e2e_parent, workload, seed,
+                                  args.seconds, args.scale)
+            rss_parent.append(rss)
+            change, rss = run_e2e(args.e2e_change, workload, seed,
+                                  args.seconds, args.scale)
+            rss_change.append(rss)
             for key in sorted(parent.keys() | change.keys()):
                 if parent.get(key) != change.get(key):
                     details.append(f"seed {seed} {key}: {parent.get(key)} -> "
                                    f"{change.get(key)}")
         report(f"{workload} (seeds {E2E_SEEDS[0]}-{E2E_SEEDS[-1]})",
                bool(details), workload in expected, details, failures)
+        check_rss(workload, rss_parent, rss_change, workload in expected,
+                  failures)
 
 
 def check_pairs(args, failures):

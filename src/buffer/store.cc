@@ -11,7 +11,7 @@ namespace {
 
 struct IdLess {
   bool operator()(const auto& entry, const MessageId& id) const {
-    return entry.data.id < id;
+    return entry.id < id;
   }
 };
 
@@ -44,8 +44,9 @@ Admission BufferStore::accept_handoff(const proto::Data& msg) {
 
 Admission BufferStore::insert(const proto::Data& msg, bool via_handoff) {
   assert(env_ != nullptr);
+  assert(msg.cursors.empty());  // stored copies are core frames
   auto it = std::lower_bound(entries_.begin(), entries_.end(), msg.id, IdLess{});
-  if (it != entries_.end() && it->data.id == msg.id) {
+  if (it != entries_.end() && it->id == msg.id) {
     if (via_handoff && !it->long_term) {
       // A handed-off copy upgrades a short-term entry: the leaver was a
       // long-term bufferer, so the responsibility transfers to us.
@@ -64,7 +65,8 @@ Admission BufferStore::insert(const proto::Data& msg, bool via_handoff) {
   it = std::lower_bound(entries_.begin(), entries_.end(), msg.id, IdLess{});
   it = entries_.insert(it, Entry{});
   Entry& e = *it;
-  e.data = msg;
+  e.id = msg.id;
+  e.payload = msg.payload;
   e.bytes = size;
   e.stored_at = env_->now();
   e.last_activity = e.stored_at;
@@ -138,7 +140,7 @@ void BufferStore::remove_victim(const MessageId& victim) {
          env_->now() - e->stored_at >= coordination_.digest_interval)) {
       MemberId target =
           digests_.least_loaded(env_->region_members(), env_->self());
-      if (target != kInvalidMember && shed_handler_(e->data, target)) {
+      if (target != kInvalidMember && shed_handler_(frame(*e), target)) {
         discard(victim, BufferEvent::kShedHandoff);
         return;
       }
@@ -159,13 +161,13 @@ proto::BufferDigest BufferStore::build_digest() const {
   for (const Entry& e : entries_) {  // ascending id order
     if (!d.ranges.empty()) {
       proto::DigestRange& last = d.ranges.back();
-      if (last.source == e.data.id.source &&
-          e.data.id.seq == last.first_seq + last.count) {
+      if (last.source == e.id.source &&
+          e.id.seq == last.first_seq + last.count) {
         ++last.count;
         continue;
       }
     }
-    d.ranges.push_back({e.data.id.source, e.data.id.seq, 1});
+    d.ranges.push_back({e.id.source, e.id.seq, 1});
   }
   return d;
 }
@@ -185,13 +187,13 @@ std::vector<proto::Data> BufferStore::drain_for_handoff() {
   bool all = policy_->handoff_includes_short_term();
   std::vector<MessageId> ids;
   for (const Entry& e : entries_) {
-    if (all || e.long_term) ids.push_back(e.data.id);
+    if (all || e.long_term) ids.push_back(e.id);
   }
   std::vector<proto::Data> out;
   out.reserve(ids.size());
   for (const MessageId& id : ids) {
     Entry* e = find(id);
-    out.push_back(std::move(e->data));
+    out.push_back({id, std::move(e->payload)});
     discard(id, BufferEvent::kHandedOff);
   }
   return out;
@@ -200,7 +202,7 @@ std::vector<proto::Data> BufferStore::drain_for_handoff() {
 std::optional<proto::Data> BufferStore::get(const MessageId& id) const {
   const Entry* e = find(id);
   if (e == nullptr) return std::nullopt;
-  return e->data;
+  return frame(*e);
 }
 
 bool BufferStore::is_long_term(const MessageId& id) const {
@@ -221,7 +223,7 @@ void BufferStore::for_each_entry(
 }
 
 BufferStore::EntryView BufferStore::view_of(const Entry& e) {
-  return EntryView{e.data.id, e.bytes,     e.stored_at,
+  return EntryView{e.id,           e.bytes,     e.stored_at,
                    e.last_activity, e.long_term, e.timer};
 }
 
@@ -240,7 +242,7 @@ void BufferStore::promote_long_term(const MessageId& id) {
 
 void BufferStore::discard(const MessageId& id, BufferEvent reason) {
   auto it = std::lower_bound(entries_.begin(), entries_.end(), id, IdLess{});
-  if (it == entries_.end() || it->data.id != id) return;
+  if (it == entries_.end() || it->id != id) return;
   Entry& e = *it;
   env_->cancel(e.timer);
   bytes_ -= e.bytes;
@@ -269,12 +271,12 @@ void BufferStore::cancel_timers() {
 
 BufferStore::Entry* BufferStore::find(const MessageId& id) {
   auto it = std::lower_bound(entries_.begin(), entries_.end(), id, IdLess{});
-  return (it != entries_.end() && it->data.id == id) ? &*it : nullptr;
+  return (it != entries_.end() && it->id == id) ? &*it : nullptr;
 }
 
 const BufferStore::Entry* BufferStore::find(const MessageId& id) const {
   auto it = std::lower_bound(entries_.begin(), entries_.end(), id, IdLess{});
-  return (it != entries_.end() && it->data.id == id) ? &*it : nullptr;
+  return (it != entries_.end() && it->id == id) ? &*it : nullptr;
 }
 
 void BufferStore::notify(const MessageId& id, BufferEvent ev, bool long_term) {

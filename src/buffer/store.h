@@ -176,8 +176,11 @@ class BufferStore {
   void force_discard(const MessageId& id) { discard(id); }
 
  private:
+  /// Holds the core frame only: a stored copy never carries piggybacked
+  /// cursors, so `id` and `payload` rebuild it exactly (frame()).
   struct Entry {
-    proto::Data data;
+    MessageId id;
+    SharedBytes payload;
     std::size_t bytes = 0;  // accounted size, fixed at admission
     TimePoint stored_at;
     TimePoint last_activity;
@@ -201,6 +204,7 @@ class BufferStore {
   const Entry* find(const MessageId& id) const;
   void notify(const MessageId& id, BufferEvent ev, bool long_term);
   static EntryView view_of(const Entry& e);
+  static proto::Data frame(const Entry& e) { return {e.id, e.payload}; }
 
   std::unique_ptr<RetentionPolicy> policy_;
   BufferBudget budget_;
@@ -209,7 +213,7 @@ class BufferStore {
   ShedHandler shed_handler_;
   PolicyEnv* env_ = nullptr;
   Observer observer_;
-  std::vector<Entry> entries_;  // sorted by data.id: deterministic iteration
+  std::vector<Entry> entries_;  // sorted by id: deterministic iteration
   std::size_t bytes_ = 0;
   BufferStats stats_;
 };

@@ -62,6 +62,8 @@ class FlatMap {
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
+  /// Slots allocated (0 until the first insertion).
+  std::size_t capacity() const { return states_.size(); }
 
   iterator begin() { return iterator(this, 0); }
   iterator end() { return iterator(this, states_.size()); }
@@ -116,7 +118,9 @@ class FlatMap {
 
  private:
   static constexpr std::size_t kNotFound = static_cast<std::size_t>(-1);
-  static constexpr std::size_t kMinCapacity = 16;
+  // Every member that sees a loss allocates a table, so tables start small:
+  // 4 slots take 2 entries before the first doubling.
+  static constexpr std::size_t kMinCapacity = 4;
 
   std::size_t mask() const { return states_.size() - 1; }
 
@@ -134,8 +138,14 @@ class FlatMap {
   V* insert_new(const K& key) {
     // Rehash when full + tombstoned slots pass 70% occupancy, so probe
     // chains stay short and a churn-heavy workload reclaims its tombstones.
+    // The table doubles only when the live entries would fill over half of
+    // it; otherwise the rehash keeps its size and drops the tombstones, so
+    // insert/erase churn never grows it, and at least a fifth of the slots
+    // take new keys before the next rehash (amortized O(1) per insert).
     if (states_.empty() || (used_ + 1) * 10 >= states_.size() * 7) {
-      rehash(std::max(kMinCapacity, states_.size() * 2));
+      bool grow = (size_ + 1) * 2 > states_.size();
+      rehash(grow ? std::max(kMinCapacity, states_.size() * 2)
+                  : states_.size());
     }
     std::size_t idx = Hash{}(key) & mask();
     while (states_[idx] == kFull) idx = (idx + 1) & mask();

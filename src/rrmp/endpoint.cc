@@ -62,11 +62,13 @@ Endpoint::Endpoint(IHost& host, Config config,
       flow_(cfg_.flow, cfg_.buffer_budget.max_bytes) {
   store_->bind(&env_);
   buffer::RetentionPolicy& retention = store_->policy();
-  stability_policy_ = dynamic_cast<buffer::StabilityPolicy*>(&retention);
-  hash_policy_ = dynamic_cast<const buffer::HashBasedPolicy*>(&retention);
-  if (stability_policy_ != nullptr) {
-    history_timer_ =
+  if (auto* stability = dynamic_cast<buffer::StabilityPolicy*>(&retention)) {
+    stability_ = std::make_unique<StabilityState>(*stability);
+    stability_->history_timer =
         host_.schedule(kHistoryInterval, [this] { history_tick(); });
+  }
+  if (auto* hash = dynamic_cast<const buffer::HashBasedPolicy*>(&retention)) {
+    hash_direct_ = std::make_unique<HashDirectState>(*hash);
   }
   if (cfg_.anti_entropy) {
     anti_entropy_timer_ = host_.schedule(cfg_.anti_entropy_interval,
@@ -85,12 +87,14 @@ Endpoint::Endpoint(IHost& host, Config config,
       host_.send(target, proto::Message{proto::Shed{self(), d}});
       return true;
     });
-    digest_timer_ = host_.schedule(cfg_.buffer_coordination.digest_interval,
-                                   [this] { digest_tick(); });
+    coordination_ = std::make_unique<CoordinationState>();
+    coordination_->digest_timer = host_.schedule(
+        cfg_.buffer_coordination.digest_interval, [this] { digest_tick(); });
   }
   if (cfg_.flow.enabled) {
-    aimd_round_start_ = host_.now();
-    credit_timer_ =
+    flow_state_ = std::make_unique<FlowState>();
+    flow_state_->aimd_round_start = host_.now();
+    flow_state_->credit_timer =
         host_.schedule(cfg_.flow.ack_interval, [this] { credit_tick(); });
   }
 }
@@ -101,22 +105,26 @@ void Endpoint::halt() {
   if (!active_) return;
   active_ = false;
   cancel(session_timer_);
-  cancel(history_timer_);
+  if (stability_) cancel(stability_->history_timer);
   cancel(anti_entropy_timer_);
-  cancel(digest_timer_);
-  cancel(credit_timer_);
-  window_.clear();
+  if (coordination_) cancel(coordination_->digest_timer);
+  if (flow_state_) {
+    cancel(flow_state_->credit_timer);
+    flow_state_->window.clear();
+  }
   for (auto& [id, task] : recoveries_) {
     cancel(task.local_timer);
     cancel(task.remote_timer);
   }
   recoveries_.clear();
-  for (auto& [id, task] : searches_) cancel(task.timer);
-  searches_.clear();
   for (auto& [id, relay] : pending_relays_) cancel(relay.timer);
   pending_relays_.clear();
-  for (auto& [id, reply] : pending_replies_) cancel(reply.timer);
-  pending_replies_.clear();
+  if (search_) {
+    for (auto& [id, task] : search_->searches) cancel(task.timer);
+    search_->searches.clear();
+    for (auto& [id, reply] : search_->pending_replies) cancel(reply.timer);
+    search_->pending_replies.clear();
+  }
   store_->cancel_timers();
   waiters_.clear();
 }
@@ -144,12 +152,16 @@ void Endpoint::leave() {
 
 MessageId Endpoint::multicast(std::vector<std::uint8_t> payload) {
   if (!active_) return MessageId{self(), 0};
-  // The id is assigned now (the application's send order is the wire
-  // order), but transmission waits for window credit — which flow control
-  // off grants at once.
   std::size_t queued = queued_sends();
   MessageId id{self(), flow_.send_seq() + queued + 1};
-  window_.push_back(proto::Data{id, std::move(payload)});
+  proto::Data frame{id, std::move(payload)};
+  if (!flow_state_) {  // flow control off: nothing waits, no copy is kept
+    transmit(std::move(frame));
+    return id;
+  }
+  // The id is assigned now (the application's send order is the wire
+  // order), but transmission waits for window credit.
+  flow_state_->window.push_back(std::move(frame));
   if (queued == 0 && flow_admits()) {
     transmit_next();
   } else {
@@ -166,14 +178,17 @@ bool Endpoint::flow_admits() const {
 }
 
 void Endpoint::transmit_next() {
-  proto::Data wire = window_[window_.size() - queued_sends()];
+  const std::deque<proto::Data>& window = flow_state_->window;
+  transmit(window[window.size() - queued_sends()]);
+}
+
+void Endpoint::transmit(proto::Data wire) {
   flow_.on_frame_sent();
   // Our first frame: from here every reachable peer bounds the window,
   // including any that never hears a frame of ours and so never acks.
   if (cfg_.flow.enabled && flow_.send_seq() == 1) {
     flow_.sync_peers(flow_peers());
   }
-  if (!cfg_.flow.enabled) window_.pop_front();  // no retransmission copy
   accept(wire);
   if (cfg_.flow.enabled && cfg_.flow.piggyback &&
       host_.local_view().size() > 1) {
@@ -181,8 +196,8 @@ void Endpoint::transmit_next() {
     // retransmission copies stay cursor-free (nested/repair encodings and
     // buffer byte accounting use the core layout).
     wire.cursors = cursor_snapshot();
-    advertised_cursors_ = wire.cursors;
-    advertised_any_ = true;
+    flow_state_->advertised_cursors = wire.cursors;
+    flow_state_->advertised_any = true;
   }
   host_.ip_multicast(proto::Message{std::move(wire)});
   // New data snaps a backed-off heartbeat back: the first Session after it
@@ -252,7 +267,7 @@ void Endpoint::accept(const proto::Data& d) {
   }
 
   store_->store(d);
-  search_given_up_.erase(d.id);  // we can answer future searches again
+  if (search_) search_->given_up.erase(d.id);  // we can answer searches again
   metrics_.on_delivered(self(), d.id, host_.now());
   if (delivery_handler_) delivery_handler_(d);
 

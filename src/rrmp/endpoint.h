@@ -148,7 +148,9 @@ class Endpoint {
   bool has_received(const MessageId& id) const;
   std::uint64_t received_count() const;
   std::size_t active_recoveries() const { return recoveries_.size(); }
-  std::size_t active_searches() const { return searches_.size(); }
+  std::size_t active_searches() const {
+    return search_ ? search_->searches.size() : 0;
+  }
   std::size_t waiter_count() const { return waiters_.size(); }
   std::uint64_t highest_sent() const { return flow_.send_seq(); }
 
@@ -159,7 +161,8 @@ class Endpoint {
   std::uint64_t view_generation() const { return view_gen_; }
   /// Frames admitted by multicast() but not yet transmitted (window full).
   std::size_t queued_sends() const {
-    return window_.empty() ? 0 : window_.back().id.seq - flow_.send_seq();
+    if (!flow_state_ || flow_state_->window.empty()) return 0;
+    return flow_state_->window.back().id.seq - flow_.send_seq();
   }
 
   /// Missing sequence numbers currently known for `source`.
@@ -235,7 +238,9 @@ class Endpoint {
   /// True when the window admits the next frame right now (always true
   /// when alone in the region: there is no peer to grant credit).
   bool flow_admits() const;
-  /// Deliver locally and transmit the oldest queued frame of window_.
+  /// Deliver a new frame of ours locally and multicast it.
+  void transmit(proto::Data wire);
+  /// Transmit the oldest queued frame of the send window.
   void transmit_next();
   /// Transmit queued frames while credit allows.
   void drain_window();
@@ -354,69 +359,25 @@ class Endpoint {
   std::function<void(const proto::Data&)> delivery_handler_;
 
   bool active_ = true;
-  // Every timer this endpoint arms is tracked by a handle below, in a task
-  // map, or by the buffer store, so halt() can cancel all of them: no
-  // callback outlives the endpoint.
+  // Every timer this endpoint arms is tracked by a handle below (some in an
+  // engine block), in a task map, or by the buffer store, so halt() can
+  // cancel all of them: no callback outlives the endpoint.
   TimerHandle session_timer_ = kNoTimer;
   /// Variable Session heartbeat: the spacing the armed session timer was
   /// scheduled with, and flow_.send_seq() at the last tick.
   Duration session_gap_;
   std::uint64_t session_seq_ = 0;
-  TimerHandle history_timer_ = kNoTimer;
   TimerHandle anti_entropy_timer_ = kNoTimer;
-  TimerHandle digest_timer_ = kNoTimer;
-  /// buffer::kDigestKeepAliveTicks: the digest built at the last tick, the
-  /// ticks since its content changed, and the ticks so far (aging phase).
-  proto::BufferDigest last_digest_;
-  std::uint32_t digest_quiet_ = 0;
-  std::uint32_t digest_ticks_ = 0;
-  TimerHandle credit_timer_ = kNoTimer;
 
-  // Flow control state (inert when cfg_.flow.enabled is false). flow_
-  // also counts the frames sent (send_seq) with flow control off.
+  // flow_ counts the frames sent (send_seq) with flow control off too; the
+  // rest of the flow-control state is in flow_state_.
   FlowController flow_;
-  /// This member's send window, in id order. The prefix through
-  /// flow_.send_seq() is on the wire and not yet known to be below the
-  /// window floor (pruned each credit tick); the tail was assigned an id
-  /// by multicast() and waits for credit. The sender is the
-  /// retransmission source of last resort for the prefix: the BufferStore
-  /// may evict those copies under budget pressure (they compete with every
-  /// other sender's frames), but the window cannot move past a frame some
-  /// receiver never got. With flow control off nothing waits and no copy
-  /// is kept, so it stays empty. Session messages announce only
-  /// flow_.send_seq() — an unsent frame must not be reported as a loss.
-  std::deque<proto::Data> window_;
-  /// Stall detection for sender-driven retransmission: the window floor as
-  /// of the last credit tick, and how many ticks it has sat still with
-  /// frames outstanding. Receiver-side recovery can give up (max_attempts)
-  /// while our pinned copy of the blocking frame still exists — without a
-  /// sender retransmit that one frame wedges the window forever.
-  std::uint64_t stall_floor_ = 0;
-  std::uint32_t stall_ticks_ = 0;
-  static constexpr std::uint32_t kStallRetransmitTicks = 3;
   /// Fault injection: region peers severed from us by an active partition
   /// (sorted; empty in fault-free runs) and the cluster's connectivity
   /// generation, stamped on outgoing credit state and matched on receipt.
+  /// Representative election reads both, with or without flow control.
   std::vector<MemberId> flow_unreachable_;
   std::uint64_t view_gen_ = 0;
-  mutable std::vector<MemberId> flow_peers_scratch_;
-
-  // AIMD probe-round state. A round is the larger of ack_interval and the
-  // measured RTT of the slowest peer; a round in which the floor advanced
-  // with no stall grows the window by one (a no-op for a static window).
-  TimePoint aimd_round_start_{};
-  std::uint64_t aimd_round_floor_ = 0;
-  bool aimd_loss_in_round_ = false;
-
-  // Cursor piggybacking (cfg_.flow.piggyback): the cursor set most recently
-  // advertised on any channel (piggybacked frame or CreditAcks). The credit
-  // tick suppresses its CreditAcks while the live snapshot still equals this
-  // — but refreshes at least every kQuietAckRefreshTicks ticks, because a
-  // lost piggybacked frame would otherwise leave peers stale indefinitely.
-  std::vector<proto::ReceiveCursor> advertised_cursors_;
-  bool advertised_any_ = false;
-  std::uint32_t quiet_ticks_ = 0;
-  static constexpr std::uint32_t kQuietAckRefreshTicks = 8;
 
   // Hierarchical-repair representative cache (cfg_.hierarchy.enabled);
   // rep_epoch_ mirrors host_.view_epoch() and rep_generation_ mirrors
@@ -433,30 +394,106 @@ class Endpoint {
   // scale the recovery/waiter churn outgrows unordered_map's node traffic.
   common::FlatMap<MessageId, RecoveryTask> recoveries_;
   common::FlatMap<MessageId, std::vector<MemberId>> waiters_;
-  std::unordered_map<MessageId, SearchTask> searches_;
   std::unordered_map<MessageId, PendingRelay> pending_relays_;
-  std::unordered_map<MessageId, PendingReply> pending_replies_;
-  // id -> (holder, recorded_at); entries expire after kSearchCacheTtl.
-  std::unordered_map<MessageId, std::pair<MemberId, TimePoint>> found_cache_;
-  // id -> when we last multicast SearchFound for it ourselves.
-  std::unordered_map<MessageId, TimePoint> last_announce_;
-  // Negative cache: searches we abandoned after max_attempts. Without it,
-  // probes from other (still-active) searchers would resurrect our task and
-  // a futile search would sustain itself forever. Expires with
-  // kSearchCacheTtl; cleared if the message or a holder turns up.
-  std::unordered_map<MessageId, TimePoint> search_given_up_;
+
+  // --- optional engines, one block each ----------------------------------
+  // A member pays for an engine's state only when it runs the engine: a
+  // block is allocated when its engine is configured (the search block on
+  // first use) and stays null otherwise.
+
+  /// Flow control (Config::flow): the send window and the credit plane.
+  struct FlowState {
+    TimerHandle credit_timer = kNoTimer;
+    /// This member's send window, in id order. The prefix through
+    /// flow_.send_seq() is on the wire and not yet known to be below the
+    /// window floor (pruned each credit tick); the tail was assigned an id
+    /// by multicast() and waits for credit. The sender is the
+    /// retransmission source of last resort for the prefix: the
+    /// BufferStore may evict those copies under budget pressure (they
+    /// compete with every other sender's frames), but the window cannot
+    /// move past a frame some receiver never got. Session messages
+    /// announce only flow_.send_seq() — an unsent frame must not be
+    /// reported as a loss.
+    std::deque<proto::Data> window;
+    /// Stall detection for sender-driven retransmission: the window floor
+    /// as of the last credit tick, and how many ticks it has sat still
+    /// with frames outstanding. Receiver-side recovery can give up
+    /// (max_attempts) while our pinned copy of the blocking frame still
+    /// exists — without a sender retransmit that one frame wedges the
+    /// window forever.
+    std::uint64_t stall_floor = 0;
+    std::uint32_t stall_ticks = 0;
+    // AIMD probe-round state. A round is the larger of ack_interval and
+    // the measured RTT of the slowest peer; a round in which the floor
+    // advanced with no stall grows the window by one (a no-op for a static
+    // window).
+    TimePoint aimd_round_start{};
+    std::uint64_t aimd_round_floor = 0;
+    bool aimd_loss_in_round = false;
+    // Cursor piggybacking (cfg_.flow.piggyback): the cursor set most
+    // recently advertised on any channel (piggybacked frame or
+    // CreditAcks). The credit tick suppresses its CreditAcks while the
+    // live snapshot still equals this — but refreshes at least every
+    // kQuietAckRefreshTicks ticks, because a lost piggybacked frame would
+    // otherwise leave peers stale indefinitely.
+    std::vector<proto::ReceiveCursor> advertised_cursors;
+    bool advertised_any = false;
+    std::uint32_t quiet_ticks = 0;
+    std::vector<MemberId> peers_scratch;  // flow_peers()
+  };
+  static constexpr std::uint32_t kStallRetransmitTicks = 3;
+  static constexpr std::uint32_t kQuietAckRefreshTicks = 8;
+  std::unique_ptr<FlowState> flow_state_;
+
+  /// Cooperative budgets (Config::buffer_coordination): the digest tick.
+  struct CoordinationState {
+    TimerHandle digest_timer = kNoTimer;
+    /// buffer::kDigestKeepAliveTicks: the digest built at the last tick,
+    /// the ticks since its content changed, and the ticks so far (aging
+    /// phase).
+    proto::BufferDigest last_digest;
+    std::uint32_t digest_quiet = 0;
+    std::uint32_t digest_ticks = 0;
+  };
+  std::unique_ptr<CoordinationState> coordination_;
+
+  /// The stability-detection baseline: the History exchange runs exactly
+  /// when the store's policy is the stability policy.
+  struct StabilityState {
+    buffer::StabilityPolicy& policy;
+    buffer::StabilityTracker tracker;
+    TimerHandle history_timer = kNoTimer;
+  };
+  std::unique_ptr<StabilityState> stability_;
+
+  /// Hash-direct lookup [11] runs exactly when the store's policy is the
+  /// hash-based one, over that policy's k. Scratch reused, no per-call
+  /// allocs.
+  struct HashDirectState {
+    const buffer::HashBasedPolicy& policy;
+    buffer::BuffererSelector selector;
+    std::vector<MemberId> bufferer_scratch;
+  };
+  std::unique_ptr<HashDirectState> hash_direct_;
+
+  /// Search (§3.3). search() creates the block at the first search, holder
+  /// or announcement this member records; until then reads find nothing.
+  struct SearchState {
+    std::unordered_map<MessageId, SearchTask> searches;
+    std::unordered_map<MessageId, PendingReply> pending_replies;
+    // id -> (holder, recorded_at); entries expire after kSearchCacheTtl.
+    std::unordered_map<MessageId, std::pair<MemberId, TimePoint>> found_cache;
+    // id -> when we last multicast SearchFound for it ourselves.
+    std::unordered_map<MessageId, TimePoint> last_announce;
+    // Negative cache: searches we abandoned after max_attempts. Without
+    // it, probes from other (still-active) searchers would resurrect our
+    // task and a futile search would sustain itself forever. Expires with
+    // kSearchCacheTtl; cleared if the message or a holder turns up.
+    std::unordered_map<MessageId, TimePoint> given_up;
+  };
+  std::unique_ptr<SearchState> search_;
+  SearchState& search();
   bool search_abandoned(const MessageId& id);
-
-  // Stability baseline state. stability_policy_ is the store's policy when
-  // it is the stability policy (the History exchange runs exactly then).
-  buffer::StabilityPolicy* stability_policy_ = nullptr;
-  buffer::StabilityTracker stability_;
-
-  // Hash-direct lookup [11] runs exactly when the store's policy is the
-  // hash-based one, over that policy's k. Scratch reused, no per-call allocs.
-  const buffer::HashBasedPolicy* hash_policy_ = nullptr;
-  buffer::BuffererSelector selector_;
-  std::vector<MemberId> bufferer_scratch_;
 };
 
 }  // namespace rrmp

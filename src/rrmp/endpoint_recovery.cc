@@ -87,10 +87,10 @@ void Endpoint::handle_remote_request(const proto::RemoteRequest& r,
         proto::Message{proto::SearchRequest{r.id, r.requester}});
     return;
   }
-  if (hash_policy_ != nullptr) {
+  if (hash_direct_) {
     // Deterministic scheme [11]: recompute the bufferer set and forward.
-    const std::vector<MemberId>& set = selector_.select(
-        r.id, host_.local_view().members(), hash_policy_->params().k);
+    const std::vector<MemberId>& set = hash_direct_->selector.select(
+        r.id, host_.local_view().members(), hash_direct_->policy.params().k);
     for (MemberId b : set) {
       if (b != self()) {
         host_.send(b, proto::Message{proto::RemoteRequest{r.id, r.requester}});
@@ -145,8 +145,9 @@ void Endpoint::serve_waiters(const proto::Data& d) {
 }
 
 void Endpoint::satisfy_searches(const proto::Data& d) {
-  auto it = searches_.find(d.id);
-  if (it == searches_.end()) return;
+  if (!search_) return;
+  auto it = search_->searches.find(d.id);
+  if (it == search_->searches.end()) return;
   SearchTask& task = it->second;
   std::vector<MemberId> all = task.carry;
   for (MemberId m : task.own) {
@@ -154,7 +155,7 @@ void Endpoint::satisfy_searches(const proto::Data& d) {
   }
   for (MemberId rr : all) send_repair(rr, d, /*remote=*/true);
   cancel(task.timer);
-  searches_.erase(it);
+  search_->searches.erase(it);
   // Stop everyone else still searching on our behalf.
   announce_found(d.id);
 }
@@ -191,10 +192,11 @@ void Endpoint::handle_search_found(const proto::SearchFound& f,
   (void)from;
   remember_holder(f.id, f.holder);
   // Suppress our own pending back-off reply (kMulticastQuery).
-  auto pr = pending_replies_.find(f.id);
-  if (pr != pending_replies_.end()) {
+  auto& pending_replies = search().pending_replies;
+  auto pr = pending_replies.find(f.id);
+  if (pr != pending_replies.end()) {
     cancel(pr->second.timer);
-    pending_replies_.erase(pr);
+    pending_replies.erase(pr);
     metrics_.on_relay_suppressed(self(), f.id, host_.now());
   }
   end_search(f.id, f.holder);
@@ -235,16 +237,17 @@ MemberId Endpoint::pick_request_target(const MessageId& id) {
       return rep;
     }
   }
-  if (hash_policy_ != nullptr) {
+  if (hash_direct_) {
     // Deterministic scheme [11]: ask the hash-selected bufferers directly,
     // round-robin over the set across attempts.
-    const std::vector<MemberId>& set = selector_.select(
-        id, host_.local_view().members(), hash_policy_->params().k);
-    bufferer_scratch_.assign(set.begin(), set.end());
-    std::erase(bufferer_scratch_, self());
-    if (!bufferer_scratch_.empty()) {
+    std::vector<MemberId>& bufferers = hash_direct_->bufferer_scratch;
+    const std::vector<MemberId>& set = hash_direct_->selector.select(
+        id, host_.local_view().members(), hash_direct_->policy.params().k);
+    bufferers.assign(set.begin(), set.end());
+    std::erase(bufferers, self());
+    if (!bufferers.empty()) {
       auto& task = recoveries_[id];
-      return bufferer_scratch_[task.local_attempts % bufferer_scratch_.size()];
+      return bufferers[task.local_attempts % bufferers.size()];
     }
   }
   return host_.local_view().pick_random(host_.rng(), self());
@@ -330,9 +333,9 @@ void Endpoint::remote_attempt(const MessageId& id) {
   // is armed whether or not a request was actually sent.
   std::size_t n = std::max<std::size_t>(host_.local_view().size(), 1);
   if (host_.rng().bernoulli(cfg_.lambda / static_cast<double>(n))) {
-    if (!root && hash_policy_ != nullptr) {
-      const std::vector<MemberId>& set =
-          selector_.select(id, parent.members(), hash_policy_->params().k);
+    if (!root && hash_direct_) {
+      const std::vector<MemberId>& set = hash_direct_->selector.select(
+          id, parent.members(), hash_direct_->policy.params().k);
       if (!set.empty()) r = set[task.remote_attempts % set.size()];
     }
     metrics_.on_request_sent(self(), id, /*remote=*/true, host_.now());
@@ -391,11 +394,17 @@ Duration Endpoint::retry_backoff(Duration base, std::uint32_t attempts) const {
 
 // ------------------------------------------------------------- search ----
 
+Endpoint::SearchState& Endpoint::search() {
+  if (!search_) search_ = std::make_unique<SearchState>();
+  return *search_;
+}
+
 bool Endpoint::search_abandoned(const MessageId& id) {
-  auto it = search_given_up_.find(id);
-  if (it == search_given_up_.end()) return false;
+  auto& given_up = search().given_up;
+  auto it = given_up.find(id);
+  if (it == given_up.end()) return false;
   if (host_.now() - it->second > kSearchCacheTtl) {
-    search_given_up_.erase(it);
+    given_up.erase(it);
     return false;
   }
   return true;
@@ -404,8 +413,9 @@ bool Endpoint::search_abandoned(const MessageId& id) {
 void Endpoint::start_search(const MessageId& id, MemberId requester,
                             bool direct) {
   if (search_abandoned(id)) return;  // recently exhausted max_attempts
-  auto it = searches_.find(id);
-  if (it != searches_.end()) {
+  auto& searches = search().searches;
+  auto it = searches.find(id);
+  if (it != searches.end()) {
     if (!contains(it->second.carry, requester)) {
       it->second.carry.push_back(requester);
     }
@@ -418,24 +428,25 @@ void Endpoint::start_search(const MessageId& id, MemberId requester,
   task.started = host_.now();
   task.carry.push_back(requester);
   if (direct) task.own.push_back(requester);
-  searches_.emplace(id, std::move(task));
+  searches.emplace(id, std::move(task));
   metrics_.on_search_started(self(), id, host_.now());
   search_attempt(id);
 }
 
 void Endpoint::search_attempt(const MessageId& id) {
-  auto it = searches_.find(id);
-  if (it == searches_.end()) return;
+  SearchState& s = search();
+  auto it = s.searches.find(id);
+  if (it == s.searches.end()) return;
   SearchTask& task = it->second;
   task.timer = kNoTimer;
   if (cfg_.max_attempts != 0 && task.attempts >= cfg_.max_attempts) {
-    search_given_up_[id] = host_.now();
-    searches_.erase(it);
+    s.given_up[id] = host_.now();
+    s.searches.erase(it);
     return;
   }
   MemberId q = host_.local_view().pick_random(host_.rng(), self());
   if (q == kInvalidMember) {
-    searches_.erase(it);  // nobody to search: the message is gone from here
+    s.searches.erase(it);  // nobody to search: the message is gone from here
     return;
   }
   ++task.attempts;
@@ -446,8 +457,9 @@ void Endpoint::search_attempt(const MessageId& id) {
 }
 
 void Endpoint::end_search(const MessageId& id, MemberId holder) {
-  auto it = searches_.find(id);
-  if (it == searches_.end()) return;
+  auto& searches = search().searches;
+  auto it = searches.find(id);
+  if (it == searches.end()) return;
   SearchTask& task = it->second;
   cancel(task.timer);
   // The chain that reached the holder served the requester it carried; any
@@ -456,11 +468,12 @@ void Endpoint::end_search(const MessageId& id, MemberId holder) {
   for (MemberId rr : task.own) {
     host_.send(holder, proto::Message{proto::RemoteRequest{id, rr}});
   }
-  searches_.erase(it);
+  searches.erase(it);
 }
 
 void Endpoint::schedule_query_reply(const MessageId& id, MemberId requester) {
-  if (pending_replies_.count(id)) return;  // one reply per query round
+  auto& pending_replies = search().pending_replies;
+  if (pending_replies.count(id)) return;  // one reply per query round
   double window_us =
       static_cast<double>(kQueryBackoffUnit.us()) * cfg_.query_backoff_c;
   Duration delay = Duration::micros(
@@ -468,14 +481,15 @@ void Endpoint::schedule_query_reply(const MessageId& id, MemberId requester) {
   PendingReply reply;
   reply.requester = requester;
   reply.timer = host_.schedule(delay, [this, id] { fire_query_reply(id); });
-  pending_replies_.emplace(id, std::move(reply));
+  pending_replies.emplace(id, std::move(reply));
 }
 
 void Endpoint::fire_query_reply(const MessageId& id) {
-  auto it = pending_replies_.find(id);
-  if (it == pending_replies_.end()) return;
+  auto& pending_replies = search().pending_replies;
+  auto it = pending_replies.find(id);
+  if (it == pending_replies.end()) return;
   MemberId requester = it->second.requester;
-  pending_replies_.erase(it);
+  pending_replies.erase(it);
   std::optional<proto::Data> d = store_->get(id);
   if (!d) return;  // discarded while backing off
   send_repair(requester, *d, /*remote=*/true);
@@ -487,30 +501,34 @@ void Endpoint::fire_query_reply(const MessageId& id) {
 
 void Endpoint::announce_found(const MessageId& id) {
   TimePoint now = host_.now();
-  auto it = last_announce_.find(id);
-  if (it != last_announce_.end() &&
+  auto& last_announce = search().last_announce;
+  auto it = last_announce.find(id);
+  if (it != last_announce.end() &&
       now - it->second < host_.rtt_estimate(self())) {
     return;  // straggler probe; the region heard the announcement already
   }
-  last_announce_[id] = now;
+  last_announce[id] = now;
   remember_holder(id, self());
   metrics_.on_search_completed(self(), id, now);
   host_.multicast_region(proto::Message{proto::SearchFound{id, self()}});
 }
 
 MemberId Endpoint::cached_holder(const MessageId& id) {
-  auto it = found_cache_.find(id);
-  if (it == found_cache_.end()) return kInvalidMember;
+  if (!search_) return kInvalidMember;
+  auto& found_cache = search_->found_cache;
+  auto it = found_cache.find(id);
+  if (it == found_cache.end()) return kInvalidMember;
   if (host_.now() - it->second.second > kSearchCacheTtl) {
-    found_cache_.erase(it);
+    found_cache.erase(it);
     return kInvalidMember;
   }
   return it->second.first;
 }
 
 void Endpoint::remember_holder(const MessageId& id, MemberId holder) {
-  found_cache_[id] = {holder, host_.now()};
-  search_given_up_.erase(id);  // a holder exists after all
+  SearchState& s = search();
+  s.found_cache[id] = {holder, host_.now()};
+  s.given_up.erase(id);  // a holder exists after all
 }
 
 // ----------------------------------------------------- regional relay ----

@@ -20,8 +20,8 @@ void Endpoint::session_tick() {
   if (cfg_.flow.enabled && cfg_.flow.piggyback &&
       host_.local_view().size() > 1) {
     s.cursors = cursor_snapshot();
-    advertised_cursors_ = s.cursors;
-    advertised_any_ = true;
+    flow_state_->advertised_cursors = s.cursors;
+    flow_state_->advertised_any = true;
   }
   host_.ip_multicast(proto::Message{std::move(s)});
   // Variable heartbeat (see kMaxSessionBackoff). A sender stalled on credit
@@ -38,7 +38,8 @@ void Endpoint::session_tick() {
 // ------------------------------------------------------- flow control ----
 
 void Endpoint::credit_tick() {
-  credit_timer_ = kNoTimer;
+  FlowState& fs = *flow_state_;
+  fs.credit_timer = kNoTimer;
   const membership::RegionView& view = host_.local_view();
   // A departed peer's last cursor must not wedge the window floor, and its
   // occupancy must not pin phantom back-pressure. (on_view_change does this
@@ -58,15 +59,15 @@ void Endpoint::credit_tick() {
       // receivers: suppress them while our piggybacked frames already carry
       // exactly these cursors, but refresh every few ticks anyway — the
       // frames carrying the last advertisement may have been lost.
-      bool suppress = cfg_.flow.piggyback && advertised_any_ &&
-                      cursors == advertised_cursors_ &&
-                      quiet_ticks_ + 1 < kQuietAckRefreshTicks;
+      bool suppress = cfg_.flow.piggyback && fs.advertised_any &&
+                      cursors == fs.advertised_cursors &&
+                      fs.quiet_ticks + 1 < kQuietAckRefreshTicks;
       if (suppress) {
-        ++quiet_ticks_;
+        ++fs.quiet_ticks;
         metrics_.on_credit_ack_suppressed(self(), host_.now());
       } else {
-        advertised_any_ = true;
-        quiet_ticks_ = 0;
+        fs.advertised_any = true;
+        fs.quiet_ticks = 0;
         metrics_.on_credit_ack_sent(self(), host_.now());
         for (const proto::ReceiveCursor& c : cursors) {
           if (!is_credit_peer(c)) continue;
@@ -75,7 +76,7 @@ void Endpoint::credit_tick() {
                          self(), store_->bytes(), cfg_.buffer_budget.max_bytes,
                          {c}, view_gen_}});
         }
-        advertised_cursors_ = std::move(cursors);
+        fs.advertised_cursors = std::move(cursors);
       }
     }
     // A flow-controlled sender keeps its own unacknowledged frames alive:
@@ -89,21 +90,22 @@ void Endpoint::credit_tick() {
       store_->on_request_seen(MessageId{self(), s});
     }
     // Frames the whole region has acknowledged need no retransmission copy.
-    while (!window_.empty() && window_.front().id.seq <= flow_.window_floor()) {
-      window_.pop_front();
+    while (!fs.window.empty() &&
+           fs.window.front().id.seq <= flow_.window_floor()) {
+      fs.window.pop_front();
     }
     // Sender-driven retransmission: when the floor sits still for several
     // ticks with frames outstanding, some receiver is stuck on the frame
     // just past it — usually because its own recovery gave up while copies
     // were scarce (the shared buffer may have evicted every copy, including
-    // ours). window_ still holds it: re-multicast; duplicates are ignored
+    // ours). The window still holds it: re-multicast; duplicates are ignored
     // and the stuck cursors advance. The wedging frame is the front one:
     // every peer is bound from our first frame and every joiner at the
     // floor, so the floor never falls below the oldest frame kept. The
     // range check stays for a peer that reports before we learn it joined.
-    if (flow_.outstanding() > 0 && flow_.window_floor() == stall_floor_) {
-      if (++stall_ticks_ >= kStallRetransmitTicks) {
-        stall_ticks_ = 0;
+    if (flow_.outstanding() > 0 && flow_.window_floor() == fs.stall_floor) {
+      if (++fs.stall_ticks >= kStallRetransmitTicks) {
+        fs.stall_ticks = 0;
         if (flow_.release_stalled_peers()) {
           // Every floor-holding cursor was a seeded binding ahead of its
           // peer's genuine reports: the peer is backfilling history below
@@ -113,21 +115,21 @@ void Endpoint::credit_tick() {
           // signal — no receiver missed this frame.
           metrics_.on_flow_stall_release(self(), host_.now());
           drain_window();
-        } else if (!window_.empty() &&
-                   window_.front().id.seq <= stall_floor_ + 1) {
+        } else if (!fs.window.empty() &&
+                   fs.window.front().id.seq <= fs.stall_floor + 1) {
           const proto::Data& wedged =
-              window_[stall_floor_ + 1 - window_.front().id.seq];
+              fs.window[fs.stall_floor + 1 - fs.window.front().id.seq];
           metrics_.on_flow_stall_remcast(self(), wedged.id, host_.now());
           host_.ip_multicast(proto::Message{wedged});
           // A stall is the AIMD loss signal: some receiver missed a frame
           // and its recovery did not close the gap in time.
           flow_.on_loss();
-          aimd_loss_in_round_ = true;
+          fs.aimd_loss_in_round = true;
         }
       }
     } else {
-      stall_floor_ = flow_.window_floor();
-      stall_ticks_ = 0;
+      fs.stall_floor = flow_.window_floor();
+      fs.stall_ticks = 0;
     }
   }
   // AIMD probe round: one additive step per clean round. The round must
@@ -135,18 +137,18 @@ void Endpoint::credit_tick() {
   // interval and the host's intra-region RTT estimate.
   Duration round =
       std::max(cfg_.flow.ack_interval, host_.rtt_estimate(self()));
-  if (host_.now() - aimd_round_start_ >= round) {
-    if (!aimd_loss_in_round_ && flow_.window_floor() > aimd_round_floor_) {
+  if (host_.now() - fs.aimd_round_start >= round) {
+    if (!fs.aimd_loss_in_round && flow_.window_floor() > fs.aimd_round_floor) {
       flow_.on_clean_round();
     }
-    aimd_round_start_ = host_.now();
-    aimd_round_floor_ = flow_.window_floor();
-    aimd_loss_in_round_ = false;
+    fs.aimd_round_start = host_.now();
+    fs.aimd_round_floor = flow_.window_floor();
+    fs.aimd_loss_in_round = false;
   }
   // Pruning departed peers (or the view shrinking to just us) may have
   // freed credit even without new acks.
   drain_window();
-  credit_timer_ =
+  fs.credit_timer =
       host_.schedule(cfg_.flow.ack_interval, [this] { credit_tick(); });
 }
 
@@ -209,11 +211,12 @@ std::vector<proto::ReceiveCursor> Endpoint::cursor_snapshot() const {
 }
 
 const std::vector<MemberId>& Endpoint::flow_peers() const {
-  flow_peers_scratch_.clear();
+  std::vector<MemberId>& peers = flow_state_->peers_scratch;
+  peers.clear();
   for (MemberId m : host_.local_view().members()) {
-    if (m != self() && !flow_unreachable(m)) flow_peers_scratch_.push_back(m);
+    if (m != self() && !flow_unreachable(m)) peers.push_back(m);
   }
-  return flow_peers_scratch_;
+  return peers;
 }
 
 bool Endpoint::flow_unreachable(MemberId m) const {
@@ -244,8 +247,8 @@ void Endpoint::on_partition_change(std::vector<MemberId> unreachable,
   // Piggyback suppression keys on the advertised cursor set, which a
   // generation bump does not change — force the next credit tick to send
   // fresh, correctly-stamped acks anyway.
-  advertised_any_ = false;
-  quiet_ticks_ = 0;
+  flow_state_->advertised_any = false;
+  flow_state_->quiet_ticks = 0;
   // Partition: release credit bindings to peers we can no longer reach —
   // their frozen cursors must not wedge the window at floor + window for
   // the partition's lifetime. Heal: the other side re-enters flow_peers()
@@ -259,7 +262,8 @@ void Endpoint::on_partition_change(std::vector<MemberId> unreachable,
 // ------------------------------------------------------- coordination ----
 
 void Endpoint::digest_tick() {
-  digest_timer_ = kNoTimer;
+  CoordinationState& cs = *coordination_;
+  cs.digest_timer = kNoTimer;
   // Departed members must stop counting as replica holders or keepers:
   // prune their advertisements against the current view, bounding the
   // staleness of any dead digest at one period.
@@ -268,7 +272,7 @@ void Endpoint::digest_tick() {
   // advertisements age out instead once no refresh arrives for a few
   // keep-alive periods. A connected peer refreshes at least once per
   // period, so aging, once per period, never fires in fault-free runs.
-  if (digest_ticks_++ % buffer::kDigestKeepAliveTicks == 0) {
+  if (cs.digest_ticks++ % buffer::kDigestKeepAliveTicks == 0) {
     store_->digests().age();
   }
   // Advertise even when empty: a zero bytes_in_use digest is exactly what
@@ -276,17 +280,17 @@ void Endpoint::digest_tick() {
   proto::BufferDigest d = store_->build_digest();
   d.view_gen = view_gen_;
   if (cfg_.flow.enabled) d.window_outstanding = flow_.outstanding();
-  // Send on the tick the content changes (the first tick does: last_digest_
+  // Send on the tick the content changes (the first tick does: last_digest
   // names no member) and once more on the next, then only a keep-alive
   // every kDigestKeepAliveTicks ticks while it stays the same.
-  digest_quiet_ = d == last_digest_ ? digest_quiet_ + 1 : 0;
-  if (digest_quiet_ == 0) last_digest_ = d;
-  if (digest_quiet_ <= 1 ||
-      digest_quiet_ % buffer::kDigestKeepAliveTicks == 0) {
+  cs.digest_quiet = d == cs.last_digest ? cs.digest_quiet + 1 : 0;
+  if (cs.digest_quiet == 0) cs.last_digest = d;
+  if (cs.digest_quiet <= 1 ||
+      cs.digest_quiet % buffer::kDigestKeepAliveTicks == 0) {
     host_.multicast_region(proto::Message{std::move(d)});
   }
-  digest_timer_ = host_.schedule(cfg_.buffer_coordination.digest_interval,
-                                 [this] { digest_tick(); });
+  cs.digest_timer = host_.schedule(cfg_.buffer_coordination.digest_interval,
+                                   [this] { digest_tick(); });
 }
 
 void Endpoint::handle_buffer_digest(const proto::BufferDigest& d,
@@ -319,32 +323,33 @@ proto::History Endpoint::build_history() const {
 }
 
 void Endpoint::history_tick() {
-  history_timer_ = kNoTimer;
+  stability_->history_timer = kNoTimer;
   proto::History h = build_history();
   if (!h.sources.empty()) {
     // Fold our own report in before multicasting so stable_below counts us.
     for (const proto::SourceHistory& sh : h.sources) {
-      stability_.update(self(), sh);
+      stability_->tracker.update(self(), sh);
     }
     recompute_stability();
     host_.multicast_region(proto::Message{std::move(h)});
   }
-  history_timer_ = host_.schedule(kHistoryInterval, [this] { history_tick(); });
+  stability_->history_timer =
+      host_.schedule(kHistoryInterval, [this] { history_tick(); });
 }
 
 void Endpoint::recompute_stability() {
   const std::vector<MemberId>& expected = host_.local_view().members();
   for (const auto& [source, tr] : trackers_) {
-    std::uint64_t stable = stability_.stable_below(source, expected);
-    if (stable > 0) stability_policy_->mark_stable_below(source, stable);
+    std::uint64_t stable = stability_->tracker.stable_below(source, expected);
+    if (stable > 0) stability_->policy.mark_stable_below(source, stable);
   }
 }
 
 void Endpoint::handle_history(const proto::History& h, MemberId from) {
   if (cfg_.anti_entropy) pull_from_digest(h, from);
-  if (stability_policy_ == nullptr) return;
+  if (!stability_) return;
   for (const proto::SourceHistory& sh : h.sources) {
-    stability_.update(h.member, sh);
+    stability_->tracker.update(h.member, sh);
   }
   recompute_stability();
 }

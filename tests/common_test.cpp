@@ -1,12 +1,16 @@
-// Unit tests: strong time types, deterministic RNG, byte codec primitives.
+// Unit tests: strong time types, deterministic RNG, byte codec primitives,
+// the open-addressing FlatMap.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <map>
 #include <set>
 #include <type_traits>
+#include <unordered_map>
 
 #include "common/bytes.h"
+#include "common/flat_map.h"
 #include "common/random.h"
 #include "common/time.h"
 #include "common/types.h"
@@ -508,6 +512,175 @@ TEST(SharedBytesTest, SmallBlobInLargeBufferIsCopiedNotAliased) {
   SharedBytes blob = r.get_shared_bytes();
   EXPECT_EQ(blob, SharedBytes({1, 2, 3, 4}));
   EXPECT_FALSE(blob.shares_owner_with(wire));
+}
+
+// ------------------------------------------------------------- FlatMap ----
+
+using IdMap = common::FlatMap<MessageId, std::uint64_t>;
+
+// Identity hash: a key's home slot is key % capacity, so a test can aim
+// two keys at one slot.
+struct IdentityHash {
+  std::size_t operator()(std::uint64_t k) const { return k; }
+};
+using SlotMap = common::FlatMap<std::uint64_t, std::uint64_t, IdentityHash>;
+
+MessageId id_of(std::uint64_t seq) { return MessageId{7, seq}; }
+
+TEST(FlatMapTest, GrowsFromFourSlots) {
+  IdMap m;
+  EXPECT_EQ(m.capacity(), 0u);  // nothing allocated before the first insert
+  m[id_of(1)] = 1;
+  EXPECT_EQ(m.capacity(), 4u);
+  m[id_of(2)] = 2;
+  EXPECT_EQ(m.capacity(), 4u);  // 2 of 4 slots: under the 70% bound
+  m[id_of(3)] = 3;
+  EXPECT_EQ(m.capacity(), 8u);
+  for (std::uint64_t s = 4; s <= 1000; ++s) m[id_of(s)] = s;
+  EXPECT_EQ(m.size(), 1000u);
+  EXPECT_EQ(m.capacity(), 2048u);  // the first power of two under 70% load
+  for (std::uint64_t s = 1; s <= 1000; ++s) {
+    auto it = m.find(id_of(s));
+    ASSERT_NE(it, m.end()) << s;
+    EXPECT_EQ(it->second, s);
+  }
+  EXPECT_EQ(m.find(id_of(1001)), m.end());
+}
+
+TEST(FlatMapTest, InsertReusesTombstoneInItsProbeChain) {
+  SlotMap m;
+  m[0] = 10;
+  const std::uint64_t cap = m.capacity();
+  std::uint64_t* slot0 = &m[0];
+  m.erase(std::uint64_t{0});
+  // Multiples of the capacity share key 0's home slot: each takes the
+  // tombstone its predecessor left rather than the next empty slot, so the
+  // table never fills and no rehash moves the entry.
+  for (std::uint64_t k = cap; k < 1000 * cap; k += cap) {
+    m[k] = k;
+    EXPECT_EQ(&m[k], slot0) << k;
+    m.erase(k);
+  }
+  EXPECT_EQ(m.capacity(), cap);
+  EXPECT_TRUE(m.empty());
+}
+
+TEST(FlatMapTest, ChurnNeverGrowsTheTable) {
+  // Recovery and waiter tables see exactly this: each entry is erased
+  // before the next arrives. Tombstones fill the table, and a rehash must
+  // drop them in place rather than double it (the old rule ended this run
+  // at 32,768 slots holding nothing).
+  IdMap m;
+  for (std::uint64_t s = 1; s <= 65536; ++s) {
+    m[id_of(s)] = s;
+    EXPECT_EQ(m.erase(id_of(s)), 1u);
+  }
+  EXPECT_TRUE(m.empty());
+  EXPECT_EQ(m.capacity(), 4u);
+  // With one long-lived entry beside the churn, the table stays small too.
+  m[id_of(0)] = 0;
+  for (std::uint64_t s = 1; s <= 65536; ++s) {
+    m[id_of(s)] = s;
+    m.erase(id_of(s));
+  }
+  EXPECT_EQ(m.size(), 1u);
+  EXPECT_EQ(m.capacity(), 4u);
+  EXPECT_EQ(m.find(id_of(0))->second, 0u);
+}
+
+TEST(FlatMapTest, FindsEveryKeyAfterRehashes) {
+  // Interleave erases with growth so each rehash moves live entries past
+  // tombstones, in same-size rehashes and in doublings.
+  IdMap m;
+  std::set<std::uint64_t> live;
+  for (std::uint64_t s = 1; s <= 3000; ++s) {
+    m[id_of(s)] = s * 3;
+    live.insert(s);
+    if (s % 3 == 0) {
+      m.erase(id_of(s - 1));
+      live.erase(s - 1);
+    }
+  }
+  EXPECT_EQ(m.size(), live.size());
+  for (std::uint64_t s = 1; s <= 3000; ++s) {
+    auto it = m.find(id_of(s));
+    if (live.count(s)) {
+      ASSERT_NE(it, m.end()) << s;
+      EXPECT_EQ(it->second, s * 3);
+    } else {
+      EXPECT_EQ(it, m.end()) << s;
+    }
+  }
+}
+
+TEST(FlatMapTest, EraseThenReinsertStartsFresh) {
+  common::FlatMap<MessageId, std::vector<MemberId>> m;
+  m[id_of(5)] = {1, 2, 3};
+  EXPECT_EQ(m.erase(id_of(5)), 1u);
+  EXPECT_EQ(m.erase(id_of(5)), 0u);  // already gone
+  EXPECT_EQ(m.count(id_of(5)), 0u);
+  EXPECT_TRUE(m[id_of(5)].empty());  // a fresh value, not the erased one
+  m[id_of(5)].push_back(9);
+  auto [it, inserted] = m.emplace(id_of(5), std::vector<MemberId>{4});
+  EXPECT_FALSE(inserted);  // present: emplace leaves the value alone
+  EXPECT_EQ(it->second, std::vector<MemberId>{9});
+  EXPECT_EQ(m.size(), 1u);
+}
+
+TEST(FlatMapTest, IterationVisitsEachLiveEntryOnce) {
+  IdMap m;
+  for (std::uint64_t s = 1; s <= 200; ++s) m[id_of(s)] = s;
+  for (std::uint64_t s = 1; s <= 200; s += 2) m.erase(id_of(s));
+  std::multiset<std::uint64_t> seen;
+  for (auto& [id, v] : m) {
+    EXPECT_EQ(id.seq, v);
+    seen.insert(id.seq);
+  }
+  EXPECT_EQ(seen.size(), 100u);
+  for (std::uint64_t s = 2; s <= 200; s += 2) EXPECT_EQ(seen.count(s), 1u) << s;
+}
+
+TEST(FlatMapTest, MatchesUnorderedMapUnderRandomOperations) {
+  RandomEngine rng(0xF1A7);
+  IdMap m;
+  std::unordered_map<MessageId, std::uint64_t> ref;
+  for (int op = 0; op < 200000; ++op) {
+    // A small key space keeps hits, misses and reinserts all common; the
+    // phases move the live count up and down through several capacities.
+    std::int64_t span = (op / 20000) % 2 == 0 ? 64 : 512;
+    MessageId id = id_of(static_cast<std::uint64_t>(rng.uniform_int(0, span)));
+    std::uint64_t value = rng.next_u64();
+    switch (rng.uniform_int(0, 3)) {
+      case 0:
+        m[id] = value;
+        ref[id] = value;
+        break;
+      case 1:
+        EXPECT_EQ(m.emplace(id, value).second, ref.emplace(id, value).second);
+        break;
+      case 2:
+        EXPECT_EQ(m.erase(id), ref.erase(id));
+        break;
+      default: {
+        auto it = m.find(id);
+        auto rit = ref.find(id);
+        ASSERT_EQ(it == m.end(), rit == ref.end());
+        if (rit != ref.end()) {
+          EXPECT_EQ(it->second, rit->second);
+        }
+      }
+    }
+    ASSERT_EQ(m.size(), ref.size()) << "op " << op;
+  }
+  std::map<std::uint64_t, std::uint64_t> got, want;
+  std::size_t visits = 0;
+  for (auto& [id, v] : m) {
+    got.emplace(id.seq, v);
+    ++visits;
+  }
+  for (auto& [id, v] : ref) want.emplace(id.seq, v);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(visits, ref.size());  // no key visited twice
 }
 
 }  // namespace

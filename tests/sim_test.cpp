@@ -2,9 +2,11 @@
 // slab timer store's generation-tagged handles, and sim::Callback's
 // small-buffer optimization (including allocation-count assertions that
 // schedule/fire is heap-free for inline captures, and that a two-phase
-// buffer store's entry timers stay off the heap end to end).
+// buffer store's entry timers stay off the heap end to end), and the
+// allocations an Endpoint makes for the engines it does not run.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
@@ -13,22 +15,49 @@
 
 #include "buffer/store.h"
 #include "buffer/two_phase.h"
+#include "rrmp/endpoint.h"
 #include "sim/simulator.h"
 #include "test_env.h"
 
 // Global allocation counter: counts every operator-new in this test binary
 // so AllocationFree* tests can assert the schedule/fire path stays off the
 // heap. Counting is unconditional and thread-safe; the overhead is
-// irrelevant for a unit-test binary.
+// irrelevant for a unit-test binary. While an AllocLog is open, the size of
+// each allocation is recorded too (single-threaded use only).
 namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
+std::atomic<bool> g_log_open{false};
+std::array<std::size_t, 4096> g_log_sizes;
+std::size_t g_log_len = 0;
 
 void* counted_alloc(std::size_t n) {
   ++g_alloc_count;
+  if (g_log_open && g_log_len < g_log_sizes.size()) {
+    g_log_sizes[g_log_len++] = n;
+  }
   if (n == 0) n = 1;
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc();
 }
+
+/// Records the size of every allocation from construction until take().
+class AllocLog {
+ public:
+  AllocLog() {
+    g_log_len = 0;
+    g_log_open = true;
+  }
+  ~AllocLog() { g_log_open = false; }
+  AllocLog(const AllocLog&) = delete;
+  AllocLog& operator=(const AllocLog&) = delete;
+
+  std::vector<std::size_t> take() {
+    g_log_open = false;  // the copy below must not log itself
+    EXPECT_LT(g_log_len, g_log_sizes.size()) << "allocation log overflowed";
+    return {g_log_sizes.begin(),
+            g_log_sizes.begin() + static_cast<std::ptrdiff_t>(g_log_len)};
+  }
+};
 }  // namespace
 
 void* operator new(std::size_t n) { return counted_alloc(n); }
@@ -419,6 +448,113 @@ TEST(AllocationFreeTest, TwoPhaseEntryTimersAreHeapFree) {
   EXPECT_GT(store.stats().promoted_long_term, 0u);
   EXPECT_EQ(allocs, 0u) << "arming, firing and cancelling entry timers "
                            "must not allocate";
+}
+
+// ------------------------------------------- endpoint allocation diet ----
+
+// A one-region host whose sends go nowhere: the endpoint's own allocations
+// are the only ones an AllocLog sees.
+class QuietHost final : public IHost {
+ public:
+  explicit QuietHost(std::vector<MemberId> region)
+      : view_(std::move(region)), rng_(1) {}
+
+  MemberId self() const override { return 0; }
+  RegionId region() const override { return 0; }
+  TimePoint now() const override { return sim_.now(); }
+  TimerHandle schedule(Duration d, Callback fn) override {
+    return sim_.schedule_after(d, std::move(fn)).value;
+  }
+  void cancel(TimerHandle t) override { sim_.cancel(TimerId{t}); }
+  void send(MemberId, proto::Message) override {}
+  void multicast_region(proto::Message) override {}
+  void ip_multicast(proto::Message) override {}
+  RandomEngine& rng() override { return rng_; }
+  const membership::RegionView& local_view() const override { return view_; }
+  const membership::RegionView& parent_view() const override {
+    return parent_;
+  }
+  Duration rtt_estimate(MemberId) const override {
+    return Duration::millis(10);
+  }
+
+  void advance(Duration d) { sim_.run_until(sim_.now() + d); }
+
+ private:
+  Simulator sim_;
+  membership::RegionView view_;
+  membership::RegionView parent_;
+  RandomEngine rng_;
+};
+
+std::unique_ptr<buffer::TwoPhasePolicy> two_phase() {
+  return std::make_unique<buffer::TwoPhasePolicy>(
+      buffer::TwoPhaseParams{Duration::millis(40), 6.0, Duration::millis(30)});
+}
+
+TEST(EndpointAllocationTest, EnginesOffAllocateOnlyTheBufferStore) {
+  // Flow control and coordination off under the two-phase policy: no
+  // engine block, no send window, no task table — the store is all.
+  QuietHost host({0, 1, 2, 3});
+  RecordingSink metrics;
+  auto policy = two_phase();
+  Config cfg;
+  AllocLog log;
+  Endpoint ep(host, cfg, std::move(policy), metrics);
+  std::vector<std::size_t> sizes = log.take();
+  EXPECT_EQ(sizes, std::vector<std::size_t>{sizeof(buffer::BufferStore)});
+}
+
+TEST(EndpointAllocationTest, FlowOffMulticastKeepsNoWindowStorage) {
+  QuietHost host({0, 1, 2, 3});
+  RecordingSink metrics;
+  Endpoint ep(host, Config{}, two_phase(), metrics);
+  std::vector<std::vector<std::uint8_t>> payloads(80);
+  for (auto& p : payloads) p.assign(16, 0x5A);
+  // Warm-up: the tracker, the store's entry vector and the timer slab
+  // reach their steady-state size; the two-phase policy discards each
+  // frame a send or two later.
+  for (std::size_t i = 0; i < 16; ++i) {
+    ep.multicast(std::move(payloads[i]));
+    host.advance(Duration::millis(50));
+  }
+  AllocLog log;
+  for (std::size_t i = 16; i < payloads.size(); ++i) {
+    ep.multicast(std::move(payloads[i]));
+    host.advance(Duration::millis(50));
+  }
+  std::vector<std::size_t> sizes = log.take();
+  EXPECT_EQ(ep.highest_sent(), payloads.size());
+  EXPECT_EQ(ep.queued_sends(), 0u);
+  // The send window holds proto::Data frames, so any storage it takes is a
+  // whole number of frames. What a flow-off send does allocate is its
+  // payload's shared buffer and the delivery record.
+  for (std::size_t n : sizes) {
+    EXPECT_NE(n % sizeof(proto::Data), 0u) << "a " << n << "-byte allocation";
+  }
+  EXPECT_FALSE(sizes.empty());
+}
+
+TEST(EndpointAllocationTest, FirstRecoveryAllocatesAFourSlotTable) {
+  QuietHost host({0, 1, 2, 3});
+  RecordingSink metrics;
+  Endpoint ep(host, Config{}, two_phase(), metrics);
+  AllocLog log;
+  // Member 1's frame 2 arrives first: frame 1 is a loss to recover.
+  ep.handle_message(proto::Message{rrmp::testing::make_data(1, 2)}, 1);
+  std::vector<std::size_t> sizes = log.take();
+  ASSERT_EQ(ep.active_recoveries(), 1u);
+  // A FlatMap table of n slots is one allocation of n slots followed by an
+  // n-byte state array, and each slot holds at least its MessageId key.
+  std::vector<std::size_t> tables;
+  for (std::size_t i = 0; i + 1 < sizes.size(); ++i) {
+    std::size_t slots = sizes[i + 1];
+    if (slots != 0 && sizes[i] % slots == 0 &&
+        sizes[i] / slots >= sizeof(MessageId)) {
+      tables.push_back(slots);
+    }
+  }
+  EXPECT_EQ(tables, std::vector<std::size_t>{4});
 }
 
 }  // namespace
