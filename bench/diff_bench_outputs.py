@@ -51,7 +51,15 @@ or example invocation (as written in EXAMPLES), one a line, in
 bench/expected_output_changes.txt. The check
 fails when a bench or workload differs and is not listed, and when a listed
 one did not change, so the list cannot go stale. A listed workload is also
-exempt from the memory check.
+exempt from the memory check, and the log shows how far it moved: each
+moved deterministic value's median over the seeds, per side.
+
+Correctness is never exempt, listed or not. The check fails when a bench or
+example that exited 0 at the parent exits otherwise, when a JSON report's
+"ok" (or one of its verdicts) that was true turns false or goes missing,
+and when a simulator run that printed a report at the parent prints none
+(it crashed), or was correct and is not, or strands more (member, message)
+pairs than the parent's run on the same seed.
 
 Usage:
   bench/diff_bench_outputs.py --parent PARENT/build-release/bench \\
@@ -250,6 +258,31 @@ def run_e2e(binary, workload, seed, seconds, scale):
     return values, result["metrics"]["peak_rss_mib"]["value"]
 
 
+def passed_verdicts(report):
+    """The names of a JSON report's verdicts that hold."""
+    return {v.get("what") for v in report.get("verdicts") or [] if v.get("ok")}
+
+
+def broken(parent, change):
+    """What the change broke that was correct at the parent: a zero exit
+    code turned nonzero, or a JSON report's ok or one of its verdicts turned
+    false or went missing."""
+    what = []
+    if parent[0] == 0 and change[0] != 0:
+        what.append(f"exit code {parent[0]} -> {change[0]}")
+    for file, p in sorted(parent[2].items()):
+        c = change[2].get(file, {})
+        if p.get("ok") is True and c.get("ok") is not True:
+            what.append(f"{file} ok: true -> {json.dumps(c.get('ok'))}")
+        failed = {v.get("what") for v in c.get("verdicts") or []
+                  if not v.get("ok")}
+        for verdict in sorted(passed_verdicts(p) - passed_verdicts(c)):
+            what.append(f"{file} verdict "
+                        f"{'failed' if verdict in failed else 'missing'}: "
+                        f"{verdict}")
+    return what
+
+
 def report(name, changed, listed, details, failures):
     """Print one bench's or workload's verdict and record a failure."""
     print(f"{name}: {'differs' if changed else 'identical'}"
@@ -278,12 +311,15 @@ def check_benches(args, expected, failures):
         details += list(diff)[:40]
         details += json_details(parent[2], change[2])[:40]
         report(name, parent != change, name in expected, details, failures)
+        for what in broken(parent, change):
+            failures.append(f"{name}: correctness lost: {what}")
 
 
 def check_rss(workload, parent, change, listed, failures):
     """Fail when the change's median peak_rss_mib exceeds the parent's by
     more than RSS_TOLERANCE, unless the workload is listed."""
-    # A run without a report already fails the value check.
+    # A change run without a report, where the parent's had one, already
+    # fails the correctness check.
     parent = [v for v in parent if v is not None]
     change = [v for v in change if v is not None]
     if not parent or not change:
@@ -307,9 +343,25 @@ def check_rss(workload, parent, change, listed, failures):
                             f"parent's {base:.2f}")
 
 
+def print_moved_medians(parent_runs, change_runs):
+    """Each deterministic value that moved on some seed: its median over
+    the seeds, per side."""
+    moved = sorted({key for p, c in zip(parent_runs, change_runs)
+                    for key in p.keys() | c.keys() if p.get(key) != c.get(key)})
+    for key in moved:
+        medians = []
+        for runs in (parent_runs, change_runs):
+            values = [r[key] for r in runs
+                      if isinstance(r.get(key), (int, float))]
+            medians.append(f"{statistics.median(values):.6g}" if values
+                           else "-")
+        print(f"  {key} median: {medians[0]} -> {medians[1]}")
+
+
 def check_e2e(args, expected, failures):
     for workload in E2E_WORKLOADS:
         details, rss_parent, rss_change = [], [], []
+        parent_runs, change_runs = [], []
         for seed in E2E_SEEDS:
             parent, rss = run_e2e(args.e2e_parent, workload, seed,
                                   args.seconds, args.scale)
@@ -317,14 +369,33 @@ def check_e2e(args, expected, failures):
             change, rss = run_e2e(args.e2e_change, workload, seed,
                                   args.seconds, args.scale)
             rss_change.append(rss)
+            parent_runs.append(parent)
+            change_runs.append(change)
             for key in sorted(parent.keys() | change.keys()):
                 if parent.get(key) != change.get(key):
                     details.append(f"seed {seed} {key}: {parent.get(key)} -> "
                                    f"{change.get(key)}")
+            # A run that crashed or printed no report carries only its
+            # "exit code", and loses the parent's report and correctness.
+            if "correct" in parent and "correct" not in change:
+                failures.append(f"{workload} seed {seed}: correctness lost: "
+                                f"no report (exit code "
+                                f"{change.get('exit code')})")
+            elif parent.get("correct") is True and \
+                    change.get("correct") is not True:
+                failures.append(f"{workload} seed {seed}: correctness lost: "
+                                f"the parent's run was correct, the change's "
+                                f"is not")
+            if change.get("failed", 0) > parent.get("failed", 0):
+                failures.append(f"{workload} seed {seed}: correctness lost: "
+                                f"failed pairs {parent.get('failed')} -> "
+                                f"{change.get('failed')}")
+        listed = workload in expected
         report(f"{workload} (seeds {E2E_SEEDS[0]}-{E2E_SEEDS[-1]})",
-               bool(details), workload in expected, details, failures)
-        check_rss(workload, rss_parent, rss_change, workload in expected,
-                  failures)
+               bool(details), listed, details, failures)
+        if details and listed:
+            print_moved_medians(parent_runs, change_runs)
+        check_rss(workload, rss_parent, rss_change, listed, failures)
 
 
 def check_pairs(args, failures):

@@ -55,7 +55,9 @@ struct ClusterConfig {
   double data_loss = 0.0;
   /// Loss applied to unicast + regional multicast (0 in the paper's runs).
   double control_loss = 0.0;
-  /// Latency jitter fraction (latency *= U(1, 1+jitter)).
+  /// Latency jitter fraction: each directed link's latency is stretched by
+  /// its own fixed factor in [1, 1+jitter), so links keep FIFO order (see
+  /// net::SimNetwork).
   double jitter = 0.0;
   /// Encode+decode every in-flight message (wire-format fidelity).
   bool codec_roundtrip = false;

@@ -17,7 +17,7 @@ constexpr std::uint64_t kLaneDomain = 0x9A7E0000ULL;
 
 SimNetwork::SimNetwork(const Topology& topology, RandomEngine rng,
                        std::size_t sub_shard_members)
-    : topology_(topology) {
+    : topology_(topology), jitter_seed_(rng.seed()) {
   handlers_.assign(topology_.member_count(), nullptr);
   data_loss_.assign(topology_.member_count(), 0.0);
   // The safe epoch window: no cross-lane path can undercut the minimum
@@ -105,12 +105,16 @@ double SimNetwork::loss_rate(MemberId from, MemberId to,
   return it == member_loss_.end() ? fallback : it->second;
 }
 
-Duration SimNetwork::delay(Lane& src, MemberId from, MemberId to) {
+Duration SimNetwork::delay(MemberId from, MemberId to) const {
   Duration d = topology_.one_way_latency(from, to);
   if (jitter_fraction_ > 0.0) {
-    // Jitter only stretches (factor >= 1), so it can never undercut the
-    // cross-lane lookahead computed from base latencies.
-    d = d.scaled(src.rng.uniform_real(1.0, 1.0 + jitter_fraction_));
+    // A fixed factor per directed link keeps the link FIFO. Jitter only
+    // stretches (factor >= 1), so it can never undercut the cross-lane
+    // lookahead computed from base latencies.
+    std::uint64_t link =
+        jitter_seed_ ^ ((static_cast<std::uint64_t>(from) << 32) | to);
+    double u = static_cast<double>(splitmix64(link) >> 11) * 0x1.0p-53;
+    d = d.scaled(1.0 + jitter_fraction_ * u);
   }
   return d;
 }
@@ -127,7 +131,7 @@ void SimNetwork::deliver(MemberId to, const proto::Message& msg,
 
 void SimNetwork::dispatch(Lane& src, std::size_t dst_lane, MemberId from,
                           MemberId to, MessagePtr msg) {
-  TimePoint deliver_at = src.sim->now() + delay(src, from, to);
+  TimePoint deliver_at = src.sim->now() + delay(from, to);
   if (&lanes_[dst_lane] == &src) {
     // this + two MemberIds + one shared_ptr: well inside sim::Callback's
     // inline buffer, so the delivery event never heap-allocates.
@@ -162,7 +166,7 @@ SimNetwork::Prepared SimNetwork::prepare(proto::Message msg) {
 }
 
 void SimNetwork::transmit(MemberId from, MemberId to, const Prepared& p,
-                          bool apply_loss) {
+                          Loss loss) {
   Lane& src = lanes_[lane_of(from)];
   ++src.stats.sends;
   src.stats.bytes_sent += p.wire_bytes;
@@ -176,16 +180,27 @@ void SimNetwork::transmit(MemberId from, MemberId to, const Prepared& p,
     ++src.stats.severed;
     return;
   }
-  if (apply_loss && src.rng.bernoulli(loss_rate(from, to, control_loss_))) {
+  if (!p.msg) return;  // codec round-trip failed (already logged)
+  bool lost = false;
+  if (loss == Loss::kControl) {
+    lost = src.rng.bernoulli(loss_rate(from, to, control_loss_));
+  } else if (loss == Loss::kData) {
+    // A deterministic drop schedule (transport-parity experiments) replaces
+    // every draw and consumes no RNG; otherwise a lossy-edge receiver's
+    // override replaces the sender's data loss for its link only.
+    lost = data_drop_fn_
+               ? data_drop_fn_(*p.msg, to)
+               : src.rng.bernoulli(loss_rate(from, to, data_loss_[from]));
+  }
+  if (lost) {
     ++src.stats.dropped;
     return;
   }
-  if (!p.msg) return;  // codec round-trip failed (already logged)
   dispatch(src, lane_of(to), from, to, p.msg);
 }
 
 void SimNetwork::unicast(MemberId from, MemberId to, proto::Message msg) {
-  transmit(from, to, prepare(std::move(msg)), /*apply_loss=*/true);
+  transmit(from, to, prepare(std::move(msg)), Loss::kControl);
 }
 
 void SimNetwork::multicast_region(MemberId from, proto::Message msg) {
@@ -193,35 +208,16 @@ void SimNetwork::multicast_region(MemberId from, proto::Message msg) {
   Prepared p = prepare(std::move(msg));
   for (MemberId m : topology_.members_of(r)) {
     if (m == from) continue;
-    transmit(from, m, p, /*apply_loss=*/true);
+    transmit(from, m, p, Loss::kControl);
   }
 }
 
 void SimNetwork::ip_multicast(MemberId from, const proto::Message& msg) {
-  Lane& src = lanes_[lane_of(from)];
-  // The initial dissemination models raw IP multicast: no codec round-trip,
-  // one shared in-flight copy for the whole group.
-  MessagePtr in_flight = std::make_shared<const proto::Message>(msg);
-  const double data_loss = data_loss_[from];
+  Prepared p = prepare(msg);
   for (std::size_t m = 0; m < topology_.member_count(); ++m) {
     auto member = static_cast<MemberId>(m);
     if (member == from) continue;
-    ++src.stats.sends;
-    if (severed(from, member)) {
-      ++src.stats.severed;
-      continue;
-    }
-    // A deterministic drop schedule (transport-parity experiments) replaces
-    // every draw and consumes no RNG; otherwise a lossy-edge receiver's
-    // override replaces the sender's data loss for its link only.
-    bool lost = data_drop_fn_
-                    ? data_drop_fn_(msg, member)
-                    : src.rng.bernoulli(loss_rate(from, member, data_loss));
-    if (lost) {
-      ++src.stats.dropped;
-      continue;
-    }
-    dispatch(src, lane_of(member), from, member, in_flight);
+    transmit(from, member, p, Loss::kData);
   }
 }
 
@@ -230,7 +226,7 @@ void SimNetwork::ip_multicast_to(MemberId from, const proto::Message& msg,
   Prepared p = prepare(msg);
   for (MemberId member : receivers) {
     if (member == from) continue;
-    transmit(from, member, p, /*apply_loss=*/false);
+    transmit(from, member, p, Loss::kNone);
   }
 }
 

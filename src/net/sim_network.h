@@ -10,6 +10,21 @@
 //    either the sender's per-receiver data loss or an explicitly chosen
 //    receiver set (how the paper drives Figures 6/7).
 //
+// Every transmission is counted in TrafficStats by type and encoded size,
+// including those a partition severs or a loss draw drops.
+//
+// Jitter is a property of the link, not of the packet: each directed link
+// from -> to stretches its one-way latency by a fixed factor 1 + jitter * u,
+// with u in [0, 1) hashed from (network seed, from, to). So latency spreads
+// across links and seeds, delivery draws no randomness (the loss draws are
+// the same at any jitter), and every link keeps FIFO order. That no link
+// reorders is a modelling assumption. Measured paths reorder rarely, not
+// never: Paxson ("End-to-end Internet packet dynamics", SIGCOMM 1997) saw
+// 0.3-2% of data packets arrive out of order. A fresh factor per packet
+// strays further the other way: it swaps about half of the frame pairs sent
+// much closer together than the jitter's spread. endpoint_test pins the
+// protocol's reorder path.
+//
 // Loss is a rate. Each drop decision is one bernoulli(rate) draw from the
 // sending lane's stream, which draws nothing at rates 0 and 1. The rate is,
 // in lookup order: the directed link's override, the override on every link
@@ -139,7 +154,8 @@ class SimNetwork {
            partition_group_[a] != partition_group_[b];
   }
 
-  /// Multiply each latency by U(1, 1+fraction). 0 disables jitter.
+  /// Stretch each directed link's latency by its own fixed factor in
+  /// [1, 1+fraction) (see the jitter note above). 0 disables jitter.
   void set_latency_jitter(double fraction) { jitter_fraction_ = fraction; }
 
   /// Deterministic drop schedule for the initial dissemination: when set,
@@ -226,12 +242,17 @@ class SimNetwork {
     explicit Lane(RandomEngine r) : rng(std::move(r)) {}
   };
 
+  /// Which loss a transmission draws: none (an explicitly chosen receiver
+  /// set), the control loss, or the sender's data loss (the initial
+  /// dissemination, whose draw the deterministic drop schedule replaces).
+  enum class Loss { kNone, kControl, kData };
+
   Prepared prepare(proto::Message msg);
-  void transmit(MemberId from, MemberId to, const Prepared& p,
-                bool apply_loss);
+  void transmit(MemberId from, MemberId to, const Prepared& p, Loss loss);
   void dispatch(Lane& src, std::size_t dst_lane, MemberId from, MemberId to,
                 MessagePtr msg);
-  Duration delay(Lane& src, MemberId from, MemberId to);
+  /// One-way latency of from -> to, stretched by the link's jitter factor.
+  Duration delay(MemberId from, MemberId to) const;
   /// The loss rate of from -> to: a link or member override, else
   /// `fallback` (the control loss, or the sender's data loss).
   double loss_rate(MemberId from, MemberId to, double fallback) const;
@@ -253,6 +274,7 @@ class SimNetwork {
   std::map<std::pair<MemberId, MemberId>, double> link_loss_;
   std::map<MemberId, double> member_loss_;
   double jitter_fraction_ = 0.0;
+  const std::uint64_t jitter_seed_;  // the network's seed
   bool codec_roundtrip_ = false;
   DataDropFn data_drop_fn_;
 };

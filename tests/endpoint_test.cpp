@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 
 #include "harness/cluster.h"
@@ -31,6 +32,47 @@ TEST(EndpointRecovery, SingleMissingMemberRecoversLocally) {
   // One request was enough (neighbors all had it).
   EXPECT_GE(cluster.metrics().counters().local_requests_sent, 1u);
   EXPECT_EQ(cluster.metrics().counters().remote_requests_sent, 0u);  // root region
+}
+
+TEST(EndpointRecovery, ReorderedFrameClosesTheRecoveryItsGapOpened) {
+  // The simulated links keep FIFO order, so reordering is pinned here: seq 2
+  // of member 0 reaches member 3 before seq 1 does.
+  Cluster cluster(single_region(4, 12));
+  constexpr MemberId kSource = 0, kReceiver = 3;
+  std::size_t wire_requests = 0;  // kReceiver's LocalRequests, as received
+  for (MemberId m = 0; m < kReceiver; ++m) {
+    cluster.host(m).set_receiver(
+        [&, ep = &cluster.endpoint(m)](const proto::Message& msg,
+                                       MemberId from) {
+          const auto* r = std::get_if<proto::LocalRequest>(&msg);
+          if (r != nullptr && r->requester == kReceiver) ++wire_requests;
+          ep->handle_message(msg, from);
+        });
+  }
+  std::map<std::uint64_t, int> deliveries;  // seq -> times delivered
+  Endpoint& ep = cluster.endpoint(kReceiver);
+  ep.set_delivery_handler(
+      [&](const proto::Data& d) { ++deliveries[d.id.seq]; });
+  auto frame = [](std::uint64_t seq) {
+    return proto::Message{
+        proto::Data{MessageId{kSource, seq}, {static_cast<std::uint8_t>(seq)}}};
+  };
+
+  ep.handle_message(frame(2), kSource);  // the gap at seq 1 opens a recovery
+  EXPECT_EQ(ep.active_recoveries(), 1u);
+  EXPECT_EQ(cluster.metrics().counters().losses_detected, 1u);
+  EXPECT_EQ(cluster.metrics().counters().local_requests_sent, 1u);
+
+  ep.handle_message(frame(1), kSource);  // the late frame closes it
+  EXPECT_EQ(ep.active_recoveries(), 0u);
+  EXPECT_EQ(cluster.metrics().counters().recoveries, 1u);
+
+  // Its retry timer went with it: no request follows over the next second.
+  cluster.run_for(Duration::seconds(1));
+  EXPECT_EQ(cluster.metrics().counters().local_requests_sent, 1u);
+  EXPECT_EQ(wire_requests, 1u);
+  EXPECT_EQ(ep.active_recoveries(), 0u);
+  EXPECT_EQ(deliveries, (std::map<std::uint64_t, int>{{1, 1}, {2, 1}}));
 }
 
 TEST(EndpointRecovery, RetriesUntilSomeoneHasIt) {

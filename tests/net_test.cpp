@@ -1,8 +1,13 @@
 // Unit tests: topology/latency model, simulated network.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <utility>
+
 #include "net/sim_network.h"
 #include "net/topology.h"
+#include "proto/codec.h"
 
 namespace rrmp::net {
 namespace {
@@ -121,7 +126,8 @@ class CollectingHandler : public MessageHandler {
 
 // Two regions, so two lanes: region 1's traffic crosses the outbox.
 struct NetFixture {
-  NetFixture() : topo(make_hierarchy({3, 2})), net(topo, RandomEngine(7)) {
+  explicit NetFixture(std::uint64_t seed = 7)
+      : topo(make_hierarchy({3, 2})), net(topo, RandomEngine(seed)) {
     handlers.resize(topo.member_count());
     for (MemberId m = 0; m < topo.member_count(); ++m) {
       net.attach(m, &handlers[m]);
@@ -241,13 +247,109 @@ TEST(SimNetworkTest, TrafficStatsCountTypesAndBytes) {
   EXPECT_GT(s.bytes_sent, 0u);
 }
 
-TEST(SimNetworkTest, JitterStretchesLatency) {
+TEST(SimNetworkTest, IpMulticastCountsEveryTransmissionByTypeAndBytes) {
+  // Each of the n transmissions counts its type and encoded size, whether
+  // it is delivered, dropped by the data loss or severed by a partition.
   NetFixture f;
-  f.net.set_latency_jitter(1.0);  // latency in [5, 10] ms
-  f.net.unicast(0, 1, proto::Message{proto::Session{0, 1}});
-  TimePoint t = f.run();
-  EXPECT_GE(t, TimePoint::zero() + Duration::millis(5));
-  EXPECT_LE(t, TimePoint::zero() + Duration::millis(10));
+  f.net.set_data_loss(0, 0.5);
+  f.net.set_partition({{0, 1, 2}});  // severs region 1 (members 3 and 4)
+  const proto::Message msg{proto::Data{MessageId{0, 1}, {1, 2, 3}}};
+  f.net.ip_multicast(0, msg);
+  f.run();
+  const TrafficStats s = f.net.stats();
+  const std::uint64_t n = f.topo.member_count() - 1;
+  const auto type = static_cast<std::size_t>(proto::MessageType::kData);
+  EXPECT_EQ(s.sends, n);
+  EXPECT_EQ(s.severed, 2u);
+  EXPECT_EQ(s.delivered + s.dropped + s.severed, n);
+  EXPECT_EQ(s.sends_by_type[type], n);
+  EXPECT_EQ(s.bytes_by_type[type], n * proto::encoded_size(msg));
+  EXPECT_EQ(s.bytes_sent, n * proto::encoded_size(msg));
+}
+
+// The one-way delays of two unicasts from -> to, the second sent when the
+// first lands.
+std::pair<Duration, Duration> link_delays(std::uint64_t seed, double jitter,
+                                          MemberId from, MemberId to) {
+  NetFixture f(seed);
+  f.net.set_latency_jitter(jitter);
+  f.net.unicast(from, to, proto::Message{proto::Session{from, 1}});
+  TimePoint first = f.run();
+  f.net.unicast(from, to, proto::Message{proto::Session{from, 2}});
+  return {first - TimePoint::zero(), f.run() - first};
+}
+
+TEST(SimNetworkTest, JitteredLinkKeepsFifoOrder) {
+  // At jitter 1.0 a packet's latency ranges over [5, 10] ms, fifty times the
+  // 0.1 ms send spacing; the link's fixed factor still keeps send order.
+  NetFixture f;
+  f.net.set_latency_jitter(1.0);
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    f.net.lane_sim(0).schedule_at(
+        TimePoint::zero() + Duration::micros(100 * static_cast<std::int64_t>(i)),
+        [&f, i] { f.net.unicast(0, 1, proto::Message{proto::Session{0, i}}); });
+  }
+  f.run();
+  ASSERT_EQ(f.handlers[1].received.size(), 100u);
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    EXPECT_EQ(std::get<proto::Session>(f.handlers[1].received[i].msg)
+                  .highest_seq,
+              i);
+  }
+}
+
+TEST(SimNetworkTest, JitterIsOneFixedFactorPerDirectedLink) {
+  constexpr double kJitter = 0.5;
+  NetFixture f;
+  for (MemberId from = 0; from < f.topo.member_count(); ++from) {
+    for (MemberId to = 0; to < f.topo.member_count(); ++to) {
+      if (from == to) continue;
+      SCOPED_TRACE(std::to_string(from) + " -> " + std::to_string(to));
+      Duration base = f.topo.one_way_latency(from, to);
+      auto [first, second] = link_delays(7, kJitter, from, to);
+      EXPECT_GE(first, base);
+      EXPECT_LE(first, base.scaled(1.0 + kJitter));
+      EXPECT_EQ(second, first);  // the link's factor, not the packet's
+    }
+  }
+  // Two links from one sender, with the same 5 ms base, differ; another
+  // network seed moves them.
+  Duration d01 = link_delays(7, kJitter, 0, 1).first;
+  Duration d02 = link_delays(7, kJitter, 0, 2).first;
+  EXPECT_NE(d01, d02);
+  EXPECT_NE(link_delays(8, kJitter, 0, 1).first, d01);
+  EXPECT_NE(link_delays(8, kJitter, 0, 2).first, d02);
+}
+
+TEST(SimNetworkTest, JitterDrawsNoRandomness) {
+  // With delay drawing nothing, the loss draws, and so the set of dropped
+  // (receiver, frame) pairs, are the same at any jitter.
+  auto received = [](double jitter) {
+    NetFixture f;
+    f.net.set_latency_jitter(jitter);
+    f.net.set_data_loss(0, 0.5);
+    f.net.set_control_loss(0.3);
+    for (std::uint64_t seq = 1; seq <= 50; ++seq) {
+      f.net.ip_multicast(0, proto::Message{proto::Data{MessageId{0, seq}, {}}});
+      f.net.unicast(0, 3, proto::Message{proto::Session{0, seq}});
+    }
+    f.run();
+    std::set<std::pair<MemberId, std::uint64_t>> got;
+    for (MemberId m = 0; m < f.topo.member_count(); ++m) {
+      for (const auto& r : f.handlers[m].received) {
+        if (const auto* d = std::get_if<proto::Data>(&r.msg)) {
+          got.insert({m, d->id.seq});
+        } else {
+          got.insert({m, 1000 + std::get<proto::Session>(r.msg).highest_seq});
+        }
+      }
+    }
+    return got;
+  };
+  std::set<std::pair<MemberId, std::uint64_t>> still = received(0.0);
+  EXPECT_GT(still.size(), 50u);   // some got through...
+  EXPECT_LT(still.size(), 150u);  // ...and some were lost
+  EXPECT_EQ(received(0.5), still);
 }
 
 TEST(SimNetworkTest, AttachNullHandlerThrows) {
@@ -286,6 +388,25 @@ TEST(SimNetworkTest, CodecRoundTripFanOutSharesOneWireBuffer) {
   EXPECT_EQ(p1, d.payload);
   EXPECT_FALSE(p1.shares_owner_with(d.payload));  // re-decoded from the wire
   EXPECT_TRUE(p1.shares_owner_with(p2));          // ... which is shared
+}
+
+TEST(SimNetworkTest, CodecRoundTripCoversIpMulticast) {
+  // The initial dissemination goes through the wire format too, encoded
+  // once per call: every receiver, in either lane, aliases one wire buffer.
+  NetFixture f;
+  f.net.set_codec_roundtrip(true);
+  proto::Data d{MessageId{0, 3}, {4, 5, 6}};
+  f.net.ip_multicast(0, proto::Message{d});
+  f.run();
+  ASSERT_EQ(f.handlers[1].received.size(), 1u);
+  const auto& p1 = std::get<proto::Data>(f.handlers[1].received[0].msg).payload;
+  EXPECT_FALSE(p1.shares_owner_with(d.payload));
+  for (MemberId m = 1; m < f.topo.member_count(); ++m) {
+    ASSERT_EQ(f.handlers[m].received.size(), 1u);
+    const auto& got = std::get<proto::Data>(f.handlers[m].received[0].msg);
+    EXPECT_EQ(got, d);
+    EXPECT_TRUE(got.payload.shares_owner_with(p1));
+  }
 }
 
 }  // namespace
