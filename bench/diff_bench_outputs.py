@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Check that a change leaves the deterministic benches' output unchanged.
 
-Runs every deterministic bench from two build trees, the parent commit's and
-the change's, and compares their exit codes and stdout. Table columns whose
-header contains "wall" hold wall-clock times, so their cells are masked
-before comparing. RRMP_HIERARCHY_POINTS=2 keeps the hierarchy bench to its
-10^4 and 10^5 member points. Each bench also writes its JSON report into a
-fresh RRMP_BENCH_JSON_DIR per side, and each report's "ok", "scalars" and
-"verdicts" must be equal too: some scalars never reach stdout. Its tables
-are covered by stdout, and the "(json written to ...)" line, which names
-the per-side directory, is dropped before stdout is compared.
+Runs the 17 deterministic benches (BENCHES) from two build trees, the parent
+commit's and the change's, and compares their exit codes and stdout. Table
+columns whose header contains "wall" hold wall-clock times, so their cells
+are masked before comparing. RRMP_HIERARCHY_POINTS=2 keeps the hierarchy
+bench to its 10^4 and 10^5 member points. Each bench also writes its JSON
+report into a fresh RRMP_BENCH_JSON_DIR per side, and each report's "ok",
+"scalars" and "verdicts" must be equal too: some scalars never reach
+stdout. Its tables are covered by stdout, and the "(json written to ...)"
+line, which names the per-side directory, is dropped before stdout is
+compared.
 
 It also runs nine example invocations (EXAMPLES) from the examples/
 directory next to each bench directory, so both trees must have built
@@ -89,7 +90,6 @@ BENCHES = [
     "bench_ablation_churn_handoff",
     "bench_ablation_feedback_formula",
     "bench_ablation_lambda",
-    "bench_ablation_recovery_engine",
     "bench_ablation_regional_backoff",
     "bench_ablation_search_strategy",
     "bench_baseline_policies",

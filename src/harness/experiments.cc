@@ -251,7 +251,6 @@ SearchStrategyOutcome run_search_strategy(Config::SearchStrategy strategy,
     ClusterConfig cc = base_config(defaults);
     cc.region_sizes = {region_size, 1};
     cc.protocol.search_strategy = strategy;
-    cc.protocol.query_backoff_c = defaults.C;
     cc.seed = seed + trial * 3571;
     Cluster cluster(cc);
 

@@ -14,20 +14,18 @@ namespace rrmp {
 /// Period of the stability policy's History multicast.
 inline constexpr Duration kHistoryInterval = Duration::millis(20);
 
-/// kMulticastQuery: a bufferer replies after U(0, kQueryBackoffUnit *
-/// Config::query_backoff_c). The paper's point is that C underestimates the
-/// bufferer count when a message went idle prematurely, so the window is
-/// too short to suppress duplicates.
+/// kMulticastQuery: a bufferer replies after U(0, kQueryBackoffUnit * C),
+/// with C the buffer policy's long-term bufferer count
+/// (buffer::TwoPhaseParams::C; its default under any other policy). The
+/// paper's point is that C underestimates the bufferer count when a message
+/// went idle prematurely, so the window is too short to suppress
+/// duplicates.
 inline constexpr Duration kQueryBackoffUnit = Duration::millis(2);
 
 /// After a search completes, members remember (id -> holder) for this long,
 /// so straggler search requests are redirected to the holder instead of
 /// restarting a search that can never terminate.
 inline constexpr Duration kSearchCacheTtl = Duration::millis(500);
-
-/// Cap on anti-entropy pull requests triggered by one digest (bounds burst
-/// size).
-inline constexpr std::uint32_t kAntiEntropyMaxPulls = 64;
 
 /// Variable Session heartbeat (LBRM): while a sender is idle, each Session
 /// doubles the spacing to the next, up to this many
@@ -113,24 +111,10 @@ struct Config {
   /// How a member locates a bufferer for a *discarded* message (§3.3).
   /// kRandomSearch is the paper's scheme; kMulticastQuery is the rejected
   /// alternative (multicast the request, bufferers reply after a randomized
-  /// back-off proportional to C) kept for the implosion ablation.
+  /// back-off proportional to the buffer policy's C, see kQueryBackoffUnit)
+  /// kept for the implosion ablation.
   enum class SearchStrategy { kRandomSearch, kMulticastQuery };
   SearchStrategy search_strategy = SearchStrategy::kRandomSearch;
-  /// kMulticastQuery: the C estimate scaling the reply back-off window
-  /// (see kQueryBackoffUnit).
-  double query_backoff_c = 6.0;
-
-  /// The paper's recovery engine: react to detected sequence gaps with
-  /// immediate randomized requests (§2.2). Disable only to isolate the
-  /// anti-entropy engine in ablations.
-  bool gap_driven_recovery = true;
-
-  /// Bimodal Multicast's recovery engine ([3], which RRMP builds on): each
-  /// member periodically sends a digest of its received sequences to one
-  /// random region member; the receiver pulls what it misses directly from
-  /// the digest's sender. Coexists with gap-driven recovery if both are on.
-  bool anti_entropy = false;
-  Duration anti_entropy_interval = Duration::millis(50);
 };
 
 }  // namespace rrmp

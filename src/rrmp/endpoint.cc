@@ -70,10 +70,6 @@ Endpoint::Endpoint(IHost& host, Config config,
   if (auto* hash = dynamic_cast<const buffer::HashBasedPolicy*>(&retention)) {
     hash_direct_ = std::make_unique<HashDirectState>(*hash);
   }
-  if (cfg_.anti_entropy) {
-    anti_entropy_timer_ = host_.schedule(cfg_.anti_entropy_interval,
-                                         [this] { anti_entropy_tick(); });
-  }
   if (cfg_.buffer_coordination.enabled) {
     store_->set_shed_handler([this](const proto::Data& d, MemberId target) {
       if (!active_) return false;
@@ -106,7 +102,6 @@ void Endpoint::halt() {
   active_ = false;
   cancel(session_timer_);
   if (stability_) cancel(stability_->history_timer);
-  cancel(anti_entropy_timer_);
   if (coordination_) cancel(coordination_->digest_timer);
   if (flow_state_) {
     cancel(flow_state_->credit_timer);

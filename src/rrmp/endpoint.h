@@ -29,6 +29,9 @@
 //    scheme [11] (§3.4),
 //  - the history exchange when the buffer policy is the stability-detection
 //    baseline,
+//  - the multicast-query search (Config::search_strategy, kept for the
+//    implosion ablation), whose reply back-off window scales with the
+//    two-phase policy's C,
 //  - optional hierarchical repair trees (Config::hierarchy): each region's
 //    rendezvous-elected representative aggregates the region's NAKs —
 //    members direct their first local request at it, non-representatives
@@ -47,9 +50,9 @@
 //  - endpoint_state.cc: the state plane — the Session, credit, digest and
 //    History ticks, their handlers, the flow-control peer glue, and the view
 //    and partition hooks;
-//  - endpoint_recovery.cc: the recovery engine — the request ladder,
-//    repairs, local/remote phases, representatives, search, regional relay
-//    and anti-entropy pulls.
+//  - endpoint_recovery.cc: the one recovery engine, driven by sequence gaps
+//    and Sessions — the request ladder, repairs, local/remote phases,
+//    representatives, search and regional relay.
 #pragma once
 
 #include <deque>
@@ -347,10 +350,6 @@ class Endpoint {
   void schedule_regional_relay(const proto::Data& d);
   void fire_regional_relay(const MessageId& id);
 
-  // Anti-entropy engine (Bimodal Multicast [3]).
-  void anti_entropy_tick();
-  void pull_from_digest(const proto::History& digest, MemberId from);
-
   IHost& host_;
   Config cfg_;
   Env env_;
@@ -367,7 +366,6 @@ class Endpoint {
   /// scheduled with, and flow_.send_seq() at the last tick.
   Duration session_gap_;
   std::uint64_t session_seq_ = 0;
-  TimerHandle anti_entropy_timer_ = kNoTimer;
 
   // flow_ counts the frames sent (send_seq) with flow control off too; the
   // rest of the flow-control state is in flow_state_.

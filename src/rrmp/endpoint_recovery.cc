@@ -1,8 +1,10 @@
 // Endpoint's recovery engine (see endpoint.h): the request ladder, repairs,
-// local/remote phases, representatives, search, relay, anti-entropy pulls.
+// local/remote phases, representatives, search, relay.
 #include "rrmp/endpoint.h"
 
 #include <algorithm>
+
+#include "buffer/two_phase.h"
 
 namespace rrmp {
 namespace {
@@ -205,7 +207,7 @@ void Endpoint::handle_search_found(const proto::SearchFound& f,
 // ----------------------------------------------------------- recovery ----
 
 void Endpoint::start_recovery(const MessageId& id, std::uint32_t escalate_hop) {
-  if (!active_ || !cfg_.gap_driven_recovery) return;
+  if (!active_) return;
   if (tracker(id.source).has(id.seq)) return;
   if (recoveries_.count(id)) return;
   RecoveryTask task;
@@ -474,8 +476,11 @@ void Endpoint::end_search(const MessageId& id, MemberId holder) {
 void Endpoint::schedule_query_reply(const MessageId& id, MemberId requester) {
   auto& pending_replies = search().pending_replies;
   if (pending_replies.count(id)) return;  // one reply per query round
-  double window_us =
-      static_cast<double>(kQueryBackoffUnit.us()) * cfg_.query_backoff_c;
+  // The window scales with the C the region buffers by long-term (§3.2).
+  const auto* two_phase =
+      dynamic_cast<const buffer::TwoPhasePolicy*>(&store_->policy());
+  double c = two_phase ? two_phase->params().C : buffer::TwoPhaseParams{}.C;
+  double window_us = static_cast<double>(kQueryBackoffUnit.us()) * c;
   Duration delay = Duration::micros(
       static_cast<std::int64_t>(host_.rng().uniform_real(0.0, window_us)));
   PendingReply reply;
@@ -562,47 +567,6 @@ void Endpoint::fire_regional_relay(const MessageId& id) {
   metrics_.on_regional_multicast(self(), id, host_.now());
   host_.multicast_region(
       proto::Message{proto::RegionalRepair{d.id, std::move(d.payload), self()}});
-}
-
-// ------------------------------------------------------- anti-entropy ----
-
-void Endpoint::anti_entropy_tick() {
-  anti_entropy_timer_ = kNoTimer;
-  // One digest to one uniformly random neighbor per round ([3]).
-  MemberId q = host_.local_view().pick_random(host_.rng(), self());
-  if (q != kInvalidMember) {
-    proto::History h = build_history();
-    if (!h.sources.empty()) host_.send(q, proto::Message{std::move(h)});
-  }
-  anti_entropy_timer_ = host_.schedule(cfg_.anti_entropy_interval,
-                                       [this] { anti_entropy_tick(); });
-}
-
-void Endpoint::pull_from_digest(const proto::History& digest, MemberId from) {
-  std::uint32_t pulls = 0;
-  for (const proto::SourceHistory& sh : digest.sources) {
-    SequenceTracker& tr = tracker(sh.source);
-    auto sender_has = [&sh](std::uint64_t seq) {
-      if (seq < sh.next_expected) return true;
-      std::uint64_t off = seq - sh.next_expected;
-      std::size_t w = static_cast<std::size_t>(off / 64);
-      if (w >= sh.bitmap.size()) return false;
-      return ((sh.bitmap[w] >> (off % 64)) & 1) != 0;
-    };
-    std::uint64_t sender_max =
-        sh.next_expected - 1 + 64 * static_cast<std::uint64_t>(sh.bitmap.size());
-    for (std::uint64_t seq = std::max<std::uint64_t>(1, tr.next_expected());
-         seq <= sender_max && pulls < kAntiEntropyMaxPulls; ++seq) {
-      if (tr.has(seq) || !sender_has(seq)) continue;
-      // Record that the sequence exists (no gap-driven task is spawned when
-      // that engine is off) and pull it straight from the digest's sender.
-      (void)tr.observe_hint(seq);
-      ++pulls;
-      MessageId id{sh.source, seq};
-      metrics_.on_request_sent(self(), id, /*remote=*/false, host_.now());
-      host_.send(from, proto::Message{proto::LocalRequest{id, self()}});
-    }
-  }
 }
 
 }  // namespace rrmp

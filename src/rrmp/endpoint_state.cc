@@ -346,7 +346,7 @@ void Endpoint::recompute_stability() {
 }
 
 void Endpoint::handle_history(const proto::History& h, MemberId from) {
-  if (cfg_.anti_entropy) pull_from_digest(h, from);
+  (void)from;
   if (!stability_) return;
   for (const proto::SourceHistory& sh : h.sources) {
     stability_->tracker.update(h.member, sh);

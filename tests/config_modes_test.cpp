@@ -40,25 +40,6 @@ TEST(HashDirectFallback, FallsBackToSearchWhenSelfIsTheOnlyHashTarget) {
   EXPECT_TRUE(cluster.endpoint(requester).has_received(id));
 }
 
-TEST(StabilityPlusAntiEntropy, HistoryMessagesServeBothRoles) {
-  // The stability policy's multicast histories AND the anti-entropy pulls
-  // share the History message; enabling both must work: digests spread the
-  // message, stability eventually reclaims the buffers.
-  ClusterConfig cc;
-  cc.region_sizes = {8};
-  cc.seed = 402;
-  cc.policy = buffer::StabilityParams{};
-  cc.protocol.anti_entropy = true;
-  cc.protocol.anti_entropy_interval = Duration::millis(15);
-  cc.protocol.gap_driven_recovery = false;  // digests do all the work
-  Cluster cluster(cc);
-  MessageId id = cluster.inject_data_to(0, 1, std::vector<MemberId>{0});
-  cluster.run_for(Duration::seconds(3));
-  EXPECT_TRUE(cluster.all_received(id));
-  // Everyone reported everyone: the message went stable and was discarded.
-  EXPECT_EQ(cluster.count_buffered(id), 0u);
-}
-
 TEST(Logging, LevelsFilterAndRestore) {
   log::Level before = log::level();
   log::set_level(log::Level::kError);

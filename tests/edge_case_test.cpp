@@ -94,7 +94,8 @@ TEST(QueryBackoff, RepliesSuppressedByEarlierAnnouncement) {
   cc.region_sizes = {30, 1};
   cc.seed = 103;
   cc.protocol.search_strategy = Config::SearchStrategy::kMulticastQuery;
-  cc.protocol.query_backoff_c = 30.0;  // wide window: U(0, 60ms)
+  // The back-off window follows the policy's C: U(0, 30 x 2 ms = 60 ms).
+  std::get<buffer::TwoPhaseParams>(cc.policy).C = 30.0;
   Cluster cluster(cc);
   std::vector<MemberId> region0 = cluster.region_members(0);
   MessageId id = cluster.inject_data_to(region0[0], 1, region0);

@@ -641,16 +641,26 @@ TEST(FlowEndpointTest, PartitionReleasesSeveredBindingAndHealReseeds) {
 // ------------------------------------------------------- stall remulticast ----
 
 TEST(FlowEndpointTest, StallRemulticastsWedgingFrameAndRecovers) {
-  // With gap-driven recovery disabled and no anti-entropy, a receiver that
-  // loses a Data frame has no way to repair it — its cursor wedges the
-  // window floor forever. The sender-driven stall retransmission is the
-  // last line: after kStallRetransmitTicks quiet ticks it re-multicasts the
-  // frame just past the floor (counted by the flow_stall_remcast metric)
-  // and the stream un-wedges.
+  // Every member drops the LocalRequests and RemoteRequests it receives, so
+  // a receiver that loses a Data frame can ask for it but is never
+  // repaired — its cursor wedges the window floor forever. The
+  // sender-driven stall retransmission is the last line: after
+  // kStallRetransmitTicks quiet ticks it re-multicasts the frame just past
+  // the floor (counted by the flow_stall_remcast metric) and the stream
+  // un-wedges.
   harness::ClusterConfig cc = flow_cluster(6, 71, /*window=*/2);
-  cc.protocol.gap_driven_recovery = false;
   cc.data_loss = 0.2;
   harness::Cluster cluster(cc);
+  for (MemberId m = 0; m < cluster.size(); ++m) {
+    cluster.host(m).set_receiver(
+        [ep = &cluster.endpoint(m)](const proto::Message& msg, MemberId from) {
+          if (std::holds_alternative<proto::LocalRequest>(msg) ||
+              std::holds_alternative<proto::RemoteRequest>(msg)) {
+            return;
+          }
+          ep->handle_message(msg, from);
+        });
+  }
   constexpr std::size_t kBurst = 8;
   cluster.schedule_script_after(Duration::millis(1), [&] {
     for (std::size_t i = 0; i < kBurst; ++i) {
