@@ -145,17 +145,13 @@ int main(int argc, char** argv) {
     max_points = static_cast<std::size_t>(std::strtoul(env, nullptr, 10));
   }
   struct ScalePoint {
-    std::size_t fanout, depth, region_size, sub_shard;
+    std::size_t fanout, depth, region_size;
     const char* label;
   };
-  // 10^4 exercises sub-sharded lanes (90-member regions split into 32-member
-  // chunks); the larger points keep one lane per region — at 900 members a
-  // region is already a good-sized lane and the 50 ms lookahead window does
-  // far fewer barrier rounds than the 5 ms sub-sharded one.
   const ScalePoint points[] = {
-      {10, 2, 90, 32, "1e4"},   // 111 regions, 9,990 members
-      {10, 2, 900, 0, "1e5"},   // 111 regions, 99,900 members
-      {10, 3, 900, 0, "1e6"},   // 1,111 regions, 999,900 members
+      {10, 2, 90, "1e4"},   // 111 regions, 9,990 members
+      {10, 2, 900, "1e5"},  // 111 regions, 99,900 members
+      {10, 3, 900, "1e6"},  // 1,111 regions, 999,900 members
   };
   analysis::Table scale({"members", "regions", "makespan ms", "escalations",
                          "sim events", "wall s", "recovered"});
@@ -168,7 +164,6 @@ int main(int argc, char** argv) {
     sc.fanout = p.fanout;
     sc.depth = p.depth;
     sc.region_size = p.region_size;
-    sc.sub_shard_members = p.sub_shard;
     sc.seed = 0xE1'5CA1;
     sc.shards = shards;
     auto wall0 = std::chrono::steady_clock::now();

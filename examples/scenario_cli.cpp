@@ -52,7 +52,6 @@ struct Options {
   bool hierarchy = false;          // multi-level repair over the region tree
   std::size_t fanout = 2;          // children per region when --depth > 0
   std::size_t depth = 0;           // region-tree depth, 0 = flat --regions
-  std::size_t sub_shard = 0;       // split regions larger than N across lanes
   std::string fault_script;   // timeline spec file (see harness/fault_script.h)
   std::string partition;      // partition groups applied at t=0: 0-5|6-11
   std::string lossy_members;  // lossy-edge receivers from t=0: 3,5,7-9
@@ -109,8 +108,6 @@ void print_usage() {
       "                        region sized like the first --regions entry);\n"
       "                        0 = use --regions as flat regions (0)\n"
       "  --fanout=N            children per region when --depth > 0 (2)\n"
-      "  --sub-shard=N         split regions larger than N members across\n"
-      "                        simulation lanes (0 = one lane per region)\n"
       "  --fault-script=FILE   scripted fault timeline: crash/rejoin storms,\n"
       "                        partitions, heals, loss changes at absolute\n"
       "                        sim times (grammar in harness/fault_script.h)\n"
@@ -205,8 +202,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.fanout = std::strtoull(v.c_str(), nullptr, 10);
     } else if (eat("--depth=", v)) {
       opt.depth = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (eat("--sub-shard=", v)) {
-      opt.sub_shard = std::strtoull(v.c_str(), nullptr, 10);
     } else if (eat("--fault-script=", v)) {
       opt.fault_script = v;
     } else if (eat("--partition=", v)) {
@@ -335,7 +330,6 @@ int main(int argc, char** argv) {
     }
   }
   cc.protocol.hierarchy.enabled = opt.hierarchy;
-  cc.sub_shard_members = opt.sub_shard;
   cc.data_loss = opt.loss;
   cc.control_loss = opt.control_loss;
   cc.seed = opt.seed;

@@ -26,12 +26,6 @@ class RandomEngine {
   /// own output sequence is unaffected by how many forks were taken.
   RandomEngine fork(std::uint64_t stream) const;
 
-  /// Derive `n` independent child engines in one call: child i is
-  /// fork(domain + i), with `domain` separating unrelated split sites that
-  /// share a parent. The sharded network derives its per-region lane
-  /// streams this way; the unit tests pin the fork/split equivalence.
-  std::vector<RandomEngine> split(std::size_t n, std::uint64_t domain = 0) const;
-
   std::uint64_t seed() const { return seed_; }
 
   std::uint32_t next_u32();
@@ -46,9 +40,9 @@ class RandomEngine {
   /// Bernoulli trial; p clamped to [0, 1].
   bool bernoulli(double p);
 
-  /// Number of successes in n Bernoulli(p) trials, in O(1) expected time
-  /// per draw regardless of n: inversion (BINV) when n·min(p,1-p) < 30,
-  /// BTPE-style rejection (Kachitvichyanukul & Schmeiser 1988) otherwise.
+  /// Number of successes in n Bernoulli(p) trials. With r = min(p, 1-p):
+  /// inversion (BINV) in O(n·r) expected time when n·r < 30, where every
+  /// caller draws; otherwise n Bernoulli(r) trials counted one by one, O(n).
   /// p is clamped to [0, 1]. Deterministic in the engine state, so the
   /// Monte Carlo drivers replay bit-identically for a given seed.
   std::uint64_t binomial(std::uint64_t n, double p);

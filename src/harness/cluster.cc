@@ -12,8 +12,8 @@ Cluster::Cluster(ClusterConfig config)
           config_.parents.empty() ? nullptr : &config_.parents)),
       directory_(topology_),
       master_rng_(config_.seed) {
-  network_ = std::make_unique<net::SimNetwork>(
-      topology_, master_rng_.fork(0xD00D), config_.sub_shard_members);
+  network_ =
+      std::make_unique<net::SimNetwork>(topology_, master_rng_.fork(0xD00D));
   network_->set_control_loss(config_.control_loss);
   network_->set_latency_jitter(config_.jitter);
   network_->set_codec_roundtrip(config_.codec_roundtrip);

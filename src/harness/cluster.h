@@ -66,11 +66,6 @@ struct ClusterConfig {
   /// 0 = hardware concurrency; always clamped to the region-lane count.
   /// Determinism contract: results are byte-identical for every value.
   std::size_t shards = 1;
-
-  /// Sub-shard regions larger than this many members into consecutive-member
-  /// chunk lanes (see net::SimNetwork); 0 (default) keeps one lane per
-  /// region and is bit-identical to the pre-sub-sharding harness.
-  std::size_t sub_shard_members = 0;
 };
 
 class Cluster {

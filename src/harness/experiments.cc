@@ -567,7 +567,6 @@ MakespanOutcome run_makespan_point(const MakespanScenario& scenario,
   }
   cc.seed = scenario.seed;
   cc.shards = scenario.shards;
-  cc.sub_shard_members = scenario.sub_shard_members;
   cc.protocol.hierarchy.enabled = true;
   Cluster cluster(cc);
 

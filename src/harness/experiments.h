@@ -251,9 +251,6 @@ struct MakespanScenario {
   Duration quiet_cap = Duration::seconds(120);
   /// Worker threads for the per-epoch lane loop (ClusterConfig::shards).
   std::size_t shards = 1;
-  /// Sub-shard regions larger than this many members into chunk lanes
-  /// (ClusterConfig::sub_shard_members); 0 = one lane per region.
-  std::size_t sub_shard_members = 0;
   std::size_t payload_bytes = 64;
 };
 

@@ -15,49 +15,28 @@ constexpr std::uint64_t kLaneDomain = 0x9A7E0000ULL;
 
 }  // namespace
 
-SimNetwork::SimNetwork(const Topology& topology, RandomEngine rng,
-                       std::size_t sub_shard_members)
+SimNetwork::SimNetwork(const Topology& topology, RandomEngine rng)
     : topology_(topology), jitter_seed_(rng.seed()) {
   handlers_.assign(topology_.member_count(), nullptr);
   data_loss_.assign(topology_.member_count(), 0.0);
+  member_lane_.assign(topology_.member_count(), 0);
   // The safe epoch window: no cross-lane path can undercut the minimum
-  // topology edge, and splitting a region adds intra-region cross-lane
-  // traffic at that region's one-way delay.
-  Duration la = topology_.min_cross_region_latency();
-  std::size_t total_lanes = 0;
-  member_lane_.resize(topology_.member_count());
-  for (RegionId r = 0; r < static_cast<RegionId>(topology_.region_count());
-       ++r) {
-    const std::vector<MemberId>& members = topology_.members_of(r);
-    std::size_t chunks = 1;
-    if (sub_shard_members > 0 && members.size() > sub_shard_members) {
-      chunks = (members.size() + sub_shard_members - 1) / sub_shard_members;
-      Duration intra = topology_.intra_rtt(r) / 2;
-      if (intra < la) la = intra;
-    }
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      member_lane_[members[i]] =
-          total_lanes + (chunks == 1 ? 0 : i / sub_shard_members);
-    }
-    total_lanes += chunks;
-  }
-  bool sharded = total_lanes >= 2 && la > Duration::zero() &&
-                 la != Duration::infinite();
-  if (!sharded) {
+  // topology edge.
+  const Duration la = topology_.min_cross_region_latency();
+  const std::size_t regions = topology_.region_count();
+  if (regions < 2 || la <= Duration::zero() || la == Duration::infinite()) {
     // No usable lookahead: a single lane spanning every region.
     lanes_.emplace_back(std::move(rng));
-    member_lane_.assign(topology_.member_count(), 0);
     return;
   }
   lookahead_ = la;
-  lanes_.reserve(total_lanes);
-  // Lane 0 keeps the parent stream; lanes l>0 take the split children,
-  // which are fork(kLaneDomain + l) by definition. With sub-sharding off the
-  // lane count equals the region count, so every existing configuration
-  // draws the exact streams it always did.
-  std::vector<RandomEngine> lane_rngs = rng.split(total_lanes, kLaneDomain);
-  for (std::size_t l = 0; l < total_lanes; ++l) {
-    lanes_.emplace_back(l == 0 ? std::move(rng) : std::move(lane_rngs[l]));
+  lanes_.reserve(regions);
+  for (std::size_t l = 0; l < regions; ++l) {
+    for (MemberId m : topology_.members_of(static_cast<RegionId>(l))) {
+      member_lane_[m] = l;
+    }
+    // Lane 0 keeps the parent stream.
+    lanes_.emplace_back(l == 0 ? rng : rng.fork(kLaneDomain + l));
   }
 }
 

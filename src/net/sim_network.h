@@ -52,14 +52,6 @@
 // calls at deterministic epoch barriers. Because every mutable piece of
 // state is lane-local between barriers, lanes can run on concurrent worker
 // threads and still produce byte-identical results for any thread count.
-//
-// Sub-sharding (scale mode): regions larger than `sub_shard_members` are
-// additionally split into consecutive-member chunks, each chunk its own
-// lane. Intra-region traffic between chunks crosses lanes at intra_rtt/2,
-// so splitting a region lowers the safe epoch window to that delay — worth
-// it when one giant region would otherwise serialize the whole run on a
-// single lane. Off (0, the default): one lane per region, byte-identical to
-// the pre-sub-sharding layout.
 #pragma once
 
 #include <array>
@@ -108,11 +100,8 @@ class SimNetwork {
   /// One privately-owned simulator lane per region (collapsed to a single
   /// lane when that would leave fewer than two lanes or a non-positive
   /// lookahead for barriers). Lane 0 consumes `rng`'s own stream; lane l>0
-  /// uses rng.fork(kLaneDomain+l). `sub_shard_members`, when nonzero, splits
-  /// regions larger than it into chunk lanes of that many consecutive
-  /// members (see the sub-sharding note above).
-  SimNetwork(const Topology& topology, RandomEngine rng,
-             std::size_t sub_shard_members = 0);
+  /// uses rng.fork(kLaneDomain+l).
+  SimNetwork(const Topology& topology, RandomEngine rng);
 
   /// Register/deregister the endpoint that receives messages for `m`.
   /// Messages to unattached members are silently dropped (crashed/left).

@@ -1,7 +1,6 @@
 #include "net/udp_host.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -41,13 +40,7 @@ sockaddr_in group_addr(std::uint16_t base_port) {
 }
 
 int open_udp_socket() {
-#if defined(__linux__)
   return ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-#else
-  int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
-  if (fd >= 0) ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
-  return fd;
-#endif
 }
 
 // The group socket: bound to the group address, so it hears only this
@@ -60,7 +53,6 @@ int open_udp_socket() {
 // net.core.rmem_max): one default buffer overflowed on the burst a stalled
 // loop sends when it wakes, losing those frames at every member at once.
 int open_group_socket(std::uint16_t base_port, std::size_t owned) {
-#if defined(__linux__)
   int fd = open_udp_socket();
   if (fd < 0) return -1;
   const int on = 1;
@@ -86,10 +78,6 @@ int open_group_socket(std::uint16_t base_port, std::size_t owned) {
   log::warn("UdpBus: group socket unavailable (", std::strerror(errno),
             "): multicast falls back to unicast fan-out");
   ::close(fd);
-#else
-  (void)base_port;
-  (void)owned;
-#endif
   return -1;
 }
 
@@ -121,10 +109,6 @@ UdpBus::UdpBus(std::size_t member_count, std::uint16_t base_port,
   first_member_ = std::min(config_.first_member, member_count);
   std::size_t owned =
       std::min(config_.owned_count, member_count - first_member_);
-  batched_ = config_.batched_syscalls;
-#if !defined(__linux__)
-  batched_ = false;  // recvmmsg/sendmmsg unavailable: scalar path
-#endif
   epoch_ns_ = config_.epoch_ns != 0 ? config_.epoch_ns : monotonic_ns();
 
   sockets_.reserve(owned + 1);
@@ -171,31 +155,7 @@ sockaddr_in UdpBus::dest_addr(MemberId to) const {
   return loopback_addr(static_cast<std::uint16_t>(base_port_ + to));
 }
 
-void UdpBus::write_datagram_scalar(MemberId from, MemberId to,
-                                   std::span<const std::uint8_t> bytes) {
-  sockaddr_in dst = dest_addr(to);
-  ssize_t n;
-  do {
-    n = ::sendto(fd_of(from), bytes.data(), bytes.size(), 0,
-                 reinterpret_cast<sockaddr*>(&dst), sizeof(dst));
-  } while (n < 0 && errno == EINTR);
-  ++send_syscalls_;
-  if (n < 0) {
-    log::warn("UdpBus: sendto failed: ", std::strerror(errno));
-    return;
-  }
-  if (detail::is_short_write(n, bytes.size())) {
-    log::warn("UdpBus: short datagram write: ", n, " of ", bytes.size(),
-              " bytes");
-  }
-  ++datagrams_sent_;
-}
-
 void UdpBus::write_datagram(MemberId from, MemberId to, SharedBytes bytes) {
-  if (!batched_) {
-    write_datagram_scalar(from, to, bytes.span());
-    return;
-  }
   send_queue_.push_back(PendingSend{from, to, std::move(bytes)});
   if (send_queue_.size() >= 4 * kBatch) flush_sends();
 }
@@ -215,7 +175,6 @@ void UdpBus::send_shared(MemberId from, MemberId to, SharedBytes bytes) {
 bool UdpBus::send_group(MemberId from, SharedBytes bytes) {
   if (!group_active() || !owns(from)) return false;
   std::int8_t& multicast_if = group_if_[from - first_member_];
-#if defined(__linux__)
   if (multicast_if == 0) {
     in_addr lo{htonl(INADDR_LOOPBACK)};
     multicast_if = ::setsockopt(fd_of(from), IPPROTO_IP, IP_MULTICAST_IF,
@@ -227,7 +186,6 @@ bool UdpBus::send_group(MemberId from, SharedBytes bytes) {
                 "): member ", from, " fans out by unicast");
     }
   }
-#endif
   if (multicast_if <= 0) return false;
   ++group_sends_;
   write_datagram(from, kGroup, std::move(bytes));
@@ -235,8 +193,7 @@ bool UdpBus::send_group(MemberId from, SharedBytes bytes) {
 }
 
 void UdpBus::flush_run(std::size_t begin, std::size_t end) {
-#if defined(__linux__)
-  while (batched_ && begin < end) {
+  while (begin < end) {
     mmsghdr msgs[kBatch];
     iovec iovs[kBatch];
     sockaddr_in dsts[kBatch];
@@ -258,13 +215,8 @@ void UdpBus::flush_run(std::size_t begin, std::size_t end) {
     } while (sent < 0 && errno == EINTR);
     ++send_syscalls_;
     if (sent < 0) {
-      if (errno == ENOSYS) {
-        log::warn("UdpBus: sendmmsg unavailable, falling back to sendto");
-        batched_ = false;
-        break;
-      }
-      // The error pertains to the first datagram of the batch: drop it
-      // (the pre-batching path dropped failed sends too) and keep going.
+      // The error pertains to the first datagram of the batch: drop it and
+      // keep going.
       log::warn("UdpBus: sendmmsg failed: ", std::strerror(errno));
       ++begin;
       continue;
@@ -278,12 +230,6 @@ void UdpBus::flush_run(std::size_t begin, std::size_t end) {
       ++datagrams_sent_;
     }
     begin += static_cast<std::size_t>(sent);
-  }
-#endif
-  // Scalar remainder (non-Linux build, or ENOSYS fallback mid-flush).
-  for (std::size_t i = begin; i < end; ++i) {
-    const PendingSend& p = send_queue_[i];
-    write_datagram_scalar(p.from, p.to, p.bytes.span());
   }
 }
 
@@ -334,40 +280,7 @@ void UdpBus::deliver(std::size_t local, std::uint16_t src_port_be,
   }
 }
 
-void UdpBus::drain_socket_scalar(std::size_t local) {
-  for (;;) {
-    sockaddr_in src{};
-    socklen_t srclen = sizeof(src);
-    // MSG_TRUNC: report the datagram's true length so oversized ones are
-    // detected instead of silently clipped.
-    ssize_t n = ::recvfrom(sockets_[local].fd, scratch_.data(), kSlotSize,
-                           MSG_TRUNC, reinterpret_cast<sockaddr*>(&src),
-                           &srclen);
-    ++recv_syscalls_;
-    if (n < 0) {
-      switch (detail::classify_recv_errno(errno)) {
-        case detail::RecvDisposition::kRetry:
-          continue;  // EINTR mid-drain: the queue is NOT drained
-        case detail::RecvDisposition::kDrained:
-          return;
-        case detail::RecvDisposition::kError:
-          log::warn("UdpBus: recvfrom failed: ", std::strerror(errno));
-          return;
-      }
-    }
-    if (static_cast<std::size_t>(n) > kSlotSize) {
-      ++datagrams_received_;
-      log::warn("UdpBus: dropping ", n, "-byte datagram larger than the ",
-                kSlotSize, "-byte slot size");
-      continue;
-    }
-    deliver(local, src.sin_port,
-            {scratch_.data(), static_cast<std::size_t>(n)});
-  }
-}
-
-void UdpBus::drain_socket_batched(std::size_t local) {
-#if defined(__linux__)
+void UdpBus::drain_socket(std::size_t local) {
   for (;;) {
     mmsghdr msgs[kBatch];
     iovec iovs[kBatch];
@@ -384,12 +297,6 @@ void UdpBus::drain_socket_batched(std::size_t local) {
                        MSG_DONTWAIT, nullptr);
     ++recv_syscalls_;
     if (n < 0) {
-      if (errno == ENOSYS) {
-        log::warn("UdpBus: recvmmsg unavailable, falling back to recvfrom");
-        batched_ = false;
-        drain_socket_scalar(local);
-        return;
-      }
       switch (detail::classify_recv_errno(errno)) {
         case detail::RecvDisposition::kRetry:
           continue;  // EINTR mid-drain: the queue is NOT drained
@@ -414,9 +321,6 @@ void UdpBus::drain_socket_batched(std::size_t local) {
     // level-triggered, so anything arriving meanwhile wakes us again.
     if (static_cast<std::size_t>(n) < kBatch) return;
   }
-#else
-  drain_socket_scalar(local);
-#endif
 }
 
 bool UdpBus::fire_due_timers() {
@@ -429,17 +333,9 @@ bool UdpBus::fire_due_timers() {
 }
 
 bool UdpBus::poll_and_drain(Duration timeout) {
-#if defined(__linux__)
   const timespec ts{static_cast<time_t>(timeout.us() / 1'000'000),
                     static_cast<long>(timeout.us() % 1'000'000) * 1000};
   int rc = ::ppoll(sockets_.data(), sockets_.size(), &ts, nullptr);
-#else
-  // Millisecond resolution: round up so no timer is woken early.
-  const int timeout_ms =
-      timeout > Duration::zero() ? static_cast<int>(timeout.us() / 1000) + 1
-                                 : 0;
-  int rc = ::poll(sockets_.data(), sockets_.size(), timeout_ms);
-#endif
   ++poll_syscalls_;
   if (rc < 0) {
     if (errno == EINTR) return true;
@@ -449,11 +345,7 @@ bool UdpBus::poll_and_drain(Duration timeout) {
   for (std::size_t i = 0; rc > 0 && i < sockets_.size(); ++i) {
     if (sockets_[i].revents == 0) continue;
     --rc;
-    if (batched_) {
-      drain_socket_batched(i);
-    } else {
-      drain_socket_scalar(i);
-    }
+    drain_socket(i);
   }
   return true;
 }

@@ -7,25 +7,26 @@
 // group), serviced by one event loop on the caller's thread so endpoint
 // code needs no locking.
 //
-// Group multicast (Linux): each bus also opens one group socket, bound to
+// Linux only: the bus relies on recvmmsg(), sendmmsg() and ppoll().
+//
+// Group multicast: each bus also opens one group socket, bound to
 // (239.255.hi.lo, base_port) for base_port = hi·256 + lo and joined on
 // 127.0.0.1. SO_REUSEADDR lets the buses of one group share it, and the
 // group address keeps groups on other base ports apart. It queues every
 // owned member's multicast frames, so its receive buffer is their combined
 // default. send_group() writes one datagram to the group; every bus drains
 // it once and hands one shared copy to each of its own members except the
-// sender. Where a group setup call fails, and on other systems, send_group()
-// returns false and callers fan out by unicast.
+// sender. Where a group setup call fails, send_group() returns false and
+// callers fan out by unicast.
 //
 // Event loop (run_until): each turn fires at most kMaxTimersPerTurn due
 // timers, flushes the send queue, then sleeps in ppoll() with a µs timeout
 // until the next timer or the deadline — or polls without sleeping while
 // due timers remain, so a timer wave cannot starve the sockets — and drains
 // only the sockets the poll reported ready. Timers therefore fire within
-// the kernel's timer slack of their due time. Non-Linux builds fall back to
-// poll() with millisecond timeouts rounded up.
+// the kernel's timer slack of their due time.
 //
-// Throughput path (Linux, on by default):
+// Throughput path:
 //  - receives are batched through recvmmsg() into one preallocated scratch
 //    of kBatch slots that every receive reuses. Each frame is then copied
 //    into an exact-size SharedBytes before delivery, so a buffered payload
@@ -33,9 +34,6 @@
 //  - sends are queued and flushed through sendmmsg() in batches; a regional
 //    fan-out enqueues one refcounted SharedBytes per receiver, so the wire
 //    image is encoded once for the whole group.
-// Where the batched syscalls are unavailable (non-Linux, or a kernel that
-// returns ENOSYS) the bus falls back to the scalar recvfrom()/sendto() path
-// with identical semantics.
 //
 // An optional delay function injects the topology's latency, so WAN timing
 // can be reproduced on loopback: a unicast datagram waits at the sender
@@ -78,10 +76,6 @@ inline bool is_short_write(std::int64_t sent, std::size_t requested) {
 }  // namespace detail
 
 struct UdpBusConfig {
-  /// false forces the scalar recvfrom()/sendto() path (the pre-batching
-  /// behaviour; also the automatic fallback where recvmmsg is unavailable).
-  bool batched_syscalls = true;
-
   /// Subset ownership (thread-per-core runtime): bind sockets for members
   /// [first_member, first_member + owned_count) out of a group of
   /// `member_count` total ports. Defaults own the whole group.
@@ -194,9 +188,6 @@ class UdpBus {
   /// delivered SharedBytes pins receive memory. Kept because bench_e2e
   /// still reports it as net.ring_replacements.
   std::uint64_t ring_replacements() const { return 0; }
-  /// True while the batched recvmmsg/sendmmsg path is active (false after
-  /// an ENOSYS fallback or when configured off).
-  bool batching_active() const { return batched_; }
 
  private:
   struct PendingSend {
@@ -208,16 +199,13 @@ class UdpBus {
 
   sockaddr_in dest_addr(MemberId to) const;  // a member's port, or kGroup
   void write_datagram(MemberId from, MemberId to, SharedBytes bytes);
-  void write_datagram_scalar(MemberId from, MemberId to,
-                             std::span<const std::uint8_t> bytes);
   void flush_run(std::size_t begin, std::size_t end);  // same-fd run
   /// Fires due timers, at most kMaxTimersPerTurn; true if more are due.
   bool fire_due_timers();
   /// Waits up to `timeout` for a readable socket and drains the ready
   /// ones; false on a poll error.
   bool poll_and_drain(Duration timeout);
-  void drain_socket_scalar(std::size_t local);
-  void drain_socket_batched(std::size_t local);
+  void drain_socket(std::size_t local);
   /// Hands a frame received on socket `local` to its member, or, from the
   /// group socket, to every owned member but the sender.
   void deliver(std::size_t local, std::uint16_t src_port,
@@ -240,7 +228,6 @@ class UdpBus {
   DropFn drop_fn_;
   std::int64_t epoch_ns_ = 0;
   bool stopped_ = false;
-  bool batched_ = true;
 
   // Receive scratch: kBatch slots of kSlotSize bytes, reused by every
   // receive call.

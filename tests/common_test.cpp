@@ -118,7 +118,7 @@ TEST(RandomTest, ForkIsDeterministicAndIndependent) {
   EXPECT_NE(a.fork(7).next_u64(), f8.next_u64());
 }
 
-// The shard pool leans on fork/split for per-region streams: forking must
+// The shard pool leans on fork for per-region streams: forking must
 // not consume parent state, or the draw sequence of a region would depend on
 // how many sibling regions were set up before it.
 TEST(RandomTest, ForkDoesNotConsumeParentState) {
@@ -155,20 +155,6 @@ TEST(RandomTest, ForkChildDiffersFromParentStream) {
     if (parent.next_u64() == child.next_u64()) ++same;
   }
   EXPECT_EQ(same, 0);
-}
-
-TEST(RandomTest, SplitMatchesForkWithDomainOffset) {
-  RandomEngine parent(123);
-  std::vector<RandomEngine> kids = parent.split(4, 0x9A7E0000ULL);
-  ASSERT_EQ(kids.size(), 4u);
-  for (std::size_t i = 0; i < kids.size(); ++i) {
-    RandomEngine expect = parent.fork(0x9A7E0000ULL + i);
-    EXPECT_EQ(kids[i].next_u64(), expect.next_u64()) << "child " << i;
-  }
-  // Same split on an equal-seed parent yields identical children.
-  RandomEngine parent2(123);
-  std::vector<RandomEngine> kids2 = parent2.split(4, 0x9A7E0000ULL);
-  EXPECT_EQ(kids2[2].next_u64(), parent.fork(0x9A7E0000ULL + 2).next_u64());
 }
 
 TEST(RandomTest, SplitmixKnownAnswerVectors) {
@@ -355,18 +341,11 @@ TEST(RandomTest, BinomialKnownAnswerVectorsInversionRegime) {
   for (std::uint64_t e : expected) EXPECT_EQ(rng.binomial(100, 0.06), e);
 }
 
-TEST(RandomTest, BinomialKnownAnswerVectorsBtpeRegime) {
-  // n·p = 300 >= 30: BTPE rejection path.
+TEST(RandomTest, BinomialKnownAnswerVectorsCountRegime) {
+  // n·p = 40 >= 30: n Bernoulli(p) trials counted one by one.
   RandomEngine rng(42);
-  const std::uint64_t expected[] = {278, 339, 303, 301, 308, 300, 294, 296};
-  for (std::uint64_t e : expected) EXPECT_EQ(rng.binomial(1000, 0.3), e);
-}
-
-TEST(RandomTest, BinomialKnownAnswerVectorsFlippedP) {
-  // p > 0.5 runs the flipped (n - Binomial(n, 1-p)) path through BTPE.
-  RandomEngine rng(7);
-  const std::uint64_t expected[] = {408, 401, 387, 397, 406, 407, 395, 390};
-  for (std::uint64_t e : expected) EXPECT_EQ(rng.binomial(500, 0.8), e);
+  const std::uint64_t expected[] = {44, 47, 38, 46, 42, 28, 47, 37};
+  for (std::uint64_t e : expected) EXPECT_EQ(rng.binomial(100, 0.4), e);
 }
 
 TEST(RandomTest, BinomialEdgeCases) {
@@ -381,13 +360,13 @@ TEST(RandomTest, BinomialEdgeCases) {
 
 TEST(RandomTest, BinomialMomentsMatchAcrossRegimes) {
   // 100k-trial mean/variance checks in every algorithmic regime: inversion,
-  // BTPE, and the flipped variants of both.
+  // the Bernoulli count, and the flipped variants of both.
   struct Case {
     std::uint64_t n;
     double p;
   };
-  for (Case c : {Case{100, 0.06}, Case{100, 0.97}, Case{1000, 0.3},
-                 Case{2000, 0.75}}) {
+  for (Case c : {Case{100, 0.06}, Case{100, 0.97}, Case{100, 0.4},
+                 Case{100, 0.7}}) {
     RandomEngine rng(0xB10'0000 + c.n);
     const int kTrials = 100000;
     double sum = 0.0, sum_sq = 0.0;

@@ -1,5 +1,5 @@
 // Tier-2 scale smoke: the repair-tree makespan experiment at 10^5 members
-// (and a sub-sharded 10^4 point), end to end through the real experiment
+// (and a 10^4 point), end to end through the real experiment
 // driver — the same code path the bench scale points take, at a size ctest
 // can afford. The 10^6 point lives in bench_ext_hierarchy_depth.
 #include <gtest/gtest.h>
@@ -23,12 +23,11 @@ TEST(HierarchyScaleTest, HundredThousandMemberMakespan) {
   EXPECT_GT(o.remote_requests, 0u);
 }
 
-TEST(HierarchyScaleTest, SubShardedTenThousandMemberMakespan) {
+TEST(HierarchyScaleTest, TenThousandMemberMakespan) {
   MakespanScenario sc;
   sc.fanout = 10;
   sc.depth = 2;
-  sc.region_size = 90;   // 111 regions, 9,990 members...
-  sc.sub_shard_members = 32;  // ...each split into three chunk lanes
+  sc.region_size = 90;  // 111 regions, 9,990 members
   sc.seed = 0x5CA1F;
   MakespanOutcome o = run_makespan_point(sc);
   EXPECT_EQ(o.members, 9990u);

@@ -110,30 +110,6 @@ TEST(HierarchicalRecoveryTest, RunsAreDeterministic) {
   EXPECT_EQ(once, run(2));
 }
 
-TEST(HierarchicalRecoveryTest, SubShardedLanesStayDeterministic) {
-  auto run = [](std::size_t sub_shard, std::size_t shards) {
-    harness::ClusterConfig cc = hierarchy_chain_config(2, 12, 0x43);
-    cc.sub_shard_members = sub_shard;
-    cc.shards = shards;
-    harness::Cluster cluster(cc);
-    std::vector<MemberId> root = cluster.region_members(0);
-    MessageId id = cluster.inject_data_to(root[0], 1, root);
-    for (RegionId r = 1; r <= 2; ++r) {
-      cluster.inject_session_to(root[0], 1, cluster.region_members(r));
-    }
-    cluster.run_until_quiet(Duration::seconds(30));
-    EXPECT_TRUE(cluster.all_received(id));
-    return cluster.events_fired();
-  };
-  // Sub-sharding splits each 12-member region into 4-member chunk lanes.
-  // Worker count must never change results; lane layout may (different
-  // lookahead), so compare within each layout.
-  std::uint64_t sharded = run(4, 1);
-  EXPECT_EQ(sharded, run(4, 2));
-  EXPECT_EQ(sharded, run(4, 4));
-  EXPECT_EQ(run(0, 1), run(0, 2));
-}
-
 TEST(HierarchicalRecoveryTest, RepresentativeCrashFailsOver) {
   // Crash region 1's elected representative mid-recovery; the remaining
   // members re-elect deterministically and recovery still completes.

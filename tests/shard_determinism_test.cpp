@@ -482,14 +482,12 @@ TEST(ShardDeterminism, PartitionHealRunsAreShardCountInvariant) {
   expect_identical(s1, s4, "partition shards=1 vs shards=4");
 }
 
-RunDigest run_hierarchy_workload(std::size_t shards,
-                                 std::size_t sub_shard_members) {
+RunDigest run_hierarchy_workload(std::size_t shards) {
   // The hierarchical repair subsystem on the deterministic-ordering hook:
   // representatives funnel NAKs and escalate level by level while loss,
-  // jitter and churn run, and regions are optionally sub-sharded into
-  // chunk lanes (the scale refactor's lane layout). Escalation targeting is
-  // view-derived, not RNG-drawn, so every digest must be byte-identical at
-  // every worker count.
+  // jitter and churn run. Escalation targeting is view-derived, not
+  // RNG-drawn, so every digest must be byte-identical at every worker
+  // count.
   ClusterConfig cc;
   cc.region_sizes = {6, 6, 6, 6};
   cc.parents = {0, 0, 1, 2};  // a 3-deep chain hanging off the root
@@ -499,7 +497,6 @@ RunDigest run_hierarchy_workload(std::size_t shards,
   cc.jitter = 0.15;
   cc.codec_roundtrip = true;
   cc.shards = shards;
-  cc.sub_shard_members = sub_shard_members;
   cc.protocol.hierarchy.enabled = true;
   Cluster cluster(cc);
   EventLog log(cluster);
@@ -523,9 +520,9 @@ RunDigest run_hierarchy_workload(std::size_t shards,
 }
 
 TEST(ShardDeterminism, HierarchyRunsAreShardCountInvariant) {
-  RunDigest s1 = run_hierarchy_workload(1, 0);
-  RunDigest s2 = run_hierarchy_workload(2, 0);
-  RunDigest s4 = run_hierarchy_workload(4, 0);
+  RunDigest s1 = run_hierarchy_workload(1);
+  RunDigest s2 = run_hierarchy_workload(2);
+  RunDigest s4 = run_hierarchy_workload(4);
 
   // The repair tree must actually have engaged: escalations on the wire and
   // recoveries completing through them.
@@ -535,23 +532,6 @@ TEST(ShardDeterminism, HierarchyRunsAreShardCountInvariant) {
 
   expect_identical(s1, s2, "hierarchy shards=1 vs shards=2");
   expect_identical(s1, s4, "hierarchy shards=1 vs shards=4");
-}
-
-TEST(ShardDeterminism, SubShardedHierarchyRunsAreShardCountInvariant) {
-  // Sub-shard every 6-member region into 3-member chunk lanes (8 lanes for
-  // 4 regions): the chunked lane layout changes the lookahead and the lane
-  // RNG streams, so it is its own baseline — but worker count must still
-  // never matter, including workers straddling chunks of one region.
-  RunDigest s1 = run_hierarchy_workload(1, 3);
-  RunDigest s2 = run_hierarchy_workload(2, 3);
-  RunDigest s4 = run_hierarchy_workload(4, 3);
-
-  ASSERT_EQ(s1.lanes, 8u);
-  std::size_t esc_idx = static_cast<std::size_t>(proto::MessageType::kEscalate);
-  ASSERT_GT(s1.traffic.sends_by_type[esc_idx], 0u);
-
-  expect_identical(s1, s2, "sub-sharded shards=1 vs shards=2");
-  expect_identical(s1, s4, "sub-sharded shards=1 vs shards=4");
 }
 
 TEST(ShardDeterminism, SoleCopyProtectedWhenRedundantVictimAvailable) {

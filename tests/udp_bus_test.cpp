@@ -176,6 +176,10 @@ TEST(UdpBusTest, BurstLargerThanOneBatchAllDelivered) {
   EXPECT_EQ(received, kBurst);
   for (int i = 0; i < kBurst; ++i) EXPECT_TRUE(seen[i]) << "datagram " << i;
   EXPECT_EQ(bus->datagrams_sent(), static_cast<std::uint64_t>(kBurst));
+  // One sendmmsg per kBatch datagrams: batching amortizes the send syscall.
+  EXPECT_LE(bus->send_syscalls(),
+            (static_cast<std::uint64_t>(kBurst) + UdpBus::kBatch - 1) /
+                UdpBus::kBatch);
 }
 
 TEST(UdpBusTest, StrayPortFilteringUnderBatching) {
@@ -209,39 +213,33 @@ TEST(UdpBusTest, StrayPortFilteringUnderBatching) {
 
 // Every frame leaves the reused receive scratch before delivery: frames
 // held across more than one kBatch receive keep their own bytes, whatever
-// their size, on the batched and the scalar path. kBatch + 8 frames fit the
-// default socket buffer.
+// their size. kBatch + 8 frames fit the default socket buffer.
 TEST(UdpBusTest, HeldFramesSurviveScratchReuse) {
   constexpr std::size_t kSizes[] = {1, 64, 512, 513, 1024, UdpBus::kSlotSize};
   constexpr std::size_t kTotal = UdpBus::kBatch + 8;
-  for (bool batched : {true, false}) {
-    SCOPED_TRACE(batched ? "batched" : "scalar");
-    UdpBusConfig cfg;
-    cfg.batched_syscalls = batched;
-    auto bus = try_bus(2, batched ? 39590 : 39595, cfg);
-    if (!bus) GTEST_SKIP() << "UDP sockets unavailable";
-    std::vector<SharedBytes> held;
-    bus->set_receive_callback([&](MemberId to, MemberId, SharedBytes bytes) {
-      if (to != 1) return;
-      held.push_back(bytes);
-      if (held.size() == kTotal) bus->stop();
-    });
-    for (std::size_t i = 0; i < kTotal; ++i) {
-      bus->send(0, 1,
-                std::vector<std::uint8_t>(kSizes[i % std::size(kSizes)],
-                                          static_cast<std::uint8_t>(i)));
-    }
-    bus->run_until(bus->now() + Duration::millis(1000));
-    ASSERT_EQ(held.size(), kTotal);
-    EXPECT_GE(bus->recv_syscalls(), 2u);
-    for (std::size_t i = 0; i < kTotal; ++i) {
-      const SharedBytes& frame = held[i];
-      ASSERT_EQ(frame.size(), kSizes[i % std::size(kSizes)]) << "frame " << i;
-      const auto marker = static_cast<std::uint8_t>(i);
-      EXPECT_TRUE(std::all_of(frame.data(), frame.data() + frame.size(),
-                              [&](std::uint8_t b) { return b == marker; }))
-          << "frame " << i;
-    }
+  auto bus = try_bus(2, 39590);
+  if (!bus) GTEST_SKIP() << "UDP sockets unavailable";
+  std::vector<SharedBytes> held;
+  bus->set_receive_callback([&](MemberId to, MemberId, SharedBytes bytes) {
+    if (to != 1) return;
+    held.push_back(bytes);
+    if (held.size() == kTotal) bus->stop();
+  });
+  for (std::size_t i = 0; i < kTotal; ++i) {
+    bus->send(0, 1,
+              std::vector<std::uint8_t>(kSizes[i % std::size(kSizes)],
+                                        static_cast<std::uint8_t>(i)));
+  }
+  bus->run_until(bus->now() + Duration::millis(1000));
+  ASSERT_EQ(held.size(), kTotal);
+  EXPECT_GE(bus->recv_syscalls(), 2u);
+  for (std::size_t i = 0; i < kTotal; ++i) {
+    const SharedBytes& frame = held[i];
+    ASSERT_EQ(frame.size(), kSizes[i % std::size(kSizes)]) << "frame " << i;
+    const auto marker = static_cast<std::uint8_t>(i);
+    EXPECT_TRUE(std::all_of(frame.data(), frame.data() + frame.size(),
+                            [&](std::uint8_t b) { return b == marker; }))
+        << "frame " << i;
   }
 }
 
@@ -251,44 +249,20 @@ TEST(UdpBusTest, OversizedDatagramIsCountedNotDelivered) {
   constexpr std::size_t kLarge = 3000;
   static_assert(kLarge > UdpBus::kSlotSize);
   const std::vector<std::uint8_t> small = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
-  for (bool batched : {true, false}) {
-    SCOPED_TRACE(batched ? "batched" : "scalar");
-    UdpBusConfig cfg;
-    cfg.batched_syscalls = batched;
-    auto bus = try_bus(2, batched ? 39630 : 39635, cfg);
-    if (!bus) GTEST_SKIP() << "UDP sockets unavailable";
-    std::vector<std::vector<std::uint8_t>> got;
-    bus->set_receive_callback([&](MemberId to, MemberId, SharedBytes bytes) {
-      if (to != 1) return;
-      got.emplace_back(bytes.data(), bytes.data() + bytes.size());
-      bus->stop();
-    });
-    bus->send(0, 1, std::vector<std::uint8_t>(kLarge, 0xAA));
-    bus->send(0, 1, small);
-    bus->run_until(bus->now() + Duration::millis(500));
-    ASSERT_EQ(got.size(), 1u);
-    EXPECT_EQ(got[0], small);
-    EXPECT_EQ(bus->datagrams_received(), 2u);
-  }
-}
-
-TEST(UdpBusTest, ScalarFallbackPathStillDelivers) {
-  UdpBusConfig cfg;
-  cfg.batched_syscalls = false;  // forced pre-batching path
-  auto bus = try_bus(2, 39600, cfg);
+  auto bus = try_bus(2, 39630);
   if (!bus) GTEST_SKIP() << "UDP sockets unavailable";
-  EXPECT_FALSE(bus->batching_active());
-  std::vector<std::uint8_t> got;
-  bus->set_receive_callback(
-      [&](MemberId to, MemberId, std::span<const std::uint8_t> bytes) {
-        if (to == 1) {
-          got.assign(bytes.begin(), bytes.end());
-          bus->stop();
-        }
-      });
-  bus->send(0, 1, {9, 8, 7});
+  std::vector<std::vector<std::uint8_t>> got;
+  bus->set_receive_callback([&](MemberId to, MemberId, SharedBytes bytes) {
+    if (to != 1) return;
+    got.emplace_back(bytes.data(), bytes.data() + bytes.size());
+    bus->stop();
+  });
+  bus->send(0, 1, std::vector<std::uint8_t>(kLarge, 0xAA));
+  bus->send(0, 1, small);
   bus->run_until(bus->now() + Duration::millis(500));
-  EXPECT_EQ(got, (std::vector<std::uint8_t>{9, 8, 7}));
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0], small);
+  EXPECT_EQ(bus->datagrams_received(), 2u);
 }
 
 TEST(UdpBusTest, SharedFanOutDeliversOneWireImagePerReceiver) {
