@@ -14,6 +14,7 @@
 #include "buffer/fixed_time.h"
 #include "buffer/store.h"
 #include "common/random.h"
+#include "proto/codec.h"
 #include "sim/simulator.h"
 
 namespace {
@@ -31,7 +32,6 @@ class BenchEnv final : public buffer::PolicyEnv {
     sim_.cancel(sim::TimerId{timer});
   }
   RandomEngine& rng() override { return rng_; }
-  std::size_t region_size() const override { return members_.size(); }
   const std::vector<MemberId>& region_members() const override {
     return members_;
   }
@@ -45,6 +45,13 @@ class BenchEnv final : public buffer::PolicyEnv {
 
 proto::Data data_of(std::uint64_t seq, const std::vector<std::uint8_t>& p) {
   return proto::Data{MessageId{1, seq}, p};
+}
+
+/// A byte budget that holds exactly `frames` frames of `payload`.
+buffer::BufferBudget frame_budget(std::int64_t frames,
+                                  const std::vector<std::uint8_t>& payload) {
+  return buffer::BufferBudget{static_cast<std::size_t>(frames) *
+                              proto::encoded_size(data_of(1, payload))};
 }
 
 void BM_StoreInsertErase(benchmark::State& state) {
@@ -87,14 +94,14 @@ void BM_StoreLookupHit(benchmark::State& state) {
 BENCHMARK(BM_StoreLookupHit)->Arg(16)->Arg(256)->Arg(4096);
 
 void BM_StoreAdmitEvictSteadyState(benchmark::State& state) {
-  // Fully budgeted admission: every insert runs the eviction protocol
-  // (pick_victims scan + discard of the LRU victim) at `range` occupancy.
+  // Fully budgeted admission: every insert runs the eviction protocol (the
+  // store's victim scan + discard of the LRU victim) at `range` frames of
+  // occupancy.
   BenchEnv env;
-  buffer::BufferStore store(
-      std::make_unique<buffer::BufferEverythingPolicy>(),
-      buffer::BufferBudget{0, static_cast<std::size_t>(state.range(0))});
-  store.bind(&env);
   std::vector<std::uint8_t> payload(256, 1);
+  buffer::BufferStore store(std::make_unique<buffer::BufferEverythingPolicy>(),
+                            frame_budget(state.range(0), payload));
+  store.bind(&env);
   std::uint64_t seq = 0;
   // Pre-fill to the cap so every measured insert evicts (google-benchmark's
   // 1-iteration calibration run would otherwise never reach the budget).
@@ -112,11 +119,11 @@ void BM_StoreAdmitEvictWithTimers(benchmark::State& state) {
   // Same, with a timer-arming policy: eviction must also cancel the
   // victim's pending TTL timer (the slab-handle path).
   BenchEnv env;
+  std::vector<std::uint8_t> payload(256, 1);
   buffer::BufferStore store(
       std::make_unique<buffer::FixedTimePolicy>(Duration::seconds(3600)),
-      buffer::BufferBudget{0, static_cast<std::size_t>(state.range(0))});
+      frame_budget(state.range(0), payload));
   store.bind(&env);
-  std::vector<std::uint8_t> payload(256, 1);
   std::uint64_t seq = 0;
   for (std::int64_t i = 0; i < state.range(0); ++i) {
     store.store(data_of(++seq, payload));
@@ -163,10 +170,10 @@ void BM_StoreAdmitEvictCoordinated(benchmark::State& state) {
   BenchEnv env;
   buffer::CoordinationParams coordination;
   coordination.enabled = true;
-  buffer::BufferStore store(
-      std::make_unique<buffer::BufferEverythingPolicy>(),
-      buffer::BufferBudget{0, static_cast<std::size_t>(state.range(0))},
-      coordination);
+  std::vector<std::uint8_t> payload(256, 1);
+  buffer::BufferStore store(std::make_unique<buffer::BufferEverythingPolicy>(),
+                            frame_budget(state.range(0), payload),
+                            coordination);
   store.bind(&env);
   for (MemberId p = 1; p <= kPeers; ++p) {
     std::vector<proto::DigestRange> ranges;
@@ -176,7 +183,6 @@ void BM_StoreAdmitEvictCoordinated(benchmark::State& state) {
     }
     store.digests().update(p, 1024, ranges);
   }
-  std::vector<std::uint8_t> payload(256, 1);
   std::uint64_t seq = 0;
   auto next = [&] {
     ++seq;

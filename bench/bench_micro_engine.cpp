@@ -89,7 +89,6 @@ class BenchEnv final : public buffer::PolicyEnv {
   }
   void cancel(std::uint64_t t) override { sim_.cancel(sim::TimerId{t}); }
   RandomEngine& rng() override { return rng_; }
-  std::size_t region_size() const override { return members_.size(); }
   const std::vector<MemberId>& region_members() const override {
     return members_;
   }

@@ -49,11 +49,18 @@ minutes, ten sim_tree_1e4 pairs about 6.
 
 A change that means to alter bench output lists each such bench, workload
 or example invocation (as written in EXAMPLES), one a line, in
-bench/expected_output_changes.txt. The check
-fails when a bench or workload differs and is not listed, and when a listed
-one did not change, so the list cannot go stale. A listed workload is also
-exempt from the memory check, and the log shows how far it moved: each
-moved deterministic value's median over the seeds, per side.
+bench/expected_output_changes.txt. Only the entries the change adds count.
+The parent tree's own list is read too, from the source directory that the
+parent build's CMakeCache.txt names (the --parent build's, or the
+--e2e-parent build's); a missing list is empty. An entry in both lists is
+printed as carried over and ignored: it neither exempts nor fails anything,
+so a change cannot exempt an output that its parent's list also names.
+The check fails when a bench or workload differs and the change does not
+list it, and when one the change lists did not change, so a stale list
+fails only the change that wrote it, and the check never exempts more than
+the change's own entries. A listed workload is also exempt from the memory
+check, and the log shows how far it moved: each moved deterministic value's
+median over the seeds, per side.
 
 Correctness is never exempt, listed or not. The check fails when a bench or
 example that exited 0 at the parent exits otherwise, when a JSON report's
@@ -150,8 +157,9 @@ UDP_WORKLOADS = ["udp_small_open", "udp_lossy_open"]
 UDP_SYSCALL_METRICS = ["net.send_syscalls_per_delivery",
                        "net.recv_syscalls_per_delivery"]
 
+EXPECTED_NAME = "expected_output_changes.txt"
 EXPECTED_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                             "expected_output_changes.txt")
+                             EXPECTED_NAME)
 
 
 # The parts of a bench's JSON report that stdout does not already cover.
@@ -225,6 +233,32 @@ def source_dir(build_dir):
             if line.startswith("CMAKE_HOME_DIRECTORY:"):
                 return line.split("=", 1)[1].strip()
     raise RuntimeError(f"{build_dir}: no CMAKE_HOME_DIRECTORY in CMakeCache.txt")
+
+
+def read_expected(path):
+    """The names an expected_output_changes.txt lists; a missing list is
+    empty."""
+    try:
+        with open(path) as f:
+            return {l.strip() for l in f
+                    if l.strip() and not l.startswith("#")}
+    except FileNotFoundError:
+        return set()
+
+
+def parent_lists(args):
+    """The parent tree's expected_output_changes.txt, found through each
+    parent build given: a bench build dir's tree has it in bench/, and the
+    e2e build is configured from bench/e2e/."""
+    paths = set()
+    if args.parent is not None:
+        root = source_dir(os.path.dirname(os.path.abspath(args.parent)))
+        paths.add(os.path.join(root, "bench", EXPECTED_NAME))
+    if args.e2e_parent is not None:
+        build_dir = os.path.dirname(os.path.abspath(args.e2e_parent))
+        e2e_source = source_dir(build_dir)
+        paths.add(os.path.join(os.path.dirname(e2e_source), EXPECTED_NAME))
+    return paths
 
 
 def run_example(bench_dir, invocation):
@@ -489,8 +523,11 @@ def main():
     if args.pairs and not e2e:
         ap.error("--pairs needs --e2e-parent and --e2e-change")
 
-    with open(EXPECTED_FILE) as f:
-        expected = {l.strip() for l in f if l.strip() and not l.startswith("#")}
+    expected = read_expected(EXPECTED_FILE)
+    carried = expected & set().union(*map(read_expected, parent_lists(args)))
+    for name in sorted(carried):
+        print(f"{name}: carried over from the parent's list; ignored")
+    expected -= carried
     checked = set(BENCHES) | set(EXAMPLES) | set(E2E_WORKLOADS)
     failures = [f"{name}: listed in {EXPECTED_FILE} but not a checked bench, "
                 f"example or workload"

@@ -141,8 +141,8 @@ def main():
                         help="bench binary names to run (default: fig3-fig9)")
     parser.add_argument("--micro-benches", nargs="*", default=MICRO_BENCHES,
                         help="Google Benchmark binaries to fold in as ns/op "
-                             "counters (default: the bench_micro_* pair); "
-                             "pass an empty list to skip")
+                             "counters (default: the three bench_micro_* "
+                             "binaries); pass an empty list to skip")
     parser.add_argument("--timeout", type=float, default=1200.0,
                         help="per-bench timeout in seconds")
     args = parser.parse_args()

@@ -40,7 +40,6 @@ struct Options {
   std::size_t hash_k = 6;          // hash-based bufferers per message
   std::int64_t grace_ms = 40;      // hash-based non-bufferer grace
   std::size_t buffer_bytes = 0;    // per-member byte budget, 0 = unlimited
-  std::size_t buffer_count = 0;    // per-member entry budget, 0 = unlimited
   bool coordinate = false;         // cooperative region-wide budgets
   std::int64_t digest_ms = 20;     // BufferDigest tick period
   bool flow = false;               // windowed send admission (flow control)
@@ -80,8 +79,6 @@ void print_usage() {
       "  --k=N                 hash-based bufferers per message (6)\n"
       "  --grace=MS            hash-based non-bufferer grace in ms (40)\n"
       "  --buffer-bytes=N      per-member buffer budget in wire bytes\n"
-      "                        (0 = unlimited)\n"
-      "  --buffer-count=N      per-member buffer budget in messages\n"
       "                        (0 = unlimited)\n"
       "  --coordinate          cooperative region-wide budgets: digest\n"
       "                        gossip, replica-aware eviction, shed handoffs\n"
@@ -172,8 +169,6 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.grace_ms = std::strtoll(v.c_str(), nullptr, 10);
     } else if (eat("--buffer-bytes=", v)) {
       opt.buffer_bytes = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (eat("--buffer-count=", v)) {
-      opt.buffer_count = std::strtoull(v.c_str(), nullptr, 10);
     } else if (arg == "--coordinate") {
       opt.coordinate = true;
     } else if (eat("--digest-interval=", v)) {
@@ -249,14 +244,13 @@ bool validate(const Options& opt) {
   if (opt.lossy_rate < 0.0 || opt.lossy_rate > 1.0) {
     return fail("--lossy-rate must be a probability in [0, 1]");
   }
-  if (opt.coordinate && opt.buffer_bytes == 0 && opt.buffer_count == 0) {
+  if (opt.coordinate && opt.buffer_bytes == 0) {
     // Digest gossip, replica-aware eviction and shed handoffs all act on
     // budget *pressure*; with unlimited buffers nothing ever evicts, so the
     // run silently measures the uncoordinated protocol plus gossip traffic.
     return fail(
-        "--coordinate requires a buffer budget (--buffer-bytes and/or "
-        "--buffer-count): with unlimited buffers there is no pressure to "
-        "coordinate");
+        "--coordinate requires a buffer budget (--buffer-bytes): with "
+        "unlimited buffers there is no pressure to coordinate");
   }
   if (opt.depth > 0 && opt.fanout == 0) {
     return fail("--fanout must be positive when --depth > 0");
@@ -334,8 +328,7 @@ int main(int argc, char** argv) {
   cc.control_loss = opt.control_loss;
   cc.seed = opt.seed;
   cc.policy = spec_from_options(kind, opt);
-  cc.protocol.buffer_budget =
-      buffer::BufferBudget{opt.buffer_bytes, opt.buffer_count};
+  cc.protocol.buffer_budget = buffer::BufferBudget{opt.buffer_bytes};
   cc.protocol.buffer_coordination.enabled = opt.coordinate;
   cc.protocol.buffer_coordination.digest_interval =
       Duration::millis(opt.digest_ms);
@@ -352,9 +345,8 @@ int main(int argc, char** argv) {
   if (cc.protocol.buffer_budget.unlimited()) {
     std::printf("budget: unlimited\n");
   } else {
-    std::printf("budget: %zu bytes, %zu msgs per member (0 = unlimited)\n",
-                cc.protocol.buffer_budget.max_bytes,
-                cc.protocol.buffer_budget.max_count);
+    std::printf("budget: %zu bytes per member\n",
+                cc.protocol.buffer_budget.max_bytes);
   }
   std::printf("coordination: %s\n",
               buffer::describe(cc.protocol.buffer_coordination).c_str());

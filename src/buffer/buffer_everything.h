@@ -19,8 +19,6 @@ class BufferEverythingPolicy final : public RetentionPolicy {
   BufferEverythingPolicy() = default;
   explicit BufferEverythingPolicy(BufferEverythingParams) {}
 
-  const char* name() const override { return "buffer-everything"; }
-
   /// A leaving repair server hands its entire archive over.
   bool handoff_includes_short_term() const override { return true; }
 

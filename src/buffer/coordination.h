@@ -11,7 +11,7 @@
 //      neighbors' digests into a DigestTable, giving it an approximate
 //      replica count per buffered entry and a view of where free buffer
 //      capacity lives.
-//   2. Cost-aware eviction — RetentionPolicy::pick_victims prefers victims
+//   2. Cost-aware eviction — BufferStore::pick_victims prefers victims
 //      with >= kRedundancyThreshold known regional replicas (self included)
 //      and protects sole-copy entries, falling back to the PR 4 order
 //      (short-term first, LRU, MessageId tie-break) among equals.
@@ -131,10 +131,10 @@ class DigestTable {
 
   /// holder_info for every id of `ids` in one pass over the table:
   /// out[i] == holder_info(ids[i], self). `ids` must be sorted ascending
-  /// without duplicates (BufferStore::for_each_entry order). Each row's
-  /// ranges binary-search `ids` and walk the ids they hold, so the cost
-  /// follows the advertised ranges and the ids they hit, not ids × ranges.
-  /// This is how pick_victims ranks a whole store per eviction.
+  /// without duplicates (the store's entry order). Each row's ranges
+  /// binary-search `ids` and walk the ids they hold, so the cost follows
+  /// the advertised ranges and the ids they hit, not ids × ranges. This is
+  /// how BufferStore::pick_victims ranks a whole store per eviction.
   void holder_infos(const std::vector<MessageId>& ids, MemberId self,
                     std::vector<HolderInfo>& out) const;
 

@@ -93,8 +93,7 @@ std::string describe(const PolicySpec& spec) {
           return "buffer-everything()";
         } else if constexpr (std::is_same_v<T, HashBasedParams>) {
           return "hash-based(k=" + std::to_string(p.k) +
-                 ", grace=" + duration_str(p.grace) +
-                 ", ttl=" + duration_str(p.bufferer_ttl) + ")";
+                 ", grace=" + duration_str(p.grace) + ")";
         } else {
           return "stability()";
         }

@@ -2,11 +2,10 @@
 // harness, benches and examples to sweep all five schemes through identical
 // scenarios.
 //
-// Buffer API v2: the old PolicyParams union (all policies' knobs mashed
-// into one struct) is replaced by PolicySpec, a std::variant of per-policy
-// param structs. A spec is self-describing — the active alternative IS the
-// chosen policy, so a config can be printed (describe()) and can never
-// carry stale knobs for a policy it does not select.
+// A PolicySpec is a std::variant of per-policy param structs. It is
+// self-describing — the active alternative IS the chosen policy, so a config
+// can be printed (describe()) and can never carry stale knobs for a policy
+// it does not select. to_string(PolicyKind) is the one policy-name table.
 #pragma once
 
 #include <memory>

@@ -20,7 +20,6 @@ class FixedTimePolicy final : public RetentionPolicy {
   explicit FixedTimePolicy(FixedTimeParams params) : params_(params) {}
   explicit FixedTimePolicy(Duration ttl) : params_{ttl} {}
 
-  const char* name() const override { return "fixed-time"; }
   const FixedTimeParams& params() const { return params_; }
   Duration ttl() const { return params_.ttl; }
 

@@ -71,7 +71,6 @@ void HashBasedPolicy::on_stored(const MessageId& id) {
   hash_evaluations_ += members.size();
   if (selector_.selects(id, members, params_.k, env().self())) {
     store().promote_long_term(id);
-    arm_bufferer_ttl(id);
   } else {
     store().arm(id, params_.grace, [this, id] { grace_expired(id); });
   }
@@ -79,25 +78,13 @@ void HashBasedPolicy::on_stored(const MessageId& id) {
 
 void HashBasedPolicy::on_handoff(const MessageId& id) {
   store().promote_long_term(id);
-  arm_bufferer_ttl(id);
-}
-
-void HashBasedPolicy::arm_bufferer_ttl(const MessageId& id) {
-  if (params_.bufferer_ttl.is_infinite()) return;
-  store().arm(id, params_.bufferer_ttl, [this, id] { store().discard(id); });
 }
 
 void HashBasedPolicy::grace_expired(const MessageId& id) {
-  auto v = store().view(id);
-  if (!v) return;
   // A handoff upgraded the entry to long-term while the grace countdown
   // was pending: the transfer's copy must survive the grace it was armed
-  // with as a mere non-bufferer, and owes the bufferer lifecycle instead.
-  if (v->long_term) {
-    arm_bufferer_ttl(id);
-    return;
-  }
-  store().discard(id);
+  // with as a mere non-bufferer.
+  if (!store().is_long_term(id)) store().discard(id);
 }
 
 }  // namespace rrmp::buffer

@@ -54,10 +54,9 @@ struct HashBasedParams {
   /// Bufferers per region per message.
   std::size_t k = 6;
   /// How long non-selected members keep a message to serve the initial wave
-  /// of recovery traffic before the hashed set takes over.
+  /// of recovery traffic before the hashed set takes over. The selected
+  /// bufferers keep it for the session.
   Duration grace = Duration::millis(40);
-  /// Eventual discard at the selected bufferers; infinite() disables.
-  Duration bufferer_ttl = Duration::infinite();
 
   friend bool operator==(const HashBasedParams&, const HashBasedParams&) = default;
 };
@@ -66,11 +65,10 @@ class HashBasedPolicy final : public RetentionPolicy {
  public:
   explicit HashBasedPolicy(HashBasedParams params) : params_(params) {}
 
-  const char* name() const override { return "hash-based"; }
   const HashBasedParams& params() const { return params_; }
 
   /// Number of score evaluations performed so far (the "computation
-  /// overhead" of §3.4; reported by the baseline benchmark).
+  /// overhead" of §3.4).
   std::uint64_t hash_evaluations() const { return hash_evaluations_; }
 
   void on_stored(const MessageId& id) override;
@@ -86,8 +84,6 @@ class HashBasedPolicy final : public RetentionPolicy {
   void on_handoff(const MessageId& id) override;
 
  private:
-  /// Arm a bufferer's eventual discard, unless bufferer_ttl is infinite.
-  void arm_bufferer_ttl(const MessageId& id);
   void grace_expired(const MessageId& id);
 
   HashBasedParams params_;

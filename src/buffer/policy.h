@@ -1,19 +1,19 @@
-// Buffer-management decision layer (Buffer API v2).
+// Buffer-management decision layer.
 //
 // Storage and decision-making are split into two layers:
 //
 //   BufferStore      (store.h)  — the one concrete container every member
 //                                 owns: ordered flat storage of refcounted
-//                                 payloads, bytes/count accounting, duplicate
+//                                 payloads, byte accounting, duplicate
 //                                 suppression, observer notification, handoff
 //                                 drains, and budget admission + eviction.
 //   RetentionPolicy  (here)     — a pure decision strategy plugged into the
 //                                 store. It holds NO message data; it reacts
 //                                 to store events (on_stored / on_handoff /
-//                                 on_request_seen), drives retention through
-//                                 the store's mutators (touch / promote /
-//                                 discard / arm), and chooses eviction
-//                                 victims when the budget is hit.
+//                                 on_request_seen) and drives retention
+//                                 through the store's mutators (touch /
+//                                 promote / discard / arm). Eviction under
+//                                 the budget is the store's own decision.
 //
 // Concrete strategies:
 //
@@ -30,7 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "common/random.h"
@@ -55,11 +54,9 @@ class PolicyEnv {
   /// Cancelling handle 0, or one that already fired, is a no-op.
   virtual void cancel(std::uint64_t timer) = 0;
   virtual RandomEngine& rng() = 0;
-  /// Current size of the member's region (alive members, including self).
-  virtual std::size_t region_size() const = 0;
   /// Alive members of the region in ascending id order, including self
-  /// (hash-based selection; the shed path's DigestTable::least_loaded
-  /// binary-searches it).
+  /// (the two-phase draw's n; hash-based selection; the shed path's
+  /// DigestTable::least_loaded binary-searches it).
   virtual const std::vector<MemberId>& region_members() const = 0;
   virtual MemberId self() const = 0;
 };
@@ -98,19 +95,6 @@ struct BufferStats {
   Duration total_buffer_time = Duration::zero();
 };
 
-/// How much an admission still needs to free. The store satisfies the plan
-/// it gets back in order, so a policy ranks victims by how expendable they
-/// are; ties MUST be broken by MessageId for cross-run determinism.
-struct EvictionDemand {
-  std::size_t bytes = 0;    // accounted bytes to free (0 = none)
-  std::size_t entries = 0;  // entries to free (0 = none)
-};
-
-/// An ordered list of currently-stored ids the store should evict.
-struct EvictionPlan {
-  std::vector<MessageId> victims;
-};
-
 /// Pure retention strategy. Bound to exactly one BufferStore; all message
 /// data lives in the store, the policy only decides how long it stays.
 class RetentionPolicy {
@@ -119,8 +103,6 @@ class RetentionPolicy {
 
   /// Called exactly once by the owning BufferStore.
   void bind(BufferStore* store, PolicyEnv* env);
-
-  virtual const char* name() const = 0;
 
   /// True if drain_for_handoff() should transfer short-term entries too
   /// (repair servers hand over their whole archive).
@@ -138,27 +120,11 @@ class RetentionPolicy {
   /// store has already refreshed the entry's last_activity.
   virtual void on_request_seen(const MessageId& id) { (void)id; }
 
-  /// Choose eviction victims for an admission under budget pressure. The
-  /// base implementation is the deterministic default every bundled policy
-  /// uses: short-term entries before long-term ones, least-recently-active
-  /// first, ties broken by ascending MessageId. When the owning store runs
-  /// with coordination enabled and neighbor digests are known, a replica
-  /// cost model ranks first: entries with >= kRedundancyThreshold known
-  /// regional replicas whose keeper is another member are preferred
-  /// victims (most replicated first), while keeper copies and sole-copy
-  /// entries are protected (evicted only when nothing redundant remains);
-  /// the uncoordinated order breaks ties within each rank.
-  virtual EvictionPlan pick_victims(const EvictionDemand& need);
-
  protected:
-  /// Policy hook: called after bind() so policies can arm global timers.
-  virtual void on_bound() {}
-
   BufferStore& store() { return *store_; }
   const BufferStore& store() const { return *store_; }
   PolicyEnv& env() { return *env_; }
   const PolicyEnv& env() const { return *env_; }
-  bool bound() const { return store_ != nullptr; }
 
  private:
   BufferStore* store_ = nullptr;

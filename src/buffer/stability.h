@@ -27,8 +27,6 @@ class StabilityPolicy final : public RetentionPolicy {
   StabilityPolicy() = default;
   explicit StabilityPolicy(StabilityParams) {}
 
-  const char* name() const override { return "stability"; }
-
   /// Discard every buffered message from `source` with seq < `stable_below`.
   void mark_stable_below(MemberId source, std::uint64_t stable_below);
 

@@ -15,6 +15,29 @@ struct IdLess {
   }
 };
 
+struct Candidate {
+  MessageId id;
+  std::size_t bytes;
+  TimePoint last_activity;
+  bool long_term;
+  /// Expendability rank from the coordination cost model: 0 for protected
+  /// entries (sole copies, designated keepers, everything when coordination
+  /// is off — the comparator then degenerates to the uncoordinated order),
+  /// otherwise the entry's known regional replica count, so the most
+  /// replicated redundant entry is evicted first.
+  std::size_t replica_rank = 0;
+};
+
+/// The deterministic expendability order (BufferStore::pick_victims).
+bool more_expendable(const Candidate& a, const Candidate& b) {
+  if (a.replica_rank != b.replica_rank) return a.replica_rank > b.replica_rank;
+  if (a.long_term != b.long_term) return !a.long_term;
+  if (a.last_activity != b.last_activity) {
+    return a.last_activity < b.last_activity;
+  }
+  return a.id < b.id;
+}
+
 }  // namespace
 
 BufferStore::BufferStore(std::unique_ptr<RetentionPolicy> policy,
@@ -86,37 +109,72 @@ Admission BufferStore::insert(const proto::Data& msg, bool via_handoff) {
 
 bool BufferStore::make_room(std::size_t incoming_bytes) {
   if (budget_.unlimited()) return true;
-  if (budget_.max_bytes != 0 && incoming_bytes > budget_.max_bytes) {
+  if (incoming_bytes > budget_.max_bytes) {
     return false;  // can never fit, even with an empty buffer
   }
-  EvictionDemand need;
-  if (budget_.max_bytes != 0 && bytes_ + incoming_bytes > budget_.max_bytes) {
-    need.bytes = bytes_ + incoming_bytes - budget_.max_bytes;
+  if (bytes_ + incoming_bytes <= budget_.max_bytes) return true;
+  for (const MessageId& victim :
+       pick_victims(bytes_ + incoming_bytes - budget_.max_bytes)) {
+    remove_victim(victim);
   }
-  if (budget_.max_count != 0 && entries_.size() + 1 > budget_.max_count) {
-    need.entries = entries_.size() + 1 - budget_.max_count;
-  }
-  if (need.bytes == 0 && need.entries == 0) return true;
+  return true;
+}
 
-  auto apply_plan = [this, &need](const EvictionPlan& plan) {
-    for (const MessageId& victim : plan.victims) {
-      if (need.bytes == 0 && need.entries == 0) break;
-      const Entry* e = find(victim);
-      if (e == nullptr) continue;  // plan may name already-departed ids
-      std::size_t freed = e->bytes;
-      remove_victim(victim);
-      need.bytes -= std::min(need.bytes, freed);
-      need.entries -= std::min<std::size_t>(need.entries, 1);
-    }
+std::vector<MessageId> BufferStore::pick_victims(std::size_t need) const {
+  auto candidate = [](const Entry& e) {
+    return Candidate{e.id, e.bytes, e.last_activity, e.long_term};
   };
-  apply_plan(policy_->pick_victims(need));
-  if (need.bytes != 0 || need.entries != 0) {
-    // The policy's plan under-delivered (custom policies may hold entries
-    // back). Fall back to the deterministic base ordering so admission
-    // never fails for a message that fits an empty budget.
-    apply_plan(policy_->RetentionPolicy::pick_victims(need));
+  std::vector<Candidate> candidates;
+  if (coordination_.enabled) {
+    // One pass over the digest table (holder_infos) ranks every entry; the
+    // snapshot feeds both the single-victim fast path (min, no sort) and,
+    // only when the demand needs more, the full sort. An entry is
+    // expendable only when it is redundant AND this member is not its
+    // keeper: the keeper election stops all holders of a redundant entry
+    // from evicting it at once.
+    std::vector<MessageId> ids;
+    ids.reserve(entries_.size());
+    for (const Entry& e : entries_) ids.push_back(e.id);  // ascending
+    std::vector<DigestTable::HolderInfo> infos;
+    digests_.holder_infos(ids, env_->self(), infos);
+    candidates.reserve(entries_.size());
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+      candidates.push_back(candidate(entries_[i]));
+      // Only stored entries are ranked, so our copy always counts.
+      std::size_t replicas = 1 + infos[i].holders;
+      if (replicas >= kRedundancyThreshold && !infos[i].keeper) {
+        candidates.back().replica_rank = replicas;
+      }
+    }
+    if (candidates.empty()) return {};
+    const Candidate& best = *std::min_element(
+        candidates.begin(), candidates.end(), more_expendable);
+    if (best.bytes >= need) return {best.id};
+  } else {
+    // The steady state (incoming message ~= evicted message): one
+    // allocation-free pass finds the most expendable entry; if it covers
+    // the demand, that is the whole answer. Only multi-victim demands pay
+    // for a snapshot and a sort.
+    const Entry* best = nullptr;
+    for (const Entry& e : entries_) {
+      if (best == nullptr || more_expendable(candidate(e), candidate(*best))) {
+        best = &e;
+      }
+    }
+    if (best == nullptr) return {};
+    if (best->bytes >= need) return {best->id};
+    candidates.reserve(entries_.size());
+    for (const Entry& e : entries_) candidates.push_back(candidate(e));
   }
-  return need.bytes == 0 && need.entries == 0;
+  std::sort(candidates.begin(), candidates.end(), more_expendable);
+  std::vector<MessageId> victims;
+  std::size_t freed = 0;
+  for (const Candidate& c : candidates) {
+    if (freed >= need) break;
+    victims.push_back(c.id);
+    freed += c.bytes;
+  }
+  return victims;
 }
 
 void BufferStore::remove_victim(const MessageId& victim) {

@@ -1,20 +1,21 @@
 // BufferStore: the single concrete storage layer behind every retention
-// policy (Buffer API v2).
+// policy.
 //
 // One store per member. It owns:
 //   - ordered flat storage (sorted vector keyed by MessageId) of entries
 //     whose payloads are refcounted SharedBytes — iteration order is id
 //     order, deterministic across runs and shard counts;
-//   - bytes/count accounting in wire-encoded Data-frame bytes (the same
+//   - byte accounting in wire-encoded Data-frame bytes (the same
 //     definition the traffic stats use; see proto::encoded_size overloads);
 //   - duplicate suppression and the handoff-upgrade rule;
 //   - observer notification for callers that watch buffer events (the
 //     Figure 6 runner, determinism tests);
 //   - handoff drains on graceful leave;
 //   - a per-member BufferBudget with an explicit admission + eviction
-//     protocol: when an insert would exceed the budget the bound
-//     RetentionPolicy picks an EvictionPlan (deterministic tie-break by
+//     protocol: when an insert would exceed the budget the store evicts its
+//     most expendable entries (pick_victims; deterministic tie-break by
 //     MessageId); a message larger than the whole budget is rejected.
+//     Eviction is the store's decision: policies only decide retention.
 //
 // The store drives its RetentionPolicy: store()/accept_handoff() call the
 // policy's on_stored/on_handoff hooks after accounting and observer
@@ -76,7 +77,6 @@ class BufferStore {
 
   RetentionPolicy& policy() { return *policy_; }
   const RetentionPolicy& policy() const { return *policy_; }
-  const char* name() const { return policy_->name(); }
 
   // --- admission ---------------------------------------------------------
 
@@ -108,10 +108,21 @@ class BufferStore {
   const BufferStats& stats() const { return stats_; }
   const BufferBudget& budget() const { return budget_; }
 
+  /// The entries an admission under budget pressure evicts to free `need`
+  /// accounted bytes, most expendable first: short-term entries before
+  /// long-term ones (long-term copies are the region's recovery capital),
+  /// least-recently-active first, ties broken by ascending MessageId, so
+  /// every member and every shard count evicts the same victims in the
+  /// same order. With coordination on, a replica cost model ranks first:
+  /// an entry with >= kRedundancyThreshold known regional replicas whose
+  /// keeper is another member is expendable, most replicated first, while
+  /// keeper copies and sole copies are protected (taken only when nothing
+  /// redundant remains). Takes entries until their bytes cover `need`.
+  std::vector<MessageId> pick_victims(std::size_t need) const;
+
   // --- region coordination (cooperative budgets) -------------------------
 
   const CoordinationParams& coordination() const { return coordination_; }
-  bool coordination_enabled() const { return coordination_.enabled; }
 
   /// Neighbor digest view; fed by the endpoint's BufferDigest handler and
   /// consulted by cost-aware eviction and the shed path.
@@ -194,7 +205,7 @@ class BufferStore {
   };
 
   Admission insert(const proto::Data& msg, bool via_handoff);
-  /// Evict per the policy's plan until `msg` fits. Returns false when the
+  /// Evict pick_victims' choice until `msg` fits. Returns false when the
   /// message can never fit (larger than the whole budget).
   bool make_room(std::size_t incoming_bytes);
   /// Remove one budget-pressure victim: shed sole copies to a neighbor when

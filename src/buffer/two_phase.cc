@@ -43,7 +43,7 @@ void TwoPhasePolicy::idle_check(const MessageId& id) {
   }
   // The message is idle (§3.1). Random long-term decision (§3.2): keep with
   // probability P = C/n so the expected bufferer count per region is C.
-  std::size_t n = std::max<std::size_t>(env().region_size(), 1);
+  std::size_t n = std::max<std::size_t>(env().region_members().size(), 1);
   double p = params_.C / static_cast<double>(n);
   if (env().rng().bernoulli(p)) {
     store().promote_long_term(id);

@@ -39,7 +39,6 @@ class TwoPhasePolicy final : public RetentionPolicy {
  public:
   explicit TwoPhasePolicy(TwoPhaseParams params) : params_(params) {}
 
-  const char* name() const override { return "two-phase"; }
   const TwoPhaseParams& params() const { return params_; }
 
   void on_stored(const MessageId& id) override;

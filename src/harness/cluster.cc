@@ -223,10 +223,11 @@ void Cluster::inject_remote_request(MemberId target, const MessageId& id,
 }
 
 void Cluster::force_long_term(MemberId member, const MessageId& id) {
-  Endpoint& ep = *endpoints_.at(member);
-  std::optional<proto::Data> d = ep.buffer().get(id);
-  if (!d) throw std::logic_error("force_long_term: message not buffered");
-  ep.buffer().accept_handoff(*d);  // upgrades an existing entry to long-term
+  buffer::BufferStore& store = endpoints_.at(member)->buffer();
+  if (!store.has(id)) {
+    throw std::logic_error("force_long_term: message not buffered");
+  }
+  store.promote_long_term(id);
 }
 
 void Cluster::force_discard(MemberId member, const MessageId& id) {

@@ -19,25 +19,6 @@ ClusterConfig base_config(const ExperimentDefaults& d) {
   return cc;
 }
 
-/// Per-policy spec for the comparison sweeps, derived from the paper
-/// defaults the same way the old PolicyParams union was.
-buffer::PolicySpec spec_for(buffer::PolicyKind kind,
-                            const ExperimentDefaults& d) {
-  switch (kind) {
-    case buffer::PolicyKind::kTwoPhase:
-      return buffer::TwoPhaseParams{d.idle_threshold, d.C};
-    case buffer::PolicyKind::kFixedTime:
-      return buffer::FixedTimeParams{Duration::millis(100)};
-    case buffer::PolicyKind::kBufferEverything:
-      return buffer::BufferEverythingParams{};
-    case buffer::PolicyKind::kHashBased:
-      return buffer::HashBasedParams{static_cast<std::size_t>(d.C),
-                                     d.idle_threshold};
-    case buffer::PolicyKind::kStability: return buffer::StabilityParams{};
-  }
-  return buffer::TwoPhaseParams{d.idle_threshold, d.C};
-}
-
 std::vector<MemberId> pick_members(const std::vector<MemberId>& pool,
                                    std::size_t k, RandomEngine& rng) {
   std::vector<std::size_t> idx = rng.sample_indices(pool.size(), k);
@@ -294,11 +275,10 @@ SearchStrategyOutcome run_search_strategy(Config::SearchStrategy strategy,
 
 StreamOutcome run_stream_scenario(buffer::PolicyKind kind,
                                   const StreamScenario& scenario,
-                                  const FaultScript& faults,
-                                  const ExperimentDefaults& defaults) {
-  ClusterConfig cc = base_config(defaults);
+                                  const FaultScript& faults) {
+  ClusterConfig cc = base_config({});
   cc.region_sizes = {scenario.region_size};
-  cc.policy = spec_for(kind, defaults);
+  cc.policy = buffer::default_spec(kind);
   cc.protocol.buffer_budget = scenario.budget;
   cc.protocol.buffer_coordination = scenario.coordination;
   cc.protocol.flow = scenario.flow;

@@ -206,13 +206,12 @@ struct StreamOutcome {
   double control_overhead = 0.0;
 };
 
-/// Runs the stream under `kind`'s policy (spec_for the paper defaults) with
-/// `faults` scheduled after the sends, so a fault due at a send instant fires
-/// after that instant's multicasts.
+/// Runs the stream under `kind`'s paper-default policy
+/// (buffer::default_spec) with `faults` scheduled after the sends, so a fault
+/// due at a send instant fires after that instant's multicasts.
 StreamOutcome run_stream_scenario(buffer::PolicyKind kind,
                                   const StreamScenario& scenario,
-                                  const FaultScript& faults = {},
-                                  const ExperimentDefaults& defaults = {});
+                                  const FaultScript& faults = {});
 
 /// The fault sweep's hostile-network cells, each a FaultScript timeline over
 /// a flash-crowd stream. Victims come from the tail of the member range, so

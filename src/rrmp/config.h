@@ -70,12 +70,12 @@ struct Config {
   /// immediately (no suppression).
   Duration regional_backoff = Duration::millis(5);
 
-  /// Per-member buffer budget (bytes/entries in wire-encoded Data-frame
-  /// units; zero fields = unlimited). The endpoint builds its BufferStore
-  /// with this budget; when an admission would exceed it, the retention
-  /// policy picks eviction victims (see buffer::RetentionPolicy). The paper
-  /// treats buffer memory as the scarce resource — this is that resource
-  /// made an explicit, tunable quantity.
+  /// Per-member buffer budget in wire-encoded Data-frame bytes (0 =
+  /// unlimited). The endpoint builds its BufferStore with this budget; when
+  /// an admission would exceed it, the store evicts its most expendable
+  /// entries (see buffer::BufferStore::pick_victims). The paper treats
+  /// buffer memory as the scarce resource — this is that resource made an
+  /// explicit, tunable quantity.
   buffer::BufferBudget buffer_budget;
 
   /// Cooperative region-wide budget coordination (see

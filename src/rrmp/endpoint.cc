@@ -33,10 +33,6 @@ void Endpoint::Env::cancel(std::uint64_t timer) { ep_.host_.cancel(timer); }
 
 RandomEngine& Endpoint::Env::rng() { return ep_.host_.rng(); }
 
-std::size_t Endpoint::Env::region_size() const {
-  return ep_.host_.local_view().size();
-}
-
 const std::vector<MemberId>& Endpoint::Env::region_members() const {
   return ep_.host_.local_view().members();
 }

@@ -180,7 +180,6 @@ class Endpoint {
     std::uint64_t schedule(Duration d, sim::Callback fn) override;
     void cancel(std::uint64_t timer) override;
     RandomEngine& rng() override;
-    std::size_t region_size() const override;
     const std::vector<MemberId>& region_members() const override;
     MemberId self() const override;
 

@@ -24,8 +24,8 @@
 //     evictions.
 //
 // Determinism is a property too: replaying the same seed must produce a
-// byte-identical event log and final store state, and pick_victims must
-// return identical plans for identical state.
+// byte-identical event log and final store state, and the store's
+// pick_victims must return identical victims for identical state.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -42,6 +42,7 @@ namespace rrmp::buffer {
 namespace {
 
 using rrmp::testing::FakePolicyEnv;
+using rrmp::testing::frame_budget;
 using rrmp::testing::make_data;
 
 struct FuzzConfig {
@@ -159,8 +160,7 @@ class StoreFuzzer {
         return FixedTimeParams{Duration::millis(60)};
       case PolicyKind::kBufferEverything: return BufferEverythingParams{};
       case PolicyKind::kHashBased:
-        return HashBasedParams{3, Duration::millis(40),
-                               Duration::millis(200)};
+        return HashBasedParams{3, Duration::millis(40)};
       case PolicyKind::kStability: return StabilityParams{};
     }
     return TwoPhaseParams{};
@@ -240,14 +240,11 @@ class StoreFuzzer {
       sp->mark_stable_below(static_cast<MemberId>(op_rng_.uniform_int(1, 2)),
                             static_cast<std::uint64_t>(op_rng_.uniform_int(1, 40)));
     } else {
-      // Eviction-plan determinism for the current state: identical demands
-      // must produce identical plans (pick_victims is a pure function of
+      // Victim determinism for the current state: identical demands must
+      // produce identical victims (pick_victims is a pure function of
       // store + digest state).
-      EvictionDemand need{static_cast<std::size_t>(op_rng_.uniform_int(0, 256)),
-                          static_cast<std::size_t>(op_rng_.uniform_int(0, 3))};
-      EvictionPlan a = store_->policy().pick_victims(need);
-      EvictionPlan b = store_->policy().pick_victims(need);
-      ASSERT_EQ(a.victims, b.victims);
+      auto need = static_cast<std::size_t>(op_rng_.uniform_int(0, 256));
+      ASSERT_EQ(store_->pick_victims(need), store_->pick_victims(need));
     }
   }
 
@@ -256,11 +253,8 @@ class StoreFuzzer {
     const BufferStats& st = store_->stats();
 
     // Budget never exceeded after an admission returned.
-    if (cfg_.budget.max_bytes != 0) {
+    if (!cfg_.budget.unlimited()) {
       ASSERT_LE(store_->bytes(), cfg_.budget.max_bytes);
-    }
-    if (cfg_.budget.max_count != 0) {
-      ASSERT_LE(store_->count(), cfg_.budget.max_count);
     }
 
     // Exact accounting: bytes tracks the entries, storage stays sorted, and
@@ -372,12 +366,14 @@ FuzzConfig config_for(PolicyKind kind, std::uint64_t seed) {
   FuzzConfig cfg;
   cfg.kind = kind;
   cfg.seed = seed;
-  // The seed picks the budget axes and coordination so every combination is
-  // hit across the seed sweep: bytes-only, count-only, both, unlimited.
+  // The seed picks the budget and coordination so every combination is hit
+  // across the seed sweep: three byte budgets, about nine, five and two
+  // frames of the fuzz's 8–96-byte payloads (so one admission often
+  // evicts several entries), and unlimited.
   switch (seed % 4) {
-    case 0: cfg.budget = {600, 0}; break;
-    case 1: cfg.budget = {0, 5}; break;
-    case 2: cfg.budget = {600, 5}; break;
+    case 0: cfg.budget = {600}; break;
+    case 1: cfg.budget = {320}; break;
+    case 2: cfg.budget = {160}; break;
     case 3: cfg.budget = {}; break;
   }
   cfg.coordination.enabled = (seed % 2) == 0;
@@ -387,7 +383,23 @@ FuzzConfig config_for(PolicyKind kind, std::uint64_t seed) {
   return cfg;
 }
 
+/// Admissions in `log` that made room by removing two or more entries: a
+/// run of budget departures (evictions and sheds) ended by the store.
+std::size_t multi_victim_admissions(const std::vector<LoggedEvent>& log) {
+  std::size_t admissions = 0, run = 0;
+  for (const LoggedEvent& e : log) {
+    if (e.ev == BufferEvent::kEvicted || e.ev == BufferEvent::kShedHandoff) {
+      ++run;
+      continue;
+    }
+    if (e.ev == BufferEvent::kStored && run >= 2) ++admissions;
+    run = 0;
+  }
+  return admissions;
+}
+
 TEST(BufferPropertyTest, RandomizedOpsPreserveInvariants) {
+  std::size_t multi_victim = 0;
   for (PolicyKind kind : kAllKinds) {
     for (std::uint64_t seed = 1; seed <= 12; ++seed) {
       SCOPED_TRACE(std::string(to_string(kind)) + " seed " +
@@ -395,8 +407,11 @@ TEST(BufferPropertyTest, RandomizedOpsPreserveInvariants) {
       StoreFuzzer fuzzer(config_for(kind, seed));
       fuzzer.run();
       if (::testing::Test::HasFatalFailure()) return;
+      multi_victim += multi_victim_admissions(fuzzer.log());
     }
   }
+  // The byte budgets are small enough that the sort path runs too.
+  EXPECT_GT(multi_victim, 0u);
 }
 
 TEST(BufferPropertyTest, IdenticalSeedsReplayIdentically) {
@@ -545,7 +560,7 @@ TEST(BufferPropertyTest, CoordinatedShedsRequireAdvertisedSoleCopy) {
   CoordinationParams coord;
   coord.enabled = true;
   coord.digest_interval = Duration::millis(1);  // below the test's advances
-  auto store = make_store(BufferEverythingParams{}, BufferBudget{0, 2}, coord);
+  auto store = make_store(BufferEverythingParams{}, frame_budget(2), coord);
   store->bind(&env);
   std::vector<ShedRecord> sheds;
   store->set_shed_handler([&](const proto::Data& d, MemberId target) {

@@ -187,7 +187,7 @@ RunDigest run_budgeted_workload(std::size_t shards) {
   cc.jitter = 0.15;
   cc.codec_roundtrip = true;
   cc.shards = shards;
-  cc.protocol.buffer_budget = buffer::BufferBudget{256, 0};  // ~4 frames
+  cc.protocol.buffer_budget = buffer::BufferBudget{256};  // ~4 frames
   Cluster cluster(cc);
   EventLog log(cluster);
 
@@ -238,7 +238,7 @@ RunDigest run_coordinated_workload(std::size_t shards) {
   cc.jitter = 0.15;
   cc.codec_roundtrip = true;
   cc.shards = shards;
-  cc.protocol.buffer_budget = buffer::BufferBudget{256, 0};  // ~4 frames
+  cc.protocol.buffer_budget = buffer::BufferBudget{256};  // ~4 frames
   cc.protocol.buffer_coordination.enabled = true;
   cc.protocol.buffer_coordination.digest_interval = Duration::millis(15);
   Cluster cluster(cc);
@@ -296,7 +296,7 @@ RunDigest run_flow_workload(std::size_t shards) {
   cc.jitter = 0.15;
   cc.codec_roundtrip = true;
   cc.shards = shards;
-  cc.protocol.buffer_budget = buffer::BufferBudget{512, 0};
+  cc.protocol.buffer_budget = buffer::BufferBudget{512};
   cc.protocol.buffer_coordination.enabled = true;
   cc.protocol.buffer_coordination.digest_interval = Duration::millis(15);
   cc.protocol.flow.enabled = true;
@@ -358,7 +358,7 @@ RunDigest run_adaptive_churn_flow_workload(std::size_t shards) {
   cc.jitter = 0.15;
   cc.codec_roundtrip = true;
   cc.shards = shards;
-  cc.protocol.buffer_budget = buffer::BufferBudget{512, 0};
+  cc.protocol.buffer_budget = buffer::BufferBudget{512};
   cc.protocol.buffer_coordination.enabled = true;
   cc.protocol.buffer_coordination.digest_interval = Duration::millis(15);
   cc.protocol.flow.enabled = true;
@@ -427,7 +427,7 @@ RunDigest run_partition_heal_workload(std::size_t shards) {
   cc.jitter = 0.15;
   cc.codec_roundtrip = true;
   cc.shards = shards;
-  cc.protocol.buffer_budget = buffer::BufferBudget{512, 0};
+  cc.protocol.buffer_budget = buffer::BufferBudget{512};
   cc.protocol.buffer_coordination.enabled = true;
   cc.protocol.buffer_coordination.digest_interval = Duration::millis(15);
   cc.protocol.flow.enabled = true;
@@ -539,12 +539,13 @@ TEST(ShardDeterminism, SoleCopyProtectedWhenRedundantVictimAvailable) {
   // pressure, a digest-advertised (redundant) entry is evicted even though
   // the uncoordinated order (LRU) would have picked the sole-copy entry.
   using rrmp::testing::FakePolicyEnv;
+  using rrmp::testing::frame_budget;
   using rrmp::testing::make_data;
   FakePolicyEnv env(/*region_size=*/4, /*self=*/0, /*seed=*/5);
   buffer::CoordinationParams coord;
   coord.enabled = true;  // no shed handler is bound, so victims are evicted
   auto store = buffer::make_store(buffer::BufferEverythingParams{},
-                                  buffer::BufferBudget{0, 2}, coord);
+                                  frame_budget(2), coord);
   store->bind(&env);
 
   store->store(make_data(1, 1));  // sole copy, least recently active
@@ -562,7 +563,7 @@ TEST(ShardDeterminism, SoleCopyProtectedWhenRedundantVictimAvailable) {
   // the behaviour the cost model exists to prevent.
   FakePolicyEnv env2(/*region_size=*/4, /*self=*/0, /*seed=*/5);
   auto plain = buffer::make_store(buffer::BufferEverythingParams{},
-                                  buffer::BufferBudget{0, 2});
+                                  frame_budget(2));
   plain->bind(&env2);
   plain->store(make_data(1, 1));
   env2.advance(Duration::millis(1));

@@ -3,7 +3,9 @@
 // protocol.
 #pragma once
 
+#include "buffer/budget.h"
 #include "buffer/policy.h"
+#include "proto/codec.h"
 #include "sim/simulator.h"
 
 namespace rrmp::testing {
@@ -25,7 +27,6 @@ class FakePolicyEnv final : public buffer::PolicyEnv {
   }
   void cancel(std::uint64_t timer) override { sim_.cancel(sim::TimerId{timer}); }
   RandomEngine& rng() override { return rng_; }
-  std::size_t region_size() const override { return members_.size(); }
   const std::vector<MemberId>& region_members() const override {
     return members_;
   }
@@ -49,6 +50,12 @@ inline proto::Data make_data(std::uint32_t source, std::uint64_t seq,
                              std::size_t bytes = 16) {
   return proto::Data{MessageId{source, seq},
                      std::vector<std::uint8_t>(bytes, 0x77)};
+}
+
+/// A byte budget that holds exactly `n` frames of make_data(..., bytes).
+inline buffer::BufferBudget frame_budget(std::size_t n,
+                                         std::size_t bytes = 16) {
+  return buffer::BufferBudget{n * proto::encoded_size(make_data(1, 1, bytes))};
 }
 
 }  // namespace rrmp::testing
