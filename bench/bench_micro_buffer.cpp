@@ -138,11 +138,14 @@ BENCHMARK(BM_StoreAdmitEvictWithTimers)->Arg(16)->Arg(256);
 void BM_DigestTableUpdate(benchmark::State& state) {
   // One neighbor's BufferDigest folded into the table: the per-frame cost
   // of the coordination gossip. `range` peers (99: a 100-member region)
-  // each advertise five ranges and are refreshed round-robin.
+  // each advertise five ranges and are refreshed round-robin. Each peer's
+  // runs are built once, as a received digest carries them.
   auto peers = static_cast<MemberId>(state.range(0));
-  std::vector<std::vector<proto::DigestRange>> rows(peers);
+  std::vector<SharedArray<proto::DigestRange>> rows;
   for (MemberId p = 0; p < peers; ++p) {
-    for (std::uint64_t r = 0; r < 5; ++r) rows[p].push_back({1, p + 8 * r, 4});
+    std::vector<proto::DigestRange> runs;
+    for (std::uint64_t r = 0; r < 5; ++r) runs.push_back({1, p + 8 * r, 4});
+    rows.emplace_back(std::move(runs));
   }
   buffer::DigestTable table;
   for (MemberId p = 0; p < peers; ++p) table.update(p + 1, 1024, rows[p]);

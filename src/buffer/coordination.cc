@@ -13,7 +13,7 @@ std::vector<DigestTable::Row>::const_iterator DigestTable::find(
 }
 
 void DigestTable::update(MemberId peer, std::uint64_t bytes_in_use,
-                         const std::vector<proto::DigestRange>& ranges) {
+                         SharedArray<proto::DigestRange> ranges) {
   auto it = std::lower_bound(rows_.begin(), rows_.end(), peer);
   if (it == rows_.end() || it->peer != peer) {
     it = rows_.insert(it, Row{});
@@ -21,7 +21,12 @@ void DigestTable::update(MemberId peer, std::uint64_t bytes_in_use,
   }
   it->bytes_in_use = bytes_in_use;
   it->missed = 0;  // a fresh advertisement restarts the aging clock
-  it->ranges.assign(ranges.begin(), ranges.end());
+  it->ranges = std::move(ranges);
+}
+
+SharedArray<proto::DigestRange> DigestTable::ranges_of(MemberId peer) const {
+  auto it = find(peer);
+  return it != rows_.end() ? it->ranges : SharedArray<proto::DigestRange>{};
 }
 
 void DigestTable::forget(MemberId peer) {

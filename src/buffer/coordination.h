@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/time.h"
 #include "common/types.h"
 #include "proto/messages.h"
@@ -79,11 +80,12 @@ inline constexpr std::size_t kMaxMissedDigests = 3;
 class DigestTable {
  public:
   /// Replace `peer`'s advertisement (the digest stream is idempotent:
-  /// every digest carries the peer's full held set). The ranges are copied
-  /// into the row's existing storage, so a steady-state refresh does not
-  /// allocate.
+  /// every digest carries the peer's full held set). The row keeps a
+  /// reference to `ranges`, the digest's immutable array, so a refresh
+  /// neither copies nor allocates, and every receiver of one decoded digest
+  /// shares its sender's runs.
   void update(MemberId peer, std::uint64_t bytes_in_use,
-              const std::vector<proto::DigestRange>& ranges);
+              SharedArray<proto::DigestRange> ranges);
 
   /// Drop `peer`'s advertisement (left/crashed).
   void forget(MemberId peer);
@@ -107,6 +109,10 @@ class DigestTable {
 
   std::size_t peer_count() const { return rows_.size(); }
   bool has_peer(MemberId peer) const { return find(peer) != rows_.end(); }
+  /// `peer`'s advertised runs (empty without a row). Test hook for the
+  /// shared-row contract: SharedArray::shares_owner_with on two members'
+  /// rows for one peer.
+  SharedArray<proto::DigestRange> ranges_of(MemberId peer) const;
 
   /// Number of neighbors currently advertising `id` (never negative by
   /// construction: it is a count over the table, not a maintained delta).
@@ -150,7 +156,7 @@ class DigestTable {
     MemberId peer = kInvalidMember;
     std::uint64_t bytes_in_use = 0;
     std::size_t missed = 0;  // digest periods since the last refresh
-    std::vector<proto::DigestRange> ranges;
+    SharedArray<proto::DigestRange> ranges;  // shared with the sender's digest
 
     bool operator<(MemberId other) const { return peer < other; }
   };

@@ -67,9 +67,8 @@ std::vector<MemberId> hash_bufferers(const MessageId& id,
 }
 
 void HashBasedPolicy::on_stored(const MessageId& id) {
-  const std::vector<MemberId>& members = env().region_members();
-  hash_evaluations_ += members.size();
-  if (selector_.selects(id, members, params_.k, env().self())) {
+  if (selector_.selects(id, env().region_members(), params_.k,
+                        env().self())) {
     store().promote_long_term(id);
   } else {
     store().arm(id, params_.grace, [this, id] { grace_expired(id); });

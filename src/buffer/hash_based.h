@@ -67,10 +67,6 @@ class HashBasedPolicy final : public RetentionPolicy {
 
   const HashBasedParams& params() const { return params_; }
 
-  /// Number of score evaluations performed so far (the "computation
-  /// overhead" of §3.4).
-  std::uint64_t hash_evaluations() const { return hash_evaluations_; }
-
   void on_stored(const MessageId& id) override;
 
   /// A transferred copy (leave-time handoff or coordination shed) is a
@@ -88,7 +84,6 @@ class HashBasedPolicy final : public RetentionPolicy {
 
   HashBasedParams params_;
   BuffererSelector selector_;  // reused across stores: no per-message allocs
-  std::uint64_t hash_evaluations_ = 0;
 };
 
 }  // namespace rrmp::buffer

@@ -213,20 +213,22 @@ std::size_t BufferStore::known_replicas(const MessageId& id) const {
 }
 
 proto::BufferDigest BufferStore::build_digest() const {
-  proto::BufferDigest d;
-  d.member = env_->self();
-  d.bytes_in_use = bytes_;
+  std::vector<proto::DigestRange> ranges;
   for (const Entry& e : entries_) {  // ascending id order
-    if (!d.ranges.empty()) {
-      proto::DigestRange& last = d.ranges.back();
+    if (!ranges.empty()) {
+      proto::DigestRange& last = ranges.back();
       if (last.source == e.id.source &&
           e.id.seq == last.first_seq + last.count) {
         ++last.count;
         continue;
       }
     }
-    d.ranges.push_back({e.id.source, e.id.seq, 1});
+    ranges.push_back({e.id.source, e.id.seq, 1});
   }
+  proto::BufferDigest d;
+  d.member = env_->self();
+  d.bytes_in_use = bytes_;
+  d.ranges = std::move(ranges);  // no copy: the runs are built once
   return d;
 }
 

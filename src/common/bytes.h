@@ -1,4 +1,5 @@
-// Bounds-checked binary serialization primitives and shared byte buffers.
+// Bounds-checked binary serialization primitives and shared immutable
+// arrays.
 //
 // ByteWriter appends little-endian fixed-width integers, length-prefixed
 // blobs, and varints to a growable buffer. ByteReader consumes the same
@@ -6,82 +7,91 @@
 // failed and all subsequent reads return zero values. Callers check ok()
 // once at the end of decoding instead of after every field.
 //
-// SharedBytes is a refcounted *immutable* byte buffer: copies share the
+// SharedArray<T> is a refcounted *immutable* array: copies share the
 // underlying storage, and a slice() aliases a sub-range of the same owner
-// without copying. It is the payload type of the wire messages, so a
-// multicast fan-out, a buffered copy, and every repair retransmission of
-// the same message all reference one allocation. Immutability is by
-// construction — every owner is a vector moved into a const allocation
-// here, no other code holds a writable handle to it, and SharedBytes
-// exposes no mutator — so sharing can never observe a mutation.
+// without copying. Immutability is by construction — every owner is a
+// vector moved into a const allocation here, no other code holds a writable
+// handle to it, and SharedArray exposes no mutator — so sharing can never
+// observe a mutation. Two instances carry the wire messages:
+//   - SharedBytes, the payload type: a multicast fan-out, a buffered copy,
+//     and every repair retransmission of the same message all reference
+//     one allocation;
+//   - a BufferDigest's run list: the sender builds it once, and every
+//     region peer's DigestTable row refers to that one allocation.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <cstring>
+#include <initializer_list>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 namespace rrmp {
 
-class SharedBytes {
+template <typename T>
+class SharedArray {
  public:
-  SharedBytes() = default;
+  SharedArray() = default;
 
-  /// Take ownership of `bytes` (no copy). Implicit so aggregate message
+  /// Take ownership of `items` (no copy). Implicit so aggregate message
   /// literals like `Data{id, std::vector<uint8_t>(...)}` keep working.
-  SharedBytes(std::vector<std::uint8_t> bytes)  // NOLINT(google-explicit-constructor)
-      : owner_(std::make_shared<const std::vector<std::uint8_t>>(
-            std::move(bytes))),
+  SharedArray(std::vector<T> items)  // NOLINT(google-explicit-constructor)
+      : owner_(std::make_shared<const std::vector<T>>(std::move(items))),
         data_(owner_->data()),
         size_(owner_->size()) {}
 
-  /// Byte-literal payloads: `Data{id, {1, 2, 3}}`.
-  SharedBytes(std::initializer_list<std::uint8_t> bytes)
-      : SharedBytes(std::vector<std::uint8_t>(bytes)) {}
+  /// Literal arrays: `Data{id, {1, 2, 3}}`.
+  SharedArray(std::initializer_list<T> items)
+      : SharedArray(std::vector<T>(items)) {}
 
-  /// Copy `data` into a fresh owned buffer.
-  static SharedBytes copy_of(std::span<const std::uint8_t> data) {
-    return SharedBytes(std::vector<std::uint8_t>(data.begin(), data.end()));
+  /// Copy `items` into a fresh owned array.
+  static SharedArray copy_of(std::span<const T> items) {
+    return SharedArray(std::vector<T>(items.begin(), items.end()));
   }
 
-  /// A view of [offset, offset+len) sharing this buffer's owner — no copy.
+  /// A view of [offset, offset+len) sharing this array's owner — no copy.
   /// Requires offset + len <= size().
-  SharedBytes slice(std::size_t offset, std::size_t len) const {
-    SharedBytes out;
+  SharedArray slice(std::size_t offset, std::size_t len) const {
+    SharedArray out;
     out.owner_ = owner_;
     out.data_ = data_ + offset;
     out.size_ = len;
     return out;
   }
 
-  const std::uint8_t* data() const { return data_; }
+  const T* data() const { return data_; }
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  std::span<const std::uint8_t> span() const { return {data_, size_}; }
-  operator std::span<const std::uint8_t>() const {  // NOLINT
+  const T* begin() const { return data_; }
+  const T* end() const { return data_ + size_; }
+  std::span<const T> span() const { return {data_, size_}; }
+  operator std::span<const T>() const {  // NOLINT
     return span();
   }
 
   /// True when both views share the same owning allocation (test hook for
   /// the zero-copy contract; value equality is operator==).
-  bool shares_owner_with(const SharedBytes& other) const {
+  bool shares_owner_with(const SharedArray& other) const {
     return owner_ != nullptr && owner_ == other.owner_;
   }
 
-  /// Content equality (proto messages compare payloads by value).
-  friend bool operator==(const SharedBytes& a, const SharedBytes& b) {
+  /// Content equality (proto messages compare payloads and runs by value).
+  friend bool operator==(const SharedArray& a, const SharedArray& b) {
     if (a.size_ != b.size_) return false;
     if (a.size_ == 0 || a.data_ == b.data_) return true;
-    return std::memcmp(a.data_, b.data_, a.size_) == 0;
+    return std::equal(a.begin(), a.end(), b.begin());
   }
 
  private:
-  std::shared_ptr<const std::vector<std::uint8_t>> owner_;
-  const std::uint8_t* data_ = nullptr;
+  std::shared_ptr<const std::vector<T>> owner_;
+  const T* data_ = nullptr;
   std::size_t size_ = 0;
 };
+
+using SharedBytes = SharedArray<std::uint8_t>;
 
 class ByteWriter {
  public:

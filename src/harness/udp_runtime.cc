@@ -6,6 +6,16 @@
 #include "proto/codec.h"
 
 namespace rrmp::harness {
+namespace {
+
+// Added to every RTT estimate. Raw loopback is sub-millisecond, and over
+// emulated latency each round trip also crosses the runtime's own loop
+// twice: the bus releases each datagram from a timer, then it makes a
+// socket hop. A retry timer of the bare topology RTT fires just before the
+// repair lands, so each loss would cost a second request and repair.
+constexpr Duration kLoopRttMargin = Duration::millis(2);
+
+}  // namespace
 
 class UdpRuntime::MemberHost final : public IHost {
  public:
@@ -59,9 +69,8 @@ class UdpRuntime::MemberHost final : public IHost {
   }
 
   Duration rtt_estimate(MemberId peer) const override {
-    if (rt_.config_.emulate_latency) return rt_.topology_.rtt(self_, peer);
-    // Raw loopback: sub-millisecond; a small floor keeps retries sane.
-    return Duration::millis(2);
+    if (!rt_.config_.emulate_latency) return kLoopRttMargin;
+    return rt_.topology_.rtt(self_, peer) + kLoopRttMargin;
   }
 
  private:

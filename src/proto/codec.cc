@@ -269,14 +269,15 @@ bool decode_body(ByteReader& r, BufferDigest& m) {
   m.window_outstanding = r.get_varint();
   std::uint64_t n = r.get_varint();
   if (!r.ok() || n > kMaxRepeated) return false;
-  m.ranges.resize(n);
-  for (DigestRange& dr : m.ranges) {
+  std::vector<DigestRange> ranges(n);
+  for (DigestRange& dr : ranges) {
     dr.source = r.get_u32();
     dr.first_seq = r.get_u64();
     dr.count = r.get_varint();
     // An empty run advertises nothing; a well-formed digest never emits one.
     if (!r.ok() || dr.count == 0) return false;
   }
+  m.ranges = std::move(ranges);
   return get_view_gen(r, m.view_gen);
 }
 bool decode_body(ByteReader& r, Shed& m) {

@@ -163,11 +163,16 @@ struct DigestRange {
 /// member's own flow-control window occupancy (outstanding unacknowledged
 /// Data frames; 0 when flow control is off), making send pressure visible
 /// region-wide alongside buffer pressure.
+///
+/// `ranges` is a refcounted immutable array, like a Data payload: the
+/// sender builds it once, and every receiver's DigestTable row keeps a
+/// reference to the decoded (or, in the simulator, the sent) array instead
+/// of a copy.
 struct BufferDigest {
   MemberId member = kInvalidMember;
   std::uint64_t bytes_in_use = 0;
   std::uint64_t window_outstanding = 0;
-  std::vector<DigestRange> ranges;
+  SharedArray<DigestRange> ranges;
   /// Connectivity generation (fault injection: bumped at every partition
   /// and heal). A digest that crossed a partition boundary carries a stale
   /// generation and is dropped by the receiver. Rides as an optional

@@ -717,10 +717,8 @@ TEST(HashBasedTest, SelectedMemberKeepsOthersDropAfterGrace) {
   ASSERT_NE(unselected_seq, 0u);
 
   FakePolicyEnv env(/*region_size=*/10, /*self=*/0);
-  auto policy = std::make_unique<HashBasedPolicy>(
-      HashBasedParams{3, Duration::millis(40)});
-  HashBasedPolicy* hp = policy.get();
-  BufferStore s(std::move(policy));
+  BufferStore s(std::make_unique<HashBasedPolicy>(
+      HashBasedParams{3, Duration::millis(40)}));
   s.bind(&env);
   s.store(make_data(1, selected_seq));
   s.store(make_data(1, unselected_seq));
@@ -729,7 +727,6 @@ TEST(HashBasedTest, SelectedMemberKeepsOthersDropAfterGrace) {
   env.advance(Duration::millis(50));
   EXPECT_TRUE(s.has(MessageId{1, selected_seq}));
   EXPECT_FALSE(s.has(MessageId{1, unselected_seq}));  // grace expired
-  EXPECT_GT(hp->hash_evaluations(), 0u);
 }
 
 TEST(HashBasedTest, HandoffSurvivesDespiteNotBeingHashSelected) {

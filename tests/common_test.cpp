@@ -493,6 +493,54 @@ TEST(SharedBytesTest, SmallBlobInLargeBufferIsCopiedNotAliased) {
   EXPECT_FALSE(blob.shares_owner_with(wire));
 }
 
+// --------------------------------------------------------- SharedArray ----
+
+static_assert(std::is_same_v<SharedBytes, SharedArray<std::uint8_t>>);
+
+// A run of ids with padding after `source`, like proto::DigestRange:
+// equality compares fields, not bytes.
+struct Segment {
+  std::uint32_t source = 0;
+  std::uint64_t first = 0;
+
+  friend bool operator==(const Segment&, const Segment&) = default;
+};
+
+TEST(SharedArrayTest, CopiesShareOneAllocation) {
+  std::vector<Segment> segments = {{1, 5}, {2, 9}};
+  const Segment* raw = segments.data();
+  SharedArray<Segment> a(std::move(segments));
+  SharedArray<Segment> b = a;
+  SharedArray<Segment> c = b;
+  EXPECT_EQ(a.data(), raw);  // took ownership, no copy
+  EXPECT_TRUE(b.shares_owner_with(a));
+  EXPECT_TRUE(c.shares_owner_with(a));
+  EXPECT_EQ(c.data(), raw);
+  ASSERT_EQ(c.size(), 2u);
+  EXPECT_EQ(c.begin()[1], (Segment{2, 9}));
+}
+
+TEST(SharedArrayTest, EqualContentsInDistinctAllocationsCompareEqual) {
+  SharedArray<Segment> a{{1, 5}, {2, 9}};
+  SharedArray<Segment> b{{1, 5}, {2, 9}};
+  EXPECT_FALSE(a.shares_owner_with(b));
+  EXPECT_NE(a.data(), b.data());
+  EXPECT_EQ(a, b);
+  EXPECT_FALSE(a == (SharedArray<Segment>{{1, 5}, {2, 10}}));
+  EXPECT_FALSE(a == (SharedArray<Segment>{{1, 5}}));
+}
+
+TEST(SharedArrayTest, EmptyArraysCompareEqual) {
+  SharedArray<Segment> none;                           // no allocation
+  SharedArray<Segment> moved(std::vector<Segment>{});  // an empty one
+  EXPECT_TRUE(none.empty());
+  EXPECT_TRUE(moved.empty());
+  EXPECT_EQ(none, moved);
+  EXPECT_EQ(moved, none);
+  EXPECT_FALSE(none.shares_owner_with(SharedArray<Segment>{}));  // no owner
+  EXPECT_FALSE(none == (SharedArray<Segment>{{1, 5}}));
+}
+
 // ------------------------------------------------------------- FlatMap ----
 
 using IdMap = common::FlatMap<MessageId, std::uint64_t>;

@@ -777,5 +777,32 @@ TEST(DigestCadence, ChangedDigestRepeatsOnceThenKeepsAlive) {
   }
 }
 
+TEST(DigestSharing, EveryPeerRowSharesTheSendersRuns) {
+  // A region multicast is prepared once per fan-out, and a DigestTable row
+  // keeps a reference to the digest's runs: after one tick, every member's
+  // row for member m is one allocation, not one copy per receiver.
+  constexpr std::size_t kMembers = 4;
+  ClusterConfig cc = single_region(kMembers, 37);
+  cc.protocol.buffer_coordination.enabled = true;
+  cc.protocol.buffer_coordination.digest_interval = Duration::millis(20);
+  cc.policy = buffer::BufferEverythingParams{};  // a stored frame stays
+  Cluster cluster(cc);
+  const MessageId id = cluster.endpoint(0).multicast({1});
+  // The first tick fires at 20 ms and its digests arrive one hop (5 ms)
+  // later; the second tick is at 40 ms.
+  cluster.run_for(Duration::millis(30));
+  using Runs = SharedArray<proto::DigestRange>;
+  for (MemberId m = 0; m < kMembers; ++m) {
+    SCOPED_TRACE("member " + std::to_string(m));
+    std::vector<Runs> rows;
+    for (MemberId p = 0; p < kMembers; ++p) {
+      if (p == m) continue;
+      rows.push_back(cluster.endpoint(p).buffer().digests().ranges_of(m));
+    }
+    EXPECT_EQ(rows[0], (Runs{{id.source, id.seq, 1}}));
+    for (const Runs& row : rows) EXPECT_TRUE(row.shares_owner_with(rows[0]));
+  }
+}
+
 }  // namespace
 }  // namespace rrmp::harness

@@ -95,6 +95,42 @@ TEST(UdpRuntime, TwoPhaseIdleDiscardHappensInRealTime) {
   EXPECT_TRUE(rt->all_received(id));
 }
 
+// Over emulated latency a round trip also crosses the runtime's own loop: a
+// release timer and a socket hop each way. The retry timer must outlast
+// that, or each loss costs a second request and a second repair.
+TEST(UdpRuntime, EmulatedRecoveryAsksOncePerLoss) {
+  constexpr std::uint64_t kMessages = 40;
+  constexpr double kLosses = kMessages / 2;
+  net::Topology topo = fast_topology({4});
+  UdpRuntimeConfig cfg = fast_config(38700, 7);
+  cfg.drop_fn = [](std::uint64_t seq, MemberId to) {
+    return to == 3 && seq % 2 == 0;  // member 3 misses every even frame
+  };
+  auto rt = try_make(topo, cfg);
+  if (!rt) GTEST_SKIP() << "UDP sockets unavailable";
+  std::vector<MessageId> ids;
+  for (std::uint64_t i = 0; i < kMessages; ++i) {
+    ids.push_back(rt->endpoint(0).multicast({static_cast<std::uint8_t>(i)}));
+  }
+  auto all_done = [&] {
+    for (const MessageId& id : ids) {
+      if (!rt->all_received(id)) return false;
+    }
+    return true;
+  };
+  for (int round = 0; round < 10 && !all_done(); ++round) {
+    rt->run_for(Duration::millis(200));
+  }
+  for (const MessageId& id : ids) {
+    EXPECT_TRUE(rt->all_received(id)) << "seq " << id.seq;
+  }
+  // One of each per loss when the timer holds; 1.5 leaves room for a slow
+  // (sanitized) loop.
+  const auto& counters = rt->metrics().counters();
+  EXPECT_LE(counters.local_requests_sent, 1.5 * kLosses);
+  EXPECT_LE(counters.repairs_sent, 1.5 * kLosses);
+}
+
 // Thread-per-core runtime: members partitioned across two worker event
 // loops, cross-worker traffic through the kernel, merged metrics. The same
 // recovery guarantees must hold as on the single-threaded path.
